@@ -8,15 +8,12 @@
 //
 //   build-release/bench/perf_baseline [label] >> /dev/stdout
 //
-// With --engine-scaling [label] it instead times GLAP rounds/sec on the
-// serial engine and the wave-parallel engine at 1/2/4/8 threads (150-PM
-// and 1000-PM clusters, reduced round counts) and emits the scaling
-// record collected in BENCH_engine.json.
-//
 // With --scale [label] it sweeps cluster sizes 1k/10k/100k PMs, timing
-// the serial reference engine (quiescence off) against the event-driven
-// engine with quiescence on (DESIGN.md §12) on a stable-heavy workload,
-// and reports rounds/sec, speedup, mean parked fraction and RSS. The
+// GLAP with quiescence off (the "serial" keys) against GLAP with
+// quiescence on (the "event" keys, DESIGN.md §12) on a stable-heavy
+// workload, and reports rounds/sec, speedup, mean parked fraction and
+// RSS. The key names predate the single round loop and are kept so
+// records stay comparable across BENCH_scale.json entries. The
 // record is collected in BENCH_scale.json and mirrored to
 // results/perf_scale.json. Sizes run ascending because VmHWM (the peak
 // RSS readout) is monotone within a process.
@@ -145,82 +142,7 @@ double time_end_to_end(double* out_rounds) {
   return total_rounds / elapsed;
 }
 
-/// Rounds/sec of a reduced GLAP run; engine_threads == 0 means the serial
-/// reference engine (parallel mode never enabled).
-double time_glap_rounds_per_sec(std::size_t pm_count, sim::Round warmup,
-                                sim::Round eval, std::size_t engine_threads) {
-  harness::ExperimentConfig config;
-  config.algorithm = harness::Algorithm::kGlap;
-  config.pm_count = pm_count;
-  config.warmup_rounds = warmup;
-  config.rounds = eval;
-  config.engine_threads = engine_threads > 0 ? engine_threads : 1;
-  config.fit_glap_phases_to_warmup();
-  const double total_rounds = static_cast<double>(warmup + eval);
-  const auto start = Clock::now();
-  const auto result = harness::run_experiment(config);
-  const double elapsed = seconds_since(start);
-  if (result.rounds.size() != config.rounds) std::abort();
-  return total_rounds / elapsed;
-}
-
-int run_engine_scaling(const std::string& label) {
-  struct Size {
-    const char* name;
-    std::size_t pms;
-    sim::Round warmup;
-    sim::Round eval;
-  };
-  // Reduced round counts keep the 5 runs per size tractable; scaling is
-  // a throughput ratio, so the window length does not bias it.
-  const Size sizes[] = {{"glap_150pm", 150, 200, 150},
-                        {"glap_1000pm", 1000, 100, 100}};
-  const std::size_t threads[] = {1, 2, 4, 8};
-
-  harness::BenchReport report("perf_engine_scaling",
-                              "Engine scaling — GLAP rounds/sec by thread "
-                              "count (host-dependent)");
-  report.add_headline("label", label);
-  report.add_headline(
-      "host_hardware_threads",
-      std::to_string(std::thread::hardware_concurrency()));
-
-  std::printf("{\n");
-  std::printf("  \"label\": \"%s\",\n", label.c_str());
-  std::printf("  \"host_hardware_threads\": %u,\n",
-              std::thread::hardware_concurrency());
-  for (const Size& size : sizes) {
-    std::fprintf(stderr, "[perf_baseline] %s serial...\n", size.name);
-    const double serial =
-        time_glap_rounds_per_sec(size.pms, size.warmup, size.eval, 0);
-    std::printf("  \"%s_rounds\": %u,\n", size.name,
-                static_cast<unsigned>(size.warmup + size.eval));
-    std::printf("  \"%s_serial_rounds_per_sec\": %.2f,\n", size.name, serial);
-    report.add_headline(std::string(size.name) + "_serial_rounds_per_sec",
-                        fmt("%.2f", serial));
-    for (std::size_t t : threads) {
-      std::fprintf(stderr, "[perf_baseline] %s threads=%zu...\n", size.name,
-                   t);
-      const double rps =
-          time_glap_rounds_per_sec(size.pms, size.warmup, size.eval, t);
-      std::printf("  \"%s_t%zu_rounds_per_sec\": %.2f,\n", size.name, t, rps);
-      std::printf("  \"%s_t%zu_speedup_vs_serial\": %.2f%s\n", size.name, t,
-                  rps / serial,
-                  (&size == &sizes[1] && t == threads[3]) ? "" : ",");
-      report.add_headline(std::string(size.name) + "_t" + std::to_string(t) +
-                              "_rounds_per_sec",
-                          fmt("%.2f", rps));
-      report.add_headline(std::string(size.name) + "_t" + std::to_string(t) +
-                              "_speedup_vs_serial",
-                          fmt("%.2f", rps / serial));
-    }
-  }
-  std::printf("}\n");
-  report.write();
-  return 0;
-}
-
-// ---- --scale: serial vs event+quiescence across cluster sizes ----------
+// ---- --scale: quiescence off vs on across cluster sizes ---------------
 
 /// Reads a "Key:  <n> kB" line from /proc/self/status, in MiB (0.0 when
 /// unavailable, e.g. non-Linux hosts).
@@ -256,9 +178,9 @@ struct ScaleRun {
   std::uint32_t final_active_pms = 0;
 };
 
-/// One GLAP run for the scale sweep. `event` selects the event-driven
-/// scheduler with quiescence on; otherwise the serial reference engine
-/// with quiescence off. Workload is stable-heavy: the quiescence payoff
+/// One GLAP run for the scale sweep. `event` turns quiescence on (the
+/// "event" arm of the report); otherwise quiescence stays off (the
+/// "serial" arm). Workload is stable-heavy: the quiescence payoff
 /// targets steady-state fleets, and the demand-epsilon wake rule needs
 /// most VMs to sit inside the epsilon band.
 ScaleRun run_scale_cell(std::size_t pm_count, sim::Round warmup,
@@ -274,7 +196,6 @@ ScaleRun run_scale_cell(std::size_t pm_count, sim::Round warmup,
   config.workload.w_bursty = 0.04;
   config.workload.w_spike = 0.01;
   if (event) {
-    config.event_engine = true;
     config.glap.quiescence.enabled = true;
     config.glap.quiescence.demand_epsilon = 0.15;
     config.glap.quiescence.idle_rounds = 8;
@@ -311,7 +232,7 @@ int run_scale(const std::string& label) {
 
   harness::BenchReport report(
       "perf_scale",
-      "Scale sweep — serial engine vs event engine + quiescence "
+      "Scale sweep — GLAP with quiescence off (serial) vs on (event) "
       "(host-dependent)");
   report.add_headline("label", label);
   report.add_headline("machine", cpu_model_name());
@@ -328,8 +249,7 @@ int run_scale(const std::string& label) {
     std::fprintf(stderr, "[perf_baseline] %s serial...\n", size.name);
     const ScaleRun serial =
         run_scale_cell(size.pms, size.warmup, size.eval, /*event=*/false);
-    std::fprintf(stderr, "[perf_baseline] %s event+quiescence...\n",
-                 size.name);
+    std::fprintf(stderr, "[perf_baseline] %s quiescence...\n", size.name);
     const ScaleRun event =
         run_scale_cell(size.pms, size.warmup, size.eval, /*event=*/true);
     const double speedup = event.rounds_per_sec / serial.rounds_per_sec;
@@ -370,8 +290,6 @@ int run_scale(const std::string& label) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--engine-scaling") == 0)
-    return run_engine_scaling(argc > 2 ? argv[2] : "current");
   if (argc > 1 && std::strcmp(argv[1], "--scale") == 0)
     return run_scale(argc > 2 ? argv[2] : "current");
   const std::string label = argc > 1 ? argv[1] : "current";

@@ -4,9 +4,7 @@
 // Two tables land in results/profile_phases.json:
 //
 //   counts  — phase call counts. Deterministic: a pure function of
-//             (config, seed), identical for the serial and wave-parallel
-//             engines at any thread count, so EXPERIMENTS.md drift-checks
-//             this table. The wave-only "select" phase is excluded.
+//             (config, seed), so EXPERIMENTS.md drift-checks this table.
 //   wall    — every phase with wall-clock totals and ns/call. Wall time
 //             is host-dependent; this table is reported but never
 //             drift-checked.
@@ -40,8 +38,7 @@ int main() {
     const harness::RunResult result = harness::run_experiment(config);
     const std::string name(to_string(algo));
     for (const auto& phase : result.profile) {
-      if (phase.deterministic)
-        counts.add_row({name, phase.label, std::to_string(phase.calls)});
+      counts.add_row({name, phase.label, std::to_string(phase.calls)});
       const double ms = static_cast<double>(phase.wall_ns) / 1e6;
       const double per_call =
           phase.calls > 0

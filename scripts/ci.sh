@@ -22,15 +22,16 @@
 # Simulation results are a pure function of (config, seed), so this is
 # host-independent; the throughput benches are not drift-checked.
 #
-# Stage 5 (trace overhead): bench/trace_overhead asserts rounds/sec with
-# tracing off stays within a noise band of the committed
-# BENCH_engine.json entry, that tracing on doesn't crater it, and that
-# metrics-on at 1000 PMs stays within a ratio of metrics-off.
+# Stage 5 (trace overhead): bench/trace_overhead gates self-normalised
+# ratios from one binary on one host: metrics + full JSONL tracing on vs
+# off at 150 PMs, metrics on vs off at 1000 PMs, and sampled GTB vs
+# tracing-off (speed and trace size) at 10k PMs with quiescence. No
+# absolute throughput floor: host drift would swamp it.
 #
-# Stage 6 (thread safety, RUN_TSAN=1 to enable): ThreadSanitizer build;
-# runs the full ctest suite plus the multi-threaded 150-PM GLAP smoke
-# (bench/parallel_smoke) under TSan to catch data races in the
-# wave-parallel engine.
+# Stage 6 (thread safety, RUN_TSAN=1 by default; RUN_TSAN=0 skips it):
+# ThreadSanitizer build running the full ctest suite. A simulation run is
+# single-threaded (DESIGN.md §8); the only threads are the sweep pool's,
+# which ctest drives through the thread-pool and run_cells tests.
 #
 # Stage 7 (lint): glap-lint scan over the checked-in tree must be clean.
 # The scan runs twice through the incremental cache — a cold pass that
@@ -45,22 +46,21 @@
 # performance-*, concurrency-*) runs over src/; absent clang-tidy the
 # pass is skipped — glap-lint is the gating analyzer.
 #
-# Stage 8 (memory/UB safety, RUN_ASAN_UBSAN=1 to enable): combined
-# AddressSanitizer + UndefinedBehaviorSanitizer build (UB reports are
-# fatal via -fno-sanitize-recover=all); runs the full ctest suite plus
-# bench/parallel_smoke.
+# Stage 8 (memory/UB safety, RUN_ASAN_UBSAN=1 by default;
+# RUN_ASAN_UBSAN=0 skips it): combined AddressSanitizer +
+# UndefinedBehaviorSanitizer build (UB reports are fatal via
+# -fno-sanitize-recover=all) running the full ctest suite.
 #
-# Stage 9 (scale smoke): a 10k-PM GLAP run on the event-driven engine
-# with quiescence enabled (DESIGN.md §12) must finish inside a
-# wall-clock budget (SCALE_SMOKE_BUDGET_S, default 150 s — ~10x the
-# reference container's time, so it only trips on real regressions),
-# and its trace — including the activity park/wake events — must pass
-# `glap-trace check`. A second, shorter run with --binary and
-# --flight-dump verifies the always-on flight recorder leaves a
-# parseable GTB post-mortem at the same scale. This is the cheap
-# stand-in for the committed 1k/10k/100k sweep in BENCH_scale.json,
-# which is multi-minute and ~10.9 GiB at the top cell and therefore not
-# rerun by CI.
+# Stage 9 (scale smoke): a 10k-PM GLAP run with quiescence enabled
+# (DESIGN.md §12) must finish inside a wall-clock budget
+# (SCALE_SMOKE_BUDGET_S, default 150 s — ~10x the reference container's
+# time, so it only trips on real regressions), and its trace — including
+# the activity park/wake events — must pass `glap-trace check`. A second,
+# shorter run with --binary and --flight-dump verifies the always-on
+# flight recorder leaves a parseable GTB post-mortem at the same scale.
+# This is the cheap stand-in for the committed 1k/10k/100k sweep in
+# BENCH_scale.json, which is multi-minute and ~10.9 GiB at the top cell
+# and therefore not rerun by CI.
 #
 # Stage 10 (network smoke, RUN_NET_SMOKE=1 default): a 1k-PM GLAP run
 # with the network model enabled at 1% loss (DESIGN.md §13) must emit
@@ -173,17 +173,17 @@ if [[ "${RUN_TRACE_VERIFY:-1}" == "1" ]]; then
 fi
 
 if [[ "${RUN_SCALE_SMOKE:-1}" == "1" ]]; then
-  echo "== scale smoke: 10k-PM event-engine run + trace check =="
+  echo "== scale smoke: 10k-PM quiescence run + trace check =="
   GLAP_TRACE=./build-release/tools/glap-trace
   SMOKE_TRACE=build-release/trace_scale_smoke.jsonl
   SMOKE_BUDGET_S="${SCALE_SMOKE_BUDGET_S:-150}"
   smoke_start=$(date +%s)
   "$GLAP_TRACE" gen "$SMOKE_TRACE" --pms 10000 --warmup 40 --rounds 40 \
-    --event --quiesce
+    --quiesce
   smoke_elapsed=$(( $(date +%s) - smoke_start ))
   if (( smoke_elapsed > SMOKE_BUDGET_S )); then
     echo "scale smoke took ${smoke_elapsed}s (budget ${SMOKE_BUDGET_S}s):" \
-         "the event engine has regressed at 10k PMs" >&2
+         "the round loop has regressed at 10k PMs" >&2
     exit 1
   fi
   echo "scale smoke finished in ${smoke_elapsed}s (budget ${SMOKE_BUDGET_S}s)"
@@ -198,7 +198,7 @@ if [[ "${RUN_SCALE_SMOKE:-1}" == "1" ]]; then
   # invariants don't apply). The dump is what a crashed run would leave.
   FLIGHT_DUMP=build-release/flight_scale_smoke.gtb
   "$GLAP_TRACE" gen "$SMOKE_TRACE" --pms 10000 --warmup 40 --rounds 8 \
-    --event --quiesce --binary --flight-dump "$FLIGHT_DUMP"
+    --quiesce --binary --flight-dump "$FLIGHT_DUMP"
   "$GLAP_TRACE" stats "$FLIGHT_DUMP" >/dev/null
   echo "flight dump parsed cleanly ($(stat -c %s "$FLIGHT_DUMP") bytes)"
   rm -f "$SMOKE_TRACE" "$FLIGHT_DUMP"
@@ -234,24 +234,22 @@ if [[ "${RUN_DOCS_DRIFT:-1}" == "1" ]]; then
 fi
 
 if [[ "${RUN_TRACE_SMOKE:-1}" == "1" ]]; then
-  echo "== trace overhead: tracing-off path vs BENCH_engine.json =="
-  ./build-release/bench/trace_overhead --reference BENCH_engine.json
+  echo "== trace overhead: observability on/off ratio gates =="
+  ./build-release/bench/trace_overhead
 fi
 
 if [[ "${RUN_TSAN:-1}" == "1" ]]; then
-  echo "== tsan: ThreadSanitizer build + ctest + parallel smoke =="
+  echo "== tsan: ThreadSanitizer build + ctest =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGLAP_TSAN=ON -DGLAP_ENABLE_CHECKS=ON
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
-  ./build-tsan/bench/parallel_smoke
 fi
 
 if [[ "${RUN_ASAN_UBSAN:-1}" == "1" ]]; then
-  echo "== asan-ubsan: Address+UB sanitizer build + ctest + parallel smoke =="
+  echo "== asan-ubsan: Address+UB sanitizer build + ctest =="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGLAP_ASAN=ON -DGLAP_UBSAN=ON -DGLAP_ENABLE_CHECKS=ON
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-  ./build-asan/bench/parallel_smoke
 fi

@@ -90,34 +90,26 @@ std::optional<cloud::VmId> EcoCloudProtocol::pick_vm(cloud::PmId pm) const {
 }
 
 std::optional<cloud::PmId> EcoCloudProtocol::probe_place(
-    Rng& rng, cloud::PmId source, cloud::VmId vm, sim::Engine* engine,
-    sim::PeerSet* declare) const {
+    sim::Engine& engine, cloud::PmId source, cloud::VmId vm) {
   const std::size_t n = dc_.pm_count();
   for (std::size_t probe = 0; probe < config_.probe_count; ++probe) {
-    const auto candidate = static_cast<cloud::PmId>(rng.bounded(n));
+    const auto candidate = static_cast<cloud::PmId>(rng_.bounded(n));
     if (candidate == source) continue;
-    // The power-state read below already touches the candidate, so it is
-    // declared before the is_on check.
-    if (declare) declare->add(static_cast<sim::NodeId>(candidate));
     if (!dc_.pm_on(candidate)) continue;
-    if (engine) {
-      engine->network().count_message(static_cast<sim::NodeId>(source),
-                                      static_cast<sim::NodeId>(candidate),
-                                      kProbeMsgBytes);
-      // Probe semantics under the network model: a lost or late
-      // probe/reply skips this candidate (the next draw tries another).
-      // Declare-mode dry runs (engine == nullptr) never touch the model.
-      if (net::NetworkModel* net = engine->net_model();
-          net != nullptr &&
-          !net->round_trip(static_cast<sim::NodeId>(source),
-                           static_cast<sim::NodeId>(candidate),
-                           kProbeMsgBytes, kProbeMsgBytes,
-                           net::Channel::kProbe)
-               .ok())
-        continue;
-    }
+    engine.network().count_message(static_cast<sim::NodeId>(source),
+                                   static_cast<sim::NodeId>(candidate),
+                                   kProbeMsgBytes);
+    // Probe semantics under the network model: a lost or late probe/reply
+    // skips this candidate (the next draw tries another).
+    if (net::NetworkModel* net = engine.net_model();
+        net != nullptr &&
+        !net->round_trip(static_cast<sim::NodeId>(source),
+                         static_cast<sim::NodeId>(candidate), kProbeMsgBytes,
+                         kProbeMsgBytes, net::Channel::kProbe)
+             .ok())
+      continue;
     const double u = dc_.current_utilization(candidate).max_component();
-    if (!rng.bernoulli(acceptance_probability(u, config_))) continue;
+    if (!rng_.bernoulli(acceptance_probability(u, config_))) continue;
     if (!dc_.can_host(candidate, vm)) continue;
     return candidate;
   }
@@ -126,52 +118,48 @@ std::optional<cloud::PmId> EcoCloudProtocol::probe_place(
 
 bool EcoCloudProtocol::try_place(sim::Engine& engine, cloud::PmId source,
                                  cloud::VmId vm) {
-  const auto target = probe_place(rng_, source, vm, &engine, nullptr);
+  const auto target = probe_place(engine, source, vm);
   if (!target) return false;
   dc_.migrate(vm, *target);
   return true;
 }
 
 bool EcoCloudProtocol::plan_evacuation(
-    Rng& rng, sim::NodeId self, cloud::PmId source, sim::Engine* engine,
-    sim::PeerSet* declare,
-    std::vector<std::pair<cloud::VmId, cloud::PmId>>* plan_out) const {
+    sim::Engine& engine, sim::NodeId self, cloud::PmId source,
+    std::vector<std::pair<cloud::VmId, cloud::PmId>>& plan) {
   const std::size_t n = dc_.pm_count();
 
   // Plan: find an accepting target for every VM, reserving planned load.
   // Keyed deterministically (std::map, PmId order): the plan is only ever
   // *looked up* per candidate today, but an unordered map here is one
-  // refactor away from iteration in engine-dependent bucket order — the
-  // exact hazard the glap-lint unordered-iteration rule now rejects.
+  // refactor away from iteration in bucket order — the exact hazard the
+  // glap-lint unordered-iteration rule rejects.
   std::map<cloud::PmId, Resources> reserved;
   for (cloud::VmId vm : dc_.pm(source).vms()) {
     const Resources usage = dc_.vm_current_usage(vm);
     bool placed = false;
     for (std::size_t probe = 0; probe < config_.probe_count && !placed;
          ++probe) {
-      const auto candidate = static_cast<cloud::PmId>(rng.bounded(n));
+      const auto candidate = static_cast<cloud::PmId>(rng_.bounded(n));
       if (candidate == source) continue;
-      if (declare) declare->add(static_cast<sim::NodeId>(candidate));
       if (!dc_.pm_on(candidate)) continue;
-      if (engine) {
-        engine->network().count_message(
-            self, static_cast<sim::NodeId>(candidate), kProbeMsgBytes);
-        if (net::NetworkModel* net = engine->net_model();
-            net != nullptr &&
-            !net->round_trip(self, static_cast<sim::NodeId>(candidate),
-                             kProbeMsgBytes, kProbeMsgBytes,
-                             net::Channel::kProbe)
-                 .ok())
-          continue;
-      }
+      engine.network().count_message(self, static_cast<sim::NodeId>(candidate),
+                                     kProbeMsgBytes);
+      if (net::NetworkModel* net = engine.net_model();
+          net != nullptr &&
+          !net->round_trip(self, static_cast<sim::NodeId>(candidate),
+                           kProbeMsgBytes, kProbeMsgBytes,
+                           net::Channel::kProbe)
+               .ok())
+        continue;
       const Resources pm_cap = dc_.pm(candidate).spec().capacity();
       const Resources planned =
           dc_.current_usage(candidate) + reserved[candidate];
       const double u = planned.divided_by(pm_cap).max_component();
-      if (!rng.bernoulli(acceptance_probability(u, config_))) continue;
+      if (!rng_.bernoulli(acceptance_probability(u, config_))) continue;
       if (!(planned + usage).fits_within(pm_cap)) continue;
       reserved[candidate] += usage;
-      if (plan_out) plan_out->emplace_back(vm, candidate);
+      plan.emplace_back(vm, candidate);
       placed = true;
     }
     if (!placed) return false;  // incomplete plan — nothing migrates
@@ -182,7 +170,7 @@ bool EcoCloudProtocol::plan_evacuation(
 bool EcoCloudProtocol::try_evacuate(sim::Engine& engine, sim::NodeId self,
                                     cloud::PmId source) {
   std::vector<std::pair<cloud::VmId, cloud::PmId>> plan;
-  if (!plan_evacuation(rng_, self, source, &engine, nullptr, &plan))
+  if (!plan_evacuation(engine, self, source, plan))
     return false;
   for (const auto& [vm, target] : plan) dc_.migrate(vm, target);
   dc_.set_power(source, cloud::PmPower::kSleep);
@@ -190,33 +178,7 @@ bool EcoCloudProtocol::try_evacuate(sim::Engine& engine, sim::NodeId self,
   return true;
 }
 
-void EcoCloudProtocol::select_peers(sim::Engine& /*engine*/, sim::NodeId self,
-                                    sim::PeerSet& peers) {
-  // Dry-run execute()'s exact decision tree on a copied RNG: EcoCloud has
-  // no overlay, so its footprint is whatever servers the probe loops draw.
-  // The draws are reproducible at execute time because every state read
-  // along the path (own load, candidates' power and load) is on a node
-  // declared here and therefore frozen by the reservation.
-  const auto p = static_cast<cloud::PmId>(self);
-  const double u = dc_.current_utilization(p).max_component();
-  Rng sim_rng = rng_;
-
-  if (u > config_.upper_threshold) {
-    const double excess =
-        (u - config_.upper_threshold) / (1.0 - config_.upper_threshold);
-    if (sim_rng.bernoulli(std::min(1.0, 0.1 * excess)))
-      if (const auto vm = pick_vm(p))
-        probe_place(sim_rng, p, *vm, nullptr, &peers);
-    return;
-  }
-  if (cooldown_ > 0) return;      // execute() only decrements the counter
-  if (dc_.pm(p).empty()) return;  // execute() hibernates self only
-  if (sim_rng.bernoulli(underload_migration_probability(u, config_)))
-    plan_evacuation(sim_rng, self, p, nullptr, &peers, nullptr);
-}
-
-void EcoCloudProtocol::execute(sim::Engine& engine, sim::NodeId self,
-                               const sim::PeerSet& /*peers*/) {
+void EcoCloudProtocol::execute(sim::Engine& engine, sim::NodeId self) {
   const auto p = static_cast<cloud::PmId>(self);
   const Resources util = dc_.current_utilization(p);
   const double u = util.max_component();

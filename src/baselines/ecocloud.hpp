@@ -54,10 +54,7 @@ class EcoCloudProtocol final : public sim::Protocol {
                                            cloud::DataCenter& dc,
                                            std::uint64_t seed);
 
-  void select_peers(sim::Engine& engine, sim::NodeId self,
-                    sim::PeerSet& peers) override;
-  void execute(sim::Engine& engine, sim::NodeId self,
-               const sim::PeerSet& peers) override;
+  void execute(sim::Engine& engine, sim::NodeId self) override;
 
   /// Rounds left before this server's drain Bernoulli may fire again
   /// (non-zero only after a failed evacuation plan).
@@ -74,24 +71,19 @@ class EcoCloudProtocol final : public sim::Protocol {
       double utilization, const EcoCloudConfig& config) noexcept;
 
  private:
-  /// Probes up to probe_count random servers for `vm` using `rng` and
-  /// returns the first accepting candidate. Dual-mode: with `engine` it
-  /// counts probe messages (the real decision); with `declare` it records
-  /// every probed server id (select_peers dry-run). Reads but never
-  /// mutates data-center state, so two runs over identical state with an
-  /// identical RNG yield the same candidate.
-  std::optional<cloud::PmId> probe_place(Rng& rng, cloud::PmId source,
-                                         cloud::VmId vm, sim::Engine* engine,
-                                         sim::PeerSet* declare) const;
+  /// Probes up to probe_count random servers for `vm`, counting probe
+  /// messages, and returns the first accepting candidate. Reads but never
+  /// mutates data-center state.
+  std::optional<cloud::PmId> probe_place(sim::Engine& engine,
+                                         cloud::PmId source, cloud::VmId vm);
 
-  /// Plans a complete evacuation of `source` (a target for every hosted
-  /// VM, probabilistic acceptance against planned utilization, capacity
-  /// reserved as the plan grows). Same dual-mode contract as probe_place;
-  /// `plan_out` may be null when only the outcome matters.
-  bool plan_evacuation(
-      Rng& rng, sim::NodeId self, cloud::PmId source, sim::Engine* engine,
-      sim::PeerSet* declare,
-      std::vector<std::pair<cloud::VmId, cloud::PmId>>* plan_out) const;
+  /// Plans a complete evacuation of `source` into `plan` (a target for
+  /// every hosted VM, probabilistic acceptance against planned
+  /// utilization, capacity reserved as the plan grows). Returns false on
+  /// an incomplete plan; nothing migrates here.
+  bool plan_evacuation(sim::Engine& engine, sim::NodeId self,
+                       cloud::PmId source,
+                       std::vector<std::pair<cloud::VmId, cloud::PmId>>& plan);
 
   /// Offers `vm` to up to probe_count random active servers; each accepts
   /// via its Bernoulli trial plus a hard capacity check. Returns true when

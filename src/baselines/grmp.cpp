@@ -63,16 +63,7 @@ void GrmpProtocol::pack(sim::Engine& engine, cloud::PmId sender,
   }
 }
 
-void GrmpProtocol::select_peers(sim::Engine& engine, sim::NodeId self,
-                                sim::PeerSet& peers) {
-  // The gossip partner comes from the overlay sample; packing, the
-  // capacity checks, and the switch-off touch only self and that partner.
-  engine.protocol_at<overlay::NeighborProvider>(overlay_slot_, self)
-      .append_peer_candidates(peers);
-}
-
-void GrmpProtocol::execute(sim::Engine& engine, sim::NodeId self,
-                           const sim::PeerSet& /*peers*/) {
+void GrmpProtocol::execute(sim::Engine& engine, sim::NodeId self) {
   auto& sampler =
       engine.protocol_at<overlay::NeighborProvider>(overlay_slot_, self);
   const auto peer = sampler.sample_active_peer(engine, self);

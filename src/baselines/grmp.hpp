@@ -35,10 +35,7 @@ class GrmpProtocol final : public sim::Protocol {
       sim::Engine& engine, const GrmpConfig& config, cloud::DataCenter& dc,
       sim::Engine::ProtocolSlot overlay_slot);
 
-  void select_peers(sim::Engine& engine, sim::NodeId self,
-                    sim::PeerSet& peers) override;
-  void execute(sim::Engine& engine, sim::NodeId self,
-               const sim::PeerSet& peers) override;
+  void execute(sim::Engine& engine, sim::NodeId self) override;
 
  private:
   /// Moves VMs sender→recipient while the recipient stays under threshold.

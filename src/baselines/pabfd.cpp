@@ -298,13 +298,7 @@ void PabfdManager::evacuate_underloaded(sim::Engine& engine) {
   }
 }
 
-void PabfdManager::select_peers(sim::Engine& /*engine*/, sim::NodeId self,
-                                sim::PeerSet& peers) {
-  if (is_manager_ && self == manager_node_) peers.add_global();
-}
-
-void PabfdManager::execute(sim::Engine& engine, sim::NodeId self,
-                           const sim::PeerSet& /*peers*/) {
+void PabfdManager::execute(sim::Engine& engine, sim::NodeId self) {
   if (!is_manager_ || self != manager_node_) return;
   // The manager polls every active PM (monitoring traffic).
   for (cloud::PmId p = 0; p < dc_.pm_count(); ++p)

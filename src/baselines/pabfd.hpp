@@ -77,13 +77,9 @@ class PabfdManager final : public sim::Protocol {
                                            cloud::DataCenter& dc,
                                            sim::NodeId manager_node = 0);
 
-  /// The manager node scans and mutates the whole data center, so it
-  /// declares a global footprint (the parallel engine runs it alone);
-  /// the inert stand-in instances touch nothing.
-  void select_peers(sim::Engine& engine, sim::NodeId self,
-                    sim::PeerSet& peers) override;
-  void execute(sim::Engine& engine, sim::NodeId self,
-               const sim::PeerSet& peers) override;
+  /// The manager node scans and mutates the whole data center; the inert
+  /// stand-in instances do nothing.
+  void execute(sim::Engine& engine, sim::NodeId self) override;
 
   /// Median absolute deviation (exposed for tests).
   [[nodiscard]] static double mad(std::vector<double> samples);

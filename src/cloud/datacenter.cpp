@@ -233,9 +233,6 @@ MigrationRecord DataCenter::migrate(VmId vm_id, PmId to) {
   usage_cache_[to] += moving_usage;
 
   MigrationRecord record{vm_id, from, to, round_, tau, energy};
-  // Observability: both sinks buffer per shard with (order_key, seq) tags
-  // and replay in serial order at commit, so this is safe (and identical)
-  // under both engine modes.
   if (trace_ != nullptr)
     trace_->emit(trace::Kind::kMigration, static_cast<std::int64_t>(vm_id),
                  static_cast<std::int64_t>(from), static_cast<std::int64_t>(to),
@@ -245,53 +242,15 @@ MigrationRecord DataCenter::migrate(VmId vm_id, PmId to) {
     hist_tau_->observe(tau);
     hist_energy_->observe(energy);
   }
-  if (deferred_accounting_) {
-    exec::Context& ctx = exec::context();
-    deferred_log_[ctx.shard_slot].push_back(
-        {ctx.order_key, ctx.seq++, record, moving_usage.cpu});
-  } else {
-    apply_migration_accounting(record, moving_usage.cpu);
-  }
+  sla_.record_migration(record.vm, moving_usage.cpu, record.tau_seconds);
+  migration_energy_j_ += record.energy_joules;
+  ++migrations_this_round_;
+  migrations_.push_back(record);
   if (wake_hook_) {
     wake_hook_(from, WakeEvent::kMigration);
     wake_hook_(to, WakeEvent::kMigration);
   }
   return record;
-}
-
-void DataCenter::apply_migration_accounting(const MigrationRecord& record,
-                                            double vm_cpu_mips) {
-  sla_.record_migration(record.vm, vm_cpu_mips, record.tau_seconds);
-  migration_energy_j_ += record.energy_joules;
-  ++migrations_this_round_;
-  migrations_.push_back(record);
-}
-
-void DataCenter::set_deferred_accounting(bool enabled) {
-  deferred_accounting_ = enabled;
-  if (enabled && deferred_log_.empty())
-    deferred_log_.resize(exec::kShardCount);
-}
-
-void DataCenter::commit_deferred_accounting() {
-  if (deferred_log_.empty()) return;
-  commit_scratch_.clear();
-  for (auto& shard : deferred_log_) {
-    commit_scratch_.insert(commit_scratch_.end(), shard.begin(), shard.end());
-    shard.clear();
-  }
-  if (commit_scratch_.empty()) return;
-  // (order_key, seq) is the serial execution order: order_key is the
-  // interaction's rank in the round permutation and seq its mutation
-  // index, so the replay reproduces the serial engine's accounting —
-  // including the floating-point summation order — exactly.
-  std::sort(commit_scratch_.begin(), commit_scratch_.end(),
-            [](const DeferredMigration& a, const DeferredMigration& b) {
-              return a.order_key != b.order_key ? a.order_key < b.order_key
-                                                : a.seq < b.seq;
-            });
-  for (const DeferredMigration& d : commit_scratch_)
-    apply_migration_accounting(d.record, d.vm_cpu_mips);
 }
 
 void DataCenter::set_power(PmId id, PmPower power) {
@@ -302,9 +261,9 @@ void DataCenter::set_power(PmId id, PmPower power) {
     GLAP_REQUIRE(target.empty(), "cannot sleep a pm that still hosts vms");
   pm_on_[id] = on;
   if (power == PmPower::kSleep)
-    active_pms_.decrement();
+    --active_pms_;
   else
-    active_pms_.increment();
+    ++active_pms_;
   if (trace_ != nullptr)
     trace_->emit(trace::Kind::kPower, static_cast<std::int64_t>(id),
                  power == PmPower::kSleep ? 0 : 1);

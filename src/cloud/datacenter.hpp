@@ -16,7 +16,6 @@
 // overload/power scans at 100k PMs walk contiguous memory.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -28,7 +27,6 @@
 #include "cloud/sla.hpp"
 #include "cloud/vm.hpp"
 #include "common/assert.hpp"
-#include "common/exec_context.hpp"
 #include "common/rng.hpp"
 
 namespace glap::metrics {
@@ -41,27 +39,6 @@ class TraceLog;
 }
 
 namespace glap::cloud {
-
-/// Relaxed atomic counter that stays copyable/movable so DataCenter keeps
-/// value semantics. Copies happen only at quiescent points (construction,
-/// test fixtures) where no concurrent mutation is possible.
-class RelaxedCounter {
- public:
-  RelaxedCounter(std::size_t v = 0) noexcept : v_(v) {}  // NOLINT(runtime/explicit)
-  RelaxedCounter(const RelaxedCounter& o) noexcept : v_(o.load()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) noexcept {
-    v_.store(o.load(), std::memory_order_relaxed);
-    return *this;
-  }
-  [[nodiscard]] std::size_t load() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void increment() noexcept { v_.fetch_add(1, std::memory_order_relaxed); }
-  void decrement() noexcept { v_.fetch_sub(1, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::size_t> v_;
-};
 
 struct DataCenterConfig {
   /// Specs used by the homogeneous constructor, and the reference PM
@@ -176,7 +153,7 @@ class DataCenter {
 
   /// Number of PMs that are powered on.
   [[nodiscard]] std::size_t active_pm_count() const noexcept {
-    return active_pms_.load();
+    return active_pms_;
   }
   /// Number of powered-on PMs currently overloaded.
   [[nodiscard]] std::size_t overloaded_pm_count() const;
@@ -192,23 +169,6 @@ class DataCenter {
 
   /// Powers a PM on/off. Sleeping requires the PM to be empty.
   void set_power(PmId id, PmPower power);
-
-  /// Deferred accounting mode for the parallel engine: migrate() still
-  /// applies placement mutations immediately (they are protected by the
-  /// engine's reservations), but the order-sensitive accounting — SLA
-  /// degradation, the floating-point migration-energy sum, the migration
-  /// record list — is logged per execution shard and replayed in serial
-  /// order by commit_deferred_accounting(). This keeps those sums
-  /// bit-identical to the serial engine regardless of thread scheduling.
-  void set_deferred_accounting(bool enabled);
-  [[nodiscard]] bool deferred_accounting() const noexcept {
-    return deferred_accounting_;
-  }
-
-  /// Replays deferred accounting in (order_key, seq) order — exactly the
-  /// serial execution order. Call at a quiescent point (the harness calls
-  /// it after every engine step). No-op when nothing is deferred.
-  void commit_deferred_accounting();
 
   // ------------------------------------------------------- quiescence hook
 
@@ -228,7 +188,7 @@ class DataCenter {
   /// `demand_epsilon` (either resource) from its last-notified reference,
   /// plus every overloaded PM. Reference fractions advance only when the
   /// hook fires, so the notification sequence is a pure function of the
-  /// demand stream and placement history — identical across engine modes.
+  /// demand stream and placement history.
   /// Pass a null hook to detach.
   void set_wake_hook(WakeHook hook, double demand_epsilon);
 
@@ -286,16 +246,6 @@ class DataCenter {
   }
 
  private:
-  struct DeferredMigration {
-    std::uint64_t order_key;  ///< serial rank of the initiating interaction
-    std::uint32_t seq;        ///< mutation index within that interaction
-    MigrationRecord record;
-    double vm_cpu_mips;  ///< CPU usage at migration time (SLA input)
-  };
-
-  void apply_migration_accounting(const MigrationRecord& record,
-                                  double vm_cpu_mips);
-
   DataCenterConfig config_;
   std::vector<Pm> pms_;
   std::vector<Vm> vms_;
@@ -313,11 +263,7 @@ class DataCenter {
   WakeHook wake_hook_;
   MigrationNetworkHook migration_network_;
   double demand_epsilon_ = 0.0;
-  RelaxedCounter active_pms_;
-  bool deferred_accounting_ = false;
-  /// One log per exec shard; threads append lock-free to their own shard.
-  std::vector<std::vector<DeferredMigration>> deferred_log_;
-  std::vector<DeferredMigration> commit_scratch_;
+  std::size_t active_pms_;
   std::vector<MigrationRecord> migrations_;
   // Observability (see set_telemetry). Raw pointers into an externally
   // owned MetricsRegistry; null means disabled.

@@ -9,10 +9,9 @@
 // The recorder buckets bytes per round: TraceLog::begin_round() seals the
 // previous bucket and `append` extends the current one, so the ring always
 // holds whole committed rounds and a dump is a parseable record stream.
-// Events of the crashing round that were still sitting in the per-shard
-// emit buffers (not yet committed) are not recoverable — the dump ends at
-// the last quiescent point, which is also the last instant the trace
-// bytes were deterministic.
+// Events of the crashing round that were still sitting in the round
+// buffer (not yet committed) are not recoverable — the dump ends at the
+// last commit.
 #pragma once
 
 #include <cstdint>

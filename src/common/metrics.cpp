@@ -8,25 +8,9 @@
 
 namespace glap::metrics {
 
-void OrderedHistogram::commit_round() {
-  scratch_.clear();
-  for (auto& buf : buffers_) {
-    scratch_.insert(scratch_.end(), buf.begin(), buf.end());
-    buf.clear();
-  }
-  if (scratch_.empty()) return;
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const Sample& a, const Sample& b) {
-              return a.order_key != b.order_key ? a.order_key < b.order_key
-                                                : a.seq < b.seq;
-            });
-  for (const Sample& s : scratch_) stats_.add(s.value);
-}
-
 template <typename T>
 T* MetricsRegistry::get_or_create(std::deque<Entry<T>>& entries,
                                   std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& e : entries) {
     if (e.name == name) return &e.instrument;
   }
@@ -45,12 +29,6 @@ OrderedHistogram* MetricsRegistry::histogram(std::string_view name) {
 }
 Series* MetricsRegistry::series(std::string_view name) {
   return get_or_create(series_, name);
-}
-
-void MetricsRegistry::commit_round() {
-  // No lock: commit runs at quiescent points, after all engine threads have
-  // joined the round barrier and before the next round starts.
-  for (auto& e : histograms_) e.instrument.commit_round();
 }
 
 namespace {
@@ -74,7 +52,6 @@ void write_sorted(JsonWriter& w, std::string_view section,
 }  // namespace
 
 void MetricsRegistry::write_json(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
   JsonWriter w(out);
   w.begin_object();
   write_sorted(w, "counters", counters_,
@@ -102,7 +79,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
 }
 
 void MetricsRegistry::write_series_csv(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<const Entry<Series>*> sorted;
   sorted.reserve(series_.size());
   for (const auto& e : series_) sorted.push_back(&e);

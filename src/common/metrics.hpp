@@ -2,68 +2,36 @@
 // per-round series that protocols, the DataCenter and the harness publish
 // into during a run.
 //
-// Determinism contract (DESIGN.md §10). Metric *output* must be bit-identical
-// between the serial reference engine and the wave-parallel engine at any
-// thread count. Each instrument type meets that differently:
-//
-//  * Counter — integer adds are order-insensitive, so counters keep one
-//    cache-line-padded slot per exec shard (exec::kShardCount) and sum them
-//    on read. No ordering needed.
-//  * OrderedHistogram — Welford moments are FP-order-sensitive, so observe()
-//    from inside an interaction buffers (order_key, seq, value) per shard;
-//    commit_round() replays all buffered samples sorted by (order_key, seq)
-//    — the same replay the DataCenter uses for deferred accounting — into a
-//    single RunningStats. observe_now() is the driver-only path for samples
-//    taken at quiescent points (between rounds); these are prepended in
-//    call order before the current round's buffered samples are replayed.
-//  * Gauge / Series — driver-only, written at quiescent points; plain
-//    non-atomic storage.
-//
-// Registration is mutex-guarded get-or-create; instruments live in deques so
-// pointers stay stable. Snapshot output (JSON/CSV) iterates names in sorted
-// order, so the output never depends on which thread registered first.
+// A run is single-threaded (DESIGN.md §8), so every instrument is plain
+// storage written in execution order, and the Welford moments are a pure
+// function of (config, seed). Instruments live in deques so pointers stay
+// stable. Snapshot output (JSON/CSV) iterates names in sorted order, so the
+// output never depends on registration order.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/exec_context.hpp"
 #include "common/stats.hpp"
 
 namespace glap::metrics {
 
-/// Monotonic integer counter, sharded per execution slot. inc() is safe from
-/// any engine thread; value() is meaningful at quiescent points (it sums the
-/// shards without synchronization).
+/// Monotonic integer counter.
 class Counter {
  public:
-  void inc(std::uint64_t delta = 1) noexcept {
-    shards_[exec::context().shard_slot].v += delta;
-  }
-
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& s : shards_) total += s.v;
-    return total;
-  }
-
-  void reset() noexcept {
-    for (auto& s : shards_) s.v = 0;
-  }
+  void inc(std::uint64_t delta = 1) noexcept { v_ += delta; }
+  [[nodiscard]] std::uint64_t value() const noexcept { return v_; }
+  void reset() noexcept { v_ = 0; }
 
  private:
-  struct alignas(64) Slot {
-    std::uint64_t v = 0;
-  };
-  Slot shards_[exec::kShardCount];
+  std::uint64_t v_ = 0;
 };
 
-/// Driver-only scalar; set at quiescent points (between rounds / end of run).
+/// Scalar set between rounds or at the end of the run.
 class Gauge {
  public:
   void set(double v) noexcept { v_ = v; }
@@ -73,43 +41,19 @@ class Gauge {
   double v_ = 0.0;
 };
 
-/// Welford histogram whose in-round observations are replayed in serial
-/// interaction order at commit_round(), making the moments bit-identical
-/// across engine modes. See the file header for the full contract.
+/// Welford histogram; samples apply in observation order, which is the
+/// run's execution order.
 class OrderedHistogram {
  public:
-  /// Records a sample from inside an engine interaction. Tags it with the
-  /// current interaction's (order_key, seq) so commit can recover serial
-  /// order. seq shares the same per-interaction counter the DataCenter's
-  /// deferred accounting uses, keeping intra-interaction order faithful.
-  void observe(double v) {
-    auto& ctx = exec::context();
-    buffers_[ctx.shard_slot].push_back({ctx.order_key, ctx.seq++, v});
-  }
-
-  /// Driver-only: records a sample at a quiescent point (not inside an
-  /// interaction). Applied immediately, before any samples still buffered
-  /// for the current round.
-  void observe_now(double v) { stats_.add(v); }
-
-  /// Replays all buffered samples in (order_key, seq) order into the
-  /// accumulated stats. Call only at quiescent points (end of round).
-  void commit_round();
+  void observe(double v) { stats_.add(v); }
 
   [[nodiscard]] const RunningStats& stats() const noexcept { return stats_; }
 
  private:
-  struct Sample {
-    std::uint64_t order_key;
-    std::uint32_t seq;
-    double value;
-  };
-  std::vector<Sample> buffers_[exec::kShardCount];
-  std::vector<Sample> scratch_;
   RunningStats stats_;
 };
 
-/// Driver-only per-round time series (one append per round).
+/// Per-round time series (one append per round).
 class Series {
  public:
   void append(double v) { values_.push_back(v); }
@@ -121,19 +65,15 @@ class Series {
   std::vector<double> values_;
 };
 
-/// Named instrument registry. get-or-create is mutex-guarded (cold path —
-/// callers cache the returned pointer); instruments are pointer-stable.
+/// Named instrument registry. get-or-create is a linear name scan (cold
+/// path — callers cache the returned pointer); instruments are
+/// pointer-stable.
 class MetricsRegistry {
  public:
   [[nodiscard]] Counter* counter(std::string_view name);
   [[nodiscard]] Gauge* gauge(std::string_view name);
   [[nodiscard]] OrderedHistogram* histogram(std::string_view name);
   [[nodiscard]] Series* series(std::string_view name);
-
-  /// Replays every histogram's buffered in-round samples in serial order.
-  /// The harness calls this once per round, at the quiescent point after
-  /// Engine::step() / DataCenter::commit_deferred_accounting().
-  void commit_round();
 
   /// Full snapshot as a JSON object — counters, gauges, histogram moments,
   /// series — with names in sorted order. Byte-deterministic.
@@ -153,7 +93,6 @@ class MetricsRegistry {
   [[nodiscard]] T* get_or_create(std::deque<Entry<T>>& entries,
                                  std::string_view name);
 
-  mutable std::mutex mu_;
   std::deque<Entry<Counter>> counters_;
   std::deque<Entry<Gauge>> gauges_;
   std::deque<Entry<OrderedHistogram>> histograms_;

@@ -5,7 +5,6 @@
 namespace glap::prof {
 
 PhaseProfiler::PhaseProfiler() {
-  labels_[kSelect] = "select";
   labels_[kCommit] = "commit";
   for (std::size_t slot = 0; slot + kFirstSlot < kMaxPhases; ++slot)
     labels_[kFirstSlot + slot] = "execute.slot" + std::to_string(slot);
@@ -23,11 +22,8 @@ std::vector<PhaseProfiler::PhaseTotals> PhaseProfiler::totals() const {
     PhaseTotals total;
     total.phase = phase;
     total.label = labels_[phase];
-    total.deterministic = phase != kSelect;
-    for (const Shard& shard : shards_) {
-      total.calls += shard.cells[phase].calls;
-      total.wall_ns += shard.cells[phase].ns;
-    }
+    total.calls = cells_[phase].calls;
+    total.wall_ns = cells_[phase].ns;
     if (total.calls > 0 || phase < kFirstSlot) out.push_back(total);
   }
   return out;

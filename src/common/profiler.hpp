@@ -1,18 +1,13 @@
-// Deterministic per-phase profiler for the simulation engine (DESIGN.md
-// §10.4): scoped timers around the engine's execution phases, accumulated
-// per exec shard with no locks on the hot path and merged only at
-// quiescent points.
+// Per-phase profiler for the simulation engine (DESIGN.md §10.4): scoped
+// timers around the engine's execution phases, one cell per phase.
 //
 // The profile splits into two halves with different guarantees:
 //
-//   * phase CALL COUNTS for the commit phase and per-protocol-slot
-//     execute bodies are a pure function of (config, seed) — identical
-//     between the serial and wave-parallel engines at any thread count,
-//     and part of the metric snapshot identity contract when published;
-//   * WALL-CLOCK nanoseconds are host- and scheduling-dependent, and the
-//     select phase only exists under wave execution (the serial engine
-//     never calls select_peers), so both are reported separately and
-//     never enter any bit-identity comparison.
+//   * phase CALL COUNTS (the commit phase and the per-protocol-slot
+//     execute bodies) are a pure function of (config, seed), and part of
+//     the metric snapshot identity contract when published;
+//   * WALL-CLOCK nanoseconds are host-dependent, so they are reported
+//     separately and never enter any bit-identity comparison.
 //
 // Cost when disabled: instrumented sites hold a PhaseScope over a null
 // profiler — two predictable branches, no clock reads.
@@ -24,20 +19,14 @@
 #include <string>
 #include <vector>
 
-#include "common/exec_context.hpp"
-
 namespace glap::prof {
 
 class PhaseProfiler {
  public:
-  /// Wave-parallel select_peers + reservation staking. Execution-mode
-  /// dependent (serial runs never enter it) — wall-clock-only phase.
-  static constexpr std::size_t kSelect = 0;
-  /// Harness quiescent-point commit (deferred accounting + metric/trace
-  /// round commit).
-  static constexpr std::size_t kCommit = 1;
+  /// Harness end-of-round trace commit.
+  static constexpr std::size_t kCommit = 0;
   /// Protocol slot k's execute body is phase kFirstSlot + k.
-  static constexpr std::size_t kFirstSlot = 2;
+  static constexpr std::size_t kFirstSlot = 1;
   static constexpr std::size_t kMaxPhases = 16;
 
   PhaseProfiler();
@@ -52,10 +41,10 @@ class PhaseProfiler {
             .count());
   }
 
-  /// Hot path: one call + elapsed time into the calling shard's cell.
+  /// Hot path: one call + elapsed time into the phase's cell.
   void record(std::size_t phase, std::uint64_t ns) noexcept {
     if (phase >= kMaxPhases) return;
-    Cell& cell = shards_[exec::context().shard_slot].cells[phase];
+    Cell& cell = cells_[phase];
     ++cell.calls;
     cell.ns += ns;
   }
@@ -65,13 +54,9 @@ class PhaseProfiler {
     std::string label;
     std::uint64_t calls = 0;
     std::uint64_t wall_ns = 0;
-    /// True when `calls` is part of the determinism contract (everything
-    /// except the select phase).
-    bool deterministic = false;
   };
 
-  /// Merges all shards. Quiescent points only (no interaction in flight).
-  /// Select and commit always appear; slot phases appear once called.
+  /// Commit always appears; slot phases appear once called.
   [[nodiscard]] std::vector<PhaseTotals> totals() const;
 
  private:
@@ -79,11 +64,7 @@ class PhaseProfiler {
     std::uint64_t calls = 0;
     std::uint64_t ns = 0;
   };
-  struct alignas(64) Shard {
-    std::array<Cell, kMaxPhases> cells{};
-  };
-
-  std::array<Shard, exec::kShardCount> shards_{};
+  std::array<Cell, kMaxPhases> cells_{};
   std::array<std::string, kMaxPhases> labels_;
 };
 

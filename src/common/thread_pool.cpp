@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <exception>
 
-#include "common/exec_context.hpp"
-
 namespace glap {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -23,13 +21,7 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop(std::size_t worker_index) {
-  // Shard slot 0 belongs to non-pool threads; workers cycle through 1..63.
-  // Slots may repeat across different pools, which is safe as long as only
-  // one pool's workers write a given accumulator concurrently (the engine
-  // never runs protocol code on two pools at once).
-  exec::context().shard_slot =
-      static_cast<std::uint32_t>(worker_index % (exec::kShardCount - 1)) + 1;
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {

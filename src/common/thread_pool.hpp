@@ -44,7 +44,7 @@ class ThreadPool {
   void wait_idle();
 
  private:
-  void worker_loop(std::size_t worker_index);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;

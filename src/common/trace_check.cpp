@@ -412,7 +412,6 @@ void InvariantChecker::add(const TraceEvent& e, std::size_t line) {
       }
       break;
     case EventKind::kRelearn:
-    case EventKind::kShardBytes:
       break;
   }
 }

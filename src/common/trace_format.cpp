@@ -324,14 +324,6 @@ void render_jsonl(const TraceEvent& e, std::string* out) {
       break;
     case EventKind::kRelearn:
       break;
-    case EventKind::kShardBytes:
-      *out += ",\"bytes\":[";
-      for (std::size_t i = 0; i < e.shard_bytes.size(); ++i) {
-        if (i) *out += ',';
-        app_u64(out, e.shard_bytes[i]);
-      }
-      *out += ']';
-      break;
   }
   *out += "}\n";
 }
@@ -433,10 +425,6 @@ bool append_gtb_record(const TraceEvent& e, std::string* out,
       put_f64(out, e.qsim.similarity);
       break;
     case EventKind::kRelearn:
-      break;
-    case EventKind::kShardBytes:
-      put_u32(out, static_cast<std::uint32_t>(e.shard_bytes.size()));
-      for (const std::uint64_t v : e.shard_bytes) put_u64(out, v);
       break;
   }
   if (!ok) {
@@ -552,16 +540,6 @@ bool decode_gtb_payload(std::string_view payload, TraceEvent* out,
       break;
     case EventKind::kRelearn:
       break;
-    case EventKind::kShardBytes: {
-      std::uint32_t count = 0;
-      if (!in.read_u32(&count)) break;
-      if (static_cast<std::size_t>(count) * 8 > payload.size())
-        return in.fail("shard_bytes count exceeds the record payload");
-      parsed.shard_bytes.resize(count);
-      for (std::uint32_t i = 0; i < count && in.ok(); ++i)
-        in.read_u64(&parsed.shard_bytes[i]);
-      break;
-    }
   }
   if (!in.ok()) return false;
   if (!in.at_end()) return in.fail("trailing bytes after the record");

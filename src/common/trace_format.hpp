@@ -30,7 +30,6 @@
 //                u64 messages, bytes
 //   qsim         f64 similarity
 //   relearn      (no fields)
-//   shard_bytes  u32 count, u64 x count
 //
 // String enumerations travel as the 1-byte codes pinned by the name/code
 // tables below; an event naming an unknown string cannot be encoded.
@@ -81,8 +80,8 @@ inline constexpr char kGtbMagic[4] = {'G', 'T', 'B', '0'};
 inline constexpr std::uint32_t kGtbVersion = 1;
 inline constexpr std::size_t kGtbHeaderBytes = 8;
 /// Upper bound on one record's payload; anything larger is a corrupt
-/// length prefix, not a real record (the largest schema record is a
-/// shard_bytes line: 13 + 8 * exec::kShardCount bytes).
+/// length prefix, not a real record (the largest schema record, a net
+/// send, is well under 64 bytes).
 inline constexpr std::uint32_t kGtbMaxRecordBytes = 1u << 16;
 
 /// Appends the 8-byte versioned file header.

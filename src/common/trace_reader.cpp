@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <vector>
 
 #include "common/trace_format.hpp"
 
@@ -13,17 +14,16 @@ namespace glap::trace {
 namespace {
 
 // The trace writer emits flat objects with string/number/bool members
-// plus one array-of-unsigned member (shard_bytes). A hand-rolled scanner
+// only. A hand-rolled scanner
 // over that subset keeps the reader dependency-free and lets every error
 // carry the offending key; generality (nesting, escapes, exponents in
 // keys) is intentionally out of scope and reported as an error.
 
 struct JsonValue {
-  enum class Type : std::uint8_t { kNumber, kBool, kString, kArray };
+  enum class Type : std::uint8_t { kNumber, kBool, kString };
   Type type = Type::kNumber;
   std::string_view text;  ///< raw number token, or string body (no escapes)
   bool boolean = false;
-  std::vector<std::uint64_t> array;
 };
 
 struct Member {
@@ -107,26 +107,6 @@ class Cursor {
       out->type = JsonValue::Type::kBool;
       out->boolean = c == 't';
       return true;
-    }
-    if (c == '[') {
-      ++p_;
-      out->type = JsonValue::Type::kArray;
-      if (peek() == ']') {
-        ++p_;
-        return true;
-      }
-      while (true) {
-        std::string_view token;
-        if (!parse_number_token(&token)) return false;
-        std::uint64_t v = 0;
-        const auto [ptr, ec] =
-            std::from_chars(token.data(), token.data() + token.size(), v);
-        if (ec != std::errc() || ptr != token.data() + token.size())
-          return fail("array elements must be unsigned integers");
-        out->array.push_back(v);
-        if (consume(']')) return true;
-        if (!consume(',')) return fail("expected ',' or ']' in array");
-      }
     }
     out->type = JsonValue::Type::kNumber;
     return parse_number_token(&out->text);
@@ -227,16 +207,6 @@ class Fields {
     *out = std::string(m->value.text);
   }
 
-  void require_array(std::string_view key, std::vector<std::uint64_t>* out) {
-    const Member* m = require(key);
-    if (m == nullptr) return;
-    if (m->value.type != JsonValue::Type::kArray) {
-      fail(std::string("field '") + std::string(key) + "' is not an array");
-      return;
-    }
-    *out = m->value.array;
-  }
-
  private:
   void fail(const std::string& why) {
     if (ok_ && error_ != nullptr && error_->empty()) *error_ = why;
@@ -279,7 +249,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kRound: return "round";
     case EventKind::kQsim: return "qsim";
     case EventKind::kRelearn: return "relearn";
-    case EventKind::kShardBytes: return "shard_bytes";
   }
   return "?";
 }
@@ -389,9 +358,6 @@ bool parse_trace_line(std::string_view line, TraceEvent* out,
       fields.require_double("similarity", &parsed.qsim.similarity);
       break;
     case EventKind::kRelearn:
-      break;
-    case EventKind::kShardBytes:
-      fields.require_array("bytes", &parsed.shard_bytes);
       break;
   }
   if (!fields.ok()) {

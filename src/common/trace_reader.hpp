@@ -21,7 +21,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace glap::trace {
 
@@ -33,15 +32,14 @@ enum class EventKind : std::uint8_t {
   kShuffle,
   kOverload,
   kFault,
-  kActivity,    ///< quiescence transition (event/quiescence engine)
-  kNet,         ///< network-model send/deliver/drop/queue (DESIGN.md §13)
-  kRound,       ///< per-round aggregate summary
-  kQsim,        ///< Q-table cosine-similarity probe
-  kRelearn,     ///< GLAP re-learning trigger
-  kShardBytes,  ///< opt-in per-shard byte breakdown (non-deterministic)
+  kActivity,  ///< quiescence transition (DESIGN.md §12)
+  kNet,       ///< network-model send/deliver/drop/queue (DESIGN.md §13)
+  kRound,     ///< per-round aggregate summary
+  kQsim,      ///< Q-table cosine-similarity probe
+  kRelearn,   ///< GLAP re-learning trigger
 };
 
-inline constexpr std::size_t kEventKindCount = 11;
+inline constexpr std::size_t kEventKindCount = 10;
 
 /// The JSONL "ev" value for a kind ("migration", "round", ...).
 [[nodiscard]] const char* event_kind_name(EventKind k);
@@ -114,7 +112,6 @@ struct TraceEvent {
   struct Qsim {
     double similarity = 0.0;
   } qsim;
-  std::vector<std::uint64_t> shard_bytes;
 };
 
 /// Parses one line. On failure returns false and, when `error` is

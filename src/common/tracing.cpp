@@ -1,6 +1,5 @@
 #include "common/tracing.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 #include "common/assert.hpp"
@@ -165,22 +164,11 @@ void TraceLog::write_event() {
 }
 
 void TraceLog::commit_round() {
-  scratch_.clear();
-  for (auto& buf : buffers_) {
-    scratch_.insert(scratch_.end(), buf.begin(), buf.end());
-    buf.clear();
-  }
-  if (scratch_.empty()) return;
-  std::stable_sort(scratch_.begin(), scratch_.end(),
-                   [](const Event& a, const Event& b) {
-                     return a.order_key != b.order_key
-                                ? a.order_key < b.order_key
-                                : a.seq < b.seq;
-                   });
-  for (const Event& e : scratch_) {
+  for (const Event& e : round_events_) {
     to_trace_event(e);
     write_event();
   }
+  round_events_.clear();
 }
 
 void TraceLog::round_summary(std::uint64_t round, std::uint64_t active_pms,
@@ -226,14 +214,6 @@ void TraceLog::net_queue(std::uint64_t round, const char* link,
   ev_.net.link = link;
   ev_.net.link_id = id;
   ev_.net.bytes = static_cast<std::int64_t>(backlog_bytes);
-  write_event();
-}
-
-void TraceLog::shard_bytes(std::uint64_t round,
-                           const std::vector<std::uint64_t>& per_shard) {
-  ev_.kind = EventKind::kShardBytes;
-  ev_.round = round;
-  ev_.shard_bytes = per_shard;
   write_event();
 }
 

@@ -1,24 +1,19 @@
 // Round-level event trace. One record per event in either of two
 // byte-deterministic encodings — the JSONL text format or GTB, the
 // compact binary format (common/trace_format.hpp) — selected per log.
-// Events emitted from inside engine interactions are buffered per exec
-// shard with (order_key, seq) tags and rendered in serial interaction
-// order at commit_round(), so the trace bytes are bit-identical between
-// the serial and wave-parallel engines in both formats (DESIGN.md §10
-// lists the schema).
+// Events emitted from inside engine interactions are buffered for the
+// round and rendered in emit order — the run's execution order — at
+// commit_round() (DESIGN.md §10 lists the schema).
 //
 // Deterministic sampling (DESIGN.md §10.6): the high-volume interaction
 // kinds (shuffle, net) can be thinned by a keep-probability decided by a
 // pure hash of (seed, ids) — no RNG stream is consumed and the decision
-// is independent of emit order, so sampled traces keep the engine
-// bit-identity contract and a message's send/deliver/drop always travel
-// together. Driver-only lines are never sampled.
+// is independent of emit order, so a message's send/deliver/drop always
+// travel together. Driver-only lines are never sampled.
 //
 // Driver-only events (round summaries, Q-similarity probes, re-learning
-// triggers) bypass the ordered buffers and are written directly; they must
-// only be emitted at quiescent points. The per-shard network byte breakdown
-// is execution-dependent (which shard counted a message depends on thread
-// assignment), so it is opt-in and excluded from the determinism contract.
+// triggers) bypass the round buffer and are written directly; they must
+// only be emitted between rounds.
 //
 // Every written record can additionally be teed, GTB-encoded, into a
 // flight recorder ring (common/flight_recorder.hpp) for post-mortem
@@ -30,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "common/trace_reader.hpp"
 
@@ -105,12 +99,9 @@ class TraceLog {
 
   [[nodiscard]] Format format() const noexcept { return format_; }
 
-  /// Records an event from inside an engine interaction; rendered in serial
-  /// (order_key, seq) order at commit_round(). seq shares the interaction's
-  /// mutation counter so trace events interleave faithfully with deferred
-  /// DataCenter accounting. Sampled-out events are dropped here, before
-  /// they consume buffer space or a seq tag — the keep decision is a pure
-  /// hash, identical for every engine and thread count.
+  /// Records an event from inside an engine interaction; rendered in emit
+  /// order at commit_round(). Sampled-out events are dropped here, before
+  /// they consume buffer space — the keep decision is a pure hash.
   void emit(Kind kind, std::int64_t a = 0, std::int64_t b = 0,
             std::int64_t c = 0, std::int64_t d = 0, double x = 0.0,
             double y = 0.0) {
@@ -124,20 +115,17 @@ class TraceLog {
           !sample_keep(static_cast<std::uint64_t>(d), sampling_.net_keep))
         return;
     }
-    auto& ctx = exec::context();
-    buffers_[ctx.shard_slot].push_back(
-        {ctx.order_key, ctx.seq++, kind, a, b, c, d, x, y});
+    round_events_.push_back({kind, a, b, c, d, x, y});
   }
 
   /// Starts a new round: subsequent events tag this round number, and the
   /// flight recorder (if any) seals the previous round's ring bucket.
   void begin_round(std::uint64_t round);
 
-  /// Sorts and renders all events buffered during the current round.
-  /// Call only at quiescent points (after the engine's round barrier).
+  /// Renders all events buffered since the last commit, in emit order.
   void commit_round();
 
-  // ---- driver-only direct writes (quiescent points only) ----
+  // ---- driver-only direct writes (between rounds only) ----
   // Never sampled: these are the low-volume per-round summaries analysis
   // leans on.
 
@@ -150,7 +138,7 @@ class TraceLog {
   void qsim(std::uint64_t round, double similarity);
 
   /// Per-PM overload line ("ev":"overload"); the harness scans PMs in id
-  /// order at the quiescent point after each evaluation round.
+  /// order between rounds, after each evaluation round.
   void overload(std::uint64_t round, std::int64_t pm, double cpu);
 
   /// GLAP re-learning trigger ("ev":"relearn").
@@ -159,23 +147,15 @@ class TraceLog {
   /// Network queue-depth line ("ev":"net","op":"queue"): the backlog of
   /// one link at the end of a round. `link` is "access" or "uplink", `id`
   /// the PM or rack index. Driver-only; the harness scans links in id
-  /// order at the quiescent point, so the lines are deterministic. The
+  /// order between rounds, so the lines are deterministic. The
   /// network model skips zero-backlog links entirely (§13.6): healthy
   /// large runs pay no O(links) trace lines, and readers must tolerate
   /// per-round gaps in queue coverage.
   void net_queue(std::uint64_t round, const char* link, std::int64_t id,
                  std::uint64_t backlog_bytes);
 
-  /// Opt-in per-shard network byte breakdown ("ev":"shard_bytes").
-  /// Execution-dependent — which shard counted a message depends on thread
-  /// assignment — hence excluded from the serial/parallel identity contract.
-  void shard_bytes(std::uint64_t round,
-                   const std::vector<std::uint64_t>& per_shard);
-
  private:
   struct Event {
-    std::uint64_t order_key;
-    std::uint32_t seq;
     Kind kind;
     std::int64_t a, b, c, d;
     double x, y;
@@ -204,8 +184,7 @@ class TraceLog {
   TraceEvent ev_;        ///< scratch event (string fields stay SSO-short)
   std::string bytes_;    ///< scratch rendering of one record
   std::string recorder_bytes_;  ///< scratch GTB tee when the sink is JSONL
-  std::vector<Event> buffers_[exec::kShardCount];
-  std::vector<Event> scratch_;
+  std::vector<Event> round_events_;  ///< emitted since the last commit
 };
 
 }  // namespace glap::trace

@@ -25,14 +25,12 @@ struct RewardParams {
   double in_overload = -300.0;  ///< r_O for IN (≪ 0)
 };
 
-/// Quiescence: a config-level semantic, not an engine-mode toggle. When
-/// enabled, a PM whose protocols unanimously report convergence is parked
-/// and skipped until a wake event (incoming gossip write, demand drift
-/// past `demand_epsilon`, migration arrival/departure, power transition,
-/// relearn trigger) re-activates it. The serial and event engines apply
-/// the policy identically, so at a fixed config every engine mode still
-/// produces field-identical results; *enabling* it changes the simulated
-/// trajectory — that skipped work is exactly the scalability payoff.
+/// Quiescence: when enabled, a PM whose protocols unanimously report
+/// convergence is parked and skipped until a wake event (incoming gossip
+/// write, demand drift past `demand_epsilon`, migration arrival/departure,
+/// power transition, relearn trigger) re-activates it. Enabling it changes
+/// the simulated trajectory — that skipped work is exactly the
+/// scalability payoff.
 ///
 /// Lives in core (not harness) because the convergence vote is GLAP's:
 /// the consolidation component parks on Q-table similarity, the learning

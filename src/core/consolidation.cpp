@@ -68,35 +68,8 @@ qlearn::State GlapConsolidationProtocol::pm_state(cloud::PmId pm) const {
   return qlearn::classify(util.cpu, util.mem);
 }
 
-void GlapConsolidationProtocol::select_peers(sim::Engine& engine,
-                                             sim::NodeId self,
-                                             sim::PeerSet& peers) {
-  // Mirror execute()'s gates without advancing any counter. cycles_ is
-  // read pre-increment in both phases; the learning phase gate must use
-  // the post-increment view because the learning slot executes (and bumps
-  // its counter) before this slot does within the same round.
-  if (cycles_ < config_.consolidation_start_round) return;
-  auto& learning =
-      engine.protocol_at<GossipLearningProtocol>(learning_slot_, self);
-  if (learning.phase_after_cycle() != GossipLearningProtocol::Phase::kIdle &&
-      !config_.continue_during_relearn)
-    return;
-  if (topology_ && config_.rack_affinity > 0.0) {
-    // Rack-aware mode reads the utilization of every member of both the
-    // sender's and the recipient's racks (rack_load) and may sample any
-    // rack member; declaring that closure precisely is not worth the
-    // complexity, so rack-aware interactions run exclusively.
-    peers.add_global();
-    return;
-  }
-  // The push-pull partner comes from the overlay; migrations, the learned
-  // tables, and the switch-off all touch only self and that partner.
-  engine.protocol_at<overlay::NeighborProvider>(overlay_slot_, self)
-      .append_peer_candidates(peers);
-}
-
-void GlapConsolidationProtocol::execute(sim::Engine& engine, sim::NodeId self,
-                                        const sim::PeerSet& /*peers*/) {
+void GlapConsolidationProtocol::execute(sim::Engine& engine,
+                                        sim::NodeId self) {
   // The learning component feeds this one: consolidation pauses until the
   // two-phase learning pre-run has produced unified Q-values and the
   // configured start round (the experiment's warmup) has passed.

@@ -51,10 +51,7 @@ class GlapConsolidationProtocol final : public sim::Protocol {
       sim::Engine::ProtocolSlot learning_slot, std::uint64_t seed,
       const cloud::RackTopology* topology = nullptr);
 
-  void select_peers(sim::Engine& engine, sim::NodeId self,
-                    sim::PeerSet& peers) override;
-  void execute(sim::Engine& engine, sim::NodeId self,
-               const sim::PeerSet& peers) override;
+  void execute(sim::Engine& engine, sim::NodeId self) override;
 
   /// Quiescence vote: consolidation has started, the last
   /// `quiescence.idle_rounds` exchanges moved no VM, and the most recent

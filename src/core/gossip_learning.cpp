@@ -63,29 +63,7 @@ GossipLearningProtocol::Phase GossipLearningProtocol::phase() const noexcept {
   return Phase::kIdle;
 }
 
-GossipLearningProtocol::Phase GossipLearningProtocol::phase_after_cycle()
-    const noexcept {
-  if (cycles_ + 1 < learning_rounds_) return Phase::kLearning;
-  if (cycles_ + 1 < learning_rounds_ + aggregation_rounds_)
-    return Phase::kAggregation;
-  return Phase::kIdle;
-}
-
-void GossipLearningProtocol::select_peers(sim::Engine& engine,
-                                          sim::NodeId self,
-                                          sim::PeerSet& peers) {
-  // Idle cycles only bump the local counter. Learning/aggregation cycles
-  // sample one overlay peer and read (learning) or rewrite (aggregation)
-  // that peer's state; the overlay's candidate superset covers every id
-  // the sample may probe. The utilization gate reads only self state, so
-  // declaring candidates unconditionally is a safe over-approximation.
-  if (phase() == Phase::kIdle) return;
-  engine.protocol_at<overlay::NeighborProvider>(overlay_slot_, self)
-      .append_peer_candidates(peers);
-}
-
-void GossipLearningProtocol::execute(sim::Engine& engine, sim::NodeId self,
-                                     const sim::PeerSet& /*peers*/) {
+void GossipLearningProtocol::execute(sim::Engine& engine, sim::NodeId self) {
   if (!telemetry_resolved_) {
     telemetry_resolved_ = true;
     if (metrics::MetricsRegistry* m = engine.metrics()) {

@@ -36,10 +36,7 @@ class GossipLearningProtocol final : public sim::Protocol {
       sim::Engine& engine, const GlapConfig& config, cloud::DataCenter& dc,
       sim::Engine::ProtocolSlot overlay_slot, std::uint64_t seed);
 
-  void select_peers(sim::Engine& engine, sim::NodeId self,
-                    sim::PeerSet& peers) override;
-  void execute(sim::Engine& engine, sim::NodeId self,
-               const sim::PeerSet& peers) override;
+  void execute(sim::Engine& engine, sim::NodeId self) override;
 
   /// Quiescence vote: done once both phases have run and no deferred
   /// network exchange is in flight. A relearn retrigger resets the
@@ -50,12 +47,6 @@ class GossipLearningProtocol final : public sim::Protocol {
   }
 
   [[nodiscard]] Phase phase() const noexcept;
-
-  /// Phase the component will report after this round's execute() has
-  /// bumped the cycle counter. Consolidation's select_peers gates on this:
-  /// it runs before the learning slot executes, but the execute-time gate
-  /// observes the post-increment phase.
-  [[nodiscard]] Phase phase_after_cycle() const noexcept;
   [[nodiscard]] const QTablePair& tables() const noexcept { return tables_; }
   [[nodiscard]] QTablePair& tables_mutable() noexcept { return tables_; }
 

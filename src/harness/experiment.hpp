@@ -122,20 +122,13 @@ struct ObservabilityConfig {
   /// precedence over trace_path; not owned).
   std::ostream* trace_sink = nullptr;
   /// Encoding for the trace sink: JSONL text (default) or the compact
-  /// GTB binary format (DESIGN.md §10.6). Both are bit-identical across
-  /// engines and interchangeable via `glap-trace convert`.
+  /// GTB binary format (DESIGN.md §10.6). Both carry the same events and
+  /// are interchangeable via `glap-trace convert`.
   trace::Format trace_format = trace::Format::kJsonl;
-  /// Also emit per-round per-shard network byte breakdowns ("shard_bytes"
-  /// events). Execution-dependent — which shard counted a message depends
-  /// on thread assignment — so this is excluded from the serial/parallel
-  /// bit-identity contract. Default off.
-  bool trace_shard_detail = false;
-
   /// Deterministic trace sampling (DESIGN.md §10.6): keep probability for
   /// the high-volume shuffle and net event kinds, decided by a pure hash
-  /// of (seed, ids) so sampled traces stay bit-identical across engines
-  /// and a message's send/deliver/drop are kept or dropped together.
-  /// 1.0 = keep everything. Driver-only lines are never sampled.
+  /// of (seed, ids), so a message's send/deliver/drop are kept or dropped
+  /// together. 1.0 = keep everything. Driver-only lines are never sampled.
   double trace_sample_shuffle = 1.0;
   double trace_sample_net = 1.0;
 
@@ -150,12 +143,11 @@ struct ObservabilityConfig {
   /// lets the pipeline verify the dump parses without crashing a run).
   std::string flight_dump_path;
 
-  /// Collect the per-phase engine profile (select/execute/commit scoped
-  /// timers, DESIGN.md §10.4), returned via RunResult::profile. Phase
-  /// call counts are deterministic (serial == wave-parallel at any thread
-  /// count) and, when metrics are also on, published as
-  /// `profile.<phase>.calls` counters; wall-clock columns are
-  /// host-dependent and stay out of every bit-identity contract.
+  /// Collect the per-phase engine profile (execute/commit scoped timers,
+  /// DESIGN.md §10.4), returned via RunResult::profile. Phase call counts
+  /// are a pure function of (config, seed) and, when metrics are also on,
+  /// published as `profile.<phase>.calls` counters; wall-clock columns
+  /// are host-dependent and stay out of every bit-identity contract.
   bool profile = false;
 
   /// Non-empty: write the full registry snapshot (JSON) here at run end.
@@ -189,18 +181,6 @@ struct ExperimentConfig {
 
   std::uint64_t seed = 42;
 
-  /// Engine execution threads. 1 = the serial reference engine; >1 runs
-  /// rounds as deterministic reservation waves on a thread pool — results
-  /// are bit-identical to serial for any thread count (see DESIGN.md).
-  std::size_t engine_threads = 1;
-
-  /// Event-driven scheduler (DESIGN.md §12): each round only the runnable
-  /// set (active, non-quiescent nodes) is keyed and executed. Results are
-  /// field-identical to the serial engine at the same configuration — the
-  /// payoff comes from combining it with glap.quiescence, which shrinks
-  /// the runnable set as nodes converge. Requires engine_threads == 1.
-  bool event_engine = false;
-
   /// Rack topology: 0 disables (no racks, no switch accounting). When
   /// set, PMs are grouped into racks of this size, active top-of-rack
   /// switches are metered, and GLAP may use glap.rack_affinity.
@@ -219,8 +199,7 @@ struct ExperimentConfig {
   /// Message-level network model (DESIGN.md §13). Off by default: gossip
   /// then completes instantaneously as in the paper's evaluation. When
   /// network.enabled, exchanges route over the rack fabric (latency,
-  /// bandwidth, loss, ToR contention) and the run requires
-  /// engine_threads == 1 (serial or event engine).
+  /// bandwidth, loss, ToR contention).
   net::NetworkConfig network;
 
   cloud::DataCenterConfig datacenter;

@@ -79,8 +79,8 @@ struct RunResult {
   std::shared_ptr<metrics::MetricsRegistry> metrics;
 
   /// Per-phase engine profile (empty unless ObservabilityConfig::profile).
-  /// Entries with `deterministic` set carry call counts that are a pure
-  /// function of (config, seed); wall_ns is always host-dependent.
+  /// Call counts are a pure function of (config, seed); wall_ns is
+  /// host-dependent.
   std::vector<prof::PhaseProfiler::PhaseTotals> profile;
 
   // Derived helpers -------------------------------------------------------

@@ -107,21 +107,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
   dc.place_randomly(placement_rng);
 
   sim::Engine engine(config.pm_count, config.seed);
-  if (config.engine_threads > 1) {
-    engine.enable_parallel_execution(config.engine_threads);
-    // Order-sensitive accounting is logged per shard during the round and
-    // replayed in serial order at the quiescent point after each step.
-    dc.set_deferred_accounting(true);
-  }
-  if (config.event_engine) {
-    GLAP_REQUIRE(config.engine_threads == 1,
-                 "event_engine requires engine_threads == 1");
-    engine.enable_event_scheduler();
-  }
   const core::QuiescenceConfig& quiesce = config.glap.quiescence;
   if (quiesce.enabled) {
-    GLAP_REQUIRE(config.engine_threads == 1,
-                 "quiescence requires engine_threads == 1");
     engine.enable_quiescence(quiesce.recheck_rounds);
     // Bridge data-center events onto parked nodes. The mapping is fixed:
     // kPower transitions already flow through Engine::set_status (which
@@ -151,14 +138,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
                      config.rack_switch_watts);
 
   // --- Network model (DESIGN.md §13) -------------------------------------
-  // Message admission decisions depend on executed interaction order, which
-  // the wave-parallel engine reorders; serial and event engines share the
-  // same order, so those two are the supported pair.
   std::optional<net::NetworkModel> net_model;
   if (config.network.enabled) {
-    GLAP_REQUIRE(config.engine_threads == 1,
-                 "network model requires engine_threads == 1 "
-                 "(serial or event engine)");
     const std::size_t net_rack = config.rack_size > 0
                                      ? config.rack_size
                                      : config.network.default_rack_size;
@@ -393,8 +374,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
       engine.step();
       {
         prof::PhaseScope timer(profiler.get(), prof::PhaseProfiler::kCommit);
-        dc.commit_deferred_accounting();
-        if (registry) registry->commit_round();
         if (trace != nullptr) trace->commit_round();
       }
       if (config.track_convergence && glap_slots) {
@@ -422,17 +401,10 @@ RunResult run_experiment(const ExperimentConfig& config) {
     advance_demands();
     churn_step();
     maybe_relearn();
-    // Flush events the churn machinery emitted on the driver thread (PM
-    // wakes) before any interaction events join the buffers — driver-phase
-    // and engine-phase events must not share a sort batch, because the
-    // driver context's tags are not part of the determinism contract.
-    if (trace != nullptr) trace->commit_round();
     if (net_model) net_model->begin_round(round);
     engine.step();
     {
       prof::PhaseScope timer(profiler.get(), prof::PhaseProfiler::kCommit);
-      dc.commit_deferred_accounting();
-      if (registry) registry->commit_round();
       if (trace != nullptr) trace->commit_round();
     }
 
@@ -473,8 +445,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
         if (dc.pm_on(p) && dc.overloaded(p))
           trace->overload(round, static_cast<std::int64_t>(p),
                           dc.current_utilization(p).cpu);
-      if (obs.trace_shard_detail)
-        trace->shard_bytes(round, engine.network().bytes_per_shard());
       if (net_model) net_model->trace_queue_depths(round);
     }
     prev_messages = messages;
@@ -486,7 +456,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // --- Final validity check ------------------------------------------------
   // No protocol may leave a VM on a sleeping PM; migrations and power
   // transitions go through DataCenter, but this guards protocol logic
-  // errors (e.g. sleeping a PM another thread of control just filled).
+  // errors (e.g. sleeping a PM another protocol just filled).
   for (cloud::VmId v = 0; v < dc.vm_count(); ++v)
     if (dc.is_placed(v))
       GLAP_ASSERT(dc.pm_on(dc.host_of(v)),
@@ -518,15 +488,12 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   if (profiler) {
     result.profile = profiler->totals();
-    // Deterministic phase call counts join the metric snapshot, so the
-    // existing serial-vs-parallel bit-identity checks cover them. The
-    // select count and all wall-clock columns stay out (execution-mode
-    // and host dependent respectively).
+    // Phase call counts join the metric snapshot; wall-clock columns stay
+    // out (host dependent).
     if (registry) {
       for (const auto& phase : result.profile)
-        if (phase.deterministic)
-          registry->counter("profile." + phase.label + ".calls")
-              ->inc(phase.calls);
+        registry->counter("profile." + phase.label + ".calls")
+            ->inc(phase.calls);
     }
   }
 

@@ -12,10 +12,8 @@
 //
 // Determinism: the model holds no RNG stream. Loss decisions hash
 // (seed, msg_id) through splitmix64, and msg ids are assigned in executed
-// interaction order — identical between the serial and event engines,
-// whose executed sequences coincide (DESIGN.md §13.3). The wave-parallel
-// engine executes in shard order, so the harness refuses to combine it
-// with the network model.
+// interaction order, which the engine's round loop fixes per (config,
+// seed) (DESIGN.md §13.3).
 #pragma once
 
 #include <cstddef>
@@ -137,7 +135,7 @@ class NetworkModel {
                                  double mem_mb);
 
   /// Driver-only: writes one "net" queue-depth line per link with a
-  /// nonzero backlog (link-id order). Call only at quiescent points.
+  /// nonzero backlog (link-id order). Call only between rounds.
   void trace_queue_depths(sim::Round round);
 
   // ---- run-level counters (pure function of config and seed) ----

@@ -153,38 +153,6 @@ const std::vector<CyclonProtocol::Entry>& CyclonProtocol::handle_shuffle(
   return scratch_reply_;
 }
 
-void CyclonProtocol::select_peers(sim::Engine& engine, sim::NodeId /*self*/,
-                                  sim::PeerSet& peers) {
-  GLAP_ASSERT(slot_known_, "cyclon used before install()");
-  // Everything execute() may touch: status probes on (and pruning of) the
-  // own cache entries, the shuffle partner, and — because later protocol
-  // slots sample from the post-shuffle cache — the partner's entries,
-  // which are the only ids that can enter the cache this round (the reply
-  // is drawn from the partner's pre-merge cache).
-  for (const Entry& e : cache_) peers.add(e.id);
-  // Dry-run the partner choice on a scratch copy: uniform aging preserves
-  // the oldest-entry argmax and no RNG is consumed before the partner is
-  // fixed, so this replicates execute()'s retry loop exactly without
-  // mutating the cache or the RNG stream.
-  scratch_select_.assign(cache_.begin(), cache_.end());
-  for (std::size_t attempt = 0;
-       attempt <= config_.dead_peer_retries && !scratch_select_.empty();
-       ++attempt) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < scratch_select_.size(); ++i)
-      if (scratch_select_[i].age > scratch_select_[best].age) best = i;
-    const sim::NodeId peer = scratch_select_[best].id;
-    if (!engine.is_active(peer)) {
-      scratch_select_.erase(scratch_select_.begin() +
-                            static_cast<std::ptrdiff_t>(best));
-      continue;
-    }
-    const auto& remote = engine.protocol_at<CyclonProtocol>(slot_, peer);
-    for (const Entry& e : remote.cache()) peers.add(e.id);
-    return;
-  }
-}
-
 void CyclonProtocol::resolve_telemetry(sim::Engine& engine) {
   // Runs once per instance; the registry's get-or-create is mutex-guarded
   // and the instruments are shared across all Cyclon instances.
@@ -195,8 +163,7 @@ void CyclonProtocol::resolve_telemetry(sim::Engine& engine) {
   }
 }
 
-void CyclonProtocol::execute(sim::Engine& engine, sim::NodeId self,
-                             const sim::PeerSet& /*peers*/) {
+void CyclonProtocol::execute(sim::Engine& engine, sim::NodeId self) {
   GLAP_ASSERT(slot_known_, "cyclon used before install()");
   if (!telemetry_resolved_) resolve_telemetry(engine);
   for (auto& entry : cache_) ++entry.age;
@@ -261,11 +228,6 @@ std::vector<sim::NodeId> CyclonProtocol::neighbor_view() const {
   ids.reserve(cache_.size());
   for (const auto& e : cache_) ids.push_back(e.id);
   return ids;
-}
-
-void CyclonProtocol::append_peer_candidates(sim::PeerSet& out) const {
-  // sample_active_peer only ever probes current cache entries.
-  for (const Entry& e : cache_) out.add(e.id);
 }
 
 }  // namespace glap::overlay

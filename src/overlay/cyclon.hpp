@@ -47,10 +47,7 @@ class CyclonProtocol final : public NeighborProvider {
                                            const CyclonConfig& config,
                                            std::uint64_t seed);
 
-  void select_peers(sim::Engine& engine, sim::NodeId self,
-                    sim::PeerSet& peers) override;
-  void execute(sim::Engine& engine, sim::NodeId self,
-               const sim::PeerSet& peers) override;
+  void execute(sim::Engine& engine, sim::NodeId self) override;
 
   std::optional<sim::NodeId> sample_active_peer(sim::Engine& engine,
                                                 sim::NodeId self) override;
@@ -64,8 +61,6 @@ class CyclonProtocol final : public NeighborProvider {
   }
 
   [[nodiscard]] std::vector<sim::NodeId> neighbor_view() const override;
-
-  void append_peer_candidates(sim::PeerSet& out) const override;
 
   /// Passive side of a shuffle: merges the initiator's subset and returns
   /// a random subset of (up to) shuffle_length local entries. The returned
@@ -114,7 +109,6 @@ class CyclonProtocol final : public NeighborProvider {
   std::vector<Entry> scratch_outgoing_;  ///< initiator: sent + own entry
   std::vector<Entry> scratch_reply_;     ///< passive side: reply subset
   std::vector<Entry> scratch_incoming_;  ///< passive side: received + link
-  std::vector<Entry> scratch_select_;    ///< select_peers dry-run copy
 
   friend struct CyclonInstaller;
 };

@@ -22,11 +22,6 @@ class NeighborProvider : public sim::Protocol {
 
   /// Snapshot of the current neighbor set (may include dead entries).
   [[nodiscard]] virtual std::vector<sim::NodeId> neighbor_view() const = 0;
-
-  /// Appends a superset of every id sample_active_peer may probe, prune,
-  /// or return to `out`, without mutating anything. Consumers call this
-  /// from select_peers to declare the footprint of a later sample call.
-  virtual void append_peer_candidates(sim::PeerSet& out) const = 0;
 };
 
 }  // namespace glap::overlay

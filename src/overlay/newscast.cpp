@@ -98,36 +98,7 @@ std::vector<NewscastProtocol::Item> NewscastProtocol::handle_exchange(
   return snapshot;
 }
 
-void NewscastProtocol::select_peers(sim::Engine& engine, sim::NodeId /*self*/,
-                                    sim::PeerSet& peers) {
-  GLAP_ASSERT(slot_known_, "newscast used before install()");
-  // Status probes and pruning hit only current cache ids; the exchange
-  // partner's pre-merge cache is the only source of new ids this round,
-  // so declaring it covers later slots sampling the post-exchange cache.
-  for (const Item& e : cache_) peers.add(e.id);
-  // Dry-run the partner pick on a copied RNG and cache snapshot: the real
-  // execute() replays the identical draws against state frozen by the
-  // reservation, so both arrive at the same partner.
-  Rng sim_rng = rng_;
-  scratch_select_.assign(cache_.begin(), cache_.end());
-  for (std::size_t attempt = 0;
-       attempt <= config_.dead_peer_retries && !scratch_select_.empty();
-       ++attempt) {
-    const std::size_t idx = sim_rng.pick_index(scratch_select_);
-    const sim::NodeId peer = scratch_select_[idx].id;
-    if (!engine.is_active(peer)) {
-      scratch_select_.erase(scratch_select_.begin() +
-                            static_cast<std::ptrdiff_t>(idx));
-      continue;
-    }
-    const auto& remote = engine.protocol_at<NewscastProtocol>(slot_, peer);
-    for (const Item& e : remote.cache()) peers.add(e.id);
-    return;
-  }
-}
-
-void NewscastProtocol::execute(sim::Engine& engine, sim::NodeId self,
-                               const sim::PeerSet& /*peers*/) {
+void NewscastProtocol::execute(sim::Engine& engine, sim::NodeId self) {
   GLAP_ASSERT(slot_known_, "newscast used before install()");
   if (!telemetry_resolved_) {
     telemetry_resolved_ = true;
@@ -186,11 +157,6 @@ std::vector<sim::NodeId> NewscastProtocol::neighbor_view() const {
   ids.reserve(cache_.size());
   for (const auto& e : cache_) ids.push_back(e.id);
   return ids;
-}
-
-void NewscastProtocol::append_peer_candidates(sim::PeerSet& out) const {
-  // sample_active_peer only ever probes current cache entries.
-  for (const Item& e : cache_) out.add(e.id);
 }
 
 }  // namespace glap::overlay

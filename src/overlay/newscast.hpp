@@ -40,10 +40,7 @@ class NewscastProtocol final : public NeighborProvider {
                                            const NewscastConfig& config,
                                            std::uint64_t seed);
 
-  void select_peers(sim::Engine& engine, sim::NodeId self,
-                    sim::PeerSet& peers) override;
-  void execute(sim::Engine& engine, sim::NodeId self,
-               const sim::PeerSet& peers) override;
+  void execute(sim::Engine& engine, sim::NodeId self) override;
 
   std::optional<sim::NodeId> sample_active_peer(sim::Engine& engine,
                                                 sim::NodeId self) override;
@@ -56,8 +53,6 @@ class NewscastProtocol final : public NeighborProvider {
   }
 
   [[nodiscard]] std::vector<sim::NodeId> neighbor_view() const override;
-
-  void append_peer_candidates(sim::PeerSet& out) const override;
 
   /// Passive side: merges the initiator's items (plus a fresh entry for
   /// the initiator itself) and returns a snapshot of the local cache
@@ -80,7 +75,6 @@ class NewscastProtocol final : public NeighborProvider {
   NewscastConfig config_;
   Rng rng_;
   std::vector<Item> cache_;
-  std::vector<Item> scratch_select_;  ///< select_peers dry-run copy
   sim::Engine::ProtocolSlot slot_ = 0;
   bool slot_known_ = false;
   bool telemetry_resolved_ = false;

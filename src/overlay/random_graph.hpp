@@ -25,20 +25,14 @@ class RandomGraphProtocol final : public NeighborProvider {
                                            const RandomGraphConfig& config,
                                            std::uint64_t seed);
 
-  /// The static overlay does nothing per round, so it touches no one.
-  void select_peers(sim::Engine&, sim::NodeId, sim::PeerSet&) override {}
-  void execute(sim::Engine&, sim::NodeId, const sim::PeerSet&) override {}
+  /// The static overlay does nothing per round.
+  void execute(sim::Engine&, sim::NodeId) override {}
 
   std::optional<sim::NodeId> sample_active_peer(sim::Engine& engine,
                                                 sim::NodeId self) override;
 
   [[nodiscard]] std::vector<sim::NodeId> neighbor_view() const override {
     return neighbors_;
-  }
-
-  void append_peer_candidates(sim::PeerSet& out) const override {
-    // sample_active_peer may probe any static neighbor.
-    for (sim::NodeId id : neighbors_) out.add(id);
   }
 
  private:

@@ -9,35 +9,13 @@
 
 namespace glap::sim {
 
-namespace {
-
-/// First-wave batch size; later waves adapt to 2x the previous winner
-/// count so a heavily conflicting round does not re-select hundreds of
-/// nodes per wave, while a conflict-free round drains quickly.
-constexpr std::size_t kMinWaveBatch = 64;
-
-/// Reservation word for a claimant of rank `rank` in wave `stamp`: the
-/// stamp occupies the high half so words from earlier waves always lose,
-/// and the rank is stored inverted so fetch-max keeps the LOWEST rank.
-[[nodiscard]] constexpr std::uint64_t claim_word(std::uint32_t stamp,
-                                                 std::uint32_t rank) noexcept {
-  return (static_cast<std::uint64_t>(stamp) << 32) |
-         (0xFFFFFFFFu - static_cast<std::uint64_t>(rank));
-}
-
-/// in_list_round_ stamp that never equals a real round number.
-constexpr Round kNeverInList = static_cast<Round>(-1);
-
-}  // namespace
-
 Engine::Engine(std::size_t node_count, std::uint64_t seed)
     : status_(node_count, NodeStatus::kActive),
       active_count_(node_count),
       order_(node_count),
       order_keys_(node_count),
       rng_(hash_combine(seed, hash_tag("engine"))),
-      order_seed_(hash_combine(seed, hash_tag("order"))),
-      owner_(node_count) {
+      order_seed_(hash_combine(seed, hash_tag("order"))) {
   GLAP_REQUIRE(node_count > 0, "engine needs at least one node");
   GLAP_REQUIRE(node_count < static_cast<std::size_t>(kInvalidNode),
                "too many nodes");
@@ -68,27 +46,13 @@ Engine::ProtocolSlot Engine::push_slot(Slot slot) {
 
 void Engine::append_view(ProtocolSlot slot, TypeTag tag,
                          std::vector<void*> ptrs) {
-  std::lock_guard lock(views_mutex_);
-  append_view_locked(slot, tag, std::move(ptrs));
-}
-
-void Engine::append_view_locked(ProtocolSlot slot, TypeTag tag,
-                                std::vector<void*> ptrs) {
-  SlotViews& views = views_[slot];
-  const std::size_t count = views.count.load(std::memory_order_relaxed);
-  GLAP_REQUIRE(count < SlotViews::kMaxViews,
-               "too many typed views registered on one protocol slot");
-  views.entries[count].tag = tag;
-  views.entries[count].ptrs = std::move(ptrs);
-  views.count.store(count + 1, std::memory_order_release);
+  views_[slot].push_back({tag, std::move(ptrs)});
 }
 
 const Engine::TypedView* Engine::find_view(ProtocolSlot slot,
                                            TypeTag tag) const {
-  const SlotViews& views = views_[slot];
-  const std::size_t count = views.count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < count; ++i)
-    if (views.entries[i].tag == tag) return &views.entries[i];
+  for (const TypedView& view : views_[slot])
+    if (view.tag == tag) return &view;
   return nullptr;
 }
 
@@ -97,32 +61,7 @@ void Engine::add_observer(Observer* observer) {
   observers_.push_back(observer);
 }
 
-void Engine::enable_parallel_execution(std::size_t threads) {
-  GLAP_REQUIRE(threads >= 1, "parallel execution needs at least one thread");
-  GLAP_REQUIRE(!event_mode_ && !quiescence_,
-               "wave-parallel execution excludes the event scheduler and "
-               "quiescence (single-driver semantics; see DESIGN.md §12)");
-  threads_ = std::min<std::size_t>(threads, exec::kShardCount - 1);
-  parallel_ = true;
-  peer_sets_.resize(node_count());
-  rank_.resize(node_count());
-  pending_.reserve(node_count());
-  if (threads_ > 1 && !pool_)
-    pool_ = std::make_unique<ThreadPool>(threads_);
-}
-
-void Engine::enable_event_scheduler() {
-  GLAP_REQUIRE(!parallel_,
-               "event scheduler excludes wave-parallel execution");
-  event_mode_ = true;
-  run_list_.reserve(node_count());
-  in_list_round_.assign(node_count(), kNeverInList);
-  if (quiescent_.empty()) quiescent_.assign(node_count(), 0);
-}
-
 void Engine::enable_quiescence(Round recheck_rounds) {
-  GLAP_REQUIRE(!parallel_,
-               "quiescence excludes wave-parallel execution");
   quiescence_ = true;
   recheck_rounds_ = recheck_rounds;
   if (quiescent_.empty()) quiescent_.assign(node_count(), 0);
@@ -138,14 +77,8 @@ void Engine::set_status(NodeId node, NodeStatus status) {
   // alternates cleanly per node.
   if (status != NodeStatus::kActive) clear_quiescent(node, WakeReason::kStatus);
   status_[node] = status;
-  if (old == NodeStatus::kActive)
-    active_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (status == NodeStatus::kActive) {
-    active_count_.fetch_add(1, std::memory_order_relaxed);
-    // A node switched back on mid-round joins the remaining schedule iff
-    // its rank has not passed — the serial engine's visit rule.
-    if (event_mode_ && in_round_) insert_runnable(node);
-  }
+  if (old == NodeStatus::kActive) --active_count_;
+  if (status == NodeStatus::kActive) ++active_count_;
   for (auto& slot : slots_)
     slot.instances[node]->on_status_change(*this, node, status);
 }
@@ -156,18 +89,16 @@ void Engine::trace_activity(NodeId node, bool awake, WakeReason reason) {
                static_cast<std::int64_t>(reason));
 }
 
-bool Engine::clear_quiescent(NodeId node, WakeReason reason) {
-  if (quiescent_.empty() || quiescent_[node] == 0) return false;
+void Engine::clear_quiescent(NodeId node, WakeReason reason) {
+  if (quiescent_.empty() || quiescent_[node] == 0) return;
   quiescent_[node] = 0;
   --quiescent_count_;
   trace_activity(node, /*awake=*/true, reason);
-  return true;
 }
 
 void Engine::wake(NodeId node, WakeReason reason) {
   GLAP_REQUIRE(node < status_.size(), "node id out of range");
-  if (!clear_quiescent(node, reason)) return;
-  if (event_mode_ && in_round_) insert_runnable(node);
+  clear_quiescent(node, reason);
 }
 
 void Engine::wake_all(WakeReason reason) {
@@ -192,239 +123,56 @@ void Engine::drain_wake_queue() {
   }
 }
 
-bool Engine::poll_quiesce(NodeId node) {
-  if (!quiescence_ || quiescent_[node] != 0) return false;
-  if (status_[node] != NodeStatus::kActive) return false;
+void Engine::poll_quiesce(NodeId node) {
+  if (!quiescence_ || quiescent_[node] != 0) return;
+  if (status_[node] != NodeStatus::kActive) return;
   for (const Slot& slot : slots_)
-    if (!slot.instances[node]->can_quiesce(*this, node)) return false;
+    if (!slot.instances[node]->can_quiesce(*this, node)) return;
   quiescent_[node] = 1;
   ++quiescent_count_;
   trace_activity(node, /*awake=*/false, WakeReason::kConverged);
   if (recheck_rounds_ > 0)
     schedule_wake(node, round_ + recheck_rounds_, WakeReason::kSchedule);
-  return true;
 }
 
 void Engine::compute_round_order() {
-  // Counter-based hash rank: a deterministic permutation per (seed, round)
-  // that all execution modes share, independent of any RNG stream state.
-  round_seed_cur_ = hash_combine(order_seed_, round_);
+  // Counter-based hash rank: a deterministic permutation per (seed, round),
+  // independent of any RNG stream state.
+  const std::uint64_t round_seed = hash_combine(order_seed_, round_);
   for (std::size_t node = 0; node < order_keys_.size(); ++node)
-    order_keys_[node] = hash_combine(round_seed_cur_, node);
+    order_keys_[node] = hash_combine(round_seed, node);
   std::sort(order_.begin(), order_.end(), [this](NodeId a, NodeId b) {
     return order_keys_[a] != order_keys_[b] ? order_keys_[a] < order_keys_[b]
                                             : a < b;
   });
 }
 
-void Engine::execute_node(NodeId node, std::size_t rank,
-                          const PeerSet& peers) {
-  exec::Context& ctx = exec::context();
-  // rank+1: order key 0 is reserved for round-start driver events (wake
-  // drains), which must sort ahead of every execution this round. A
-  // uniform shift preserves the relative order the trace contract needs.
-  ctx.order_key = rank + 1;
-  ctx.seq = 0;
+void Engine::execute_node(NodeId node) {
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     // A protocol earlier in the stack may have put this node to sleep
     // (e.g. consolidation switched the PM off mid-round).
     if (status_[node] != NodeStatus::kActive) break;
     prof::PhaseScope timer(profiler_, prof::PhaseProfiler::kFirstSlot + s);
-    slots_[s].instances[node]->execute(*this, node, peers);
+    slots_[s].instances[node]->execute(*this, node);
   }
 }
 
-void Engine::run_parallel(std::size_t n,
-                          const std::function<void(std::size_t)>& fn) {
-  if (pool_ && n > 1) {
-    parallel_for(*pool_, n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-void Engine::claim(std::uint64_t word, NodeId target) noexcept {
-  // fetch-max via CAS loop; relaxed is enough because the selection and
-  // scan phases are separated by the pool's completion barrier.
-  std::atomic<std::uint64_t>& slot = owner_[target];
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (cur < word && !slot.compare_exchange_weak(
-                           cur, word, std::memory_order_relaxed)) {
-  }
-}
-
-bool Engine::owns(std::uint64_t word, NodeId target) const noexcept {
-  return owner_[target].load(std::memory_order_relaxed) == word;
-}
-
-void Engine::run_round_serial() {
-  static const PeerSet kNoPeers;
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    const NodeId node = order_[i];
+void Engine::run_round() {
+  // Status and parking are read at visit time, so a node woken or switched
+  // on by an earlier-ranked interaction still runs this round, and one put
+  // to sleep before its turn is skipped.
+  for (const NodeId node : order_) {
     if (status_[node] != NodeStatus::kActive) continue;
     if (quiescence_ && quiescent_[node] != 0) continue;
-    execute_node(node, i, kNoPeers);
+    execute_node(node);
     if (quiescence_) poll_quiesce(node);
-  }
-}
-
-void Engine::run_round_event() {
-  // Runnable subset only: key, sort and visit the nodes that can actually
-  // run. Parked and non-active nodes pay nothing this round.
-  static const PeerSet kNoPeers;
-  run_list_.clear();
-  for (std::size_t node = 0; node < status_.size(); ++node) {
-    if (status_[node] != NodeStatus::kActive) continue;
-    if (!quiescent_.empty() && quiescent_[node] != 0) continue;
-    run_list_.push_back(static_cast<NodeId>(node));
-    order_keys_[node] = hash_combine(round_seed_cur_, node);
-    in_list_round_[node] = round_;
-  }
-  std::sort(run_list_.begin(), run_list_.end(), [this](NodeId a, NodeId b) {
-    return order_keys_[a] != order_keys_[b] ? order_keys_[a] < order_keys_[b]
-                                            : a < b;
-  });
-  in_round_ = true;
-  for (run_cursor_ = 0; run_cursor_ < run_list_.size(); ++run_cursor_) {
-    const NodeId node = run_list_[run_cursor_];
-    // Status may have flipped since scheduling (a peer put the node to
-    // sleep mid-round) — same skip the serial visit applies.
-    if (status_[node] != NodeStatus::kActive) continue;
-    if (quiescent_[node] != 0) continue;
-    execute_node(node, run_cursor_, kNoPeers);
-    if (quiescence_) poll_quiesce(node);
-  }
-  in_round_ = false;
-}
-
-void Engine::insert_runnable(NodeId node) {
-  // Already scheduled this round (visited or still ahead of the cursor):
-  // the serial engine would not visit it twice either.
-  if (in_list_round_[node] == round_) return;
-  const std::uint64_t key = hash_combine(round_seed_cur_, node);
-  order_keys_[node] = key;
-  const NodeId current = run_list_[run_cursor_];
-  // Rank already passed (or ties the executing node): runs next round,
-  // exactly like a serial wake landing behind the visit cursor.
-  if (key < order_keys_[current] ||
-      (key == order_keys_[current] && node <= current))
-    return;
-  const auto pos = std::lower_bound(
-      run_list_.begin() + static_cast<std::ptrdiff_t>(run_cursor_) + 1,
-      run_list_.end(), node, [this](NodeId a, NodeId b) {
-        return order_keys_[a] != order_keys_[b]
-                   ? order_keys_[a] < order_keys_[b]
-                   : a < b;
-      });
-  run_list_.insert(pos, node);
-  in_list_round_[node] = round_;
-}
-
-void Engine::run_round_waves() {
-  const std::size_t n = node_count();
-  for (std::size_t i = 0; i < n; ++i)
-    rank_[order_[i]] = static_cast<std::uint32_t>(i);
-  for (auto& word : owner_) word.store(0, std::memory_order_relaxed);
-  pending_.assign(order_.begin(), order_.end());
-
-  std::size_t begin = 0;  // pending_[0, begin) has executed
-  std::size_t last_winners = kMinWaveBatch;
-  std::uint32_t wave_stamp = 0;  // < node_count waves per round, no wrap
-  while (begin < pending_.size()) {
-    ++wave_stamp;
-    const std::size_t remaining = pending_.size() - begin;
-    const std::size_t batch = std::min(
-        remaining, std::max<std::size_t>(kMinWaveBatch, 2 * last_winners));
-
-    // Phase 1 (parallel): the lowest-ranked pending nodes declare their
-    // footprint and stake reservations. Selection is pure, so a node that
-    // loses here simply re-selects next wave against the updated state.
-    run_parallel(batch, [&](std::size_t i) {
-      // Selection is a wave-mode-only phase: its call count depends on
-      // how waves shake out, so the profiler treats it as wall-clock-only.
-      prof::PhaseScope timer(profiler_, prof::PhaseProfiler::kSelect);
-      const NodeId node = pending_[begin + i];
-      PeerSet& peers = peer_sets_[node];
-      peers.clear();
-      if (status_[node] == NodeStatus::kActive) {
-        for (auto& slot : slots_)
-          slot.instances[node]->select_peers(*this, node, peers);
-      }
-      if (!peers.global()) {
-        const std::uint64_t word = claim_word(wave_stamp, rank_[node]);
-        claim(word, node);
-        for (NodeId id : peers.ids()) claim(word, id);
-      }
-    });
-
-    // Phase 2 (serial scan): accept the maximal *prefix* of the batch
-    // whose reservations fully held. The prefix rule is what guarantees
-    // serial equivalence — every winner sees exactly the state the serial
-    // rank-order run would have produced, because everything ranked below
-    // it has already retired and nothing ranked above it may touch its
-    // reserved nodes this wave.
-    std::size_t winners = 0;
-    bool executed_inline = false;
-    for (std::size_t i = 0; i < batch; ++i) {
-      const NodeId node = pending_[begin + i];
-      const PeerSet& peers = peer_sets_[node];
-      if (peers.global()) {
-        // Unbounded footprint: run it alone, inline on the driver, with
-        // no other interaction in flight (the barrier above guarantees
-        // quiescence). Only valid as the lowest-ranked pending node.
-        if (i == 0) {
-          execute_node(node, rank_[node], peers);
-          winners = 1;
-          executed_inline = true;
-        }
-        break;
-      }
-      const std::uint64_t word = claim_word(wave_stamp, rank_[node]);
-      bool owned = owns(word, node);
-      for (NodeId id : peers.ids()) {
-        if (!owned) break;
-        owned = owns(word, id);
-      }
-      if (!owned) break;
-      ++winners;
-    }
-    // The lowest-ranked pending node always wins its reservations (no one
-    // outranks it in the batch), so every wave retires at least one node.
-    GLAP_ASSERT(winners > 0, "parallel wave made no progress");
-
-    // Phase 3 (parallel): execute the winning prefix. Reserved sets are
-    // pairwise disjoint in effect (each reserved node is owned by exactly
-    // one winner), so winners never touch shared state.
-    if (!executed_inline) {
-      run_parallel(winners, [&](std::size_t i) {
-        const NodeId node = pending_[begin + i];
-        execute_node(node, rank_[node], peer_sets_[node]);
-      });
-    }
-    begin += winners;
-    last_winners = winners;
   }
 }
 
 void Engine::step() {
-  // Round-start driver context: order key 0 sorts scheduled-wake activity
-  // events ahead of every execution this round (execute_node uses rank+1),
-  // identically in every mode.
-  exec::Context& ctx = exec::context();
-  ctx.order_key = 0;
-  ctx.seq = 0;
-  round_seed_cur_ = hash_combine(order_seed_, round_);
   drain_wake_queue();
-  if (event_mode_) {
-    run_round_event();
-  } else {
-    compute_round_order();
-    if (parallel_) {
-      run_round_waves();
-    } else {
-      run_round_serial();
-    }
-  }
+  compute_round_order();
+  run_round();
   ++round_;
   for (Observer* obs : observers_) {
     if (!obs->on_round_end(*this, round_)) stop_requested_ = true;

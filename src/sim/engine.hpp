@@ -13,38 +13,17 @@
 // for switched-off PMs, wake, fail) are applied immediately and broadcast
 // to the node's protocol instances so overlays can drop dead links.
 //
-// Execution modes:
-//   * Serial (default, the reference semantics): nodes run one after the
-//     other in rank order.
-//   * Parallel (enable_parallel_execution): the round runs as deterministic
-//     waves. Each wave, the lowest-ranked pending nodes declare their peer
-//     footprint (Protocol::select_peers), reserve themselves plus declared
-//     peers via a fetch-max CAS on per-node owner words (lowest rank wins),
-//     and the maximal *prefix* of the batch whose reservations fully
-//     succeeded executes concurrently on an internal ThreadPool; everyone
-//     else rolls into the next wave. Because retired nodes always form a
-//     rank prefix and a winner owns every node it may touch, every
-//     interaction observes exactly the state it would have seen in the
-//     serial rank-order run — results are bit-identical to serial mode at
-//     any thread count (threads=1 included). A global-footprint node (e.g.
-//     a centralized baseline) executes alone, inline on the driver.
-//   * Event-driven (enable_event_scheduler): instead of scanning every
-//     node each round, the engine keeps a runnable set (active nodes that
-//     are not quiescent), sorts only that subset by the shared hash-rank
-//     keys, and executes it in rank order. Mid-round activations insert
-//     into the remaining schedule at their rank position (or carry to the
-//     next round when their rank has already passed), so the executed
-//     sequence is exactly the serial engine's executed sequence at the
-//     same configuration — field-identical results, including profiler
-//     call counts (tests/integration/test_determinism.cpp).
+// One thread runs the round, in the hash-rank order: a node is visited
+// iff it is active (and not parked) when the visit cursor reaches it, so a
+// node woken or switched on by an earlier-ranked interaction runs later in
+// the same round, and one whose rank has passed waits for the next round.
+// Parallelism lives one level up, across independent runs (the harness's
+// run_cells over a ThreadPool); a run is single-threaded (DESIGN.md §8).
 //
-// Quiescence (enable_quiescence, DESIGN.md §12) is a *configuration-level*
-// semantic, orthogonal to the execution mode: after a node executes, every
-// installed slot is polled via Protocol::can_quiesce, and a unanimous vote
-// parks the node — it is skipped until wake()/schedule_wake()/set_status
-// re-activates it. Both the serial and event engines apply the same rule,
-// so any (mode A, mode B) pair at a fixed config stays field-identical;
-// the event engine merely skips parked nodes without visiting them.
+// Quiescence (enable_quiescence, DESIGN.md §12): after a node executes,
+// every installed slot is polled via Protocol::can_quiesce, and a unanimous
+// vote parks the node — it is skipped until wake()/schedule_wake()/
+// set_status re-activates it.
 // Protocol storage is struct-of-arrays: each slot owns one contiguous
 // arena of concrete protocol objects (add_protocol_pool) plus a flat
 // per-node pointer array scanned on the hot path.
@@ -55,26 +34,19 @@
 // types via add_protocol_view). protocol_at serves from those caches with
 // a tag compare; dynamic_cast only runs on the cold first-access fallback
 // for slots installed through the type-erased overload, plus a debug-only
-// consistency check. View storage is a fixed-capacity array with an atomic
-// count per slot, so concurrent lookups from pool workers are lock-free
-// while the cold resolve path stays mutex-guarded.
+// consistency check.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "sim/network_stats.hpp"
 #include "sim/node.hpp"
 #include "sim/protocol.hpp"
@@ -189,32 +161,11 @@ class Engine {
   /// Registers an observer (not owned). Observers run in add order.
   void add_observer(Observer* observer);
 
-  /// Switches step() to deterministic wave-parallel execution on an
-  /// internal thread pool of `threads` workers (>= 1). Results are
-  /// bit-identical to the serial engine at any thread count; threads is
-  /// clamped to the shard budget (exec::kShardCount - 1). With threads=1
-  /// the wave machinery runs inline on the caller with no pool.
-  void enable_parallel_execution(std::size_t threads);
-
-  [[nodiscard]] bool parallel() const noexcept { return parallel_; }
-
-  /// Switches step() to event-driven execution: only the runnable set
-  /// (active, non-quiescent nodes) is keyed, sorted and executed each
-  /// round; mid-round activations insert at their rank position. Executed
-  /// sequences — and therefore all results — are identical to the serial
-  /// engine at the same configuration. Mutually exclusive with
-  /// enable_parallel_execution.
-  void enable_event_scheduler();
-
-  [[nodiscard]] bool event_mode() const noexcept { return event_mode_; }
-
   /// Enables the quiescence semantic: after a node executes, its slots are
   /// polled via Protocol::can_quiesce and a unanimous vote parks it until
   /// an event re-activates it. `recheck_rounds` > 0 additionally schedules
   /// a wake `recheck_rounds` rounds after each parking, so no node stays
-  /// parked unobserved forever (0 disables the heartbeat). Applies
-  /// identically under serial and event execution; mutually exclusive with
-  /// the wave-parallel engine.
+  /// parked unobserved forever (0 disables the heartbeat).
   void enable_quiescence(Round recheck_rounds = 0);
 
   [[nodiscard]] bool quiescence_enabled() const noexcept {
@@ -234,10 +185,8 @@ class Engine {
     return quiescent_count_;
   }
 
-  /// Re-activates a parked node immediately. While a round is in flight
-  /// under the event scheduler, the node is inserted into the remaining
-  /// schedule iff its rank has not passed yet — exactly when the serial
-  /// engine would still visit it this round. No-op on nodes that are not
+  /// Re-activates a parked node immediately: mid-round it still runs this
+  /// round iff its rank has not passed yet. No-op on nodes that are not
   /// parked, so callers may signal unconditionally.
   void wake(NodeId node, WakeReason reason);
 
@@ -270,12 +219,10 @@ class Engine {
     return status_[node] == NodeStatus::kActive;
   }
   [[nodiscard]] std::size_t active_count() const noexcept {
-    return active_count_.load(std::memory_order_relaxed);
+    return active_count_;
   }
 
   /// Changes a node's status and notifies all of its protocol instances.
-  /// In parallel mode callable from an executing interaction only for
-  /// nodes it has reserved (the initiator or a declared peer).
   void set_status(NodeId node, NodeStatus status);
 
   /// Typed access to a protocol instance; T must match the installed type
@@ -285,10 +232,7 @@ class Engine {
     GLAP_HOT_REQUIRE(slot < slots_.size(), "protocol slot out of range");
     GLAP_HOT_REQUIRE(node < slots_[slot].instances.size(),
                      "node id out of range");
-    const SlotViews& views = views_[slot];
-    const std::size_t count = views.count.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < count; ++i) {
-      const TypedView& view = views.entries[i];
+    for (const TypedView& view : views_[slot]) {
       if (view.tag != type_tag<T>()) continue;
       T* typed = static_cast<T*>(view.ptrs[node]);
       GLAP_DEBUG_ASSERT(
@@ -328,9 +272,6 @@ class Engine {
   /// Attaches the message-level network model (not owned; null = the
   /// ideal instantaneous network, which is the default). Protocols read
   /// it through net_model() and must treat null as "always delivered".
-  /// The harness only installs it under the serial or event engine — the
-  /// wave-parallel executed order is not the serial order, which the
-  /// model's msg-id-indexed loss decisions rely on (DESIGN.md §13.3).
   void set_net_model(net::NetworkModel* net) noexcept { net_model_ = net; }
   [[nodiscard]] net::NetworkModel* net_model() const noexcept {
     return net_model_;
@@ -338,8 +279,8 @@ class Engine {
 
   /// Attaches the per-phase profiler (not owned; null = disabled, which
   /// costs two predictable branches per instrumented scope). Per-slot
-  /// execute bodies and the wave select phase are timed; phases beyond
-  /// prof::PhaseProfiler::kMaxPhases are silently uncounted.
+  /// execute bodies are timed; phases beyond prof::PhaseProfiler::kMaxPhases
+  /// are silently uncounted.
   void set_profiler(prof::PhaseProfiler* profiler) noexcept {
     profiler_ = profiler;
   }
@@ -365,16 +306,6 @@ class Engine {
     std::vector<void*> ptrs;  ///< per-node pointers, already cast to T*
   };
 
-  /// Lock-free-readable view set for one slot. Fixed capacity + atomic
-  /// count: readers scan entries[0..count), the cold resolve path appends
-  /// under views_mutex_ with a release store. Lives in a deque so element
-  /// addresses are stable as slots are added.
-  struct SlotViews {
-    static constexpr std::size_t kMaxViews = 8;
-    std::array<TypedView, kMaxViews> entries;
-    std::atomic<std::size_t> count{0};
-  };
-
   template <typename T>
   [[nodiscard]] static TypeTag type_tag() noexcept {
     return &detail::kProtocolTypeTag<T>;
@@ -394,10 +325,6 @@ class Engine {
     GLAP_REQUIRE(slot < slots_.size(), "protocol slot out of range");
     GLAP_REQUIRE(node < slots_[slot].instances.size(),
                  "node id out of range");
-    std::lock_guard lock(views_mutex_);
-    // Another thread may have resolved the view while we waited.
-    if (const TypedView* view = find_view(slot, type_tag<T>()))
-      return *static_cast<T*>(view->ptrs[node]);
     std::vector<void*> ptrs;
     ptrs.reserve(slots_[slot].instances.size());
     for (Protocol* p : slots_[slot].instances) {
@@ -406,12 +333,9 @@ class Engine {
       ptrs.push_back(typed);
     }
     T* result = static_cast<T*>(ptrs[node]);
-    append_view_locked(slot, type_tag<T>(), std::move(ptrs));
+    append_view(slot, type_tag<T>(), std::move(ptrs));
     return *result;
   }
-
-  void append_view_locked(ProtocolSlot slot, TypeTag tag,
-                          std::vector<void*> ptrs);
 
   /// Registers a finished Slot and its (empty) view set; returns its index.
   ProtocolSlot push_slot(Slot slot);
@@ -419,45 +343,31 @@ class Engine {
   /// Recomputes order_ for the current round (hash-rank permutation).
   void compute_round_order();
 
-  void run_round_serial();
-  void run_round_waves();
-  void run_round_event();
+  /// Visits order_ once: every node active and not parked at its turn
+  /// executes its slot stack, then votes on quiescence.
+  void run_round();
 
   /// Quiescence vote after `node` executed: parks it when every slot
-  /// agrees. Returns true when the node was parked.
-  bool poll_quiesce(NodeId node);
+  /// agrees.
+  void poll_quiesce(NodeId node);
 
   /// Drains schedule_wake entries due at the current round (round start,
-  /// driver context — events sort ahead of all execution this round).
+  /// before any node of the round executes).
   void drain_wake_queue();
 
-  /// Event-mode mid-round activation: inserts `node` into the remaining
-  /// schedule at its rank position unless its rank already passed.
-  void insert_runnable(NodeId node);
-
   /// Clears a node's parked bit (if set) and emits the activity event.
-  /// Returns true when the node was parked.
-  bool clear_quiescent(NodeId node, WakeReason reason);
+  void clear_quiescent(NodeId node, WakeReason reason);
 
   void trace_activity(NodeId node, bool awake, WakeReason reason);
 
-  /// Runs one node's full slot stack (shared by serial and parallel paths;
-  /// re-checks status between slots because an earlier protocol may have
-  /// put the node to sleep). `rank` seeds the deferred-effect order key.
-  void execute_node(NodeId node, std::size_t rank, const PeerSet& peers);
-
-  /// parallel_for over the pool when one exists, inline loop otherwise.
-  void run_parallel(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  void claim(std::uint64_t claim_word, NodeId target) noexcept;
-  [[nodiscard]] bool owns(std::uint64_t claim_word,
-                          NodeId target) const noexcept;
+  /// Runs one node's full slot stack, re-checking status between slots
+  /// because an earlier protocol may have put the node to sleep.
+  void execute_node(NodeId node);
 
   std::vector<NodeStatus> status_;
-  std::atomic<std::size_t> active_count_;
+  std::size_t active_count_;
   std::vector<Slot> slots_;
-  std::deque<SlotViews> views_;  ///< parallel to slots_
-  std::mutex views_mutex_;
+  std::vector<std::vector<TypedView>> views_;  ///< parallel to slots_
   std::vector<Observer*> observers_;
   std::vector<NodeId> order_;
   std::vector<std::uint64_t> order_keys_;  ///< per-node sort key, scratch
@@ -471,31 +381,13 @@ class Engine {
   Round round_ = 0;
   bool stop_requested_ = false;
 
-  // --- quiescence + event-scheduler state ---
-  bool event_mode_ = false;
+  // --- quiescence state ---
   bool quiescence_ = false;
   Round recheck_rounds_ = 0;
   std::vector<std::uint8_t> quiescent_;  ///< parked by can_quiesce vote
   std::size_t quiescent_count_ = 0;
-  std::uint64_t round_seed_cur_ = 0;  ///< this round's hash-rank seed
-  bool in_round_ = false;             ///< event round in flight
-  std::vector<NodeId> run_list_;      ///< event-mode schedule, rank order
-  std::size_t run_cursor_ = 0;        ///< index currently executing
-  std::vector<Round> in_list_round_;  ///< run_list_ membership stamp
   /// Pending schedule_wake entries, a min-heap on (round, node, reason).
   std::vector<std::pair<Round, std::pair<NodeId, WakeReason>>> wake_queue_;
-
-  // --- parallel mode state ---
-  bool parallel_ = false;
-  std::size_t threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<PeerSet> peer_sets_;   ///< per-node selection scratch
-  std::vector<std::uint32_t> rank_;  ///< per-node rank this round
-  /// Per-node reservation word: (wave_stamp << 32) | (UINT32_MAX - rank),
-  /// claimed via fetch-max CAS so the lowest rank wins and stale claims
-  /// from earlier waves never outrank current ones. Cleared each round.
-  std::vector<std::atomic<std::uint64_t>> owner_;
-  std::vector<NodeId> pending_;  ///< wave scheduling scratch
 };
 
 }  // namespace glap::sim

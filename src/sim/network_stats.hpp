@@ -1,20 +1,11 @@
 // Message/byte accounting for the simulated gossip traffic. Protocols call
 // count_message for every simulated exchange so that the harness can report
 // communication overhead alongside the paper's metrics.
-//
-// Counters are sharded per thread so the parallel engine can count without
-// locks or atomic contention: each thread increments the shard named by its
-// exec::Context slot (0 = driver thread, 1..63 = pool workers), and readers
-// sum the shards. Totals are integers, so the merged result is independent
-// of which thread counted what — reads are only meaningful at quiescent
-// points (between waves/rounds), which is where the harness samples.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "common/exec_context.hpp"
 #include "sim/node.hpp"
 
 namespace glap::sim {
@@ -24,44 +15,21 @@ class NetworkStats {
   void count_message(NodeId from, NodeId to, std::size_t bytes) noexcept {
     (void)from;
     (void)to;
-    Shard& shard = shards_[exec::context().shard_slot];
-    ++shard.messages;
-    shard.bytes += bytes;
+    ++messages_;
+    bytes_ += bytes;
   }
 
   void reset() noexcept {
-    for (Shard& shard : shards_) shard = Shard{};
+    messages_ = 0;
+    bytes_ = 0;
   }
 
-  [[nodiscard]] std::uint64_t messages() const noexcept {
-    std::uint64_t total = 0;
-    for (const Shard& shard : shards_) total += shard.messages;
-    return total;
-  }
-  [[nodiscard]] std::uint64_t bytes() const noexcept {
-    std::uint64_t total = 0;
-    for (const Shard& shard : shards_) total += shard.bytes;
-    return total;
-  }
-
-  /// Per-shard byte counts for the opt-in "shard_bytes" trace event. The
-  /// breakdown is execution-dependent (which shard counted a message depends
-  /// on thread assignment); only the sum is deterministic. Quiescent points
-  /// only.
-  [[nodiscard]] std::vector<std::uint64_t> bytes_per_shard() const {
-    std::vector<std::uint64_t> out(exec::kShardCount);
-    for (std::size_t i = 0; i < exec::kShardCount; ++i)
-      out[i] = shards_[i].bytes;
-    return out;
-  }
+  [[nodiscard]] std::uint64_t messages() const noexcept { return messages_; }
+  [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 
  private:
-  struct alignas(64) Shard {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-  };
-
-  Shard shards_[exec::kShardCount];
+  std::uint64_t messages_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace glap::sim

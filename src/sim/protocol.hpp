@@ -6,30 +6,7 @@
 // by directly invoking methods on peer instances (fetched through
 // Engine::protocol_at), which models a synchronous request/response within
 // the round — exactly how PeerSim cycle-driven protocols are written.
-//
-// The round API is split into two phases so the engine can run rounds as
-// deterministic parallel waves:
-//
-//   select_peers(engine, self, out)  — read-only. Declares every node whose
-//       per-node state (protocol instances, PM/VM state, node status) the
-//       upcoming execute() may read or write. Over-approximation is safe
-//       (it only costs scheduling conflicts); omission is a correctness bug.
-//       Must not mutate any logical state — in particular it must not
-//       advance the protocol's RNG (dry-run decision paths on a copy).
-//       The initiator itself is always reserved implicitly and does not
-//       need to be declared.
-//   execute(engine, self, peers)     — the mutation, i.e. the former
-//       next_cycle body. `peers` is the set declared during selection;
-//       protocols are free to ignore it and re-derive their partner (the
-//       declared state is frozen between the two phases, so dry-run and
-//       real decisions coincide).
-//
-// The default select_peers declares a *global* footprint, which makes the
-// parallel engine execute that node exclusively — unknown protocols stay
-// correct (merely slow) until they opt in with a precise declaration.
 #pragma once
-
-#include <vector>
 
 #include "sim/node.hpp"
 
@@ -37,56 +14,12 @@ namespace glap::sim {
 
 class Engine;
 
-/// Set of nodes an interaction will touch, produced by select_peers.
-/// Duplicate ids are allowed (the engine's reservation loop tolerates
-/// them), so callers can append overlapping candidate sets cheaply.
-class PeerSet {
- public:
-  void clear() noexcept {
-    ids_.clear();
-    global_ = false;
-  }
-
-  void add(NodeId id) {
-    if (!global_) ids_.push_back(id);
-  }
-
-  /// Declares an unbounded footprint: the interaction may touch any node.
-  /// The parallel engine runs such interactions exclusively, with no other
-  /// interaction in flight.
-  void add_global() noexcept {
-    global_ = true;
-    ids_.clear();
-  }
-
-  [[nodiscard]] bool global() const noexcept { return global_; }
-  [[nodiscard]] const std::vector<NodeId>& ids() const noexcept {
-    return ids_;
-  }
-
- private:
-  std::vector<NodeId> ids_;
-  bool global_ = false;
-};
-
 class Protocol {
  public:
   virtual ~Protocol() = default;
 
-  /// Phase 1 (read-only): declare the nodes execute() may touch. Called
-  /// only for active nodes; may run several times per round (a node that
-  /// loses its reservation re-selects in a later wave) and concurrently
-  /// with other nodes' select_peers, so it must be pure with respect to
-  /// logical state. Default: global footprint (safe for any protocol).
-  virtual void select_peers(Engine& /*engine*/, NodeId /*self*/,
-                            PeerSet& out) {
-    out.add_global();
-  }
-
-  /// Phase 2: one gossip cycle initiated by `self`. Called only for active
-  /// nodes. `peers` is what select_peers declared (empty in the serial
-  /// engine, which never runs selection).
-  virtual void execute(Engine& engine, NodeId self, const PeerSet& peers) = 0;
+  /// One gossip cycle initiated by `self`. Called only for active nodes.
+  virtual void execute(Engine& engine, NodeId self) = 0;
 
   /// Invoked when the node's lifecycle status changes (sleep/wake/fail).
   virtual void on_status_change(Engine& /*engine*/, NodeId /*self*/,

@@ -1,32 +1,18 @@
-// MetricsRegistry semantics: sharded counters, ordered-histogram replay,
-// name-sorted deterministic snapshots.
+// MetricsRegistry semantics: counters, histograms applied in observation
+// order, name-sorted deterministic snapshots.
 #include "common/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "common/exec_context.hpp"
-
 namespace glap::metrics {
 namespace {
 
-/// Saves/restores the thread-local exec context so tests that fake shard
-/// slots and order keys cannot leak state into other tests.
-struct ContextGuard {
-  ContextGuard() : saved(exec::context()) {}
-  ~ContextGuard() { exec::context() = saved; }
-  exec::Context saved;
-};
-
-TEST(Counter, SumsAcrossShards) {
-  ContextGuard guard;
+TEST(Counter, AccumulatesAndResets) {
   Counter c;
-  exec::context().shard_slot = 0;
   c.inc();
-  exec::context().shard_slot = 5;
   c.inc(10);
-  exec::context().shard_slot = exec::kShardCount - 1;
   c.inc(100);
   EXPECT_EQ(c.value(), 111u);
   c.reset();
@@ -41,66 +27,18 @@ TEST(Gauge, HoldsLastValue) {
   EXPECT_EQ(g.value(), -1.25);
 }
 
-TEST(OrderedHistogram, ReplaysInSerialOrderRegardlessOfShard) {
-  ContextGuard guard;
-
-  // Reference: samples applied directly in serial interaction order.
+TEST(OrderedHistogram, ObserveAppliesImmediatelyInOrder) {
   RunningStats reference;
-  for (const double v : {1.0, 2.0, 3.0, 4.0}) reference.add(v);
-
-  // Same samples observed "out of order" from two different shards: the
-  // shard-1 thread handles interactions 1 and 3, shard-2 handles 0 and 2,
-  // and shard 2 happens to run first.
   OrderedHistogram h;
-  auto& ctx = exec::context();
-  ctx.shard_slot = 2;
-  ctx.order_key = 0;
-  ctx.seq = 0;
-  h.observe(1.0);
-  ctx.order_key = 2;
-  ctx.seq = 0;
-  h.observe(3.0);
-  ctx.shard_slot = 1;
-  ctx.order_key = 3;
-  ctx.seq = 0;
-  h.observe(4.0);
-  ctx.order_key = 1;
-  ctx.seq = 0;
-  h.observe(2.0);
-  h.commit_round();
-
-  EXPECT_EQ(h.stats().count(), 4u);
+  for (const double v : {3.0, 1.0, 4.0, 1.5}) {
+    reference.add(v);
+    h.observe(v);
+    EXPECT_EQ(h.stats().count(), reference.count());
+  }
   EXPECT_EQ(h.stats().mean(), reference.mean());
   EXPECT_EQ(h.stats().variance(), reference.variance());
   EXPECT_EQ(h.stats().min(), 1.0);
   EXPECT_EQ(h.stats().max(), 4.0);
-}
-
-TEST(OrderedHistogram, SeqBreaksTiesWithinOneInteraction) {
-  ContextGuard guard;
-  OrderedHistogram h;
-  auto& ctx = exec::context();
-  ctx.shard_slot = 1;
-  ctx.order_key = 7;
-  ctx.seq = 0;
-  h.observe(10.0);  // seq 0
-  h.observe(20.0);  // seq 1
-  h.commit_round();
-
-  RunningStats reference;
-  reference.add(10.0);
-  reference.add(20.0);
-  EXPECT_EQ(h.stats().mean(), reference.mean());
-  EXPECT_EQ(h.stats().variance(), reference.variance());
-}
-
-TEST(OrderedHistogram, ObserveNowAppliesImmediately) {
-  OrderedHistogram h;
-  h.observe_now(5.0);
-  EXPECT_EQ(h.stats().count(), 1u);
-  EXPECT_EQ(h.stats().mean(), 5.0);
-  h.commit_round();  // nothing buffered; stats unchanged
-  EXPECT_EQ(h.stats().count(), 1u);
 }
 
 TEST(MetricsRegistry, GetOrCreateReturnsStablePointers) {
@@ -131,20 +69,6 @@ TEST(MetricsRegistry, JsonIsNameSortedAndIndependentOfRegistrationOrder) {
   EXPECT_EQ(forward, render(true));
   // alpha sorts before zeta regardless of registration order.
   EXPECT_LT(forward.find("alpha"), forward.find("zeta"));
-}
-
-TEST(MetricsRegistry, CommitRoundFlushesEveryHistogram) {
-  ContextGuard guard;
-  MetricsRegistry reg;
-  auto& ctx = exec::context();
-  ctx.shard_slot = 3;
-  ctx.order_key = 1;
-  reg.histogram("a")->observe(1.0);
-  reg.histogram("b")->observe(2.0);
-  EXPECT_EQ(reg.histogram("a")->stats().count(), 0u);
-  reg.commit_round();
-  EXPECT_EQ(reg.histogram("a")->stats().count(), 1u);
-  EXPECT_EQ(reg.histogram("b")->stats().count(), 1u);
 }
 
 TEST(MetricsRegistry, SeriesCsvPadsShorterColumns) {

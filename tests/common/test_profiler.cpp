@@ -1,19 +1,11 @@
-// PhaseProfiler: per-shard accumulation, quiescent-point merging, and the
-// deterministic-vs-wall-clock split of the reported totals.
+// PhaseProfiler: per-phase accumulation, labels, and which phases the
+// reported totals carry.
 #include "common/profiler.hpp"
 
 #include <gtest/gtest.h>
 
-#include "common/exec_context.hpp"
-
 namespace glap::prof {
 namespace {
-
-struct ContextGuard {
-  ContextGuard() : saved(exec::context()) {}
-  ~ContextGuard() { exec::context() = saved; }
-  exec::Context saved;
-};
 
 const PhaseProfiler::PhaseTotals* find_phase(
     const std::vector<PhaseProfiler::PhaseTotals>& totals,
@@ -26,24 +18,18 @@ const PhaseProfiler::PhaseTotals* find_phase(
 TEST(PhaseProfiler, BuiltinPhasesAlwaysReported) {
   const PhaseProfiler profiler;
   const auto totals = profiler.totals();
-  const auto* select = find_phase(totals, PhaseProfiler::kSelect);
   const auto* commit = find_phase(totals, PhaseProfiler::kCommit);
-  ASSERT_NE(select, nullptr);
   ASSERT_NE(commit, nullptr);
-  EXPECT_EQ(select->calls, 0u);
-  EXPECT_EQ(select->label, "select");
+  EXPECT_EQ(commit->calls, 0u);
   EXPECT_EQ(commit->label, "commit");
+  EXPECT_EQ(totals.size(), 1u);
   // Uncalled slot phases stay out of the report.
   EXPECT_EQ(find_phase(totals, PhaseProfiler::kFirstSlot), nullptr);
 }
 
-TEST(PhaseProfiler, MergesAcrossShards) {
-  ContextGuard guard;
+TEST(PhaseProfiler, AccumulatesCallsAndWallTime) {
   PhaseProfiler profiler;
-  auto& ctx = exec::context();
-  ctx.shard_slot = 1;
   profiler.record(PhaseProfiler::kFirstSlot, 100);
-  ctx.shard_slot = 5;
   profiler.record(PhaseProfiler::kFirstSlot, 250);
   profiler.record(PhaseProfiler::kFirstSlot, 50);
 
@@ -54,24 +40,9 @@ TEST(PhaseProfiler, MergesAcrossShards) {
   EXPECT_EQ(slot->wall_ns, 400u);
 }
 
-TEST(PhaseProfiler, OnlySelectIsNondeterministic) {
-  ContextGuard guard;
-  PhaseProfiler profiler;
-  exec::context().shard_slot = 0;
-  profiler.record(PhaseProfiler::kSelect, 1);
-  profiler.record(PhaseProfiler::kCommit, 1);
-  profiler.record(PhaseProfiler::kFirstSlot + 2, 1);
-  const auto totals = profiler.totals();
-  for (const auto& t : totals)
-    EXPECT_EQ(t.deterministic, t.phase != PhaseProfiler::kSelect)
-        << t.label;
-}
-
 TEST(PhaseProfiler, SetLabelRenamesSlotPhases) {
-  ContextGuard guard;
   PhaseProfiler profiler;
   profiler.set_label(PhaseProfiler::kFirstSlot, "execute.learning");
-  exec::context().shard_slot = 0;
   profiler.record(PhaseProfiler::kFirstSlot, 7);
   const auto totals = profiler.totals();
   const auto* slot = find_phase(totals, PhaseProfiler::kFirstSlot);
@@ -80,12 +51,10 @@ TEST(PhaseProfiler, SetLabelRenamesSlotPhases) {
 }
 
 TEST(PhaseProfiler, OutOfRangePhaseIsSilentlyDropped) {
-  ContextGuard guard;
   PhaseProfiler profiler;
-  exec::context().shard_slot = 0;
   profiler.record(PhaseProfiler::kMaxPhases, 99);
   profiler.record(PhaseProfiler::kMaxPhases + 7, 99);
-  EXPECT_EQ(profiler.totals().size(), 2u);  // just select + commit
+  EXPECT_EQ(profiler.totals().size(), 1u);  // just commit
 }
 
 TEST(PhaseScope, NullProfilerIsANoop) {
@@ -93,9 +62,7 @@ TEST(PhaseScope, NullProfilerIsANoop) {
 }
 
 TEST(PhaseScope, RecordsOneCallWithElapsedTime) {
-  ContextGuard guard;
   PhaseProfiler profiler;
-  exec::context().shard_slot = 2;
   {
     PhaseScope scope(&profiler, PhaseProfiler::kCommit);
   }

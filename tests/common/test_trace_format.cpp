@@ -175,7 +175,7 @@ TEST(GtbRoundTrip, NetAllFourOps) {
   EXPECT_EQ(q.net.bytes, 65536);
 }
 
-TEST(GtbRoundTrip, DriverSummaryRelearnShardBytes) {
+TEST(GtbRoundTrip, DriverSummaryAndRelearn) {
   TraceEvent e;
   e.kind = EventKind::kRound;
   e.round = 12;
@@ -187,12 +187,6 @@ TEST(GtbRoundTrip, DriverSummaryRelearnShardBytes) {
   e.kind = EventKind::kRelearn;
   e.round = 13;
   EXPECT_EQ(gtb_round_trip(e).round, 13u);
-
-  e.kind = EventKind::kShardBytes;
-  e.shard_bytes = {64, 0, 128};
-  const TraceEvent b = gtb_round_trip(e);
-  ASSERT_EQ(b.shard_bytes.size(), 3u);
-  EXPECT_EQ(b.shard_bytes[2], 128u);
 }
 
 TEST(GtbRoundTrip, ExtremeDoublesSurviveBitExactly) {
@@ -229,10 +223,6 @@ TEST(RenderJsonl, AgreesWithLineParserForEveryKind) {
   e.net.bytes = 80;
   e.net.channel = "shuffle";
   EXPECT_EQ(jsonl_round_trip(e).net.channel, "shuffle");
-
-  e.kind = EventKind::kShardBytes;
-  e.shard_bytes = {64, 0, 128};
-  EXPECT_EQ(jsonl_round_trip(e).shard_bytes, e.shard_bytes);
 }
 
 TEST(GtbEncode, RejectsUnknownStringCodes) {

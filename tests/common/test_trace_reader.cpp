@@ -7,31 +7,19 @@
 #include <sstream>
 #include <string>
 
-#include "common/exec_context.hpp"
 #include "common/trace_format.hpp"
 #include "common/tracing.hpp"
 
 namespace glap::trace {
 namespace {
 
-struct ContextGuard {
-  ContextGuard() : saved(exec::context()) {}
-  ~ContextGuard() { exec::context() = saved; }
-  exec::Context saved;
-};
-
 /// Renders one buffered event through TraceLog and parses it back.
 TraceEvent round_trip_buffered(Kind kind, std::int64_t a, std::int64_t b,
                                std::int64_t c, std::int64_t d, double x,
                                double y, std::uint64_t round) {
-  ContextGuard guard;
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(round);
-  auto& ctx = exec::context();
-  ctx.shard_slot = 1;
-  ctx.order_key = 0;
-  ctx.seq = 0;
   log.emit(kind, a, b, c, d, x, y);
   log.commit_round();
 
@@ -181,7 +169,6 @@ TEST(ParseTraceLine, DriverDirectLinesFieldExact) {
   log.qsim(12, 0.875);
   log.overload(12, 42, 0.96875);
   log.relearn(13);
-  log.shard_bytes(13, {64, 0, 128});
 
   std::istringstream in(out.str());
   TraceReader reader(in);
@@ -210,15 +197,8 @@ TEST(ParseTraceLine, DriverDirectLinesFieldExact) {
   ASSERT_EQ(e.kind, EventKind::kRelearn);
   EXPECT_EQ(e.round, 13u);
 
-  ASSERT_EQ(reader.next(&e, &error), TraceReader::Status::kEvent) << error;
-  ASSERT_EQ(e.kind, EventKind::kShardBytes);
-  ASSERT_EQ(e.shard_bytes.size(), 3u);
-  EXPECT_EQ(e.shard_bytes[0], 64u);
-  EXPECT_EQ(e.shard_bytes[1], 0u);
-  EXPECT_EQ(e.shard_bytes[2], 128u);
-
   EXPECT_EQ(reader.next(&e, &error), TraceReader::Status::kEof);
-  EXPECT_EQ(reader.line_number(), 5u);
+  EXPECT_EQ(reader.line_number(), 4u);
 }
 
 TEST(ParseTraceLine, ExtremeNumbersSurviveTheRoundTrip) {
@@ -250,8 +230,7 @@ TEST(ParseTraceLine, MalformedLinesReturnErrorsNotCrashes) {
       "{\"ev\":\"power\",\"round\":-1,\"pm\":2,\"on\":true}",  // negative u64
       "{\"ev\":\"overload\",\"round\":1,\"pm\":2,\"cpu\":}",   // empty value
       "{\"ev\":\"overload\",\"round\":1,\"pm\":2,\"cpu\":nan}",
-      "{\"ev\":\"shard_bytes\",\"round\":1,\"bytes\":[1,}",    // bad array
-      "{\"ev\":\"shard_bytes\",\"round\":1,\"bytes\":7}",      // not an array
+      "{\"ev\":\"relearn\",\"round\":[1]}",                  // array value
       "{\"ev\":\"round\",\"round\":1,\"active_pms\":1e99999}",  // overflow
       "{\"ev\":\"migration\",\"round\":1,\"vm\":\"x\",\"from\":1,\"to\":2,"
       "\"cpu\":1,\"energy_j\":1}",  // string where number expected

@@ -1,26 +1,20 @@
-// TraceLog: serial-order rendering of buffered interaction events and the
+// TraceLog: emit-order rendering of buffered interaction events and the
 // JSONL shapes of the driver-direct lines.
 #include "common/tracing.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/exec_context.hpp"
 #include "common/trace_format.hpp"
 #include "sim/node.hpp"
 
 namespace glap::trace {
 namespace {
-
-struct ContextGuard {
-  ContextGuard() : saved(exec::context()) {}
-  ~ContextGuard() { exec::context() = saved; }
-  exec::Context saved;
-};
 
 TEST(KindName, NamesAllKinds) {
   EXPECT_STREQ(kind_name(Kind::kMigration), "migration");
@@ -44,14 +38,9 @@ TEST(ActivityReasonNames, PinnedToWakeReasonCodes) {
 }
 
 TEST(TraceLog, RendersActivityKind) {
-  ContextGuard guard;
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(12);
-  auto& ctx = exec::context();
-  ctx.shard_slot = 1;
-  ctx.order_key = 0;
-  ctx.seq = 0;
   log.emit(Kind::kActivity, 7, /*awake=*/0,
            static_cast<std::int64_t>(sim::WakeReason::kConverged));
   log.emit(Kind::kActivity, 7, /*awake=*/1,
@@ -67,14 +56,9 @@ TEST(TraceLog, RendersActivityKind) {
 TEST(TraceLog, RendersReservedFaultKind) {
   // No engine emit site yet (reserved for fault injection), but the wire
   // format is pinned so today's readers parse tomorrow's fault traces.
-  ContextGuard guard;
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(30);
-  auto& ctx = exec::context();
-  ctx.shard_slot = 1;
-  ctx.order_key = 0;
-  ctx.seq = 0;
   log.emit(Kind::kFault, 17, 3, 0, 0, 2.5);
   log.commit_round();
   EXPECT_EQ(out.str(),
@@ -82,54 +66,27 @@ TEST(TraceLog, RendersReservedFaultKind) {
             "\"value\":2.5}\n");
 }
 
-TEST(TraceLog, RendersBufferedEventsInOrderKeyOrder) {
-  ContextGuard guard;
+TEST(TraceLog, RendersBufferedEventsInEmitOrder) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(3);
-
-  // Emit from two shards with order keys reversed relative to emit order.
-  auto& ctx = exec::context();
-  ctx.shard_slot = 2;
-  ctx.order_key = 5;
-  ctx.seq = 0;
   log.emit(Kind::kPower, 9, 1);
-  ctx.shard_slot = 1;
-  ctx.order_key = 1;
-  ctx.seq = 0;
   log.emit(Kind::kMigration, 7, 2, 4, 0, 0.5, 125.0);
+  log.emit(Kind::kPower, 1, 0);
+  EXPECT_EQ(out.str(), "") << "buffered events wait for commit_round";
   log.commit_round();
 
   EXPECT_EQ(out.str(),
+            "{\"ev\":\"power\",\"round\":3,\"pm\":9,\"on\":true}\n"
             "{\"ev\":\"migration\",\"round\":3,\"vm\":7,\"from\":2,\"to\":4,"
             "\"cpu\":0.5,\"energy_j\":125}\n"
-            "{\"ev\":\"power\",\"round\":3,\"pm\":9,\"on\":true}\n");
-}
-
-TEST(TraceLog, SeqOrdersEventsWithinOneInteraction) {
-  ContextGuard guard;
-  std::ostringstream out;
-  TraceLog log(out);
-  log.begin_round(0);
-  auto& ctx = exec::context();
-  ctx.shard_slot = 1;
-  ctx.order_key = 4;
-  ctx.seq = 0;
-  log.emit(Kind::kPower, 1, 0);  // seq 0: off
-  log.emit(Kind::kPower, 1, 1);  // seq 1: on
-  log.commit_round();
-  EXPECT_EQ(out.str(),
-            "{\"ev\":\"power\",\"round\":0,\"pm\":1,\"on\":false}\n"
-            "{\"ev\":\"power\",\"round\":0,\"pm\":1,\"on\":true}\n");
+            "{\"ev\":\"power\",\"round\":3,\"pm\":1,\"on\":false}\n");
 }
 
 TEST(TraceLog, CommitClearsBuffersBetweenRounds) {
-  ContextGuard guard;
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(1);
-  exec::context().order_key = 0;
-  exec::context().seq = 0;
   log.emit(Kind::kShuffle, 1, 2, 3, 4);
   log.commit_round();
   log.begin_round(2);
@@ -146,15 +103,13 @@ TEST(TraceLog, DriverDirectLines) {
   log.qsim(12, 0.875);
   log.overload(12, 42, 0.96875);
   log.relearn(13);
-  log.shard_bytes(13, {64, 0, 128});
   EXPECT_EQ(out.str(),
             "{\"ev\":\"round\",\"round\":12,\"active_pms\":100,"
             "\"overloaded_pms\":3,\"migrations\":7,\"messages\":450,"
             "\"bytes\":9000}\n"
             "{\"ev\":\"qsim\",\"round\":12,\"similarity\":0.875}\n"
             "{\"ev\":\"overload\",\"round\":12,\"pm\":42,\"cpu\":0.96875}\n"
-            "{\"ev\":\"relearn\",\"round\":13}\n"
-            "{\"ev\":\"shard_bytes\",\"round\":13,\"bytes\":[64,0,128]}\n");
+            "{\"ev\":\"relearn\",\"round\":13}\n");
 }
 
 // ---- GTB output ---------------------------------------------------------
@@ -173,12 +128,7 @@ TEST(TraceLogGtb, EncodesTheSameEventsAsJsonl) {
   // written through both formats; the decoded event streams must agree
   // field for field.
   const auto write_all = [](TraceLog* log) {
-    ContextGuard guard;
-    log->begin_round(4);
-    auto& ctx = exec::context();
-    ctx.shard_slot = 1;
-    ctx.order_key = 0;
-    ctx.seq = 0;
+      log->begin_round(4);
     log->emit(Kind::kMigration, 7, 2, 4, 0, 0.5, 125.0);
     log->emit(Kind::kPower, 9, 1);
     log->emit(Kind::kShuffle, 1, 2, 3, 4);
@@ -192,7 +142,6 @@ TEST(TraceLogGtb, EncodesTheSameEventsAsJsonl) {
     log->overload(4, 42, 0.96875);
     log->relearn(5);
     log->net_queue(5, "uplink", 3, 65536);
-    log->shard_bytes(5, {64, 0, 128});
   };
 
   std::ostringstream jsonl_out, gtb_out;
@@ -218,7 +167,7 @@ TEST(TraceLogGtb, EncodesTheSameEventsAsJsonl) {
   // GTB spends a fraction of the JSONL bytes on the same stream.
   EXPECT_LT(gtb_out.str().size(), jsonl_out.str().size());
   ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.size(), 12u);
+  ASSERT_EQ(a.size(), 11u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].kind, b[i].kind) << i;
     EXPECT_EQ(a[i].round, b[i].round) << i;
@@ -235,16 +184,11 @@ TEST(TraceLogGtb, EncodesTheSameEventsAsJsonl) {
 /// one round and returns the rendered trace.
 std::string sampled_trace(const SamplingPolicy& sampling, int count,
                           bool reverse_order = false) {
-  ContextGuard guard;
   std::ostringstream out;
   TraceLog log(&out, Format::kJsonl, sampling);
   log.begin_round(1);
-  auto& ctx = exec::context();
-  ctx.shard_slot = 1;
   for (int i = 0; i < count; ++i) {
     const int id = reverse_order ? count - 1 - i : i;
-    ctx.order_key = static_cast<std::uint64_t>(id);
-    ctx.seq = 0;
     log.emit(Kind::kShuffle, id, id + 1, 3, 3);
     log.emit(Kind::kNet, 0, id, id + 1, id, 80.0, 0.0);  // send
     log.emit(Kind::kNet, 1, id, id + 1, id, 0.0);        // deliver
@@ -286,7 +230,15 @@ TEST(TraceSampling, DecisionsAreIndependentOfEmitOrder) {
   sampling.seed = 42;
   // Reversing the emit order must not change which events survive: the
   // keep decision is a pure hash of (seed, ids), not an RNG stream.
-  EXPECT_EQ(sampled_trace(sampling, 64), sampled_trace(sampling, 64, true));
+  const auto sorted_lines = [](const std::string& trace) {
+    std::vector<std::string> lines;
+    std::istringstream in(trace);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  EXPECT_EQ(sorted_lines(sampled_trace(sampling, 64)),
+            sorted_lines(sampled_trace(sampling, 64, true)));
 }
 
 TEST(TraceSampling, AllOpsOfOneMessageShareTheKeepDecision) {

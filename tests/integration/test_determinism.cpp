@@ -1,10 +1,9 @@
-// Harness-level determinism: run_experiment with engine_threads > 1 must
-// reproduce the serial reference run bit-for-bit — every per-round sample
-// and every floating-point aggregate — for every algorithm in the suite.
-// The event-driven scheduler (DESIGN.md §12) is held to the same contract
-// at every configuration, including quiescence, where the executed set
-// shrinks but must shrink identically under both engines (profile call
-// counts included).
+// Harness-level determinism: run_experiment is a pure function of
+// (config, seed). Two runs of the same config agree bit-for-bit — every
+// per-round sample, every floating-point aggregate and the profile call
+// counts — for every algorithm in the suite, and in the scenarios that
+// exercise the most state: quiescence with churn, and the network model
+// with loss (alone and with quiescence).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,12 +34,12 @@ ExperimentConfig small_config(Algorithm algorithm) {
 }
 
 /// The deterministic half of the phase profile: (label, calls) pairs,
-/// in report order. Select (wave-only, wall-clock-only) is excluded.
-std::vector<std::pair<std::string, std::uint64_t>> deterministic_profile(
+/// in report order. Wall-clock time is excluded.
+std::vector<std::pair<std::string, std::uint64_t>> profile_calls(
     const RunResult& result) {
   std::vector<std::pair<std::string, std::uint64_t>> out;
   for (const auto& phase : result.profile)
-    if (phase.deterministic) out.emplace_back(phase.label, phase.calls);
+    out.emplace_back(phase.label, phase.calls);
   return out;
 }
 
@@ -57,7 +56,7 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.final_active_pms, b.final_active_pms) << what;
   EXPECT_EQ(a.final_overloaded_pms, b.final_overloaded_pms) << what;
   EXPECT_EQ(a.final_bfd_bins, b.final_bfd_bins) << what;
-  EXPECT_EQ(deterministic_profile(a), deterministic_profile(b)) << what;
+  EXPECT_EQ(profile_calls(a), profile_calls(b)) << what;
   ASSERT_EQ(a.rounds.size(), b.rounds.size()) << what;
   for (std::size_t r = 0; r < a.rounds.size(); ++r) {
     EXPECT_EQ(a.rounds[r].active_pms, b.rounds[r].active_pms)
@@ -77,38 +76,12 @@ void expect_identical(const RunResult& a, const RunResult& b,
 
 class DeterminismTest : public ::testing::TestWithParam<Algorithm> {};
 
-TEST_P(DeterminismTest, ParallelEngineMatchesSerialBitForBit) {
-  ExperimentConfig config = small_config(GetParam());
-  const RunResult serial = run_experiment(config);
-
-  config.engine_threads = 2;
-  const RunResult par2 = run_experiment(config);
-  expect_identical(serial, par2, "threads=2");
-
-  config.engine_threads = 4;
-  const RunResult par4 = run_experiment(config);
-  expect_identical(serial, par4, "threads=4");
-}
-
-TEST_P(DeterminismTest, EventEngineMatchesSerialBitForBit) {
-  ExperimentConfig config = small_config(GetParam());
-  const RunResult serial = run_experiment(config);
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical(serial, event, "event");
-}
-
-TEST_P(DeterminismTest, EventEngineMatchesSerialUnderQuiescence) {
-  ExperimentConfig config = small_config(GetParam());
-  config.glap.quiescence.enabled = true;
-  config.glap.quiescence.idle_rounds = 4;
-  config.glap.quiescence.demand_epsilon = 0.10;
-  const RunResult serial = run_experiment(config);
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical(serial, event, "event+quiescence");
+TEST_P(DeterminismTest, RunIsReproducible) {
+  const ExperimentConfig config = small_config(GetParam());
+  const RunResult a = run_experiment(config);
+  const RunResult b = run_experiment(config);
+  expect_identical(a, b, "repeat");
+  EXPECT_FALSE(a.profile.empty()) << "profile was not collected";
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, DeterminismTest,
@@ -119,12 +92,11 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, DeterminismTest,
                            return std::string(to_string(info.param));
                          });
 
-// Satellite contract for the quiescence engine: a run long enough for PMs
-// to converge and park, with churn and demand drift supplying gossip /
-// demand / migration re-activations, must stay field-identical between
-// the serial and event engines AND must actually exercise the park/wake
-// cycle (otherwise this test would pass vacuously).
-TEST(Determinism, QuiescentPmsAreReactivatedIdenticallyUnderBothEngines) {
+// Quiescence contract: a run long enough for PMs to converge and park,
+// with churn and demand drift supplying gossip / demand / migration
+// re-activations, must be reproducible AND must actually exercise the
+// park/wake cycle (otherwise this test would pass vacuously).
+TEST(Determinism, QuiescenceWithChurnIsReproducible) {
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.rounds = 80;
   config.glap.quiescence.enabled = true;
@@ -134,10 +106,7 @@ TEST(Determinism, QuiescentPmsAreReactivatedIdenticallyUnderBothEngines) {
   config.churn.departure_prob = 0.003;
   config.churn.arrival_prob = 0.05;
   const RunResult serial = run_experiment(config);
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical(serial, event, "event+quiescence+churn");
+  expect_identical(serial, run_experiment(config), "repeat+quiescence+churn");
 
   std::uint32_t peak = 0;
   bool woke = false;
@@ -151,19 +120,10 @@ TEST(Determinism, QuiescentPmsAreReactivatedIdenticallyUnderBothEngines) {
   EXPECT_TRUE(woke) << "no parked PM was ever re-activated";
 }
 
-TEST(Determinism, ParallelRunIsReproducible) {
-  ExperimentConfig config = small_config(Algorithm::kGlap);
-  config.engine_threads = 4;
-  const RunResult a = run_experiment(config);
-  const RunResult b = run_experiment(config);
-  expect_identical(a, b, "repeat");
-}
-
 // ---- Network model (DESIGN.md §13.3) ------------------------------------
 // Message ids — and with them every loss decision and queueing outcome —
-// are assigned in executed interaction order, which the serial and event
-// engines share. The contract extends expect_identical with the
-// network-model totals.
+// are assigned in executed interaction order. The contract extends
+// expect_identical with the network-model totals.
 
 void expect_identical_net(const RunResult& a, const RunResult& b,
                           const char* what) {
@@ -175,27 +135,6 @@ void expect_identical_net(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.net_dropped_congestion, b.net_dropped_congestion) << what;
 }
 
-class NetworkDeterminismTest : public ::testing::TestWithParam<Algorithm> {};
-
-TEST_P(NetworkDeterminismTest, EventEngineMatchesSerialWithNetworkAndLoss) {
-  ExperimentConfig config = small_config(GetParam());
-  config.network.enabled = true;
-  config.network.loss_rate = 0.01;
-  const RunResult serial = run_experiment(config);
-  EXPECT_GT(serial.net_sends, 0u) << "network model saw no traffic";
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical_net(serial, event, "event+network");
-}
-
-INSTANTIATE_TEST_SUITE_P(Algorithms, NetworkDeterminismTest,
-                         ::testing::Values(Algorithm::kGlap, Algorithm::kGrmp,
-                                           Algorithm::kEcoCloud),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
 TEST(Determinism, NetworkRunIsReproducible) {
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.network.enabled = true;
@@ -206,18 +145,29 @@ TEST(Determinism, NetworkRunIsReproducible) {
   EXPECT_GT(a.net_dropped_loss, 0u) << "1% loss never fired";
 }
 
-TEST(Determinism, NetworkModelRejectsWaveParallelEngine) {
-  ExperimentConfig config = small_config(Algorithm::kGlap);
+// The baselines route probes and gossip through the model too.
+class NetworkDeterminismTest : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(NetworkDeterminismTest, LossyRunIsReproducible) {
+  ExperimentConfig config = small_config(GetParam());
   config.network.enabled = true;
-  config.engine_threads = 2;
-  EXPECT_THROW(run_experiment(config), precondition_error);
+  config.network.loss_rate = 0.01;
+  const RunResult a = run_experiment(config);
+  EXPECT_GT(a.net_sends, 0u) << "network model saw no traffic";
+  expect_identical_net(a, run_experiment(config), "repeat+network");
 }
 
-TEST(Determinism, EventEngineMatchesSerialWithNetworkAndQuiescence) {
+INSTANTIATE_TEST_SUITE_P(Baselines, NetworkDeterminismTest,
+                         ::testing::Values(Algorithm::kGrmp,
+                                           Algorithm::kEcoCloud),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+TEST(Determinism, NetworkWithQuiescenceIsReproducible) {
   // Quiescence + network exercises the deferred-exchange machinery: a
   // delayed reply must block the initiator's park vote and the kNetwork
-  // wake must fire identically under both engines. Loss alone cannot
-  // defer, so force queueing delays with a starved uplink.
+  // wake must fire identically in every run.
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.rounds = 60;
   config.network.enabled = true;
@@ -225,18 +175,14 @@ TEST(Determinism, EventEngineMatchesSerialWithNetworkAndQuiescence) {
   config.glap.quiescence.enabled = true;
   config.glap.quiescence.idle_rounds = 4;
   config.glap.quiescence.demand_epsilon = 0.10;
-  const RunResult serial = run_experiment(config);
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical_net(serial, event, "event+network+quiescence");
+  const RunResult a = run_experiment(config);
+  expect_identical_net(a, run_experiment(config), "repeat+network+quiescence");
+  EXPECT_GT(a.net_sends, 0u) << "network model saw no traffic";
 }
 
 // ---- trace-byte determinism (DESIGN.md §10.6) ---------------------------
-// The GTB binary trace is written through the same ordered-commit path as
-// JSONL, so its bytes — not just the decoded events — are part of the
-// determinism contract: serial, wave-parallel, and event engines must
-// produce identical files, with or without sampling.
+// The GTB binary trace's bytes — not just the decoded events — are part of
+// the determinism contract, with or without sampling.
 
 std::string captured_trace(ExperimentConfig config) {
   std::ostringstream sink;
@@ -246,40 +192,18 @@ std::string captured_trace(ExperimentConfig config) {
   return sink.str();
 }
 
-TEST(Determinism, GtbTraceBytesIdenticalAcrossEngines) {
-  const ExperimentConfig config = small_config(Algorithm::kGlap);
-  const std::string serial = captured_trace(config);
-  ASSERT_GT(serial.size(), trace::kGtbHeaderBytes);
-
-  ExperimentConfig wave = config;
-  wave.engine_threads = 2;
-  EXPECT_EQ(serial, captured_trace(wave)) << "threads=2";
-  wave.engine_threads = 4;
-  EXPECT_EQ(serial, captured_trace(wave)) << "threads=4";
-
-  ExperimentConfig event = config;
-  event.event_engine = true;
-  EXPECT_EQ(serial, captured_trace(event)) << "event";
-}
-
-TEST(Determinism, SampledGtbTraceBytesIdenticalAcrossEngines) {
-  // Sampling keeps a pure-hash subset, so the surviving byte stream must
-  // also be engine-independent — and a strict subset of the full trace.
+TEST(Determinism, SampledGtbTraceIsReproducibleAndSmaller) {
+  // Sampling keeps a pure-hash subset, so the surviving byte stream is
+  // reproducible — and a strict subset of the full trace.
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.observability.trace_sample_shuffle = 0.25;
-  const std::string serial = captured_trace(config);
-
-  ExperimentConfig wave = config;
-  wave.engine_threads = 4;
-  EXPECT_EQ(serial, captured_trace(wave)) << "threads=4+sampling";
-
-  ExperimentConfig event = config;
-  event.event_engine = true;
-  EXPECT_EQ(serial, captured_trace(event)) << "event+sampling";
+  const std::string sampled = captured_trace(config);
+  ASSERT_GT(sampled.size(), trace::kGtbHeaderBytes);
+  EXPECT_EQ(sampled, captured_trace(config));
 
   ExperimentConfig full = config;
   full.observability.trace_sample_shuffle = 1.0;
-  EXPECT_LT(serial.size(), captured_trace(full).size())
+  EXPECT_LT(sampled.size(), captured_trace(full).size())
       << "0.25 shuffle keep did not shrink the trace";
 }
 

@@ -2,16 +2,28 @@
 // system-level invariants, for every algorithm and several sweep cells.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "harness/runner.hpp"
 
 namespace glap::harness {
 namespace {
 
+// GoogleTest prints a Cell's raw bytes into each test's listed name. An
+// explicit zero word fills the gap after the 4-byte enum so no padding
+// (and with it no stack garbage) reaches the name: every build lists the
+// same test names.
 struct Cell {
+  Cell(Algorithm a, std::size_t pms, std::size_t r)
+      : algorithm(a), pm_count(pms), ratio(r) {}
   Algorithm algorithm;
+  std::uint32_t unused = 0;
   std::size_t pm_count;
   std::size_t ratio;
 };
+static_assert(std::has_unique_object_representations_v<Cell>,
+              "Cell must have no padding bytes");
 
 class EndToEndTest : public ::testing::TestWithParam<Cell> {};
 

@@ -1,6 +1,6 @@
 // Observability integration: the JSONL trace of a tiny 8-PM GLAP run
 // matches a committed golden file byte-for-byte, and metric/trace output
-// is bit-identical between the serial and wave-parallel engines.
+// is reproducible run to run.
 //
 // Regenerate the golden file after an intentional trace-schema change:
 //
@@ -144,7 +144,7 @@ TEST(Observability, TraceCarriesTheExpectedEventMix) {
   EXPECT_NE(captured.trace.find("\"ev\":\"shuffle\""), std::string::npos);
 }
 
-TEST(Observability, MetricsAndTraceBitIdenticalSerialVsParallel) {
+TEST(Observability, MetricsAndTraceAreReproducible) {
   ExperimentConfig config;
   config.algorithm = Algorithm::kGlap;
   config.pm_count = 32;
@@ -155,16 +155,15 @@ TEST(Observability, MetricsAndTraceBitIdenticalSerialVsParallel) {
   config.fit_glap_phases_to_warmup();
   // Profiler counts are part of the snapshot identity contract: with
   // profile on, the registry carries profile.<phase>.calls counters that
-  // must also be bit-identical across execution modes.
+  // must also be bit-identical run to run.
   config.observability.profile = true;
 
-  const Captured serial = run_captured(config);
-  config.engine_threads = 4;
-  const Captured parallel = run_captured(config);
+  const Captured first = run_captured(config);
+  const Captured second = run_captured(config);
 
-  EXPECT_EQ(serial.trace, parallel.trace);
-  EXPECT_EQ(serial.metrics_json, parallel.metrics_json);
-  EXPECT_NE(serial.metrics_json.find("profile."), std::string::npos);
+  EXPECT_EQ(first.trace, second.trace);
+  EXPECT_EQ(first.metrics_json, second.metrics_json);
+  EXPECT_NE(first.metrics_json.find("profile."), std::string::npos);
 }
 
 TEST(Observability, MetricsSinksWriteFiles) {

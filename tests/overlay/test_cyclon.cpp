@@ -142,7 +142,7 @@ TEST(Cyclon, AgesIncreaseWithoutContact) {
   auto& node0 = instance(engine, slot, 0);
   // Directly drive only node 0's cycle: all its entries age.
   const auto before = node0.cache();
-  node0.execute(engine, 0, sim::PeerSet{});
+  node0.execute(engine, 0);
   // After one cycle, any surviving original entry has age >= 1 unless it
   // was refreshed by the shuffle reply.
   const auto after = node0.cache();

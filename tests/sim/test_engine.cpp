@@ -11,8 +11,7 @@ namespace {
 class RecordingProtocol final : public Protocol {
  public:
   explicit RecordingProtocol(std::vector<NodeId>* log) : log_(log) {}
-  void select_peers(Engine&, NodeId, PeerSet&) override {}  // touches only self
-  void execute(Engine&, NodeId self, const PeerSet&) override {
+  void execute(Engine&, NodeId self) override {
     log_->push_back(self);
   }
   void on_status_change(Engine&, NodeId self, NodeStatus status) override {
@@ -160,7 +159,7 @@ TEST(Engine, ProtocolAtTypeMismatchThrows) {
   engine.add_protocol_slot(make_recorders(2, &log));
   EXPECT_NO_THROW(engine.protocol_at<RecordingProtocol>(0, 0));
   class Other final : public Protocol {
-    void execute(Engine&, NodeId, const PeerSet&) override {}
+    void execute(Engine&, NodeId) override {}
   };
   EXPECT_THROW(engine.protocol_at<Other>(0, 0), precondition_error);
 }

@@ -1,12 +1,13 @@
-// Quiescence + event-scheduler semantics (DESIGN.md §12): unanimous
+// Quiescence and the round loop's visit rule (DESIGN.md §12): unanimous
 // can_quiesce votes park a node, any veto blocks parking, wake /
-// schedule_wake / set_status re-activate, and the event engine's executed
-// sequence is exactly the serial engine's at the same configuration —
-// including mid-round wakes, which insert iff the woken rank has not
-// passed. Protocol storage goes through add_protocol_pool, so these tests
-// also cover the struct-of-arrays arena path.
+// schedule_wake / set_status re-activate, and a node woken or switched on
+// mid-round runs in the same round iff its rank comes after the waker's.
+// Protocol storage goes through add_protocol_pool, so these tests also
+// cover the struct-of-arrays arena path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -21,8 +22,7 @@ class CountingProtocol final : public Protocol {
   CountingProtocol(std::vector<NodeId>* log, int threshold)
       : log_(log), threshold_(threshold) {}
 
-  void select_peers(Engine&, NodeId, PeerSet&) override {}  // self only
-  void execute(Engine&, NodeId self, const PeerSet&) override {
+  void execute(Engine&, NodeId self) override {
     log_->push_back(self);
     ++runs_;
   }
@@ -42,8 +42,7 @@ class CountingProtocol final : public Protocol {
 /// A protocol that never votes to park (the default Protocol vote).
 class VetoProtocol final : public Protocol {
  public:
-  void select_peers(Engine&, NodeId, PeerSet&) override {}
-  void execute(Engine&, NodeId, const PeerSet&) override {}
+  void execute(Engine&, NodeId) override {}
 };
 
 Engine::ProtocolSlot install_counters(Engine& engine, std::vector<NodeId>* log,
@@ -179,52 +178,124 @@ TEST(Quiescence, StatusTransitionUnparks) {
   EXPECT_TRUE(log.empty());
 }
 
-/// Runs `rounds` rounds on a fresh engine with the given mode, injecting
-/// the same wake (node, after-round) sequence, and returns the executed
-/// node sequence.
-std::vector<NodeId> executed_sequence(bool event, Round rounds,
-                                      int threshold) {
-  Engine engine(16, 99);
-  if (event) engine.enable_event_scheduler();
-  engine.enable_quiescence();
-  std::vector<NodeId> log;
-  const auto slot = install_counters(engine, &log, threshold);
-  for (Round r = 0; r < rounds; ++r) {
-    engine.step();
-    // Deterministic wake pattern: after every second round, poke two nodes.
-    if (r % 2 == 1) {
-      for (NodeId n : {static_cast<NodeId>(r % 16),
-                       static_cast<NodeId>((3 * r) % 16)}) {
-        engine.protocol_at<CountingProtocol>(slot, n).poke();
-        engine.wake(n, WakeReason::kGossip);
-      }
+// ---- visit rule: mid-round wakes ------------------------------------------
+
+/// Script for WakingProtocol: in round `round`, node `waker` re-activates
+/// every target while it executes — by wake() when `switch_on` is false,
+/// else by set_status(kActive). Every execution is logged as (round, node).
+struct WakeScript {
+  NodeId waker = 0;
+  Round round = 0;
+  std::vector<NodeId> targets;
+  bool switch_on = false;
+  std::vector<std::pair<Round, NodeId>> log;
+};
+
+class WakingProtocol final : public Protocol {
+ public:
+  explicit WakingProtocol(WakeScript* script) : script_(script) {}
+
+  void execute(Engine& engine, NodeId self) override {
+    script_->log.emplace_back(engine.current_round(), self);
+    if (self != script_->waker || engine.current_round() != script_->round)
+      return;
+    for (const NodeId target : script_->targets) {
+      if (script_->switch_on)
+        engine.set_status(target, NodeStatus::kActive);
+      else
+        engine.wake(target, WakeReason::kGossip);
     }
   }
-  return log;
+  bool can_quiesce(const Engine&, NodeId) const override { return true; }
+
+ private:
+  WakeScript* script_;
+};
+
+constexpr std::size_t kVisitNodes = 8;
+constexpr std::uint64_t kVisitSeed = 7;
+
+/// The engine's visit order in `round`: the order depends only on (seed,
+/// round, node), so a plain logging engine with the same seed reveals it.
+std::vector<NodeId> visit_order(Round round) {
+  WakeScript probe;
+  probe.round = static_cast<Round>(-1);  // never wakes anyone
+  Engine engine(kVisitNodes, kVisitSeed);
+  engine.add_protocol_pool<WakingProtocol>(
+      [&](NodeId) { return WakingProtocol(&probe); });
+  engine.run(round + 1);
+  std::vector<NodeId> order;
+  for (const auto& [r, node] : probe.log)
+    if (r == round) order.push_back(node);
+  return order;
 }
 
-TEST(EventScheduler, ExecutedSequenceIsIdenticalToSerial) {
-  const std::vector<NodeId> serial = executed_sequence(false, 12, 3);
-  const std::vector<NodeId> event = executed_sequence(true, 12, 3);
-  EXPECT_EQ(serial, event);
-  EXPECT_FALSE(serial.empty());
+/// Nodes that executed in `round`, in execution order.
+std::vector<NodeId> ran_in(const WakeScript& script, Round round) {
+  std::vector<NodeId> out;
+  for (const auto& [r, node] : script.log)
+    if (r == round) out.push_back(node);
+  return out;
 }
 
-TEST(EventScheduler, PlainRunMatchesSerialWithoutQuiescence) {
-  std::vector<NodeId> serial_log, event_log;
-  {
-    Engine engine(32, 5);
-    install_counters(engine, &serial_log, 1 << 20);
-    for (int i = 0; i < 5; ++i) engine.step();
-  }
-  {
-    Engine engine(32, 5);
-    engine.enable_event_scheduler();
-    install_counters(engine, &event_log, 1 << 20);
-    for (int i = 0; i < 5; ++i) engine.step();
-  }
-  EXPECT_EQ(serial_log, event_log);
-  EXPECT_EQ(serial_log.size(), 160u);
+bool contains(const std::vector<NodeId>& v, NodeId node) {
+  return std::find(v.begin(), v.end(), node) != v.end();
+}
+
+TEST(VisitRule, WokenNodeRunsThisRoundIffRankedAfterTheWaker) {
+  const std::vector<NodeId> order = visit_order(1);
+  ASSERT_EQ(order.size(), kVisitNodes);
+  WakeScript script;
+  script.round = 1;
+  script.waker = order[4];
+  const NodeId before = order[1];
+  const NodeId after = order[6];
+  script.targets = {before, after};
+
+  Engine engine(kVisitNodes, kVisitSeed);
+  engine.enable_quiescence();
+  engine.add_protocol_pool<WakingProtocol>(
+      [&](NodeId) { return WakingProtocol(&script); });
+  engine.step();  // round 0: every node runs once and parks
+  ASSERT_EQ(engine.quiescent_count(), kVisitNodes);
+  engine.wake(script.waker, WakeReason::kSchedule);
+  engine.step();  // round 1: the waker runs and wakes both targets
+  engine.step();  // round 2
+
+  EXPECT_EQ(ran_in(script, 1), (std::vector<NodeId>{script.waker, after}))
+      << "a target ranked after the waker runs in the same round";
+  EXPECT_EQ(ran_in(script, 2), std::vector<NodeId>{before})
+      << "a target ranked before the waker runs next round";
+  EXPECT_EQ(engine.quiescent_count(), kVisitNodes);
+}
+
+TEST(VisitRule, SwitchedOnNodeRunsThisRoundIffRankedAfterTheWaker) {
+  const std::vector<NodeId> order = visit_order(1);
+  ASSERT_EQ(order.size(), kVisitNodes);
+  WakeScript script;
+  script.round = 1;
+  script.waker = order[3];
+  script.switch_on = true;
+  const NodeId before = order[0];
+  const NodeId after = order[7];
+  script.targets = {before, after};
+
+  Engine engine(kVisitNodes, kVisitSeed);
+  engine.add_protocol_pool<WakingProtocol>(
+      [&](NodeId) { return WakingProtocol(&script); });
+  engine.step();  // round 0: every node runs
+  engine.set_status(before, NodeStatus::kSleeping);
+  engine.set_status(after, NodeStatus::kSleeping);
+  engine.step();  // round 1: the waker switches both targets back on
+  engine.step();  // round 2: everyone runs again
+
+  const std::vector<NodeId> round1 = ran_in(script, 1);
+  EXPECT_EQ(round1.size(), kVisitNodes - 1);
+  EXPECT_TRUE(contains(round1, after))
+      << "a node switched on ahead of its rank runs in the same round";
+  EXPECT_FALSE(contains(round1, before))
+      << "a node switched on after its rank passed waits for next round";
+  EXPECT_EQ(ran_in(script, 2).size(), kVisitNodes);
 }
 
 }  // namespace

@@ -91,8 +91,8 @@ TEST_P(ProjectRuleTest, SuppressedTreeIsCleanAndUsesItsAllows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProjectRules, ProjectRuleTest,
-                         ::testing::Values("layering", "wave-safety",
-                                           "table-sync", "include-hygiene"),
+                         ::testing::Values("layering", "table-sync",
+                                           "include-hygiene"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name)
@@ -122,23 +122,6 @@ TEST(ProjectRules, LayeringFailTreeCoversAllFourFindingShapes) {
   EXPECT_TRUE(stale);
   EXPECT_TRUE(missing);
   EXPECT_TRUE(cycle);
-}
-
-TEST(ProjectRules, WaveSafetyFailTreeCoversAllFourEventKinds) {
-  const FixtureTree tree = load_tree("wave-safety", "fail");
-  const TreeReport report = lint_project(tree.files, tree.layers);
-  bool assign = false, mutate = false, rng = false, call = false;
-  for (const Finding& f : report.findings) {
-    if (f.message.find("assigns to member") != std::string::npos)
-      assign = true;
-    if (f.message.find("in place") != std::string::npos) mutate = true;
-    if (f.message.find("RNG member") != std::string::npos) rng = true;
-    if (f.message.find("non-const method") != std::string::npos) call = true;
-  }
-  EXPECT_TRUE(assign);
-  EXPECT_TRUE(mutate);
-  EXPECT_TRUE(rng);
-  EXPECT_TRUE(call);
 }
 
 TEST(ProjectRules, TableSyncFindingNamesEveryMissingTable) {
@@ -235,84 +218,7 @@ TEST(SummarizeSource, EnumExtractionHandlesScopedUnderlyingAndValues) {
   EXPECT_EQ(s.enums[1].enumerators, (std::vector<std::string>{"kX", "kY"}));
 }
 
-TEST(SummarizeSource, WaveEventsComeFromOutOfLineDefinitionsToo) {
-  const FileSummary s = summarize_source(
-      "src/overlay/c.cpp",
-      "void CyclonProtocol::select_peers(int& engine) {\n"
-      "  cache_ = 1;\n"
-      "}\n");
-  ASSERT_EQ(s.wave_events.size(), 1u);
-  EXPECT_EQ(s.wave_events[0].kind, WaveEvent::Kind::kAssign);
-  EXPECT_EQ(s.wave_events[0].class_name, "CyclonProtocol");
-  EXPECT_EQ(s.wave_events[0].method, "select_peers");
-  EXPECT_EQ(s.wave_events[0].name, "cache_");
-  EXPECT_EQ(s.wave_events[0].line, 2u);
-}
-
-TEST(SummarizeSource, OrdinaryMethodsProduceNoWaveEvents) {
-  const FileSummary s = summarize_source(
-      "src/overlay/c.cpp",
-      "void CyclonProtocol::execute(int& engine) { cache_ = 1; }\n");
-  EXPECT_TRUE(s.wave_events.empty());
-}
-
 // ---- analyze_project ----------------------------------------------------
-
-TEST(AnalyzeProject, WaveSafetyResolvesThroughIntermediateBases) {
-  // CyclonProtocol -> NeighborProvider -> Protocol: the member write is a
-  // finding even though "Protocol" is two hops away and in another file.
-  const std::vector<ProjectFile> files = {
-      {"src/sim/protocol.hpp", "#pragma once\nclass Protocol {};\n"},
-      {"src/overlay/np.hpp",
-       "#pragma once\nclass NeighborProvider : public sim::Protocol {};\n"},
-      {"src/overlay/c.hpp",
-       "#pragma once\n"
-       "class Cyclon : public NeighborProvider {\n"
-       " private:\n"
-       "  int cache_;\n"
-       "};\n"},
-      {"src/overlay/c.cpp",
-       "void Cyclon::select_peers(int& e) { cache_ = 1; }\n"},
-  };
-  const TreeReport report = lint_project(files, "");
-  ASSERT_EQ(report.findings.size(), 1u);
-  EXPECT_EQ(report.findings[0].rule, "wave-safety");
-  EXPECT_EQ(report.findings[0].file, "src/overlay/c.cpp");
-}
-
-TEST(AnalyzeProject, WaveSafetyIgnoresClassesOutsideTheProtocolTree) {
-  // Same shape, but the class never reaches Protocol: writes are fine.
-  const std::vector<ProjectFile> files = {
-      {"src/cloud/p.hpp",
-       "#pragma once\nclass Placer {\n private:\n  int cursor_;\n};\n"},
-      {"src/cloud/p.cpp",
-       "void Placer::select_peers(int& e) { cursor_ = 1; }\n"},
-  };
-  EXPECT_TRUE(lint_project(files, "").findings.empty());
-}
-
-TEST(AnalyzeProject, WaveSafetyAllowsLocalsAndScratchMembers) {
-  const std::vector<ProjectFile> files = {
-      {"src/sim/p.hpp",
-       "#pragma once\n"
-       "class P : public Protocol {\n"
-       " private:\n"
-       "  int scratch_ids_;\n"
-       "  int rng_;\n"
-       "};\n"},
-      {"src/sim/p.cpp",
-       "void P::select_peers(int& e) {\n"
-       "  int local = 0;\n"
-       "  local = local + 1;\n"
-       "  scratch_ids_ = local;\n"
-       "  int sim_rng = rng_;\n"
-       "  (void)sim_rng;\n"
-       "}\n"},
-  };
-  const TreeReport report = lint_project(files, "");
-  for (const Finding& f : report.findings)
-    ADD_FAILURE() << f.file << ":" << f.line << " " << f.message;
-}
 
 TEST(AnalyzeProject, IncludeHygieneSeesTransitiveProvides) {
   // u.cpp includes a.hpp but only uses b_fn, which a.hpp pulls in from
@@ -362,7 +268,7 @@ TEST(AnalyzeProject, EmptyLayersTextSkipsTheLayeringRule) {
 // them because the findings they could match only exist project-wide).
 TEST(AnalyzeProject, StaleProjectAllowIsReportedAtTreeScope) {
   const std::string code =
-      "// glap-lint: allow(wave-safety): nothing here to excuse\n"
+      "// glap-lint: allow(table-sync): nothing here to excuse\n"
       "int x = 0;\n";
   EXPECT_TRUE(lint_source("src/sim/x.cpp", code).findings.empty());
   const TreeReport report = lint_project({{"src/sim/x.cpp", code}}, "");

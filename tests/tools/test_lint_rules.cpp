@@ -195,13 +195,12 @@ TEST(LintRules, StaleAllowIsReportedUnderTheSuppressionRule) {
 TEST(LintRules, RuleCatalogueTiersAreStable) {
   std::map<std::string, std::string> tier;
   for (const RuleInfo& r : rules()) tier[r.name] = r.tier;
-  EXPECT_EQ(tier.size(), 14u);
+  EXPECT_EQ(tier.size(), 13u);
   EXPECT_EQ(tier.at("wall-clock"), "determinism");
   EXPECT_EQ(tier.at("banned-random"), "determinism");
   EXPECT_EQ(tier.at("unordered-iteration"), "determinism");
   EXPECT_EQ(tier.at("pointer-order"), "determinism");
   EXPECT_EQ(tier.at("static-mutable"), "determinism");
-  EXPECT_EQ(tier.at("wave-safety"), "determinism");
   EXPECT_EQ(tier.at("trace-kind"), "safety");
   EXPECT_EQ(tier.at("checks-guard"), "safety");
   EXPECT_EQ(tier.at("float-narrowing"), "safety");
@@ -214,7 +213,6 @@ TEST(LintRules, RuleCatalogueTiersAreStable) {
   EXPECT_FALSE(is_known_rule("wallclock"));
   // Project rules resolve suppressions at tree scope; per-file rules don't.
   EXPECT_TRUE(is_project_rule("layering"));
-  EXPECT_TRUE(is_project_rule("wave-safety"));
   EXPECT_TRUE(is_project_rule("table-sync"));
   EXPECT_TRUE(is_project_rule("include-hygiene"));
   EXPECT_FALSE(is_project_rule("hot-alloc"));

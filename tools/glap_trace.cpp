@@ -11,10 +11,14 @@
 //   glap-trace convert  <in> <out> [--to jsonl|gtb]
 //   glap-trace gen      <out>   [--algorithm GLAP|GRMP|EcoCloud|PABFD]
 //                               [--pms N] [--ratio R] [--warmup N]
-//                               [--rounds N] [--seed S] [--threads T]
-//                               [--net] [--loss PCT] [--binary]
-//                               [--sample-shuffle PCT] [--sample-net PCT]
-//                               [--flight-dump PATH]
+//                               [--rounds N] [--seed S]
+//                               [--quiesce] [--epsilon-pct PCT]
+//                               [--idle-rounds N] [--net] [--loss PCT]
+//                               [--binary] [--sample-shuffle PCT]
+//                               [--sample-net PCT] [--flight-dump PATH]
+//
+// Each subcommand accepts only its own flags; an unknown flag (a typo, or
+// one another subcommand takes) is a usage error.
 //
 // A trace cut mid-record (crashed run, signal-context flight dump) is
 // analyzed up to the cut with a warning, not rejected.
@@ -23,12 +27,14 @@
 //   0  success; for `check`, the trace satisfies every invariant
 //   1  `check` found invariant violations
 //   2  usage error, unreadable input, or a malformed trace line
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -63,8 +69,8 @@ int usage() {
       "  convert  <in> <out> [--to jsonl|gtb]             re-encode a trace "
       "(default: the other format)\n"
       "  gen      <out> [--algorithm A] [--pms N] [--ratio R] [--warmup N]\n"
-      "                 [--rounds N] [--seed S] [--threads T] [--event]\n"
-      "                 [--quiesce] [--net] [--loss PCT] [--binary]\n"
+      "                 [--rounds N] [--seed S] [--quiesce] [--epsilon-pct PCT]\n"
+      "                 [--idle-rounds N] [--net] [--loss PCT] [--binary]\n"
       "                 [--sample-shuffle PCT] [--sample-net PCT]\n"
       "                 [--flight-dump PATH]\n"
       "                                                   run an experiment "
@@ -512,9 +518,6 @@ int cmd_gen(const Args& args) {
       static_cast<sim::Round>(flag_int(args, "--warmup", 200));
   config.rounds = static_cast<sim::Round>(flag_int(args, "--rounds", 150));
   config.seed = static_cast<std::uint64_t>(flag_int(args, "--seed", 42));
-  config.engine_threads =
-      static_cast<std::size_t>(flag_int(args, "--threads", 1));
-  config.event_engine = has_flag(args, "--event");
   if (has_flag(args, "--quiesce")) {
     // Quiescence defaults tuned for short gen runs: wake on any visible
     // demand move, park after a short calm streak.
@@ -554,30 +557,60 @@ int cmd_gen(const Args& args) {
   return kExitOk;
 }
 
+/// A subcommand and the only flags it accepts.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"lineage", cmd_lineage, {"--vm", "--pm", "--top"}},
+      {"episodes", cmd_episodes, {"--pm", "--min-rounds"}},
+      {"check", cmd_check, {"--churn-tolerant", "--strict", "--max-print"}},
+      {"stats", cmd_stats, {"--results"}},
+      {"convert", cmd_convert, {"--to"}},
+      {"gen",
+       cmd_gen,
+       {"--algorithm", "--pms", "--ratio", "--warmup", "--rounds", "--seed",
+        "--quiesce", "--epsilon-pct", "--idle-rounds", "--net", "--loss",
+        "--binary", "--sample-shuffle", "--sample-net", "--flight-dump"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  const Command* command = nullptr;
+  for (const Command& c : commands())
+    if (c.name == cmd) command = &c;
+  if (command == nullptr) {
+    std::fprintf(stderr, "glap-trace: unknown subcommand '%s'\n", cmd.c_str());
+    return usage();
+  }
   Args args;
   if (!parse_args(argc, argv, &args)) return usage();
-
+  for (const auto& [flag, value] : args.flags) {
+    if (std::find(command->flags.begin(), command->flags.end(), flag) ==
+        command->flags.end()) {
+      std::fprintf(stderr, "glap-trace %s: unknown flag '%s'\n", cmd.c_str(),
+                   flag.c_str());
+      return usage();
+    }
+  }
   if (cmd != "convert" && !args.file2.empty()) {
     std::fprintf(stderr, "glap-trace: unexpected argument '%s'\n",
                  args.file2.c_str());
     return usage();
   }
   try {
-    if (cmd == "lineage") return cmd_lineage(args);
-    if (cmd == "episodes") return cmd_episodes(args);
-    if (cmd == "check") return cmd_check(args);
-    if (cmd == "stats") return cmd_stats(args);
-    if (cmd == "convert") return cmd_convert(args);
-    if (cmd == "gen") return cmd_gen(args);
+    return command->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "glap-trace: %s\n", e.what());
     return kExitError;
   }
-  std::fprintf(stderr, "glap-trace: unknown subcommand '%s'\n", cmd.c_str());
-  return usage();
 }

@@ -32,10 +32,6 @@ constexpr RuleInfo kRules[] = {
      "or pointer-to-integer casts used as keys"},
     {"static-mutable", "determinism",
      "no mutable function-local or class statics in protocol code"},
-    {"wave-safety", "determinism",
-     "select_peers/can_quiesce overrides must be pure: no member writes "
-     "outside *scratch*/*select* staging, no same-class mutating calls, "
-     "no draws from the member RNG (copy it into a local first)"},
     {"trace-kind", "safety",
      "\"ev\" names in trace literals must match the trace::EventKind set"},
     {"checks-guard", "safety",
@@ -367,9 +363,8 @@ void rule_static_mutable(Analysis& a) {
     if (!is_const && mutable_data)
       a.flag(t[i].line, "static-mutable",
              "mutable static in protocol code: shared across every node "
-             "and thread, so it breaks both determinism and the wave-"
-             "parallel contract — keep per-node state in the protocol "
-             "object");
+             "and every concurrently running sweep cell, so it breaks "
+             "determinism — keep per-node state in the protocol object");
   }
 }
 
@@ -396,7 +391,7 @@ void rule_trace_kind(Analysis& a) {
           a.flag(tok.line, "trace-kind",
                  "\"ev\":\"" + name + "\" is not a trace::EventKind (known: "
                  "migration, power, shuffle, overload, fault, activity, net, "
-                 "round, qsim, relearn, shard_bytes) — traces written here "
+                 "round, qsim, relearn) — traces written here "
                  "would not parse");
       }
     }
@@ -649,7 +644,7 @@ std::uint64_t fnv1a64(std::string_view s) {
 
 /// Cache format/semantics version; bump when rules or the summary shape
 /// change so stale caches fall back to a cold scan.
-constexpr int kCacheVersion = 1;
+constexpr int kCacheVersion = 2;
 
 std::uint64_t cache_fingerprint() {
   std::string all = "glap-lint-cache-v" + std::to_string(kCacheVersion);
@@ -696,9 +691,6 @@ void write_cache_entry(std::ostream& out, const FileEntry& e) {
     for (const std::string& v : en.enumerators) out << ' ' << v;
     out << '\n';
   }
-  for (const WaveEvent& w : m.wave_events)
-    out << "W " << static_cast<int>(w.kind) << ' ' << w.line << ' '
-        << w.class_name << ' ' << w.method << ' ' << w.name << '\n';
   out << ".\n";
 }
 
@@ -795,13 +787,6 @@ std::map<std::string, FileEntry> load_cache(const std::string& path) {
       if (!(is >> e.line >> e.name)) return {};
       read_names(is, &e.enumerators);
       cur.summary.enums.push_back(std::move(e));
-    } else if (tag == "W") {
-      WaveEvent w;
-      int kind = 0;
-      if (!(is >> kind >> w.line >> w.class_name >> w.method >> w.name))
-        return {};
-      w.kind = static_cast<WaveEvent::Kind>(kind);
-      cur.summary.wave_events.push_back(std::move(w));
     } else {
       return {};
     }
@@ -912,14 +897,14 @@ bool is_known_rule(std::string_view name) {
 }
 
 bool is_project_rule(std::string_view name) {
-  return name == "layering" || name == "wave-safety" ||
-         name == "table-sync" || name == "include-hygiene";
+  return name == "layering" || name == "table-sync" ||
+         name == "include-hygiene";
 }
 
 const std::vector<std::string>& trace_event_kinds() {
   static const std::vector<std::string> kKinds = {
-      "migration", "power", "shuffle",  "overload", "fault",      "activity",
-      "net",       "round", "qsim",     "relearn",  "shard_bytes"};
+      "migration", "power", "shuffle", "overload", "fault",
+      "activity",  "net",   "round",   "qsim",     "relearn"};
   return kKinds;
 }
 

@@ -2,8 +2,8 @@
 // enforcing the project's determinism and safety rules over src/, bench/,
 // tools/ and tests/support (DESIGN.md §11 documents the full catalogue).
 //
-// The engine's headline claim — bit-identical serial vs wave-parallel
-// rounds — survives only while every source of nondeterminism stays
+// The engine's headline claim — every run is a pure function of
+// (config, seed) — survives only while every source of nondeterminism stays
 // quarantined inside src/common (Rng for randomness, PhaseProfiler for
 // wall clocks). Nothing in the compiler enforces that, so this pass does:
 // it lexes each file (comments and string literals stripped), applies
@@ -11,9 +11,9 @@
 //
 // Two tiers of analysis:
 //   per-file   lint_source() — one token stream at a time (PR 5 rules)
-//   project    tools/lint/model.{hpp,cpp} — the include graph, Protocol
-//              subclass registry and pinned-enum registry joined across
-//              files: layering, wave-safety, table-sync, include-hygiene
+//   project    tools/lint/model.{hpp,cpp} — the include graph, class
+//              registry and pinned-enum registry joined across files:
+//              layering, table-sync, include-hygiene
 //
 // Suppression syntax (justification is mandatory):
 //   // glap-lint: allow(<rule>): <why this occurrence is safe>
@@ -66,7 +66,7 @@ const std::vector<RuleInfo>& rules();
 bool is_known_rule(std::string_view name);
 
 /// True iff `name` is a project-tier rule resolved across files during
-/// tree scans (layering, wave-safety, table-sync, include-hygiene).
+/// tree scans (layering, table-sync, include-hygiene).
 /// Suppressions targeting these are matched — and checked for staleness —
 /// at the tree level, not inside lint_source.
 bool is_project_rule(std::string_view name);

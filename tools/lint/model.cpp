@@ -15,24 +15,7 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return out;
-}
-
-bool all_caps_macro(const std::string& s) {
-  if (s.size() < 2) return false;
-  bool letter = false;
-  for (char c : s) {
-    if (std::islower(static_cast<unsigned char>(c))) return false;
-    if (std::isupper(static_cast<unsigned char>(c))) letter = true;
-  }
-  return letter;
-}
-
-/// kCamelCase enumerator -> snake_case table name: kShardBytes -> shard_bytes.
+/// kCamelCase enumerator -> snake_case table name: kWakeReason -> wake_reason.
 std::string enum_snake_name(std::string_view enumerator) {
   std::string_view s = enumerator;
   if (s.size() > 1 && s[0] == 'k' &&
@@ -103,120 +86,6 @@ struct Cursor {
     return t.size();
   }
 };
-
-// ---- wave-safety body extraction ---------------------------------------
-
-const std::set<std::string_view>& container_mutators() {
-  static const std::set<std::string_view> kMutators = {
-      "assign",   "clear",  "emplace", "emplace_back", "erase",
-      "insert",   "pop_back", "push_back", "reserve",  "resize",
-      "shrink_to_fit", "swap"};
-  return kMutators;
-}
-
-/// Scans one select_peers/can_quiesce body `[open, close_of(open)]` and
-/// records candidate purity violations. Over-approximate on purpose:
-/// locals and other objects are weeded out later against the class
-/// registry, so only genuine member touches survive resolution.
-void scan_wave_body(const Cursor& c, std::size_t open,
-                    const std::string& class_name, const std::string& method,
-                    std::vector<WaveEvent>* out) {
-  const auto& t = c.t;
-  const std::size_t close = c.match_brace(open);
-  auto add = [&](WaveEvent::Kind kind, std::size_t line,
-                 const std::string& name) {
-    out->push_back({kind, line, class_name, method, name});
-  };
-  for (std::size_t i = open + 1; i < close; ++i) {
-    if (t[i].kind != Token::Kind::kIdent) continue;
-    const std::string& s = t[i].text;
-    if (is_cpp_keyword(s) || all_caps_macro(s)) continue;
-
-    // `this -> x` reads as a bare member access on x.
-    const bool via_this = i >= 2 && c.is_punct(i - 1, "->") &&
-                          c.is_ident(i - 2, "this");
-    const bool qualified =
-        !via_this && i > 0 &&
-        (c.is_punct(i - 1, ".") || c.is_punct(i - 1, "->") ||
-         c.is_punct(i - 1, "::"));
-
-    // Member-object call chains: `s.m(...)` / `s->m(...)`.
-    if (!qualified && i + 3 < close &&
-        (c.is_punct(i + 1, ".") || c.is_punct(i + 1, "->")) &&
-        c.is_any_ident(i + 2) && c.is_punct(i + 3, "(")) {
-      const std::string& m = t[i + 2].text;
-      if (to_lower(s).find("rng") != std::string::npos) {
-        add(WaveEvent::Kind::kRng, t[i].line, s);
-        continue;
-      }
-      if (container_mutators().count(m)) {
-        add(WaveEvent::Kind::kMutateCall, t[i].line, s);
-        continue;
-      }
-    }
-
-    if (!qualified) {
-      // Plain and compound assignment, increment, decrement. `==` must
-      // not match: the tokenizer emits `=` `=` as two puncts.
-      std::size_t eq = i + 1;
-      // Subscripted target: `s[...] = v` assigns through the member.
-      if (c.is_punct(i + 1, "[")) {
-        int d = 0;
-        for (std::size_t j = i + 1; j < close; ++j) {
-          if (c.is_punct(j, "[")) ++d;
-          else if (c.is_punct(j, "]") && --d == 0) {
-            eq = j + 1;
-            break;
-          }
-        }
-      }
-      const bool prev_op =
-          i > 0 && t[i - 1].kind == Token::Kind::kPunct &&
-          std::string_view("=!<>+-*/%&|^").find(t[i - 1].text) !=
-              std::string_view::npos;
-      bool assigns = false;
-      if (!prev_op || via_this) {
-        if (c.is_punct(eq, "=") && !c.is_punct(eq + 1, "="))
-          assigns = true;  // s = v / s[i] = v
-        else if (eq < close && t[eq].kind == Token::Kind::kPunct &&
-                 t[eq].text.size() == 1 &&
-                 std::string_view("+-*/%&|^").find(t[eq].text) !=
-                     std::string_view::npos &&
-                 c.is_punct(eq + 1, "="))
-          assigns = true;  // s += v and friends
-        else if ((c.is_punct(eq, "<") && c.is_punct(eq + 1, "<") &&
-                  c.is_punct(eq + 2, "=")) ||
-                 (c.is_punct(eq, ">") && c.is_punct(eq + 1, ">") &&
-                  c.is_punct(eq + 2, "=")))
-          assigns = true;  // s <<= v / s >>= v
-        else if ((c.is_punct(eq, "+") && c.is_punct(eq + 1, "+")) ||
-                 (c.is_punct(eq, "-") && c.is_punct(eq + 1, "-")))
-          assigns = true;  // s++ / s--
-      }
-      if (!assigns && i >= 2 &&
-          ((c.is_punct(i - 1, "+") && c.is_punct(i - 2, "+")) ||
-           (c.is_punct(i - 1, "-") && c.is_punct(i - 2, "-"))))
-        assigns = true;  // ++s / --s
-      if (assigns) {
-        add(WaveEvent::Kind::kAssign, t[i].line, s);
-        continue;
-      }
-
-      // Unqualified call: maybe a method of this class.
-      if (c.is_punct(i + 1, "(")) {
-        const bool decl_like = i > 0 && c.is_any_ident(i - 1);
-        if (!decl_like && !via_this)
-          add(WaveEvent::Kind::kBareCall, t[i].line, s);
-        else if (via_this)
-          add(WaveEvent::Kind::kBareCall, t[i].line, s);
-      }
-    }
-  }
-}
-
-bool wave_checked_method(const std::string& name) {
-  return name == "select_peers" || name == "can_quiesce";
-}
 
 // ---- class / enum / provided-name extraction ---------------------------
 
@@ -460,23 +329,8 @@ FileSummary summarize_source(std::string_view rel_path,
         }
         if (!is_const && !is_static && !is_friend && s != decl->name)
           decl->mutating_methods.push_back(s);
-        if (has_body && wave_checked_method(s))
-          scan_wave_body(c, k, decl->name, s, &out.wave_events);
         provided.insert(s);
       }
-    }
-
-    // Out-of-line wave-method definition: `Class :: method ( ... ) ... {`.
-    if (wave_checked_method(s) && i >= 2 && c.is_punct(i - 1, "::") &&
-        c.is_any_ident(i - 2) && c.is_punct(i + 1, "(")) {
-      const std::size_t close_paren = c.match_paren(i + 1);
-      std::size_t k = close_paren + 1;
-      while (k < toks.size() &&
-             (c.is_ident(k, "const") || c.is_ident(k, "noexcept") ||
-              c.is_ident(k, "override") || c.is_ident(k, "final")))
-        ++k;
-      if (c.is_punct(k, "{"))
-        scan_wave_body(c, k, toks[i - 2].text, s, &out.wave_events);
     }
 
     // Namespace-scope declaration heuristic: `Type name (` / `Type name =`
@@ -567,12 +421,6 @@ const std::vector<EnumTableSpec>& enum_table_specs() {
        {"kNone"}},
   };
   return kSpecs;
-}
-
-bool scratchy(const std::string& name) {
-  const std::string lower = to_lower(name);
-  return lower.find("scratch") != std::string::npos ||
-         lower.find("select") != std::string::npos;
 }
 
 }  // namespace
@@ -692,100 +540,6 @@ ProjectModel analyze_project(const std::vector<FileSummary>& files,
     for (const auto& [module, line] : layers.module_line) {
       (void)line;
       if (color[module] == 0) dfs(dfs, module);
-    }
-  }
-
-  // ---- wave-safety ------------------------------------------------------
-  std::map<std::string, ClassDecl> registry;
-  for (const FileSummary& f : files)
-    for (const ClassDecl& d : f.classes) {
-      ClassDecl& merged = registry[d.name];
-      merged.name = d.name;
-      merged.bases.insert(merged.bases.end(), d.bases.begin(), d.bases.end());
-      merged.members.insert(merged.members.end(), d.members.begin(),
-                            d.members.end());
-      merged.mutating_methods.insert(merged.mutating_methods.end(),
-                                     d.mutating_methods.begin(),
-                                     d.mutating_methods.end());
-    }
-
-  auto is_protocol = [&](const std::string& name) {
-    std::set<std::string> seen;
-    std::vector<std::string> todo{name};
-    while (!todo.empty()) {
-      const std::string cur = todo.back();
-      todo.pop_back();
-      if (cur == "Protocol") return true;
-      if (!seen.insert(cur).second) continue;
-      const auto it = registry.find(cur);
-      if (it == registry.end()) continue;
-      for (const std::string& b : it->second.bases) todo.push_back(b);
-    }
-    return false;
-  };
-  auto ancestry_union = [&](const std::string& name, bool methods) {
-    std::set<std::string> out, seen;
-    std::vector<std::string> todo{name};
-    while (!todo.empty()) {
-      const std::string cur = todo.back();
-      todo.pop_back();
-      if (!seen.insert(cur).second) continue;
-      const auto it = registry.find(cur);
-      if (it == registry.end()) continue;
-      const auto& names =
-          methods ? it->second.mutating_methods : it->second.members;
-      out.insert(names.begin(), names.end());
-      for (const std::string& b : it->second.bases) todo.push_back(b);
-    }
-    return out;
-  };
-
-  const std::string contract =
-      " — select_peers/can_quiesce must be pure (src/sim/protocol.hpp): "
-      "the wave engine replays them without the reservation order the "
-      "serial engine saw";
-  for (const FileSummary& f : files) {
-    for (const WaveEvent& e : f.wave_events) {
-      if (!is_protocol(e.class_name)) continue;
-      const std::set<std::string> members =
-          ancestry_union(e.class_name, /*methods=*/false);
-      switch (e.kind) {
-        case WaveEvent::Kind::kRng:
-          if (members.count(e.name))
-            pm.findings.push_back(
-                {f.path, e.line, "wave-safety",
-                 e.class_name + "::" + e.method + " draws from RNG member '" +
-                     e.name + "'; dry-run draws must use a local copy "
-                     "(Rng sim_rng = " + e.name + ";)" + contract});
-          break;
-        case WaveEvent::Kind::kAssign:
-          if (members.count(e.name) && !scratchy(e.name))
-            pm.findings.push_back(
-                {f.path, e.line, "wave-safety",
-                 e.class_name + "::" + e.method + " assigns to member '" +
-                     e.name + "'; stage per-call state in a member named "
-                     "*scratch*/*select* instead" + contract});
-          break;
-        case WaveEvent::Kind::kMutateCall:
-          if (members.count(e.name) && !scratchy(e.name))
-            pm.findings.push_back(
-                {f.path, e.line, "wave-safety",
-                 e.class_name + "::" + e.method + " mutates member '" +
-                     e.name + "' in place; stage per-call state in a member "
-                     "named *scratch*/*select* instead" + contract});
-          break;
-        case WaveEvent::Kind::kBareCall: {
-          if (e.name == e.method) break;
-          const std::set<std::string> mutators =
-              ancestry_union(e.class_name, /*methods=*/true);
-          if (mutators.count(e.name))
-            pm.findings.push_back(
-                {f.path, e.line, "wave-safety",
-                 e.class_name + "::" + e.method + " calls non-const method '" +
-                     e.name + "' of its own class" + contract});
-          break;
-        }
-      }
     }
   }
 

@@ -1,8 +1,8 @@
 // Cross-TU project model for glap-lint. The per-file rules in lint.cpp
 // see one token stream at a time; the properties that actually carry the
-// determinism contract — module layering, select_peers/can_quiesce
-// purity, and the pinned enum↔name/byte tables shared by GTB, the trace
-// checker and the wake scheduler — span translation units. This layer
+// determinism contract — module layering and the pinned enum↔name/byte
+// tables shared by GTB, the trace checker and the wake scheduler — span
+// translation units. This layer
 // summarizes each file once (`summarize_source`, pure and cacheable) and
 // then runs the project-scoped rules over the joined summaries
 // (`analyze_project`):
@@ -10,11 +10,6 @@
 //   layering         src/ module include edges must match the checked-in
 //                    tools/lint/layers.txt DAG (undeclared edges, stale
 //                    declared edges and cycles are findings)
-//   wave-safety      select_peers/can_quiesce overrides in Protocol
-//                    subclasses must not write members outside the
-//                    scratch_*/_select_ staging convention, call a
-//                    mutating method of their own class, or draw from the
-//                    member RNG (src/sim/protocol.hpp states the contract)
 //   table-sync       every enumerator of a registered pinned enum must
 //                    appear in the renderer/parser/code tables that
 //                    serialize it (trace_format.cpp, tracing.cpp, ...)
@@ -39,8 +34,8 @@ struct IncludeRef {
   std::string path;  ///< as spelled, e.g. "common/rng.hpp"
 };
 
-/// A class/struct definition: enough structure for wave-safety to know
-/// which names are members and which methods mutate.
+/// A class/struct definition: its bases, data members and non-const
+/// methods.
 struct ClassDecl {
   std::string name;
   std::size_t line = 0;
@@ -54,24 +49,6 @@ struct EnumDecl {
   std::string name;
   std::size_t line = 0;
   std::vector<std::string> enumerators;
-};
-
-/// A candidate purity violation inside a select_peers/can_quiesce body.
-/// Extraction is per-file and over-approximate; resolution against the
-/// class registry (members, base chains, const-ness) happens in
-/// analyze_project, so locals and other objects never fire.
-struct WaveEvent {
-  enum class Kind : std::uint8_t {
-    kAssign = 0,      ///< `name =`, `name +=`, `++name`, `name++`, ...
-    kMutateCall = 1,  ///< `name.push_back(...)` and friends
-    kBareCall = 2,    ///< unqualified `name(...)` — maybe a method of this
-    kRng = 3,         ///< `name.draw(...)` where name looks like an RNG
-  };
-  Kind kind = Kind::kAssign;
-  std::size_t line = 0;
-  std::string class_name;  ///< enclosing class (from decl or X::method)
-  std::string method;      ///< "select_peers" or "can_quiesce"
-  std::string name;        ///< the identifier involved
 };
 
 /// Everything the project pass needs to know about one file. Produced by
@@ -88,7 +65,6 @@ struct FileSummary {
   std::vector<std::string> name_strings;  ///< snake_case string literals
   std::vector<ClassDecl> classes;
   std::vector<EnumDecl> enums;
-  std::vector<WaveEvent> wave_events;
 };
 
 /// Summarizes one file. Pure function of its inputs; `rel_path` drives
@@ -97,14 +73,14 @@ FileSummary summarize_source(std::string_view rel_path,
                              std::string_view content);
 
 /// Output of the project pass: the module graph plus every finding from
-/// the four project rules (unsuppressed — the caller applies allows).
+/// the three project rules (unsuppressed — the caller applies allows).
 struct ProjectModel {
   std::vector<LayerEdge> edges;                     ///< sorted (from, to)
   std::map<std::string, std::size_t> module_files;  ///< src module -> files
   std::vector<Finding> findings;
 };
 
-/// Runs layering / wave-safety / table-sync / include-hygiene over the
+/// Runs layering / table-sync / include-hygiene over the
 /// joined summaries. `layers_text` is the contents of layers.txt
 /// ("module -> dep dep ..." lines, '#' comments); when empty the layering
 /// rule is skipped (synthetic trees without a DAG stay lintable). Enum
