@@ -26,11 +26,12 @@ class invariant_error : public std::logic_error {
 };
 
 namespace detail {
-/// Flight-recorder hook (common/flight_recorder.hpp): while a
-/// CrashDumpScope is active this points at its dump routine, so a failed
-/// contract check leaves a post-mortem trace before the exception
-/// propagates. Null whenever no recorder is armed.
-inline void (*fatal_hook)(const char* what) = nullptr;
+/// Flight-recorder hook (common/flight_recorder.hpp): on the thread that
+/// armed an active CrashDumpScope this points at its dump routine, so a
+/// failed contract check leaves a post-mortem trace before the exception
+/// propagates. Per thread, so a failure dumps only the ring its own
+/// thread armed; null wherever no recorder is armed.
+inline thread_local void (*fatal_hook)(const char* what) = nullptr;
 
 inline void notify_fatal(const std::string& what) {
   if (fatal_hook != nullptr) fatal_hook(what.c_str());

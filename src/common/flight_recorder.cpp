@@ -1,5 +1,6 @@
 #include "common/flight_recorder.hpp"
 
+#include <atomic>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -90,12 +91,15 @@ void FlightRecorder::dump_to_fd(int fd) const noexcept {
 
 namespace {
 
-// Process-wide armed recorder. Plain globals, not atomics: CrashDumpScope
-// is installed/removed on the driver thread at run boundaries, and the
-// consumers (assertion hook, signal handler) only read.
-FlightRecorder* g_recorder = nullptr;
+// One scope at a time owns the process-wide state below: it wins
+// g_claimed by compare-exchange, writes the dump path, then publishes its
+// recorder for the signal handler. The assertion hook is per thread
+// (assert.hpp), so only the winning thread's failures dump, and only its
+// own ring.
+std::atomic<bool> g_claimed{false};
+std::atomic<const FlightRecorder*> g_recorder{nullptr};
 char g_dump_path[512] = {};
-bool g_dumping = false;
+thread_local bool t_dumping = false;
 
 constexpr int kFatalSignals[] = {SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL};
 constexpr std::size_t kFatalSignalCount =
@@ -103,11 +107,12 @@ constexpr std::size_t kFatalSignalCount =
 struct sigaction g_saved_actions[kFatalSignalCount];
 
 extern "C" void flight_signal_handler(int sig) {
-  if (g_recorder != nullptr && g_dump_path[0] != '\0') {
+  if (const FlightRecorder* recorder =
+          g_recorder.load(std::memory_order_acquire)) {
     const int fd =
         ::open(g_dump_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
-      g_recorder->dump_to_fd(fd);
+      recorder->dump_to_fd(fd);
       ::close(fd);
     }
   }
@@ -118,26 +123,32 @@ extern "C" void flight_signal_handler(int sig) {
 }
 
 void flight_assert_hook(const char* what) {
-  if (g_dumping || g_recorder == nullptr || g_dump_path[0] == '\0') return;
-  g_dumping = true;
-  if (g_recorder->dump(g_dump_path)) {
+  // Installed only on the claiming thread, which alone writes the state.
+  const FlightRecorder* recorder = g_recorder.load(std::memory_order_relaxed);
+  if (t_dumping || recorder == nullptr) return;
+  t_dumping = true;
+  if (recorder->dump(g_dump_path)) {
     // The failure text rides along so the artifact is self-describing.
     std::ofstream out(std::string(g_dump_path) + ".what.txt",
                       std::ios::trunc);
     if (out.is_open()) out << what << '\n';
   }
-  g_dumping = false;
+  t_dumping = false;
 }
 
 }  // namespace
 
 CrashDumpScope::CrashDumpScope(FlightRecorder* recorder,
                                const std::string& path) {
-  if (recorder == nullptr || path.empty() || g_recorder != nullptr) return;
+  if (recorder == nullptr || path.empty()) return;
+  bool unclaimed = false;
+  if (!g_claimed.compare_exchange_strong(unclaimed, true,
+                                         std::memory_order_acquire))
+    return;
   active_ = true;
-  g_recorder = recorder;
   std::strncpy(g_dump_path, path.c_str(), sizeof g_dump_path - 1);
   g_dump_path[sizeof g_dump_path - 1] = '\0';
+  g_recorder.store(recorder, std::memory_order_release);
   glap::detail::fatal_hook = &flight_assert_hook;
   struct sigaction action {};
   action.sa_handler = &flight_signal_handler;
@@ -151,8 +162,8 @@ CrashDumpScope::~CrashDumpScope() {
   for (std::size_t i = 0; i < kFatalSignalCount; ++i)
     ::sigaction(kFatalSignals[i], &g_saved_actions[i], nullptr);
   glap::detail::fatal_hook = nullptr;
-  g_recorder = nullptr;
-  g_dump_path[0] = '\0';
+  g_recorder.store(nullptr, std::memory_order_release);
+  g_claimed.store(false, std::memory_order_release);
 }
 
 }  // namespace glap::flight

@@ -85,9 +85,11 @@ class FlightRecorder {
 };
 
 /// RAII activation of crash dumping for one run: while alive, the
-/// assertion hook (common/assert.hpp) and the fatal-signal handlers
-/// (SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL) dump `recorder` to `path`.
-/// Process-wide and non-reentrant: a second concurrent scope is a no-op.
+/// fatal-signal handlers (SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL) and,
+/// on the constructing thread, the assertion hook (common/assert.hpp)
+/// dump `recorder` to `path`. Process-wide and non-reentrant: the first
+/// scope claims the handlers atomically and any concurrent scope — on any
+/// thread — is a no-op.
 class CrashDumpScope {
  public:
   CrashDumpScope(FlightRecorder* recorder, const std::string& path);

@@ -258,32 +258,30 @@ void InvariantChecker::add(const TraceEvent& e, std::size_t line) {
       }
       break;
     }
-    case EventKind::kFault:
-      break;  // semantics land with the fault-injection harness
     case EventKind::kNet: {
       const auto& n = e.net;
-      if (n.op == "send") {
+      if (n.op == NetOp::kSend) {
         if (!net_msgs_.emplace(n.msg, NetMsg{e.round, false}).second) {
           std::ostringstream msg;
           msg << "msg " << n.msg << " sent twice";
           report(line, e.round, "net-deliver-unsent", msg.str());
         }
-      } else if (n.op == "deliver" || n.op == "drop") {
+      } else if (n.op == NetOp::kDeliver || n.op == NetOp::kDrop) {
         const auto it = net_msgs_.find(n.msg);
         if (it == net_msgs_.end()) {
           std::ostringstream msg;
-          msg << "net " << n.op << " for msg " << n.msg
+          msg << "net " << wire_name(n.op) << " for msg " << n.msg
               << " which was never sent";
           report(line, e.round, "net-deliver-unsent", msg.str());
         } else {
           if (it->second.terminal) {
             std::ostringstream msg;
             msg << "msg " << n.msg << " already delivered or dropped before "
-                << "this " << n.op;
+                << "this " << wire_name(n.op);
             report(line, e.round, "net-terminal-duplicate", msg.str());
           }
           it->second.terminal = true;
-          if (n.op == "deliver" &&
+          if (n.op == NetOp::kDeliver &&
               e.round != it->second.send_round +
                              static_cast<std::uint64_t>(n.delay)) {
             std::ostringstream msg;
@@ -292,7 +290,7 @@ void InvariantChecker::add(const TraceEvent& e, std::size_t line) {
                 << e.round;
             report(line, e.round, "net-delay-arithmetic", msg.str());
           }
-          if (n.op == "drop" && e.round != it->second.send_round) {
+          if (n.op == NetOp::kDrop && e.round != it->second.send_round) {
             std::ostringstream msg;
             msg << "msg " << n.msg << " sent in round " << it->second.send_round
                 << " but dropped in round " << e.round
@@ -300,24 +298,13 @@ void InvariantChecker::add(const TraceEvent& e, std::size_t line) {
             report(line, e.round, "net-delay-arithmetic", msg.str());
           }
         }
-        if (n.op == "drop" && n.reason != "loss" && n.reason != "congestion") {
-          std::ostringstream msg;
-          msg << "msg " << n.msg << " dropped with unknown reason '"
-              << n.reason << "' (a drop requires a lossy or congested link)";
-          report(line, e.round, "net-drop-reason", msg.str());
-        }
-      } else if (n.op == "queue") {
-        if (n.link != "access" && n.link != "uplink") {
-          std::ostringstream msg;
-          msg << "net queue line names unknown link kind '" << n.link << "'";
-          report(line, e.round, "net-drop-reason", msg.str());
-        }
+      } else if (n.op == NetOp::kQueue) {
         if (n.bytes == 0) {
           // The writer skips idle links entirely (DESIGN.md §13.6), so a
           // zero-backlog line means the emitter regressed; readers must
           // instead tolerate per-round gaps in queue coverage.
           std::ostringstream msg;
-          msg << "net queue line for " << n.link << ' ' << n.link_id
+          msg << "net queue line for " << wire_name(n.link) << ' ' << n.link_id
               << " reports zero backlog (idle links are skipped, not "
                  "emitted)";
           report(line, e.round, "net-queue-zero", msg.str());
@@ -327,18 +314,10 @@ void InvariantChecker::add(const TraceEvent& e, std::size_t line) {
     }
     case EventKind::kActivity: {
       const auto& a = e.activity;
-      static const std::set<std::string> kKnownReasons{
-          "converged", "gossip",   "demand",  "migration",
-          "status",    "schedule", "relearn", "network"};
-      if (kKnownReasons.count(a.reason) == 0) {
-        std::ostringstream msg;
-        msg << "pm " << a.pm << " activity event has unknown reason '"
-            << a.reason << "'";
-        report(line, e.round, "activity-reason", msg.str());
-      } else if (a.awake == (a.reason == "converged")) {
+      if (a.awake == (a.reason == ActivityReason::kConverged)) {
         std::ostringstream msg;
         msg << "pm " << a.pm << (a.awake ? " woke" : " parked")
-            << " with reason '" << a.reason
+            << " with reason '" << wire_name(a.reason)
             << "' (parking must be 'converged', wakes must not)";
         report(line, e.round, "activity-reason", msg.str());
       }
@@ -438,9 +417,9 @@ void StatsCollector::add(const TraceEvent& e) {
       stats_.overload_cpu.push_back(e.overload.cpu);
       break;
     case EventKind::kNet:
-      if (e.net.op == "send")
+      if (e.net.op == NetOp::kSend)
         stats_.net_send_bytes.push_back(static_cast<double>(e.net.bytes));
-      else if (e.net.op == "deliver")
+      else if (e.net.op == NetOp::kDeliver)
         stats_.net_deliver_delay.push_back(static_cast<double>(e.net.delay));
       break;
     case EventKind::kQsim:

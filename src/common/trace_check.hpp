@@ -143,16 +143,13 @@ struct Violation {
 ///   activity-park-off-pm     only powered-on PMs park (the engine un-parks
 ///                            a node before any lifecycle transition)
 ///   activity-reason          parking carries reason "converged"; wakes
-///                            carry any other known sim::WakeReason name
+///                            carry any other sim::WakeReason
 ///   net-deliver-unsent       a deliver/drop references a msg id with no
 ///                            prior send (no deliver-before-send)
 ///   net-delay-arithmetic     deliver.round == send.round + deliver.delay
 ///   net-terminal-duplicate   at most one terminal (deliver or drop) per
 ///                            msg id — a message cannot be both delivered
 ///                            and dropped
-///   net-drop-reason          drops carry reason "loss" or "congestion"
-///                            (a drop requires a lossy or congested link);
-///                            queue lines name link "access" or "uplink"
 ///   net-queue-zero           queue lines report a positive backlog — the
 ///                            writer skips idle links (DESIGN.md §13.6),
 ///                            so readers tolerate per-round gaps in queue
@@ -244,7 +241,7 @@ class InvariantChecker {
 // ---- statistics ---------------------------------------------------------
 
 struct TraceStats {
-  std::uint64_t counts[kEventKindCount] = {};
+  std::uint64_t counts[kEventKindCodes] = {};  ///< indexed by kind code
   std::uint64_t total_lines = 0;
   std::uint64_t first_round = 0;
   std::uint64_t last_round = 0;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <type_traits>
 #include <vector>
 
 #include "common/trace_format.hpp"
@@ -144,7 +145,8 @@ class Cursor {
 }
 
 /// Field extractor: accumulates the first error and lets the caller
-/// finish the extraction unconditionally, then test ok() once.
+/// finish the extraction unconditionally, then test ok() once. One
+/// require() overload per schema wire type.
 class Fields {
  public:
   Fields(const std::vector<Member>& members, std::string* error)
@@ -152,27 +154,15 @@ class Fields {
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
 
-  void require_i64(std::string_view key, std::int64_t* out) {
-    const JsonValue* v = number(key);
-    if (v == nullptr) return;
-    const auto [ptr, ec] =
-        std::from_chars(v->text.data(), v->text.data() + v->text.size(), *out);
-    if (ec != std::errc() || ptr != v->text.data() + v->text.size())
-      fail(std::string("field '") + std::string(key) +
-           "' is not an integer");
+  void require(std::string_view key, std::int64_t* out) {
+    integer(key, out, "an integer");
   }
 
-  void require_u64(std::string_view key, std::uint64_t* out) {
-    const JsonValue* v = number(key);
-    if (v == nullptr) return;
-    const auto [ptr, ec] =
-        std::from_chars(v->text.data(), v->text.data() + v->text.size(), *out);
-    if (ec != std::errc() || ptr != v->text.data() + v->text.size())
-      fail(std::string("field '") + std::string(key) +
-           "' is not an unsigned integer");
+  void require(std::string_view key, std::uint64_t* out) {
+    integer(key, out, "an unsigned integer");
   }
 
-  void require_double(std::string_view key, double* out) {
+  void require(std::string_view key, double* out) {
     const JsonValue* v = number(key);
     if (v == nullptr) return;
     // strtod needs NUL termination; number tokens are short.
@@ -187,8 +177,8 @@ class Fields {
     *out = parsed;
   }
 
-  void require_bool(std::string_view key, bool* out) {
-    const Member* m = require(key);
+  void require(std::string_view key, bool* out) {
+    const Member* m = member(key);
     if (m == nullptr) return;
     if (m->value.type != JsonValue::Type::kBool) {
       fail(std::string("field '") + std::string(key) + "' is not a bool");
@@ -197,14 +187,19 @@ class Fields {
     *out = m->value.boolean;
   }
 
-  void require_string(std::string_view key, std::string* out) {
-    const Member* m = require(key);
+  /// A vocabulary field: its value must be one of the schema's names.
+  template <typename E>
+    requires std::is_enum_v<E>
+  void require(std::string_view key, E* out) {
+    const Member* m = member(key);
     if (m == nullptr) return;
     if (m->value.type != JsonValue::Type::kString) {
       fail(std::string("field '") + std::string(key) + "' is not a string");
       return;
     }
-    *out = std::string(m->value.text);
+    if (!from_wire_name(m->value.text, out))
+      fail("unknown " + std::string(WireNames<E>::kWhat) + " '" +
+           std::string(m->value.text) + "'");
   }
 
  private:
@@ -213,7 +208,17 @@ class Fields {
     ok_ = false;
   }
 
-  const Member* require(std::string_view key) {
+  template <typename Int>
+  void integer(std::string_view key, Int* out, const char* what) {
+    const JsonValue* v = number(key);
+    if (v == nullptr) return;
+    const auto [ptr, ec] =
+        std::from_chars(v->text.data(), v->text.data() + v->text.size(), *out);
+    if (ec != std::errc() || ptr != v->text.data() + v->text.size())
+      fail(std::string("field '") + std::string(key) + "' is not " + what);
+  }
+
+  const Member* member(std::string_view key) {
     const Member* m = find(members_, key);
     if (m == nullptr)
       fail(std::string("missing field '") + std::string(key) + "'");
@@ -221,7 +226,7 @@ class Fields {
   }
 
   const JsonValue* number(std::string_view key) {
-    const Member* m = require(key);
+    const Member* m = member(key);
     if (m == nullptr) return nullptr;
     if (m->value.type != JsonValue::Type::kNumber) {
       fail(std::string("field '") + std::string(key) + "' is not a number");
@@ -236,33 +241,6 @@ class Fields {
 };
 
 }  // namespace
-
-const char* event_kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::kMigration: return "migration";
-    case EventKind::kPower: return "power";
-    case EventKind::kShuffle: return "shuffle";
-    case EventKind::kOverload: return "overload";
-    case EventKind::kFault: return "fault";
-    case EventKind::kActivity: return "activity";
-    case EventKind::kNet: return "net";
-    case EventKind::kRound: return "round";
-    case EventKind::kQsim: return "qsim";
-    case EventKind::kRelearn: return "relearn";
-  }
-  return "?";
-}
-
-bool event_kind_from_name(std::string_view name, EventKind* out) {
-  for (std::size_t i = 0; i < kEventKindCount; ++i) {
-    const auto kind = static_cast<EventKind>(i);
-    if (name == event_kind_name(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
 
 bool parse_trace_line(std::string_view line, TraceEvent* out,
                       std::string* error) {
@@ -279,93 +257,25 @@ bool parse_trace_line(std::string_view line, TraceEvent* out,
     return false;
   }
   TraceEvent parsed;
-  if (!event_kind_from_name(ev->value.text, &parsed.kind)) {
+  if (!from_wire_name(ev->value.text, &parsed.kind)) {
     if (error != nullptr)
       *error = "unknown event kind '" + std::string(ev->value.text) + "'";
     return false;
   }
 
   Fields fields(members, error);
-  fields.require_u64("round", &parsed.round);
-  switch (parsed.kind) {
-    case EventKind::kMigration:
-      fields.require_i64("vm", &parsed.migration.vm);
-      fields.require_i64("from", &parsed.migration.from);
-      fields.require_i64("to", &parsed.migration.to);
-      fields.require_double("cpu", &parsed.migration.cpu);
-      fields.require_double("energy_j", &parsed.migration.energy_j);
-      break;
-    case EventKind::kPower:
-      fields.require_i64("pm", &parsed.power.pm);
-      fields.require_bool("on", &parsed.power.on);
-      break;
-    case EventKind::kShuffle:
-      fields.require_i64("initiator", &parsed.shuffle.initiator);
-      fields.require_i64("peer", &parsed.shuffle.peer);
-      fields.require_i64("sent", &parsed.shuffle.sent);
-      fields.require_i64("reply", &parsed.shuffle.reply);
-      break;
-    case EventKind::kOverload:
-      fields.require_i64("pm", &parsed.overload.pm);
-      fields.require_double("cpu", &parsed.overload.cpu);
-      break;
-    case EventKind::kFault:
-      fields.require_i64("pm", &parsed.fault.pm);
-      fields.require_i64("kind", &parsed.fault.code);
-      fields.require_double("value", &parsed.fault.value);
-      break;
-    case EventKind::kActivity:
-      fields.require_i64("pm", &parsed.activity.pm);
-      fields.require_bool("awake", &parsed.activity.awake);
-      fields.require_string("reason", &parsed.activity.reason);
-      break;
-    case EventKind::kNet:
-      fields.require_string("op", &parsed.net.op);
-      if (parsed.net.op == "send") {
-        fields.require_i64("src", &parsed.net.src);
-        fields.require_i64("dst", &parsed.net.dst);
-        fields.require_i64("msg", &parsed.net.msg);
-        fields.require_i64("bytes", &parsed.net.bytes);
-        fields.require_string("channel", &parsed.net.channel);
-      } else if (parsed.net.op == "deliver") {
-        fields.require_i64("src", &parsed.net.src);
-        fields.require_i64("dst", &parsed.net.dst);
-        fields.require_i64("msg", &parsed.net.msg);
-        fields.require_i64("delay", &parsed.net.delay);
-      } else if (parsed.net.op == "drop") {
-        fields.require_i64("src", &parsed.net.src);
-        fields.require_i64("dst", &parsed.net.dst);
-        fields.require_i64("msg", &parsed.net.msg);
-        fields.require_string("reason", &parsed.net.reason);
-      } else if (parsed.net.op == "queue") {
-        fields.require_string("link", &parsed.net.link);
-        fields.require_i64("id", &parsed.net.link_id);
-        fields.require_i64("bytes", &parsed.net.bytes);
-      } else if (!parsed.net.op.empty()) {
-        if (error != nullptr && error->empty())
-          *error = "unknown net op '" + parsed.net.op + "'";
-        return false;
-      }
-      break;
-    case EventKind::kRound:
-      fields.require_u64("active_pms", &parsed.summary.active_pms);
-      fields.require_u64("overloaded_pms", &parsed.summary.overloaded_pms);
-      fields.require_u64("migrations", &parsed.summary.migrations);
-      fields.require_u64("messages", &parsed.summary.messages);
-      fields.require_u64("bytes", &parsed.summary.bytes);
-      break;
-    case EventKind::kQsim:
-      fields.require_double("similarity", &parsed.qsim.similarity);
-      break;
-    case EventKind::kRelearn:
-      break;
-  }
+  fields.require("round", &parsed.round);
+  with_payload(parsed, [&fields](auto& payload) {
+    for_each_field(payload, [&fields](std::string_view key, auto& value) {
+      fields.require(key, &value);
+    });
+  });
   if (!fields.ok()) {
     if (error != nullptr && !error->empty())
-      *error += std::string(" in ev=\"") + event_kind_name(parsed.kind) + "\"";
+      *error += " in ev=\"" + std::string(wire_name(parsed.kind)) + "\"";
     return false;
   }
-  *out = std::move(parsed);
+  *out = parsed;
   return true;
 }
 
@@ -391,11 +301,7 @@ TraceReader::Status TraceReader::detect(std::string* error) {
     if (error != nullptr) *error = "bad GTB magic";
     return Status::kError;
   }
-  std::uint32_t version = 0;
-  for (int i = 0; i < 4; ++i)
-    version |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(header[4 + i]))
-               << (8 * i);
+  const std::uint32_t version = load_u32(header + 4);
   if (version != kGtbVersion) {
     if (error != nullptr)
       *error = "unsupported GTB version " + std::to_string(version);
@@ -440,11 +346,7 @@ TraceReader::Status TraceReader::next_gtb(TraceEvent* out,
     if (error != nullptr) *error = "file ends mid length prefix";
     return Status::kTruncated;
   }
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(len_bytes[i]))
-           << (8 * i);
+  const std::uint32_t len = load_u32(len_bytes);
   // Every record carries at least a kind byte and the round number; a
   // smaller or implausibly large length is corruption, not truncation.
   if (len < 9 || len > kGtbMaxRecordBytes) {

@@ -345,7 +345,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
     // A fleet-wide phase reset invalidates every park decision.
     engine.wake_all(sim::WakeReason::kRelearn);
     ++result.relearn_triggers;
-    if (trace != nullptr) trace->relearn(engine.current_round());
+    if (trace != nullptr)
+      trace->write(engine.current_round(), trace::Relearn{});
     churn_events_since_relearn = 0;
     rounds_since_relearn = 0;
   };
@@ -381,7 +382,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
             sample_convergence(engine, glap_slots->learning,
                                config.convergence_pairs, convergence_rng));
         if (trace != nullptr)
-          trace->qsim(engine.current_round() - 1, result.convergence.back());
+          trace->write(engine.current_round() - 1,
+                       trace::Qsim{result.convergence.back()});
       }
     }
     // Note: no dc.end_round() — warmup time does not count toward SLA,
@@ -438,13 +440,14 @@ RunResult run_experiment(const ExperimentConfig& config) {
           ->append(static_cast<double>(bytes - prev_bytes));
     }
     if (trace != nullptr) {
-      trace->round_summary(round, sample.active_pms, sample.overloaded_pms,
-                           sample.migrations_round, messages - prev_messages,
-                           bytes - prev_bytes);
+      trace->write(round, trace::RoundSummary{
+                              sample.active_pms, sample.overloaded_pms,
+                              sample.migrations_round,
+                              messages - prev_messages, bytes - prev_bytes});
       for (cloud::PmId p = 0; p < dc.pm_count(); ++p)
         if (dc.pm_on(p) && dc.overloaded(p))
-          trace->overload(round, static_cast<std::int64_t>(p),
-                          dc.current_utilization(p).cpu);
+          trace->write(round,
+                       trace::Overload{p, dc.current_utilization(p).cpu});
       if (net_model) net_model->trace_queue_depths(round);
     }
     prev_messages = messages;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/trace_schema.hpp"
 #include "sim/node.hpp"
 
 namespace glap::metrics {
@@ -63,22 +64,10 @@ struct NetworkConfig {
   bool migration_contention = true;
 };
 
-/// Traffic classes; rendered into "net" trace events by name.
-enum class Channel : std::uint8_t {
-  kShuffle = 0,       ///< overlay membership (Cyclon/Newscast)
-  kLearning = 1,      ///< GLAP workload-profile fetch
-  kAggregation = 2,   ///< GLAP Q-table push-pull
-  kConsolidation = 3, ///< GLAP/GRMP state exchange
-  kProbe = 4,         ///< EcoCloud placement probes
-  kMigration = 5,     ///< live-migration payload (pre-copy stream)
-};
-
-[[nodiscard]] const char* channel_name(Channel c) noexcept;
-
-/// Why a message was dropped; rendered into "net" drop events by name.
-enum class DropReason : std::uint8_t { kNone = 0, kLoss = 1, kCongestion = 2 };
-
-[[nodiscard]] const char* drop_reason_name(DropReason r) noexcept;
+/// Traffic classes and drop reasons are the trace schema's vocabularies,
+/// so "net" events carry exactly the values the model uses.
+using Channel = trace::Channel;
+using DropReason = trace::DropReason;
 
 /// Admission decision for one exchange.
 struct Verdict {

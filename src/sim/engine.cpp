@@ -85,8 +85,7 @@ void Engine::set_status(NodeId node, NodeStatus status) {
 
 void Engine::trace_activity(NodeId node, bool awake, WakeReason reason) {
   if (!quiescence_ || trace_ == nullptr) return;
-  trace_->emit(trace::Kind::kActivity, node, awake ? 1 : 0,
-               static_cast<std::int64_t>(reason));
+  trace_->emit(trace::Activity{node, awake, reason});
 }
 
 void Engine::clear_quiescent(NodeId node, WakeReason reason) {

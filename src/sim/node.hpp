@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "common/trace_schema.hpp"
+
 namespace glap::sim {
 
 using NodeId = std::uint32_t;
@@ -29,41 +31,10 @@ enum class NodeStatus : std::uint8_t { kActive, kSleeping, kFailed };
   return "?";
 }
 
-/// Cause attached to a quiescence/activity transition (DESIGN.md §12).
+/// Cause attached to a quiescence/activity transition (DESIGN.md §12):
 /// kConverged tags the parking transition itself; the rest tag the event
-/// that re-activated a quiescent node. Rendered into "activity" trace
-/// events, so the names are part of the trace schema.
-enum class WakeReason : std::uint8_t {
-  kConverged,  ///< every protocol slot voted can_quiesce — node parked
-  kGossip,     ///< an incoming gossip exchange touched the node's state
-  kDemand,     ///< a hosted VM's demand moved past the wake epsilon
-  kMigration,  ///< a migration / placement / departure landed on the PM
-  kStatus,     ///< lifecycle transition (sleep/wake/fail)
-  kSchedule,   ///< round-indexed re-check fired (Engine::schedule_wake)
-  kRelearn,    ///< fleet-wide re-learning trigger
-  kNetwork,    ///< a delayed network delivery came due (DESIGN.md §13)
-};
-
-[[nodiscard]] constexpr const char* to_string(WakeReason r) noexcept {
-  switch (r) {
-    case WakeReason::kConverged:
-      return "converged";
-    case WakeReason::kGossip:
-      return "gossip";
-    case WakeReason::kDemand:
-      return "demand";
-    case WakeReason::kMigration:
-      return "migration";
-    case WakeReason::kStatus:
-      return "status";
-    case WakeReason::kSchedule:
-      return "schedule";
-    case WakeReason::kRelearn:
-      return "relearn";
-    case WakeReason::kNetwork:
-      return "network";
-  }
-  return "?";
-}
+/// that re-activated a quiescent node. The trace schema declares the
+/// reasons, so "activity" events carry exactly these values.
+using WakeReason = trace::ActivityReason;
 
 }  // namespace glap::sim

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -21,11 +24,8 @@ namespace {
 
 /// One encoded relearn record for `round` — the smallest schema record.
 std::string relearn_record(std::uint64_t round) {
-  trace::TraceEvent e;
-  e.kind = trace::EventKind::kRelearn;
-  e.round = round;
   std::string bytes;
-  EXPECT_TRUE(trace::append_gtb_record(e, &bytes, nullptr));
+  trace::append_gtb_record(round, trace::Relearn{}, &bytes);
   return bytes;
 }
 
@@ -180,6 +180,47 @@ TEST(CrashDumpScope, SecondConcurrentScopeIsANoOp) {
   EXPECT_FALSE(none.is_open());
   std::remove(outer.c_str());
   std::remove((outer + ".what.txt").c_str());
+}
+
+// Concurrent sweep cells each arm a scope; the process-wide claim must
+// let exactly one win, without a data race (the TSan build runs this).
+TEST(CrashDumpScope, ConcurrentScopesArmExactlyOne) {
+  constexpr int kThreads = 8;
+  std::vector<FlightRecorder> recorders(kThreads);
+  std::latch all_armed(kThreads);
+  std::atomic<int> active{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      const CrashDumpScope scope(
+          &recorders[static_cast<std::size_t>(t)],
+          ::testing::TempDir() + "glap_flight_race" + std::to_string(t) +
+              ".gtb");
+      if (scope.active()) active.fetch_add(1);
+      all_armed.arrive_and_wait();  // every scope is alive at once
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(active.load(), 1);
+}
+
+// A failed check on a thread that armed nothing must not dump the ring
+// another thread armed (it may still be appending to it).
+TEST(CrashDumpScope, FailureOnAnotherThreadDumpsNothing) {
+  FlightRecorder recorder(2);
+  record_rounds(&recorder, 1, 1);
+  const std::string path = ::testing::TempDir() + "glap_flight_other.gtb";
+  std::remove(path.c_str());
+  {
+    const CrashDumpScope scope(&recorder, path);
+    ASSERT_TRUE(scope.active());
+    std::thread other([] {
+      EXPECT_THROW(GLAP_ASSERT(false, "not this thread's ring"),
+                   invariant_error);
+    });
+    other.join();
+  }
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_FALSE(in.is_open()) << "a foreign thread's failure dumped the ring";
 }
 
 TEST(CrashDumpScope, HookIsDisarmedOnExit) {

@@ -1,7 +1,8 @@
 // GTB wire format (DESIGN.md §10.6): per-kind encode/decode round-trips,
-// the versioned header, the name/code tables, and the strict rejection of
-// corrupt records. render_jsonl is pinned against parse_trace_line so the
-// two encodings stay interchangeable carriers of the same event stream.
+// the versioned header, the schema's vocabularies, and the strict
+// rejection of corrupt records. render_jsonl is pinned against
+// parse_trace_line so the two encodings stay interchangeable carriers of
+// the same event stream.
 #include "common/trace_format.hpp"
 
 #include <gtest/gtest.h>
@@ -18,16 +19,12 @@ namespace {
 /// Encodes `e` as one GTB record and decodes it back.
 TraceEvent gtb_round_trip(const TraceEvent& e) {
   std::string bytes;
-  std::string error;
-  EXPECT_TRUE(append_gtb_record(e, &bytes, &error)) << error;
+  append_gtb_record(e, &bytes);
   EXPECT_GE(bytes.size(), 4u + 9u);
   // Length prefix covers exactly the payload that follows.
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[i]))
-           << (8 * i);
-  EXPECT_EQ(len, bytes.size() - 4);
+  EXPECT_EQ(load_u32(bytes.data()), bytes.size() - 4);
   TraceEvent out;
+  std::string error;
   EXPECT_TRUE(decode_gtb_payload(
       std::string_view(bytes).substr(4), &out, &error))
       << error;
@@ -53,12 +50,7 @@ TEST(GtbHeader, EightVersionedMagicBytes) {
   append_gtb_header(&header);
   ASSERT_EQ(header.size(), kGtbHeaderBytes);
   EXPECT_EQ(std::memcmp(header.data(), kGtbMagic, sizeof kGtbMagic), 0);
-  std::uint32_t version = 0;
-  for (int i = 0; i < 4; ++i)
-    version |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(header[4 + i]))
-               << (8 * i);
-  EXPECT_EQ(version, kGtbVersion);
+  EXPECT_EQ(load_u32(header.data() + 4), kGtbVersion);
 }
 
 TEST(GtbRoundTrip, Migration) {
@@ -100,19 +92,12 @@ TEST(GtbRoundTrip, Shuffle) {
   EXPECT_EQ(r.shuffle.reply, 4);
 }
 
-TEST(GtbRoundTrip, OverloadAndFaultAndQsim) {
+TEST(GtbRoundTrip, OverloadAndQsim) {
   TraceEvent e;
   e.kind = EventKind::kOverload;
   e.round = 12;
   e.overload = {42, 0.96875};
   EXPECT_EQ(gtb_round_trip(e).overload.cpu, 0.96875);
-
-  e.kind = EventKind::kFault;
-  e.fault = {17, 3, 2.5};
-  const TraceEvent f = gtb_round_trip(e);
-  EXPECT_EQ(f.fault.pm, 17);
-  EXPECT_EQ(f.fault.code, 3);
-  EXPECT_EQ(f.fault.value, 2.5);
 
   e.kind = EventKind::kQsim;
   e.qsim.similarity = -0.125;
@@ -125,11 +110,11 @@ TEST(GtbRoundTrip, ActivityCarriesReasonByCode) {
   e.round = 6;
   e.activity.pm = 5;
   e.activity.awake = true;
-  // Every code in the table survives; the decoder restores the name.
-  for (const char* reason : {"converged", "gossip", "demand", "migration",
-                             "status", "schedule", "relearn", "network"}) {
-    e.activity.reason = reason;
-    EXPECT_EQ(gtb_round_trip(e).activity.reason, reason);
+  // Every reason in the vocabulary survives.
+  for (const WireName& reason : WireNames<ActivityReason>::kEntries) {
+    e.activity.reason = static_cast<ActivityReason>(reason.code);
+    EXPECT_EQ(gtb_round_trip(e).activity.reason, e.activity.reason)
+        << reason.name;
   }
 }
 
@@ -137,40 +122,25 @@ TEST(GtbRoundTrip, NetAllFourOps) {
   TraceEvent e;
   e.kind = EventKind::kNet;
   e.round = 20;
-  e.net.op = "send";
-  e.net.src = 3;
-  e.net.dst = 8;
-  e.net.msg = 101;
-  e.net.bytes = 512;
-  e.net.channel = "learning";
+  e.net = {.op = NetOp::kSend, .src = 3, .dst = 8, .msg = 101, .bytes = 512,
+           .channel = Channel::kLearning};
   const TraceEvent s = gtb_round_trip(e);
-  EXPECT_EQ(s.net.op, "send");
+  EXPECT_EQ(s.net.op, NetOp::kSend);
   EXPECT_EQ(s.net.bytes, 512);
-  EXPECT_EQ(s.net.channel, "learning");
+  EXPECT_EQ(s.net.channel, Channel::kLearning);
 
-  e.net = {};
-  e.net.op = "deliver";
-  e.net.src = 3;
-  e.net.dst = 8;
-  e.net.msg = 101;
-  e.net.delay = 2;
+  e.net = {.op = NetOp::kDeliver, .src = 3, .dst = 8, .msg = 101,
+           .delay = 2};
   EXPECT_EQ(gtb_round_trip(e).net.delay, 2);
 
-  e.net = {};
-  e.net.op = "drop";
-  e.net.src = 3;
-  e.net.dst = 8;
-  e.net.msg = 102;
-  e.net.reason = "congestion";
-  EXPECT_EQ(gtb_round_trip(e).net.reason, "congestion");
+  e.net = {.op = NetOp::kDrop, .src = 3, .dst = 8, .msg = 102,
+           .reason = DropReason::kCongestion};
+  EXPECT_EQ(gtb_round_trip(e).net.reason, DropReason::kCongestion);
 
-  e.net = {};
-  e.net.op = "queue";
-  e.net.link = "uplink";
-  e.net.link_id = 3;
-  e.net.bytes = 65536;
+  e.net = {.op = NetOp::kQueue, .link = Link::kUplink, .link_id = 3,
+           .bytes = 65536};
   const TraceEvent q = gtb_round_trip(e);
-  EXPECT_EQ(q.net.link, "uplink");
+  EXPECT_EQ(q.net.link, Link::kUplink);
   EXPECT_EQ(q.net.link_id, 3);
   EXPECT_EQ(q.net.bytes, 65536);
 }
@@ -210,37 +180,35 @@ TEST(RenderJsonl, AgreesWithLineParserForEveryKind) {
   EXPECT_EQ(jsonl_round_trip(e).migration.energy_j, 125.0);
 
   e.kind = EventKind::kActivity;
-  e.activity.pm = 7;
-  e.activity.awake = false;
-  e.activity.reason = "converged";
-  EXPECT_EQ(jsonl_round_trip(e).activity.reason, "converged");
+  e.activity = {7, false, ActivityReason::kConverged};
+  EXPECT_EQ(jsonl_round_trip(e).activity.reason, ActivityReason::kConverged);
 
   e.kind = EventKind::kNet;
-  e.net.op = "send";
-  e.net.src = 1;
-  e.net.dst = 2;
-  e.net.msg = 9;
-  e.net.bytes = 80;
-  e.net.channel = "shuffle";
-  EXPECT_EQ(jsonl_round_trip(e).net.channel, "shuffle");
+  e.net = {.op = NetOp::kSend, .src = 1, .dst = 2, .msg = 9, .bytes = 80,
+           .channel = Channel::kShuffle};
+  EXPECT_EQ(jsonl_round_trip(e).net.channel, Channel::kShuffle);
 }
 
-TEST(GtbEncode, RejectsUnknownStringCodes) {
+TEST(GtbDecode, RejectsUnknownVocabularyCodes) {
+  // Each vocabulary byte of a valid record, overwritten with a code its
+  // vocabulary lacks, must fail the decode instead of yielding a value.
   TraceEvent e;
   e.kind = EventKind::kNet;
-  e.net.op = "teleport";
+  e.net = {.op = NetOp::kDrop, .src = 3, .dst = 8, .msg = 102,
+           .reason = DropReason::kLoss};
   std::string bytes;
+  append_gtb_record(e, &bytes);
+  const std::string payload = bytes.substr(4);
+  TraceEvent out;
   std::string error;
-  EXPECT_FALSE(append_gtb_record(e, &bytes, &error));
-  EXPECT_FALSE(error.empty());
-  // A failed encode must not leave a partial record behind.
-  EXPECT_TRUE(bytes.empty());
-
-  e.net.op = "drop";
-  e.net.reason = "gremlins";
-  error.clear();
-  EXPECT_FALSE(append_gtb_record(e, &bytes, &error));
-  EXPECT_TRUE(bytes.empty());
+  std::string bad = payload;
+  bad[9] = 7;  // the op byte follows the kind byte and the u64 round
+  EXPECT_FALSE(decode_gtb_payload(bad, &out, &error));
+  EXPECT_NE(error.find("net op"), std::string::npos) << error;
+  bad = payload;
+  bad.back() = 0;  // drop reason 0 (kNone) never travels
+  EXPECT_FALSE(decode_gtb_payload(bad, &out, &error));
+  EXPECT_NE(error.find("net drop reason"), std::string::npos) << error;
 }
 
 TEST(GtbDecode, RejectsCorruptPayloads) {
@@ -250,16 +218,18 @@ TEST(GtbDecode, RejectsCorruptPayloads) {
   e.round = 3;
   e.power = {19, true};
   std::string bytes;
-  ASSERT_TRUE(append_gtb_record(e, &bytes, nullptr));
+  append_gtb_record(e, &bytes);
   const std::string payload = bytes.substr(4);
 
   TraceEvent out;
   std::string error;
-  // Unknown kind byte.
-  std::string bad = payload;
-  bad[0] = static_cast<char>(0x7f);
-  EXPECT_FALSE(decode_gtb_payload(bad, &out, &error));
-  EXPECT_FALSE(error.empty());
+  // Unknown kind byte, and the retired kind code of the "fault" kind.
+  for (const char kind : {static_cast<char>(0x7f), static_cast<char>(4)}) {
+    std::string bad = payload;
+    bad[0] = kind;
+    EXPECT_FALSE(decode_gtb_payload(bad, &out, &error));
+    EXPECT_NE(error.find("event kind"), std::string::npos) << error;
+  }
 
   // Every strict prefix is short, never accepted.
   for (std::size_t len = 0; len < payload.size(); ++len) {
@@ -271,33 +241,42 @@ TEST(GtbDecode, RejectsCorruptPayloads) {
   }
 
   // Trailing bytes are corruption, not ignorable padding.
-  bad = payload + '\0';
+  const std::string bad = payload + '\0';
   error.clear();
   EXPECT_FALSE(decode_gtb_payload(bad, &out, &error));
   EXPECT_NE(error.find("trailing"), std::string::npos) << error;
 }
 
 TEST(NameCodeTables, RoundTripEveryPinnedName) {
-  std::int64_t code = -1;
-  for (std::int64_t c = 0; c <= 5; ++c) {
-    ASSERT_TRUE(net_channel_code(net_channel_name(c), &code));
-    EXPECT_EQ(code, c);
-  }
-  for (std::int64_t c = 0; c <= 3; ++c) {
-    ASSERT_TRUE(net_op_code(net_op_name(c), &code));
-    EXPECT_EQ(code, c);
-  }
-  for (std::int64_t c = 0; c <= 1; ++c) {
-    ASSERT_TRUE(net_link_code(net_link_name(c), &code));
-    EXPECT_EQ(code, c);
-  }
-  for (std::int64_t c = 1; c <= 2; ++c) {
-    ASSERT_TRUE(net_drop_reason_code(net_drop_reason_name(c), &code));
-    EXPECT_EQ(code, c);
-  }
-  EXPECT_FALSE(net_op_code("teleport", &code));
-  EXPECT_FALSE(net_channel_code("?", &code));
-  EXPECT_FALSE(activity_reason_code("?", &code));
+  // Every vocabulary name maps to its code and back; unknown names and
+  // codes are rejected.
+  const auto round_trips = [](auto tag) {
+    using E = decltype(tag);
+    for (const WireName& w : WireNames<E>::kEntries) {
+      E by_name{}, by_code{};
+      ASSERT_TRUE(from_wire_name(w.name, &by_name)) << w.name;
+      ASSERT_TRUE(from_wire_code(w.code, &by_code)) << w.name;
+      EXPECT_EQ(by_name, by_code);
+      EXPECT_EQ(wire_name(by_name), w.name);
+    }
+    E unused{};
+    EXPECT_FALSE(from_wire_name("?", &unused));
+    EXPECT_FALSE(from_wire_code(0xff, &unused));
+  };
+  round_trips(NetOp{});
+  round_trips(Channel{});
+  round_trips(DropReason{});
+  round_trips(Link{});
+  round_trips(ActivityReason{});
+  round_trips(EventKind{});
+  // The pinned codes: ops 0-3, channels 0-5, drop reasons 1-2, links 0-1,
+  // activity reasons 0-7.
+  EXPECT_EQ(static_cast<int>(NetOp::kQueue), 3);
+  EXPECT_EQ(static_cast<int>(Channel::kMigration), 5);
+  EXPECT_EQ(static_cast<int>(DropReason::kLoss), 1);
+  EXPECT_EQ(static_cast<int>(DropReason::kCongestion), 2);
+  EXPECT_EQ(static_cast<int>(Link::kUplink), 1);
+  EXPECT_EQ(static_cast<int>(ActivityReason::kNetwork), 7);
 }
 
 }  // namespace

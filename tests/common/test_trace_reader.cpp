@@ -14,13 +14,12 @@ namespace glap::trace {
 namespace {
 
 /// Renders one buffered event through TraceLog and parses it back.
-TraceEvent round_trip_buffered(Kind kind, std::int64_t a, std::int64_t b,
-                               std::int64_t c, std::int64_t d, double x,
-                               double y, std::uint64_t round) {
+template <typename Payload>
+TraceEvent round_trip_buffered(const Payload& payload, std::uint64_t round) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(round);
-  log.emit(kind, a, b, c, d, x, y);
+  log.emit(payload);
   log.commit_round();
 
   TraceEvent event;
@@ -33,20 +32,21 @@ TraceEvent round_trip_buffered(Kind kind, std::int64_t a, std::int64_t b,
 }
 
 TEST(EventKindNames, RoundTripAllKinds) {
-  for (std::size_t k = 0; k < kEventKindCount; ++k) {
-    const auto kind = static_cast<EventKind>(k);
-    EventKind back;
-    ASSERT_TRUE(event_kind_from_name(event_kind_name(kind), &back))
-        << event_kind_name(kind);
-    EXPECT_EQ(back, kind);
+  for (const WireName& name : WireNames<EventKind>::kEntries) {
+    EventKind kind;
+    ASSERT_TRUE(from_wire_name(name.name, &kind)) << name.name;
+    EXPECT_EQ(static_cast<std::uint8_t>(kind), name.code);
+    EXPECT_EQ(wire_name(kind), name.name);
   }
   EventKind unused;
-  EXPECT_FALSE(event_kind_from_name("not_a_kind", &unused));
+  EXPECT_FALSE(from_wire_name("not_a_kind", &unused));
+  EXPECT_FALSE(from_wire_name("fault", &unused));  // retired kind
 }
 
 TEST(ParseTraceLine, MigrationFieldExact) {
-  const TraceEvent e = round_trip_buffered(Kind::kMigration, 7, 2, 4, 0,
-                                           0.6713679112345, 41.867145699, 3);
+  const TraceEvent e =
+      round_trip_buffered(Migration{7, 2, 4, 0.6713679112345, 41.867145699},
+                          3);
   ASSERT_EQ(e.kind, EventKind::kMigration);
   EXPECT_EQ(e.migration.vm, 7);
   EXPECT_EQ(e.migration.from, 2);
@@ -56,20 +56,18 @@ TEST(ParseTraceLine, MigrationFieldExact) {
 }
 
 TEST(ParseTraceLine, PowerFieldExact) {
-  const TraceEvent on = round_trip_buffered(Kind::kPower, 9, 1, 0, 0, 0, 0, 5);
+  const TraceEvent on = round_trip_buffered(Power{9, true}, 5);
   ASSERT_EQ(on.kind, EventKind::kPower);
   EXPECT_EQ(on.power.pm, 9);
   EXPECT_TRUE(on.power.on);
 
-  const TraceEvent off =
-      round_trip_buffered(Kind::kPower, 11, 0, 0, 0, 0, 0, 5);
+  const TraceEvent off = round_trip_buffered(Power{11, false}, 5);
   EXPECT_EQ(off.power.pm, 11);
   EXPECT_FALSE(off.power.on);
 }
 
 TEST(ParseTraceLine, ShuffleFieldExact) {
-  const TraceEvent e =
-      round_trip_buffered(Kind::kShuffle, 1, 2, 8, 7, 0, 0, 12);
+  const TraceEvent e = round_trip_buffered(Shuffle{1, 2, 8, 7}, 12);
   ASSERT_EQ(e.kind, EventKind::kShuffle);
   EXPECT_EQ(e.shuffle.initiator, 1);
   EXPECT_EQ(e.shuffle.peer, 2);
@@ -78,68 +76,79 @@ TEST(ParseTraceLine, ShuffleFieldExact) {
 }
 
 TEST(ParseTraceLine, OverloadFieldExact) {
-  const TraceEvent e =
-      round_trip_buffered(Kind::kOverload, 42, 0, 0, 0, 0.96875, 0, 12);
+  const TraceEvent e = round_trip_buffered(Overload{42, 0.96875}, 12);
   ASSERT_EQ(e.kind, EventKind::kOverload);
   EXPECT_EQ(e.overload.pm, 42);
   EXPECT_EQ(e.overload.cpu, 0.96875);
 }
 
-TEST(ParseTraceLine, FaultFieldExact) {
-  // Reserved kind: no engine emit site yet, but the wire format is pinned.
-  const TraceEvent e =
-      round_trip_buffered(Kind::kFault, 17, 3, 0, 0, 2.5, 0, 30);
-  ASSERT_EQ(e.kind, EventKind::kFault);
-  EXPECT_EQ(e.fault.pm, 17);
-  EXPECT_EQ(e.fault.code, 3);
-  EXPECT_EQ(e.fault.value, 2.5);
+TEST(ParseTraceLine, RetiredFaultKindIsRejected) {
+  // "fault" was reserved and never emitted; its name and its GTB code 4
+  // are retired, so a trace carrying either is malformed.
+  TraceEvent e;
+  std::string error;
+  EXPECT_FALSE(parse_trace_line(
+      R"({"ev":"fault","round":30,"pm":17,"kind":3,"value":2.5})", &e,
+      &error));
+  EXPECT_NE(error.find("unknown event kind 'fault'"), std::string::npos)
+      << error;
+  std::string record = std::string("\x04", 1) + std::string(8, '\0');
+  EXPECT_FALSE(decode_gtb_payload(record, &e, &error));
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(ParseTraceLine, ActivityFieldExact) {
-  const TraceEvent parked =
-      round_trip_buffered(Kind::kActivity, 4, 0, 0, 0, 0, 0, 9);
+  const TraceEvent parked = round_trip_buffered(
+      Activity{4, false, ActivityReason::kConverged}, 9);
   ASSERT_EQ(parked.kind, EventKind::kActivity);
   EXPECT_EQ(parked.activity.pm, 4);
   EXPECT_FALSE(parked.activity.awake);
-  EXPECT_EQ(parked.activity.reason, "converged");
+  EXPECT_EQ(parked.activity.reason, ActivityReason::kConverged);
 
   const TraceEvent woke =
-      round_trip_buffered(Kind::kActivity, 4, 1, 2, 0, 0, 0, 9);
+      round_trip_buffered(Activity{4, true, ActivityReason::kDemand}, 9);
   EXPECT_TRUE(woke.activity.awake);
-  EXPECT_EQ(woke.activity.reason, "demand");
+  EXPECT_EQ(woke.activity.reason, ActivityReason::kDemand);
 }
 
 TEST(ParseTraceLine, NetFieldExact) {
-  // op codes: 0 send, 1 deliver, anything else drop (reason in x).
-  const TraceEvent send =
-      round_trip_buffered(Kind::kNet, 0, 5, 37, 123, 256.0, 2.0, 14);
+  const TraceEvent send = round_trip_buffered(
+      Net{.op = NetOp::kSend, .src = 5, .dst = 37, .msg = 123, .bytes = 256,
+          .channel = Channel::kAggregation},
+      14);
   ASSERT_EQ(send.kind, EventKind::kNet);
-  EXPECT_EQ(send.net.op, "send");
+  EXPECT_EQ(send.net.op, NetOp::kSend);
   EXPECT_EQ(send.net.src, 5);
   EXPECT_EQ(send.net.dst, 37);
   EXPECT_EQ(send.net.msg, 123);
   EXPECT_EQ(send.net.bytes, 256);
-  EXPECT_EQ(send.net.channel, "aggregation");
+  EXPECT_EQ(send.net.channel, Channel::kAggregation);
 
-  const TraceEvent deliver =
-      round_trip_buffered(Kind::kNet, 1, 5, 37, 123, 3.0, 0.0, 17);
-  EXPECT_EQ(deliver.net.op, "deliver");
+  const TraceEvent deliver = round_trip_buffered(
+      Net{.op = NetOp::kDeliver, .src = 5, .dst = 37, .msg = 123, .delay = 3},
+      17);
+  EXPECT_EQ(deliver.net.op, NetOp::kDeliver);
   EXPECT_EQ(deliver.net.msg, 123);
   EXPECT_EQ(deliver.net.delay, 3);
 
-  const TraceEvent loss =
-      round_trip_buffered(Kind::kNet, 2, 5, 37, 124, 1.0, 0.0, 14);
-  EXPECT_EQ(loss.net.op, "drop");
-  EXPECT_EQ(loss.net.reason, "loss");
-  const TraceEvent congestion =
-      round_trip_buffered(Kind::kNet, 2, 5, 37, 125, 2.0, 0.0, 14);
-  EXPECT_EQ(congestion.net.reason, "congestion");
+  const TraceEvent loss = round_trip_buffered(
+      Net{.op = NetOp::kDrop, .src = 5, .dst = 37, .msg = 124,
+          .reason = DropReason::kLoss},
+      14);
+  EXPECT_EQ(loss.net.op, NetOp::kDrop);
+  EXPECT_EQ(loss.net.reason, DropReason::kLoss);
+  const TraceEvent congestion = round_trip_buffered(
+      Net{.op = NetOp::kDrop, .src = 5, .dst = 37, .msg = 125,
+          .reason = DropReason::kCongestion},
+      14);
+  EXPECT_EQ(congestion.net.reason, DropReason::kCongestion);
 }
 
 TEST(ParseTraceLine, NetQueueDirectLineFieldExact) {
   std::ostringstream out;
   TraceLog log(out);
-  log.net_queue(21, "uplink", 3, 65536);
+  log.write(21, Net{.op = NetOp::kQueue, .link = Link::kUplink,
+                    .link_id = 3, .bytes = 65536});
 
   TraceEvent e;
   std::string error;
@@ -147,8 +156,8 @@ TEST(ParseTraceLine, NetQueueDirectLineFieldExact) {
   ASSERT_TRUE(parse_trace_line(line, &e, &error)) << line << ": " << error;
   ASSERT_EQ(e.kind, EventKind::kNet);
   EXPECT_EQ(e.round, 21u);
-  EXPECT_EQ(e.net.op, "queue");
-  EXPECT_EQ(e.net.link, "uplink");
+  EXPECT_EQ(e.net.op, NetOp::kQueue);
+  EXPECT_EQ(e.net.link, Link::kUplink);
   EXPECT_EQ(e.net.link_id, 3);
   EXPECT_EQ(e.net.bytes, 65536);
 }
@@ -162,13 +171,38 @@ TEST(ParseTraceLine, UnknownNetOpIsAnError) {
   EXPECT_NE(error.find("net op"), std::string::npos) << error;
 }
 
+TEST(ParseTraceLine, UnknownVocabularyNamesAreErrors) {
+  // Every enumerated string field must name a value of its vocabulary.
+  const char* cases[][2] = {
+      {R"({"ev":"net","round":1,"op":"send","src":0,"dst":1,"msg":9,)"
+       R"("bytes":8,"channel":"carrier-pigeon"})",
+       "net channel"},
+      {R"({"ev":"net","round":1,"op":"drop","src":0,"dst":1,"msg":9,)"
+       R"("reason":"gremlins"})",
+       "net drop reason"},
+      {R"({"ev":"net","round":1,"op":"queue","link":"warp-conduit",)"
+       R"("id":0,"bytes":10})",
+       "net link"},
+      {R"({"ev":"activity","round":1,"pm":3,"awake":false,)"
+       R"("reason":"cosmic-rays"})",
+       "activity reason"},
+  };
+  for (const auto& [line, what] : cases) {
+    TraceEvent e;
+    std::string error;
+    EXPECT_FALSE(parse_trace_line(line, &e, &error)) << line;
+    EXPECT_NE(error.find(std::string("unknown ") + what), std::string::npos)
+        << error;
+  }
+}
+
 TEST(ParseTraceLine, DriverDirectLinesFieldExact) {
   std::ostringstream out;
   TraceLog log(out);
-  log.round_summary(12, 100, 3, 7, 450, 9000);
-  log.qsim(12, 0.875);
-  log.overload(12, 42, 0.96875);
-  log.relearn(13);
+  log.write(12, RoundSummary{100, 3, 7, 450, 9000});
+  log.write(12, Qsim{0.875});
+  log.write(12, Overload{42, 0.96875});
+  log.write(13, Relearn{});
 
   std::istringstream in(out.str());
   TraceReader reader(in);
@@ -208,8 +242,7 @@ TEST(ParseTraceLine, ExtremeNumbersSurviveTheRoundTrip) {
   const double values[] = {1.0 / 3.0, 1e-300, 1.7976931348623157e308,
                            123456789.123456789};
   for (double v : values) {
-    const TraceEvent e =
-        round_trip_buffered(Kind::kOverload, 1, 0, 0, 0, v, 0, 1);
+    const TraceEvent e = round_trip_buffered(Overload{1, v}, 1);
     EXPECT_EQ(e.overload.cpu, v);
   }
 }
@@ -274,14 +307,8 @@ TEST(TraceReader, SkipsBlankLinesAndReportsLineNumbers) {
 std::string small_gtb_stream() {
   std::string bytes;
   append_gtb_header(&bytes);
-  TraceEvent e;
-  e.kind = EventKind::kRelearn;
-  e.round = 1;
-  EXPECT_TRUE(append_gtb_record(e, &bytes, nullptr));
-  e.kind = EventKind::kPower;
-  e.round = 2;
-  e.power = {9, true};
-  EXPECT_TRUE(append_gtb_record(e, &bytes, nullptr));
+  append_gtb_record(1, Relearn{}, &bytes);
+  append_gtb_record(2, Power{9, true}, &bytes);
   return bytes;
 }
 
@@ -306,18 +333,7 @@ TEST(TraceReader, TruncatedGtbYieldsParsedPrefixThenTruncatedOnce) {
   // Cut anywhere inside the second record (length prefix or payload):
   // the first record must still parse, then exactly one kTruncated.
   std::size_t second_record = kGtbHeaderBytes;
-  {
-    std::istringstream probe(full);
-    probe.seekg(static_cast<std::streamoff>(kGtbHeaderBytes));
-    char len_bytes[4] = {};
-    probe.read(len_bytes, 4);
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-      len |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(len_bytes[i]))
-             << (8 * i);
-    second_record += 4 + len;
-  }
+  second_record += 4 + load_u32(full.data() + kGtbHeaderBytes);
   for (std::size_t cut = second_record + 1; cut < full.size(); ++cut) {
     std::istringstream in(full.substr(0, cut));
     TraceReader reader(in);

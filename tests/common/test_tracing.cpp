@@ -5,46 +5,60 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/trace_format.hpp"
+#include "common/trace_reader.hpp"
 #include "sim/node.hpp"
 
 namespace glap::trace {
 namespace {
 
+// The "ev" names and the activity reason names are part of the wire
+// format; renaming one breaks every trace already written.
 TEST(KindName, NamesAllKinds) {
-  EXPECT_STREQ(kind_name(Kind::kMigration), "migration");
-  EXPECT_STREQ(kind_name(Kind::kPower), "power");
-  EXPECT_STREQ(kind_name(Kind::kShuffle), "shuffle");
-  EXPECT_STREQ(kind_name(Kind::kOverload), "overload");
-  EXPECT_STREQ(kind_name(Kind::kFault), "fault");
-  EXPECT_STREQ(kind_name(Kind::kActivity), "activity");
+  EXPECT_EQ(wire_name(EventKind::kMigration), "migration");
+  EXPECT_EQ(wire_name(EventKind::kPower), "power");
+  EXPECT_EQ(wire_name(EventKind::kShuffle), "shuffle");
+  EXPECT_EQ(wire_name(EventKind::kOverload), "overload");
+  EXPECT_EQ(wire_name(EventKind::kActivity), "activity");
+  EXPECT_EQ(wire_name(EventKind::kNet), "net");
+  EXPECT_EQ(wire_name(EventKind::kRound), "round");
+  EXPECT_EQ(wire_name(EventKind::kQsim), "qsim");
+  EXPECT_EQ(wire_name(EventKind::kRelearn), "relearn");
 }
 
-// The activity reason codes are the numeric values of sim::WakeReason
-// (the engine emits `static_cast<int64_t>(reason)`), so the two name
-// tables must agree code for code.
+// sim::WakeReason is the schema's activity vocabulary, so the engine's
+// reasons reach the trace by name and code with no table in between.
 TEST(ActivityReasonNames, PinnedToWakeReasonCodes) {
-  for (std::int64_t code = 0; code <= 7; ++code)
-    EXPECT_STREQ(activity_reason_name(code),
-                 to_string(static_cast<sim::WakeReason>(code)))
-        << "code " << code;
-  EXPECT_STREQ(activity_reason_name(8), "?");
-  EXPECT_STREQ(activity_reason_name(-1), "?");
+  const std::pair<sim::WakeReason, const char*> pinned[] = {
+      {sim::WakeReason::kConverged, "converged"},
+      {sim::WakeReason::kGossip, "gossip"},
+      {sim::WakeReason::kDemand, "demand"},
+      {sim::WakeReason::kMigration, "migration"},
+      {sim::WakeReason::kStatus, "status"},
+      {sim::WakeReason::kSchedule, "schedule"},
+      {sim::WakeReason::kRelearn, "relearn"},
+      {sim::WakeReason::kNetwork, "network"}};
+  std::uint8_t code = 0;
+  for (const auto& [reason, name] : pinned) {
+    EXPECT_EQ(static_cast<std::uint8_t>(reason), code++) << name;
+    EXPECT_EQ(wire_name(reason), name);
+  }
+  EXPECT_EQ(std::size(WireNames<ActivityReason>::kEntries), 8u);
 }
 
 TEST(TraceLog, RendersActivityKind) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(12);
-  log.emit(Kind::kActivity, 7, /*awake=*/0,
-           static_cast<std::int64_t>(sim::WakeReason::kConverged));
-  log.emit(Kind::kActivity, 7, /*awake=*/1,
-           static_cast<std::int64_t>(sim::WakeReason::kDemand));
+  log.emit(Activity{7, false, sim::WakeReason::kConverged});
+  log.emit(Activity{7, true, sim::WakeReason::kDemand});
   log.commit_round();
   EXPECT_EQ(out.str(),
             "{\"ev\":\"activity\",\"round\":12,\"pm\":7,\"awake\":false,"
@@ -53,26 +67,13 @@ TEST(TraceLog, RendersActivityKind) {
             "\"reason\":\"demand\"}\n");
 }
 
-TEST(TraceLog, RendersReservedFaultKind) {
-  // No engine emit site yet (reserved for fault injection), but the wire
-  // format is pinned so today's readers parse tomorrow's fault traces.
-  std::ostringstream out;
-  TraceLog log(out);
-  log.begin_round(30);
-  log.emit(Kind::kFault, 17, 3, 0, 0, 2.5);
-  log.commit_round();
-  EXPECT_EQ(out.str(),
-            "{\"ev\":\"fault\",\"round\":30,\"pm\":17,\"kind\":3,"
-            "\"value\":2.5}\n");
-}
-
 TEST(TraceLog, RendersBufferedEventsInEmitOrder) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(3);
-  log.emit(Kind::kPower, 9, 1);
-  log.emit(Kind::kMigration, 7, 2, 4, 0, 0.5, 125.0);
-  log.emit(Kind::kPower, 1, 0);
+  log.emit(Power{9, true});
+  log.emit(Migration{7, 2, 4, 0.5, 125.0});
+  log.emit(Power{1, false});
   EXPECT_EQ(out.str(), "") << "buffered events wait for commit_round";
   log.commit_round();
 
@@ -87,7 +88,7 @@ TEST(TraceLog, CommitClearsBuffersBetweenRounds) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(1);
-  log.emit(Kind::kShuffle, 1, 2, 3, 4);
+  log.emit(Shuffle{1, 2, 3, 4});
   log.commit_round();
   log.begin_round(2);
   log.commit_round();  // nothing new: no extra output
@@ -99,10 +100,10 @@ TEST(TraceLog, CommitClearsBuffersBetweenRounds) {
 TEST(TraceLog, DriverDirectLines) {
   std::ostringstream out;
   TraceLog log(out);
-  log.round_summary(12, 100, 3, 7, 450, 9000);
-  log.qsim(12, 0.875);
-  log.overload(12, 42, 0.96875);
-  log.relearn(13);
+  log.write(12, RoundSummary{100, 3, 7, 450, 9000});
+  log.write(12, Qsim{0.875});
+  log.write(12, Overload{42, 0.96875});
+  log.write(13, Relearn{});
   EXPECT_EQ(out.str(),
             "{\"ev\":\"round\",\"round\":12,\"active_pms\":100,"
             "\"overloaded_pms\":3,\"migrations\":7,\"messages\":450,"
@@ -128,20 +129,22 @@ TEST(TraceLogGtb, EncodesTheSameEventsAsJsonl) {
   // written through both formats; the decoded event streams must agree
   // field for field.
   const auto write_all = [](TraceLog* log) {
-      log->begin_round(4);
-    log->emit(Kind::kMigration, 7, 2, 4, 0, 0.5, 125.0);
-    log->emit(Kind::kPower, 9, 1);
-    log->emit(Kind::kShuffle, 1, 2, 3, 4);
-    log->emit(Kind::kActivity, 7, 0,
-              static_cast<std::int64_t>(sim::WakeReason::kConverged));
-    log->emit(Kind::kNet, 0, 3, 8, 101, 512.0, 1.0);   // send
-    log->emit(Kind::kNet, 1, 3, 8, 101, 2.0);          // deliver
+    log->begin_round(4);
+    log->emit(Migration{7, 2, 4, 0.5, 125.0});
+    log->emit(Power{9, true});
+    log->emit(Shuffle{1, 2, 3, 4});
+    log->emit(Activity{7, false, sim::WakeReason::kConverged});
+    log->emit(Net{.op = NetOp::kSend, .src = 3, .dst = 8, .msg = 101,
+                  .bytes = 512, .channel = Channel::kLearning});
+    log->emit(Net{.op = NetOp::kDeliver, .src = 3, .dst = 8, .msg = 101,
+                  .delay = 2});
     log->commit_round();
-    log->round_summary(4, 100, 3, 7, 450, 9000);
-    log->qsim(4, 0.875);
-    log->overload(4, 42, 0.96875);
-    log->relearn(5);
-    log->net_queue(5, "uplink", 3, 65536);
+    log->write(4, RoundSummary{100, 3, 7, 450, 9000});
+    log->write(4, Qsim{0.875});
+    log->write(4, Overload{42, 0.96875});
+    log->write(5, Relearn{});
+    log->write(5, Net{.op = NetOp::kQueue, .link = Link::kUplink,
+                      .link_id = 3, .bytes = 65536});
   };
 
   std::ostringstream jsonl_out, gtb_out;
@@ -180,8 +183,8 @@ TEST(TraceLogGtb, EncodesTheSameEventsAsJsonl) {
 
 // ---- deterministic sampling ---------------------------------------------
 
-/// Emits `count` shuffles and `count` three-op net message lifecycles in
-/// one round and returns the rendered trace.
+/// Emits `count` shuffles and `count` send+deliver net message lifecycles
+/// in one round and returns the rendered trace.
 std::string sampled_trace(const SamplingPolicy& sampling, int count,
                           bool reverse_order = false) {
   std::ostringstream out;
@@ -189,12 +192,13 @@ std::string sampled_trace(const SamplingPolicy& sampling, int count,
   log.begin_round(1);
   for (int i = 0; i < count; ++i) {
     const int id = reverse_order ? count - 1 - i : i;
-    log.emit(Kind::kShuffle, id, id + 1, 3, 3);
-    log.emit(Kind::kNet, 0, id, id + 1, id, 80.0, 0.0);  // send
-    log.emit(Kind::kNet, 1, id, id + 1, id, 0.0);        // deliver
+    log.emit(Shuffle{id, id + 1, 3, 3});
+    log.emit(Net{.op = NetOp::kSend, .src = id, .dst = id + 1, .msg = id,
+                 .bytes = 80});
+    log.emit(Net{.op = NetOp::kDeliver, .src = id, .dst = id + 1, .msg = id});
   }
   log.commit_round();
-  log.round_summary(1, 8, 0, 0, 0, 0);
+  log.write(1, RoundSummary{8, 0, 0, 0, 0});
   return out.str();
 }
 

@@ -89,7 +89,6 @@ TEST_P(TraceToolsTest, TraceAgreesWithTheRunsOwnAggregates) {
             run.result.total_migrations);
   EXPECT_EQ(count(trace::EventKind::kRound),
             static_cast<std::uint64_t>(config.rounds));
-  EXPECT_EQ(count(trace::EventKind::kFault), 0u);
 
   std::uint64_t hops = 0;
   for (const auto& [vm, chain] : lineage.vm_chains()) hops += chain.size();

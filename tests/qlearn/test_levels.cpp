@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <charconv>
+#include <ostream>
+#include <string>
+
 namespace glap::qlearn {
 namespace {
 
@@ -9,6 +14,26 @@ struct BoundaryCase {
   double utilization;
   Level expected;
 };
+
+/// Shortest round-trip spelling, so 0.2 and 0.2000001 stay distinct.
+std::string shortest(double v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
+}
+
+// GoogleTest would print a BoundaryCase's raw bytes, padding included,
+// into every listed test name; print and name cases by their values.
+void PrintTo(const BoundaryCase& c, std::ostream* os) {
+  *os << shortest(c.utilization) << " -> " << to_string(c.expected);
+}
+
+std::string case_name(const ::testing::TestParamInfo<BoundaryCase>& info) {
+  std::string name = "u" + shortest(info.param.utilization) + "_" +
+                     std::string(to_string(info.param.expected));
+  for (char& ch : name)
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  return name;
+}
 
 class LevelBoundaryTest : public ::testing::TestWithParam<BoundaryCase> {};
 
@@ -32,7 +57,8 @@ INSTANTIATE_TEST_SUITE_P(
         BoundaryCase{0.999, Level::k5xHigh},
         BoundaryCase{1.0, Level::kOverload},
         // Oversubscription is Overload too.
-        BoundaryCase{1.3, Level::kOverload}));
+        BoundaryCase{1.3, Level::kOverload}),
+    case_name);
 
 TEST(Levels, PaperExampleVmAction) {
   // "a VM with average CPU and memory demand 0.85 and 0.56 ... indicates

@@ -1,7 +1,5 @@
 // End-to-end glap-lint CLI: the checked-in tree lints clean (exit 0), a
-// seeded violation flips the scan to exit 1, unreadable input exits 2,
-// and `trace-kinds` stays pinned to trace::EventKind so the trace-kind
-// rule can never drift from the reader.
+// seeded violation flips the scan to exit 1, and unreadable input exits 2.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,9 +8,7 @@
 #include <fstream>
 #include <string>
 #include <sys/wait.h>
-#include <vector>
 
-#include "common/trace_reader.hpp"
 #include "lint/lint.hpp"
 
 namespace {
@@ -92,32 +88,6 @@ TEST(LintCli, FileSubcommandHonoursAsScoping) {
       run(kBin + " file " + file.string() + " --as src/qlearn/probe.cpp"),
       1);
   fs::remove(file);
-}
-
-// The rule's accepted "ev" set must equal trace::EventKind exactly —
-// both directions, via the CLI surface.
-TEST(LintCli, TraceKindsMatchTheTraceReaderEnum) {
-  const std::string out = capture(kBin + " trace-kinds");
-  std::vector<std::string> listed;
-  std::string::size_type start = 0;
-  while (start < out.size()) {
-    auto nl = out.find('\n', start);
-    if (nl == std::string::npos) nl = out.size();
-    if (nl > start) listed.push_back(out.substr(start, nl - start));
-    start = nl + 1;
-  }
-  ASSERT_EQ(listed.size(), glap::trace::kEventKindCount);
-  for (std::size_t i = 0; i < glap::trace::kEventKindCount; ++i) {
-    EXPECT_EQ(listed[i], glap::trace::event_kind_name(
-                             static_cast<glap::trace::EventKind>(i)));
-    glap::trace::EventKind kind;
-    EXPECT_TRUE(glap::trace::event_kind_from_name(listed[i], &kind));
-  }
-  // And the in-process list the rule consults is the same list.
-  ASSERT_EQ(glap::lint::trace_event_kinds().size(),
-            glap::trace::kEventKindCount);
-  for (std::size_t i = 0; i < listed.size(); ++i)
-    EXPECT_EQ(glap::lint::trace_event_kinds()[i], listed[i]);
 }
 
 TEST(LintCli, RulesSubcommandListsTheFullCatalogue) {

@@ -1,5 +1,5 @@
 // Tests for glap-lint's cross-TU project model (tools/lint/model.*): the
-// per-file summarizer, the joined project pass, and the four project
+// per-file summarizer, the joined project pass, and the two project
 // rules. The rule-level tests are fixture trees — each project rule has
 // pass/, fail/ and suppressed/ directories shaped like a miniature repo
 // (src/<module>/..., optionally tools/lint/layers.txt) and run through
@@ -91,8 +91,7 @@ TEST_P(ProjectRuleTest, SuppressedTreeIsCleanAndUsesItsAllows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProjectRules, ProjectRuleTest,
-                         ::testing::Values("layering", "table-sync",
-                                           "include-hygiene"),
+                         ::testing::Values("layering", "include-hygiene"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name)
@@ -124,18 +123,6 @@ TEST(ProjectRules, LayeringFailTreeCoversAllFourFindingShapes) {
   EXPECT_TRUE(cycle);
 }
 
-TEST(ProjectRules, TableSyncFindingNamesEveryMissingTable) {
-  const FixtureTree tree = load_tree("table-sync", "fail");
-  const TreeReport report = lint_project(tree.files, tree.layers);
-  ASSERT_EQ(report.findings.size(), 1u);
-  const Finding& f = report.findings[0];
-  EXPECT_EQ(f.file, "src/common/trace_reader.hpp");
-  EXPECT_NE(f.message.find("kGamma"), std::string::npos);
-  EXPECT_NE(f.message.find("trace_reader.cpp"), std::string::npos);
-  EXPECT_NE(f.message.find("trace_format.cpp"), std::string::npos);
-  EXPECT_NE(f.message.find("tracing.cpp"), std::string::npos);
-}
-
 // ---- summarize_source ---------------------------------------------------
 
 TEST(SummarizeSource, ExtractsModuleHeaderAndIncludes) {
@@ -157,52 +144,9 @@ TEST(SummarizeSource, NonSrcPathsHaveNoModule) {
             "sim");
 }
 
-// Regression: members declared *after* a nested struct must attach to the
-// outer class (the class registry used to hold dangling pointers across
-// vector reallocation, silently dropping them).
-TEST(SummarizeSource, MembersSurviveNestedStructDeclarations) {
-  const FileSummary s = summarize_source("src/overlay/c.hpp",
-                                         "#pragma once\n"
-                                         "class Outer : public Base {\n"
-                                         " public:\n"
-                                         "  struct Entry { int id; };\n"
-                                         "  void run();\n"
-                                         " private:\n"
-                                         "  int cache_;\n"
-                                         "  int rng_;\n"
-                                         "};\n");
-  ASSERT_EQ(s.classes.size(), 2u);
-  const ClassDecl& outer = s.classes[0];
-  EXPECT_EQ(outer.name, "Outer");
-  ASSERT_EQ(outer.bases.size(), 1u);
-  EXPECT_EQ(outer.bases[0], "Base");
-  EXPECT_EQ(outer.members,
-            (std::vector<std::string>{"cache_", "rng_"}));
-  EXPECT_EQ(outer.mutating_methods, (std::vector<std::string>{"run"}));
-}
-
-TEST(SummarizeSource, QualifiedBasesCollapseToTheirLastComponent) {
-  const FileSummary s = summarize_source(
-      "src/sim/p.hpp",
-      "#pragma once\nclass P final : public sim::Protocol {};\n");
-  ASSERT_EQ(s.classes.size(), 1u);
-  EXPECT_EQ(s.classes[0].bases, (std::vector<std::string>{"Protocol"}));
-}
-
-TEST(SummarizeSource, ConstAndStaticMethodsAreNotMutating) {
-  const FileSummary s = summarize_source("src/sim/p.hpp",
-                                         "#pragma once\n"
-                                         "class P {\n"
-                                         " public:\n"
-                                         "  int peek() const { return 0; }\n"
-                                         "  static int make();\n"
-                                         "  void poke();\n"
-                                         "};\n");
-  ASSERT_EQ(s.classes.size(), 1u);
-  EXPECT_EQ(s.classes[0].mutating_methods,
-            (std::vector<std::string>{"poke"}));
-}
-
+// Enum names and their enumerators are provided names (an include that
+// only supplies `Kind::kB` is still used); a forward declaration provides
+// its name alone.
 TEST(SummarizeSource, EnumExtractionHandlesScopedUnderlyingAndValues) {
   const FileSummary s = summarize_source(
       "src/common/e.hpp",
@@ -210,12 +154,32 @@ TEST(SummarizeSource, EnumExtractionHandlesScopedUnderlyingAndValues) {
       "enum class Kind : unsigned char { kA = 0, kB, kC = 7 };\n"
       "enum Flags { kX, kY };\n"
       "enum class Fwd : int;\n");
-  ASSERT_EQ(s.enums.size(), 2u);  // forward declaration contributes none
-  EXPECT_EQ(s.enums[0].name, "Kind");
-  EXPECT_EQ(s.enums[0].enumerators,
-            (std::vector<std::string>{"kA", "kB", "kC"}));
-  EXPECT_EQ(s.enums[1].name, "Flags");
-  EXPECT_EQ(s.enums[1].enumerators, (std::vector<std::string>{"kX", "kY"}));
+  for (const char* name : {"Kind", "kA", "kB", "kC", "Flags", "kX", "kY",
+                           "Fwd"})
+    EXPECT_TRUE(std::binary_search(s.provided.begin(), s.provided.end(),
+                                   std::string(name)))
+        << name;
+  EXPECT_FALSE(std::binary_search(s.provided.begin(), s.provided.end(),
+                                  std::string("unsigned")));
+}
+
+// Class names and their method names are provided names, whatever the
+// method's qualifiers; include-hygiene relies on both.
+TEST(SummarizeSource, ClassAndMethodNamesAreProvided) {
+  const FileSummary s = summarize_source("src/sim/p.hpp",
+                                         "#pragma once\n"
+                                         "class P final : public sim::Base {\n"
+                                         " public:\n"
+                                         "  P(int seed) : seed_(seed) {}\n"
+                                         "  int peek() const { return 0; }\n"
+                                         "  static int make();\n"
+                                         " private:\n"
+                                         "  int seed_;\n"
+                                         "};\n");
+  for (const char* name : {"P", "peek", "make"})
+    EXPECT_TRUE(std::binary_search(s.provided.begin(), s.provided.end(),
+                                   std::string(name)))
+        << name;
 }
 
 // ---- analyze_project ----------------------------------------------------
@@ -268,7 +232,7 @@ TEST(AnalyzeProject, EmptyLayersTextSkipsTheLayeringRule) {
 // them because the findings they could match only exist project-wide).
 TEST(AnalyzeProject, StaleProjectAllowIsReportedAtTreeScope) {
   const std::string code =
-      "// glap-lint: allow(table-sync): nothing here to excuse\n"
+      "// glap-lint: allow(include-hygiene): nothing here to excuse\n"
       "int x = 0;\n";
   EXPECT_TRUE(lint_source("src/sim/x.cpp", code).findings.empty());
   const TreeReport report = lint_project({{"src/sim/x.cpp", code}}, "");

@@ -34,7 +34,6 @@ const std::map<std::string, std::string>& as_path_for_rule() {
       {"unordered-iteration", "src/sim/fixture.cpp"},
       {"pointer-order", "src/sim/fixture.cpp"},
       {"static-mutable", "src/overlay/fixture.cpp"},
-      {"trace-kind", "src/common/fixture.cpp"},
       {"checks-guard", "src/common/fixture.cpp"},
       {"float-narrowing", "src/qlearn/fixture.cpp"},
       {"hot-alloc", "src/sim/fixture.cpp"},
@@ -85,9 +84,8 @@ TEST_P(LintRuleTest, SuppressedFixtureIsCleanAndUsesItsAllows) {
 INSTANTIATE_TEST_SUITE_P(
     AllRules, LintRuleTest,
     ::testing::Values("wall-clock", "banned-random", "unordered-iteration",
-                      "pointer-order", "static-mutable", "trace-kind",
-                      "checks-guard", "float-narrowing", "hot-alloc",
-                      "suppression"),
+                      "pointer-order", "static-mutable", "checks-guard",
+                      "float-narrowing", "hot-alloc", "suppression"),
     [](const auto& info) {
       std::string name = info.param;
       for (char& c : name)
@@ -195,16 +193,14 @@ TEST(LintRules, StaleAllowIsReportedUnderTheSuppressionRule) {
 TEST(LintRules, RuleCatalogueTiersAreStable) {
   std::map<std::string, std::string> tier;
   for (const RuleInfo& r : rules()) tier[r.name] = r.tier;
-  EXPECT_EQ(tier.size(), 13u);
+  EXPECT_EQ(tier.size(), 11u);
   EXPECT_EQ(tier.at("wall-clock"), "determinism");
   EXPECT_EQ(tier.at("banned-random"), "determinism");
   EXPECT_EQ(tier.at("unordered-iteration"), "determinism");
   EXPECT_EQ(tier.at("pointer-order"), "determinism");
   EXPECT_EQ(tier.at("static-mutable"), "determinism");
-  EXPECT_EQ(tier.at("trace-kind"), "safety");
   EXPECT_EQ(tier.at("checks-guard"), "safety");
   EXPECT_EQ(tier.at("float-narrowing"), "safety");
-  EXPECT_EQ(tier.at("table-sync"), "safety");
   EXPECT_EQ(tier.at("hot-alloc"), "perf");
   EXPECT_EQ(tier.at("layering"), "project");
   EXPECT_EQ(tier.at("include-hygiene"), "project");
@@ -213,7 +209,6 @@ TEST(LintRules, RuleCatalogueTiersAreStable) {
   EXPECT_FALSE(is_known_rule("wallclock"));
   // Project rules resolve suppressions at tree scope; per-file rules don't.
   EXPECT_TRUE(is_project_rule("layering"));
-  EXPECT_TRUE(is_project_rule("table-sync"));
   EXPECT_TRUE(is_project_rule("include-hygiene"));
   EXPECT_FALSE(is_project_rule("hot-alloc"));
 }

@@ -8,7 +8,6 @@
 //   glap-lint graph [<root>] [--dot] [--results]
 //   glap-lint file <path> [--as <rel-path>]
 //   glap-lint rules
-//   glap-lint trace-kinds
 //
 // Exit codes (pinned by DESIGN.md §11 and tests/tools):
 //   0  clean — no rule violations
@@ -47,9 +46,7 @@ int usage() {
       "  file <path> [--as <rel-path>]\n"
       "        lint one file (per-file rules), scoped as if at <rel-path>\n"
       "  rules\n"
-      "        list every rule\n"
-      "  trace-kinds\n"
-      "        known \"ev\" names for the trace-kind rule\n");
+      "        list every rule\n");
   return kExitError;
 }
 
@@ -260,12 +257,6 @@ int cmd_rules() {
   return kExitOk;
 }
 
-int cmd_trace_kinds() {
-  for (const auto& name : lint::trace_event_kinds())
-    std::printf("%s\n", name.c_str());
-  return kExitOk;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -276,7 +267,6 @@ int main(int argc, char** argv) {
     if (cmd == "graph") return cmd_graph(argc, argv);
     if (cmd == "file") return cmd_file(argc, argv);
     if (cmd == "rules") return cmd_rules();
-    if (cmd == "trace-kinds") return cmd_trace_kinds();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "glap-lint: %s\n", e.what());
     return kExitError;

@@ -329,10 +329,10 @@ int cmd_stats(const Args& args) {
   const trace::TraceStats& stats = collector.stats();
 
   std::vector<std::vector<std::string>> count_rows;
-  for (std::size_t k = 0; k < trace::kEventKindCount; ++k)
+  for (const trace::WireName& kind :
+       trace::WireNames<trace::EventKind>::kEntries)
     count_rows.push_back(
-        {trace::event_kind_name(static_cast<trace::EventKind>(k)),
-         std::to_string(stats.counts[k])});
+        {std::string(kind.name), std::to_string(stats.counts[kind.code])});
 
   const std::vector<std::pair<const char*, const std::vector<double>*>>
       fields = {
@@ -459,15 +459,10 @@ int cmd_convert(const Args& args) {
     }
     if (!out.is_open() && !open_out()) return kExitError;
     buf.clear();
-    if (to_gtb) {
-      if (!trace::append_gtb_record(event, &buf, &error)) {
-        std::fprintf(stderr, "glap-trace: %s:%zu: %s\n", args.file.c_str(),
-                     reader.line_number(), error.c_str());
-        return kExitError;
-      }
-    } else {
+    if (to_gtb)
+      trace::append_gtb_record(event, &buf);
+    else
       trace::render_jsonl(event, &buf);
-    }
     out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     ++records;
   }

@@ -32,18 +32,12 @@ constexpr RuleInfo kRules[] = {
      "or pointer-to-integer casts used as keys"},
     {"static-mutable", "determinism",
      "no mutable function-local or class statics in protocol code"},
-    {"trace-kind", "safety",
-     "\"ev\" names in trace literals must match the trace::EventKind set"},
     {"checks-guard", "safety",
      "GLAP_NO_HOT_CHECKS conditionals must be closed and carry an #else; "
      "GLAP_ENABLE_CHECKS never appears in C++ (it is the CMake name)"},
     {"float-narrowing", "safety",
      "no float in Q-table kernels (src/qlearn, src/core/qtable_pair) — "
      "the learning state is double end to end"},
-    {"table-sync", "safety",
-     "every enumerator of the pinned enums (trace::EventKind, trace::Kind, "
-     "WakeReason, net::Channel, net::DropReason) must appear in the "
-     "renderer/parser/code tables that serialize it"},
     {"hot-alloc", "perf",
      "no per-round heap allocation in round-loop scopes of src/sim and "
      "src/core: new/make_unique/make_shared, or push_back/emplace_back on "
@@ -368,36 +362,6 @@ void rule_static_mutable(Analysis& a) {
   }
 }
 
-// trace-kind: "ev" names inside string literals must be known kinds.
-void rule_trace_kind(Analysis& a) {
-  const auto& kinds = trace_event_kinds();
-  auto known = [&](const std::string& name) {
-    return std::find(kinds.begin(), kinds.end(), name) != kinds.end();
-  };
-  for (const Token& tok : a.toks) {
-    if (tok.kind != Token::Kind::kString) continue;
-    const std::string& s = tok.text;
-    // Matches both escaped (\"ev\":\") spellings inside ordinary literals
-    // and plain ("ev":") spellings inside raw strings.
-    for (const char* pat : {"\\\"ev\\\":\\\"", "\"ev\":\""}) {
-      const std::string pattern(pat);
-      std::size_t pos = 0;
-      while ((pos = s.find(pattern, pos)) != std::string::npos) {
-        pos += pattern.size();
-        std::size_t end = pos;
-        while (end < s.size() && ident_char(s[end])) ++end;
-        const std::string name = s.substr(pos, end - pos);
-        if (!name.empty() && !known(name))
-          a.flag(tok.line, "trace-kind",
-                 "\"ev\":\"" + name + "\" is not a trace::EventKind (known: "
-                 "migration, power, shuffle, overload, fault, activity, net, "
-                 "round, qsim, relearn) — traces written here "
-                 "would not parse");
-      }
-    }
-  }
-}
-
 // checks-guard: GLAP_NO_HOT_CHECKS conditionals closed + carrying #else;
 // the CMake-side name GLAP_ENABLE_CHECKS must never reach C++ code.
 void rule_checks_guard(Analysis& a) {
@@ -644,7 +608,7 @@ std::uint64_t fnv1a64(std::string_view s) {
 
 /// Cache format/semantics version; bump when rules or the summary shape
 /// change so stale caches fall back to a cold scan.
-constexpr int kCacheVersion = 2;
+constexpr int kCacheVersion = 3;
 
 std::uint64_t cache_fingerprint() {
   std::string all = "glap-lint-cache-v" + std::to_string(kCacheVersion);
@@ -679,18 +643,6 @@ void write_cache_entry(std::ostream& out, const FileEntry& e) {
     out << "i " << inc.line << ' ' << inc.path << '\n';
   write_names(out, 'P', m.provided);
   write_names(out, 'R', m.referenced);
-  write_names(out, 'N', m.name_strings);
-  for (const ClassDecl& c : m.classes) {
-    out << "C " << c.line << ' ' << c.name << '\n';
-    write_names(out, 'B', c.bases);
-    write_names(out, 'M', c.members);
-    write_names(out, 'U', c.mutating_methods);
-  }
-  for (const EnumDecl& en : m.enums) {
-    out << "E " << en.line << ' ' << en.name;
-    for (const std::string& v : en.enumerators) out << ' ' << v;
-    out << '\n';
-  }
   out << ".\n";
 }
 
@@ -770,23 +722,6 @@ std::map<std::string, FileEntry> load_cache(const std::string& path) {
       read_names(is, &cur.summary.provided);
     } else if (tag == "R") {
       read_names(is, &cur.summary.referenced);
-    } else if (tag == "N") {
-      read_names(is, &cur.summary.name_strings);
-    } else if (tag == "C") {
-      ClassDecl c;
-      if (!(is >> c.line >> c.name)) return {};
-      cur.summary.classes.push_back(std::move(c));
-    } else if (tag == "B" || tag == "M" || tag == "U") {
-      if (cur.summary.classes.empty()) return {};
-      ClassDecl& c = cur.summary.classes.back();
-      read_names(is, tag == "B" ? &c.bases
-                                : tag == "M" ? &c.members
-                                             : &c.mutating_methods);
-    } else if (tag == "E") {
-      EnumDecl e;
-      if (!(is >> e.line >> e.name)) return {};
-      read_names(is, &e.enumerators);
-      cur.summary.enums.push_back(std::move(e));
     } else {
       return {};
     }
@@ -897,15 +832,7 @@ bool is_known_rule(std::string_view name) {
 }
 
 bool is_project_rule(std::string_view name) {
-  return name == "layering" || name == "table-sync" ||
-         name == "include-hygiene";
-}
-
-const std::vector<std::string>& trace_event_kinds() {
-  static const std::vector<std::string> kKinds = {
-      "migration", "power", "shuffle", "overload", "fault",
-      "activity",  "net",   "round",   "qsim",     "relearn"};
-  return kKinds;
+  return name == "layering" || name == "include-hygiene";
 }
 
 FileReport lint_source(std::string_view rel_path, std::string_view content) {
@@ -930,7 +857,6 @@ FileReport lint_source(std::string_view rel_path, std::string_view content) {
   rule_unordered_iteration(a);
   rule_pointer_order(a);
   rule_static_mutable(a);
-  rule_trace_kind(a);
   rule_checks_guard(a);
   rule_float_narrowing(a);
   rule_hot_alloc(a);

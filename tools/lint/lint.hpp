@@ -11,9 +11,9 @@
 //
 // Two tiers of analysis:
 //   per-file   lint_source() — one token stream at a time (PR 5 rules)
-//   project    tools/lint/model.{hpp,cpp} — the include graph, class
-//              registry and pinned-enum registry joined across files:
-//              layering, table-sync, include-hygiene
+//   project    tools/lint/model.{hpp,cpp} — the include graph and the
+//              provided/referenced names joined across files: layering,
+//              include-hygiene
 //
 // Suppression syntax (justification is mandatory):
 //   // glap-lint: allow(<rule>): <why this occurrence is safe>
@@ -66,15 +66,10 @@ const std::vector<RuleInfo>& rules();
 bool is_known_rule(std::string_view name);
 
 /// True iff `name` is a project-tier rule resolved across files during
-/// tree scans (layering, table-sync, include-hygiene).
+/// tree scans (layering, include-hygiene).
 /// Suppressions targeting these are matched — and checked for staleness —
 /// at the tree level, not inside lint_source.
 bool is_project_rule(std::string_view name);
-
-/// The trace-event names the `trace-kind` rule accepts in "ev" literals.
-/// Must track trace::EventKind; tests/tools/test_lint_cli.cpp pins the
-/// two lists against each other so the sets cannot drift.
-const std::vector<std::string>& trace_event_kinds();
 
 /// Result of linting one file.
 struct FileReport {

@@ -1,7 +1,6 @@
 #include "lint/model.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <set>
 #include <sstream>
 
@@ -13,25 +12,6 @@ namespace {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-/// kCamelCase enumerator -> snake_case table name: kWakeReason -> wake_reason.
-std::string enum_snake_name(std::string_view enumerator) {
-  std::string_view s = enumerator;
-  if (s.size() > 1 && s[0] == 'k' &&
-      std::isupper(static_cast<unsigned char>(s[1])))
-    s.remove_prefix(1);
-  std::string out;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (std::isupper(static_cast<unsigned char>(c))) {
-      if (i > 0) out += '_';
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 // ---- token-stream helpers ----------------------------------------------
@@ -87,7 +67,7 @@ struct Cursor {
   }
 };
 
-// ---- class / enum / provided-name extraction ---------------------------
+// ---- provided-name extraction -------------------------------------------
 
 /// Names after which `ident (` is a call, not a declaration.
 bool decl_prev_excluded(const std::string& prev) {
@@ -156,40 +136,22 @@ FileSummary summarize_source(std::string_view rel_path,
 
   const std::vector<Token> toks = tokenize(content);
   const Cursor c{toks};
-  std::set<std::string> referenced, name_strings;
+  std::set<std::string> referenced;
 
-  // Open class bodies, innermost last: member/method declarations live at
-  // exactly `depth` braces inside their class.
-  struct OpenClass {
-    std::string name;
-    int depth;        ///< brace depth of the class body interior
-    std::size_t decl; ///< index into out.classes (it reallocates; no pointers)
-  };
-  std::vector<OpenClass> open_classes;
+  // Brace depths of the open class bodies, innermost last: method
+  // declarations live at exactly that depth.
+  std::vector<int> class_depths;
   int depth = 0;
-  std::size_t decl_start = 0;  ///< first token of the current declaration
 
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& tok = toks[i];
-    if (tok.kind == Token::Kind::kString) {
-      bool snake = !tok.text.empty() && tok.text.size() <= 64;
-      for (char ch : tok.text)
-        if (!(std::islower(static_cast<unsigned char>(ch)) ||
-              std::isdigit(static_cast<unsigned char>(ch)) || ch == '_'))
-          snake = false;
-      if (snake) name_strings.insert(tok.text);
-      continue;
-    }
     if (tok.kind == Token::Kind::kPunct) {
       if (tok.text == "{") ++depth;
       else if (tok.text == "}") {
         --depth;
-        while (!open_classes.empty() && depth < open_classes.back().depth)
-          open_classes.pop_back();
+        while (!class_depths.empty() && depth < class_depths.back())
+          class_depths.pop_back();
       }
-      if (tok.text == ";" || tok.text == "{" || tok.text == "}" ||
-          tok.text == ":")
-        decl_start = i + 1;
       continue;
     }
     if (tok.kind != Token::Kind::kIdent) continue;
@@ -201,10 +163,7 @@ FileSummary summarize_source(std::string_view rel_path,
       std::size_t j = i + 1;
       if (c.is_ident(j, "class") || c.is_ident(j, "struct")) ++j;
       if (!c.is_any_ident(j)) continue;  // anonymous
-      EnumDecl e;
-      e.name = toks[j].text;
-      e.line = toks[j].line;
-      provided.insert(e.name);
+      provided.insert(toks[j].text);
       ++j;
       while (j < toks.size() && !c.is_punct(j, "{") && !c.is_punct(j, ";"))
         ++j;
@@ -216,12 +175,9 @@ FileSummary summarize_source(std::string_view rel_path,
         else if (c.is_punct(k, ")") || c.is_punct(k, "}")) --pd;
         else if (pd == 0 && c.is_any_ident(k) &&
                  (c.is_punct(k + 1, ",") || c.is_punct(k + 1, "=") ||
-                  k + 1 == close)) {
-          e.enumerators.push_back(toks[k].text);
+                  k + 1 == close))
           provided.insert(toks[k].text);
-        }
       }
-      out.enums.push_back(std::move(e));
       continue;
     }
 
@@ -240,45 +196,16 @@ FileSummary summarize_source(std::string_view rel_path,
         }
       }
       if (!c.is_any_ident(j) || is_cpp_keyword(toks[j].text)) continue;
-      ClassDecl decl;
-      decl.name = toks[j].text;
-      decl.line = toks[j].line;
-      provided.insert(decl.name);
+      provided.insert(toks[j].text);
       ++j;
       if (c.is_ident(j, "final")) ++j;
-      if (c.is_punct(j, ";") || c.is_punct(j, ",") || c.is_punct(j, ">") ||
-          c.is_punct(j, ")"))
-        continue;  // forward declaration / template parameter
-      if (c.is_punct(j, ":")) {
-        ++j;
-        bool prev_scope = false;
-        while (j < toks.size() && !c.is_punct(j, "{") && !c.is_punct(j, ";")) {
-          if (c.is_punct(j, "<")) {
-            j = c.skip_angles(j);
-            continue;
-          }
-          if (c.is_punct(j, "::")) {
-            prev_scope = true;
-            ++j;
-            continue;
-          }
-          if (c.is_any_ident(j) && !c.is_ident(j, "public") &&
-              !c.is_ident(j, "protected") && !c.is_ident(j, "private") &&
-              !c.is_ident(j, "virtual")) {
-            if (prev_scope && !decl.bases.empty())
-              decl.bases.back() = toks[j].text;  // sim::Protocol -> Protocol
-            else
-              decl.bases.push_back(toks[j].text);
-            prev_scope = false;
-          }
-          ++j;
-        }
+      if (c.is_punct(j, ":")) {  // skip the base clause
+        while (j < toks.size() && !c.is_punct(j, "{") && !c.is_punct(j, ";"))
+          j = c.is_punct(j, "<") ? c.skip_angles(j) : j + 1;
       }
-      if (!c.is_punct(j, "{")) continue;
-      out.classes.push_back(std::move(decl));
-      open_classes.push_back(
-          {out.classes.back().name, depth + 1, out.classes.size() - 1});
-      // The `{` itself is handled by the punct branch on its own turn.
+      // A body opens a class scope; the `{` itself is handled by the
+      // punct branch on its own turn.
+      if (c.is_punct(j, "{")) class_depths.push_back(depth + 1);
       continue;
     }
 
@@ -288,49 +215,24 @@ FileSummary summarize_source(std::string_view rel_path,
       continue;
     }
 
-    const bool in_class_scope =
-        !open_classes.empty() && depth == open_classes.back().depth;
-
-    // Member data: `type name_ ;` directly inside a class body.
-    if (in_class_scope && !s.empty() && s.back() == '_' &&
-        (c.is_punct(i + 1, ";") || c.is_punct(i + 1, "=") ||
-         c.is_punct(i + 1, "{") || c.is_punct(i + 1, "[") ||
-         c.is_punct(i + 1, ",")) &&
-        !(i > 0 && (c.is_punct(i - 1, ".") || c.is_punct(i - 1, "->") ||
-                    c.is_punct(i - 1, "::")))) {
-      out.classes[open_classes.back().decl].members.push_back(s);
-    }
-
-    // Method declaration/definition: `name ( ... ) [quals] {|;|=`.
-    if (in_class_scope && c.is_punct(i + 1, "(") &&
+    // Method declaration/definition directly inside a class body:
+    // `name ( ... ) [quals] {|;|=|:`.
+    if (!class_depths.empty() && depth == class_depths.back() &&
+        c.is_punct(i + 1, "(") &&
         !(i > 0 && (c.is_punct(i - 1, ".") || c.is_punct(i - 1, "->") ||
                     c.is_punct(i - 1, "::") || c.is_punct(i - 1, "~")))) {
-      ClassDecl* decl = &out.classes[open_classes.back().decl];
-      const std::size_t close_paren = c.match_paren(i + 1);
-      std::size_t k = close_paren + 1;
-      bool is_const = false;
+      std::size_t k = c.match_paren(i + 1) + 1;
       while (k < toks.size() &&
              (c.is_ident(k, "const") || c.is_ident(k, "noexcept") ||
               c.is_ident(k, "override") || c.is_ident(k, "final") ||
               c.is_punct(k, "&"))) {
-        if (c.is_ident(k, "const")) is_const = true;
         if (c.is_ident(k, "noexcept") && c.is_punct(k + 1, "("))
           k = c.match_paren(k + 1);
         ++k;
       }
-      const bool has_body = c.is_punct(k, "{");
-      const bool decl_like = c.is_punct(k, ";") || c.is_punct(k, "=") ||
-                             c.is_punct(k, ":") || has_body;
-      if (decl_like) {
-        bool is_static = false, is_friend = false;
-        for (std::size_t b = decl_start; b < i; ++b) {
-          if (c.is_ident(b, "static")) is_static = true;
-          if (c.is_ident(b, "friend")) is_friend = true;
-        }
-        if (!is_const && !is_static && !is_friend && s != decl->name)
-          decl->mutating_methods.push_back(s);
+      if (c.is_punct(k, ";") || c.is_punct(k, "=") || c.is_punct(k, ":") ||
+          c.is_punct(k, "{"))
         provided.insert(s);
-      }
     }
 
     // Namespace-scope declaration heuristic: `Type name (` / `Type name =`
@@ -353,7 +255,6 @@ FileSummary summarize_source(std::string_view rel_path,
 
   out.provided.assign(provided.begin(), provided.end());
   out.referenced.assign(referenced.begin(), referenced.end());
-  out.name_strings.assign(name_strings.begin(), name_strings.end());
   return out;
 }
 
@@ -387,40 +288,6 @@ LayersSpec parse_layers(std::string_view text) {
       spec.edge_line.emplace(std::make_pair(module, dep), ln);
   }
   return spec;
-}
-
-/// Registered pinned enums: any new enumerator must land in every listed
-/// table file before lint passes. kIdent matches the enumerator token
-/// itself (switch cases / static_asserts); kName matches the derived
-/// snake_case name as a standalone string literal (name/code tables).
-struct EnumTableSpec {
-  const char* decl_file;
-  const char* enum_name;
-  bool match_ident;
-  std::vector<const char*> table_files;
-  std::vector<const char*> skip;  ///< enumerators exempt (e.g. sentinels)
-};
-
-const std::vector<EnumTableSpec>& enum_table_specs() {
-  static const std::vector<EnumTableSpec> kSpecs = {
-      {"src/common/trace_reader.hpp", "EventKind", true,
-       {"src/common/trace_reader.cpp", "src/common/trace_format.cpp",
-        "src/common/tracing.cpp"},
-       {}},
-      {"src/common/tracing.hpp", "Kind", true,
-       {"src/common/tracing.cpp"},
-       {}},
-      {"src/sim/node.hpp", "WakeReason", false,
-       {"src/sim/node.hpp", "src/common/tracing.cpp"},
-       {}},
-      {"src/net/network_model.hpp", "Channel", false,
-       {"src/net/network_model.cpp", "src/common/trace_format.cpp"},
-       {}},
-      {"src/net/network_model.hpp", "DropReason", false,
-       {"src/net/network_model.cpp", "src/common/trace_format.cpp"},
-       {"kNone"}},
-  };
-  return kSpecs;
 }
 
 }  // namespace
@@ -540,58 +407,6 @@ ProjectModel analyze_project(const std::vector<FileSummary>& files,
     for (const auto& [module, line] : layers.module_line) {
       (void)line;
       if (color[module] == 0) dfs(dfs, module);
-    }
-  }
-
-  // ---- table-sync -------------------------------------------------------
-  for (const EnumTableSpec& spec : enum_table_specs()) {
-    const auto decl_it = by_path.find(spec.decl_file);
-    if (decl_it == by_path.end()) continue;  // synthetic tree: not pinned
-    const EnumDecl* decl = nullptr;
-    for (const EnumDecl& e : decl_it->second->enums)
-      if (e.name == spec.enum_name) decl = &e;
-    if (!decl) {
-      pm.findings.push_back(
-          {spec.decl_file, 1, "table-sync",
-           std::string("registered enum ") + spec.enum_name +
-               " not found in this file — update the table-sync registry "
-               "in tools/lint/model.cpp"});
-      continue;
-    }
-    for (const std::string& enumerator : decl->enumerators) {
-      bool skipped = false;
-      for (const char* s : spec.skip)
-        if (enumerator == s) skipped = true;
-      if (skipped) continue;
-      const std::string snake = enum_snake_name(enumerator);
-      std::vector<std::string> missing;
-      for (const char* table : spec.table_files) {
-        const auto it = by_path.find(table);
-        if (it == by_path.end()) {
-          missing.push_back(std::string(table) + " (not in scan)");
-          continue;
-        }
-        const FileSummary& t = *it->second;
-        const bool hit =
-            spec.match_ident
-                ? std::binary_search(t.referenced.begin(), t.referenced.end(),
-                                     enumerator)
-                : std::binary_search(t.name_strings.begin(),
-                                     t.name_strings.end(), snake);
-        if (!hit) missing.push_back(table);
-      }
-      if (missing.empty()) continue;
-      std::string where = missing[0];
-      for (std::size_t i = 1; i < missing.size(); ++i)
-        where += ", " + missing[i];
-      pm.findings.push_back(
-          {spec.decl_file, decl->line, "table-sync",
-           std::string(spec.enum_name) + "::" + enumerator +
-               (spec.match_ident ? " never appears in "
-                                 : " (\"" + snake + "\") has no table entry "
-                                   "in ") +
-               where + " — a new enumerator must land in every pinned "
-               "renderer/parser table before it can ship"});
     }
   }
 
