@@ -57,19 +57,15 @@ int main() {
         auto b = static_cast<sim::NodeId>(pair_rng.bounded(config.pm_count));
         if (a == b) b = (b + 1) % config.pm_count;
         sim_stats.add(core::cosine_similarity(
-            engine.protocol_at<core::GossipLearningProtocol>(slots.learning, a)
-                .tables(),
-            engine.protocol_at<core::GossipLearningProtocol>(slots.learning, b)
-                .tables()));
+            engine.protocol_at(slots.learning, a).tables(),
+            engine.protocol_at(slots.learning, b).tables()));
       }
       std::printf("round %3u  similarity %.4f\n", r + 1, sim_stats.mean());
     }
   }
 
   // Digest of node 0's learned IN table.
-  const auto& tables =
-      engine.protocol_at<core::GossipLearningProtocol>(slots.learning, 0)
-          .tables();
+  const auto& tables = engine.protocol_at(slots.learning, 0).tables();
   std::printf("\n== learned tables (node 0) ==\n");
   std::printf("out entries: %zu, in entries: %zu\n", tables.out.size(),
               tables.in.size());
@@ -100,10 +96,7 @@ int main() {
 
   core::ConsolidationStats total;
   for (sim::NodeId n = 0; n < config.pm_count; ++n) {
-    const auto& s =
-        engine.protocol_at<core::GlapConsolidationProtocol>(
-                  slots.consolidation, n)
-            .stats();
+    const auto& s = engine.protocol_at(slots.consolidation, n).stats();
     total.exchanges += s.exchanges;
     total.migrations += s.migrations;
     total.rejected_by_pi_in += s.rejected_by_pi_in;

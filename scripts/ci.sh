@@ -35,17 +35,15 @@
 # which ctest drives through the thread-pool and run_cells tests.
 #
 # Stage 7 (lint): glap-lint scan over the checked-in tree must be clean.
-# The scan runs twice through the incremental cache — a cold pass that
-# populates it and a warm pass that must hit every file — so CI also
-# gates the cache round-trip the dev workflow relies on. `--results`
-# refreshes results/lint_stats.json and `graph --results` refreshes
-# results/lint_graph.json; both feed GENERATED blocks in EXPERIMENTS.md,
-# so this runs before the docs-drift stage. A header self-containment
-# pass compiles every src/**/*.hpp standalone (the include-hygiene rule
-# pins #pragma once; this pins the includes actually sufficing). If
-# clang-tidy is installed, a bounded tidy pass (.clang-tidy: bugprone-*,
-# performance-*, concurrency-*) runs over src/; absent clang-tidy the
-# pass is skipped — glap-lint is the gating analyzer.
+# `--results` refreshes results/lint_stats.json and `graph --results`
+# refreshes results/lint_graph.json; both feed GENERATED blocks in
+# EXPERIMENTS.md, so this runs before the docs-drift stage. A header
+# self-containment pass compiles every src/**/*.hpp standalone (the
+# include-hygiene rule pins #pragma once; this pins the includes actually
+# sufficing). If clang-tidy is installed, a bounded tidy pass
+# (.clang-tidy: bugprone-*, performance-*, concurrency-*) runs over src/;
+# absent clang-tidy the pass is skipped — glap-lint is the gating
+# analyzer.
 #
 # Stage 8 (memory/UB safety, RUN_ASAN_UBSAN=1 by default;
 # RUN_ASAN_UBSAN=0 skips it): combined AddressSanitizer +
@@ -85,19 +83,8 @@ cmake --build build-release -j "$JOBS"
 if [[ "${RUN_LINT:-1}" == "1" ]]; then
   echo "== lint: glap-lint scan over the checked-in tree =="
   # --results refreshes results/lint_stats.json before the docs-drift
-  # stage checks the lint_stats block in EXPERIMENTS.md. The cold run
-  # populates the content-hash cache; the warm rerun must hit every
-  # file (the cache degrades to a cold scan on any mismatch, so a
-  # failure here means the cache round-trip itself is broken).
-  LINT_CACHE=build-release/lint.cache
-  rm -f "$LINT_CACHE"
-  ./build-release/tools/glap-lint scan . --results --cache "$LINT_CACHE"
-  warm=$(./build-release/tools/glap-lint scan . --cache "$LINT_CACHE")
-  echo "$warm"
-  if [[ "$warm" != *" 0 miss(es)"* ]]; then
-    echo "warm lint scan re-linted files the cache should have covered" >&2
-    exit 1
-  fi
+  # stage checks the lint_stats block in EXPERIMENTS.md.
+  ./build-release/tools/glap-lint scan . --results
   # Mirror the module dependency graph for the docs-drift stage
   # (EXPERIMENTS.md embeds results/lint_graph.json's tables).
   ./build-release/tools/glap-lint graph . --results >/dev/null

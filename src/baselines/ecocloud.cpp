@@ -22,29 +22,16 @@ EcoCloudProtocol::EcoCloudProtocol(const EcoCloudConfig& config,
   GLAP_REQUIRE(config.probe_count > 0, "probe_count must be positive");
 }
 
-struct EcoCloudInstaller {
-  static void set_slot(EcoCloudProtocol& p, sim::Engine::ProtocolSlot slot) {
-    p.self_slot_ = slot;
-    p.self_slot_known_ = true;
-  }
-};
-
-sim::Engine::ProtocolSlot EcoCloudProtocol::install(sim::Engine& engine,
-                                                    const EcoCloudConfig& config,
-                                                    cloud::DataCenter& dc,
-                                                    std::uint64_t seed) {
+sim::Slot<EcoCloudProtocol> EcoCloudProtocol::install(
+    sim::Engine& engine, const EcoCloudConfig& config, cloud::DataCenter& dc,
+    std::uint64_t seed) {
   GLAP_REQUIRE(engine.node_count() == dc.pm_count(),
                "engine nodes must map 1:1 onto data-center PMs");
   Rng master(hash_combine(seed, hash_tag("ecocloud")));
-  const auto slot = engine.add_protocol_pool<EcoCloudProtocol>(
-      [&](sim::NodeId i) {
+  return engine.add_protocol_pool<EcoCloudProtocol>(
+      [&](sim::NodeId i, sim::Slot<EcoCloudProtocol> /*self*/) {
         return EcoCloudProtocol(config, dc, master.split(i));
       });
-  for (std::size_t i = 0; i < engine.node_count(); ++i)
-    EcoCloudInstaller::set_slot(engine.protocol_at<EcoCloudProtocol>(
-                                    slot, static_cast<sim::NodeId>(i)),
-                                slot);
-  return slot;
 }
 
 double EcoCloudProtocol::acceptance_probability(

@@ -49,10 +49,10 @@ class EcoCloudProtocol final : public sim::Protocol {
   EcoCloudProtocol(const EcoCloudConfig& config, cloud::DataCenter& dc,
                    Rng rng);
 
-  static sim::Engine::ProtocolSlot install(sim::Engine& engine,
-                                           const EcoCloudConfig& config,
-                                           cloud::DataCenter& dc,
-                                           std::uint64_t seed);
+  static sim::Slot<EcoCloudProtocol> install(sim::Engine& engine,
+                                             const EcoCloudConfig& config,
+                                             cloud::DataCenter& dc,
+                                             std::uint64_t seed);
 
   void execute(sim::Engine& engine, sim::NodeId self) override;
 
@@ -101,10 +101,6 @@ class EcoCloudProtocol final : public sim::Protocol {
   cloud::DataCenter& dc_;
   Rng rng_;
   std::uint32_t cooldown_ = 0;
-  sim::Engine::ProtocolSlot self_slot_ = 0;
-  bool self_slot_known_ = false;
-
-  friend struct EcoCloudInstaller;
 };
 
 }  // namespace glap::baselines

@@ -9,20 +9,21 @@ constexpr std::size_t kStateMsgBytes = 16;
 }
 
 GrmpProtocol::GrmpProtocol(const GrmpConfig& config, cloud::DataCenter& dc,
-                           sim::Engine::ProtocolSlot overlay_slot)
-    : config_(config), dc_(dc), overlay_slot_(overlay_slot) {
+                           sim::Slot<overlay::NeighborProvider> overlay)
+    : config_(config), dc_(dc), overlay_(overlay) {
   GLAP_REQUIRE(config.upper_threshold > 0.0 && config.upper_threshold <= 1.0,
                "grmp threshold out of (0,1]");
 }
 
-sim::Engine::ProtocolSlot GrmpProtocol::install(
+sim::Slot<GrmpProtocol> GrmpProtocol::install(
     sim::Engine& engine, const GrmpConfig& config, cloud::DataCenter& dc,
-    sim::Engine::ProtocolSlot overlay_slot) {
+    sim::Slot<overlay::NeighborProvider> overlay) {
   GLAP_REQUIRE(engine.node_count() == dc.pm_count(),
                "engine nodes must map 1:1 onto data-center PMs");
-  return engine.add_protocol_pool<GrmpProtocol>([&](sim::NodeId /*i*/) {
-    return GrmpProtocol(config, dc, overlay_slot);
-  });
+  return engine.add_protocol_pool<GrmpProtocol>(
+      [&](sim::NodeId /*i*/, sim::Slot<GrmpProtocol> /*self*/) {
+        return GrmpProtocol(config, dc, overlay);
+      });
 }
 
 bool GrmpProtocol::accepts(cloud::PmId pm, cloud::VmId vm) const {
@@ -64,9 +65,8 @@ void GrmpProtocol::pack(sim::Engine& engine, cloud::PmId sender,
 }
 
 void GrmpProtocol::execute(sim::Engine& engine, sim::NodeId self) {
-  auto& sampler =
-      engine.protocol_at<overlay::NeighborProvider>(overlay_slot_, self);
-  const auto peer = sampler.sample_active_peer(engine, self);
+  const auto peer =
+      engine.protocol_at(overlay_, self).sample_active_peer(engine, self);
   if (!peer) return;
   if (net::NetworkModel* net = engine.net_model()) {
     // GRMP rounds are self-contained: a lost or late state exchange just

@@ -29,11 +29,11 @@ struct GrmpConfig {
 class GrmpProtocol final : public sim::Protocol {
  public:
   GrmpProtocol(const GrmpConfig& config, cloud::DataCenter& dc,
-               sim::Engine::ProtocolSlot overlay_slot);
+               sim::Slot<overlay::NeighborProvider> overlay);
 
-  static sim::Engine::ProtocolSlot install(
+  static sim::Slot<GrmpProtocol> install(
       sim::Engine& engine, const GrmpConfig& config, cloud::DataCenter& dc,
-      sim::Engine::ProtocolSlot overlay_slot);
+      sim::Slot<overlay::NeighborProvider> overlay);
 
   void execute(sim::Engine& engine, sim::NodeId self) override;
 
@@ -46,7 +46,7 @@ class GrmpProtocol final : public sim::Protocol {
 
   GrmpConfig config_;
   cloud::DataCenter& dc_;
-  sim::Engine::ProtocolSlot overlay_slot_;
+  sim::Slot<overlay::NeighborProvider> overlay_;
 };
 
 }  // namespace glap::baselines

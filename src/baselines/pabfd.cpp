@@ -8,33 +8,29 @@ namespace {
 constexpr std::size_t kMonitorMsgBytes = 16;
 }
 
-PabfdManager::PabfdManager(const PabfdConfig& config, cloud::DataCenter& dc)
-    : config_(config), dc_(dc), history_(dc.pm_count()) {
+PabfdManager::PabfdManager(const PabfdConfig& config, cloud::DataCenter& dc,
+                           sim::NodeId manager_node)
+    : config_(config),
+      dc_(dc),
+      manager_node_(manager_node),
+      history_(dc.pm_count()) {
   GLAP_REQUIRE(config.mad_safety > 0.0, "mad_safety must be positive");
   GLAP_REQUIRE(config.history_window >= config.min_history,
                "history_window smaller than min_history");
   GLAP_REQUIRE(config.min_history >= 2, "min_history too small for MAD");
 }
 
-struct PabfdInstaller {
-  static void mark_manager(PabfdManager& m, sim::NodeId node) {
-    m.manager_node_ = node;
-    m.is_manager_ = true;
-  }
-};
-
-sim::Engine::ProtocolSlot PabfdManager::install(sim::Engine& engine,
-                                                const PabfdConfig& config,
-                                                cloud::DataCenter& dc,
-                                                sim::NodeId manager_node) {
+sim::Slot<PabfdManager> PabfdManager::install(sim::Engine& engine,
+                                              const PabfdConfig& config,
+                                              cloud::DataCenter& dc,
+                                              sim::NodeId manager_node) {
   GLAP_REQUIRE(engine.node_count() == dc.pm_count(),
                "engine nodes must map 1:1 onto data-center PMs");
   GLAP_REQUIRE(manager_node < engine.node_count(), "manager node out of range");
-  const auto slot = engine.add_protocol_pool<PabfdManager>(
-      [&](sim::NodeId /*i*/) { return PabfdManager(config, dc); });
-  PabfdInstaller::mark_manager(
-      engine.protocol_at<PabfdManager>(slot, manager_node), manager_node);
-  return slot;
+  return engine.add_protocol_pool<PabfdManager>(
+      [&](sim::NodeId /*i*/, sim::Slot<PabfdManager> /*self*/) {
+        return PabfdManager(config, dc, manager_node);
+      });
 }
 
 double PabfdManager::mad(std::vector<double> samples) {
@@ -299,7 +295,7 @@ void PabfdManager::evacuate_underloaded(sim::Engine& engine) {
 }
 
 void PabfdManager::execute(sim::Engine& engine, sim::NodeId self) {
-  if (!is_manager_ || self != manager_node_) return;
+  if (self != manager_node_) return;
   // The manager polls every active PM (monitoring traffic).
   for (cloud::PmId p = 0; p < dc_.pm_count(); ++p)
     if (dc_.pm_on(p))

@@ -68,14 +68,17 @@ struct PabfdConfig {
 
 class PabfdManager final : public sim::Protocol {
  public:
-  PabfdManager(const PabfdConfig& config, cloud::DataCenter& dc);
+  /// Every instance knows the manager node; only the instance installed
+  /// there acts.
+  PabfdManager(const PabfdConfig& config, cloud::DataCenter& dc,
+               sim::NodeId manager_node);
 
   /// Installs the manager logic; it executes on node `manager_node` only
   /// (the other instances are inert stand-ins so the slot is total).
-  static sim::Engine::ProtocolSlot install(sim::Engine& engine,
-                                           const PabfdConfig& config,
-                                           cloud::DataCenter& dc,
-                                           sim::NodeId manager_node = 0);
+  static sim::Slot<PabfdManager> install(sim::Engine& engine,
+                                         const PabfdConfig& config,
+                                         cloud::DataCenter& dc,
+                                         sim::NodeId manager_node = 0);
 
   /// The manager node scans and mutates the whole data center; the inert
   /// stand-in instances do nothing.
@@ -109,12 +112,9 @@ class PabfdManager final : public sim::Protocol {
 
   PabfdConfig config_;
   cloud::DataCenter& dc_;
-  sim::NodeId manager_node_ = 0;
-  bool is_manager_ = false;
+  sim::NodeId manager_node_;
   std::uint32_t cycles_since_action_ = 0;
   std::vector<std::deque<double>> history_;  // per-PM CPU utilization
-
-  friend struct PabfdInstaller;
 };
 
 }  // namespace glap::baselines

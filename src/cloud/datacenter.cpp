@@ -76,7 +76,7 @@ void DataCenter::place(VmId vm_id, PmId pm_id) {
   usage_cache_[pm_id] += vm_usage_[vm_id];
   ++placed_vms_;
   vm_wake_ref_[vm_id] = vm_demand_[vm_id];
-  if (wake_hook_) wake_hook_(pm_id, WakeEvent::kMigration);
+  if (wake_hook_) wake_hook_(pm_id, trace::ActivityReason::kMigration);
 }
 
 void DataCenter::depart(VmId vm_id) {
@@ -87,7 +87,7 @@ void DataCenter::depart(VmId vm_id) {
   usage_cache_[host] -= vm_usage_[vm_id];
   host_of_[vm_id] = static_cast<PmId>(-1);
   --placed_vms_;
-  if (wake_hook_) wake_hook_(host, WakeEvent::kMigration);
+  if (wake_hook_) wake_hook_(host, trace::ActivityReason::kMigration);
 }
 
 bool DataCenter::is_placed(VmId vm_id) const {
@@ -245,8 +245,8 @@ MigrationRecord DataCenter::migrate(VmId vm_id, PmId to) {
   ++migrations_this_round_;
   migrations_.push_back(record);
   if (wake_hook_) {
-    wake_hook_(from, WakeEvent::kMigration);
-    wake_hook_(to, WakeEvent::kMigration);
+    wake_hook_(from, trace::ActivityReason::kMigration);
+    wake_hook_(to, trace::ActivityReason::kMigration);
   }
   return record;
 }
@@ -265,7 +265,7 @@ void DataCenter::set_power(PmId id, PmPower power) {
   if (trace_ != nullptr)
     trace_->emit(trace::Power{id, on != 0});
   if (ctr_power_transitions_ != nullptr) ctr_power_transitions_->inc();
-  if (wake_hook_) wake_hook_(id, WakeEvent::kPower);
+  if (wake_hook_) wake_hook_(id, trace::ActivityReason::kStatus);
 }
 
 void DataCenter::set_wake_hook(WakeHook hook, double demand_epsilon) {
@@ -318,14 +318,15 @@ void DataCenter::observe_demands(std::span<const Resources> fractions) {
     if (hooked && (std::abs(f.cpu - vm_wake_ref_[v].cpu) > demand_epsilon_ ||
                    std::abs(f.mem - vm_wake_ref_[v].mem) > demand_epsilon_)) {
       vm_wake_ref_[v] = f;
-      wake_hook_(host, WakeEvent::kDemand);
+      wake_hook_(host, trace::ActivityReason::kDemand);
     }
   }
   if (hooked) {
     // Overloaded PMs must always run their shed logic next round, even
     // when every hosted VM stayed inside its epsilon band.
     for (PmId p = 0; p < pms_.size(); ++p)
-      if (pm_on_[p] != 0 && overloaded(p)) wake_hook_(p, WakeEvent::kDemand);
+      if (pm_on_[p] != 0 && overloaded(p))
+        wake_hook_(p, trace::ActivityReason::kDemand);
   }
 }
 

@@ -28,6 +28,7 @@
 #include "cloud/vm.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "common/trace_schema.hpp"
 
 namespace glap::metrics {
 class MetricsRegistry;
@@ -172,24 +173,19 @@ class DataCenter {
 
   // ------------------------------------------------------- quiescence hook
 
-  /// Placement/demand events the quiescence engine re-activates PMs on.
-  enum class WakeEvent : std::uint8_t {
-    kDemand,     ///< a hosted VM's demand moved past the epsilon band, or
-                 ///< the PM is currently overloaded
-    kMigration,  ///< a VM arrived at / left the PM (migration or churn)
-    kPower,      ///< the PM's power state changed
-  };
-  using WakeHook = std::function<void(PmId, WakeEvent)>;
+  /// Wake hook carrying the trace schema's activity reason, the same type
+  /// Engine::wake takes (sim::WakeReason aliases it).
+  using WakeHook = std::function<void(PmId, trace::ActivityReason)>;
 
   /// Installs the wake hook the harness bridges to Engine::wake(). The
-  /// hook fires on migrate()/place()/depart() for both endpoints, on
-  /// set_power() transitions, and during observe_demands() for every PM
-  /// hosting a VM whose demand fraction drifted more than
-  /// `demand_epsilon` (either resource) from its last-notified reference,
-  /// plus every overloaded PM. Reference fractions advance only when the
-  /// hook fires, so the notification sequence is a pure function of the
-  /// demand stream and placement history.
-  /// Pass a null hook to detach.
+  /// hook fires kMigration on migrate()/place()/depart() for both
+  /// endpoints, kStatus on set_power() transitions, and kDemand during
+  /// observe_demands() for every PM hosting a VM whose demand fraction
+  /// drifted more than `demand_epsilon` (either resource) from its
+  /// last-notified reference, plus every overloaded PM. Reference
+  /// fractions advance only when the hook fires, so the notification
+  /// sequence is a pure function of the demand stream and placement
+  /// history. Pass a null hook to detach.
   void set_wake_hook(WakeHook hook, double demand_epsilon);
 
   /// Extra migration latency charged by the network model (DESIGN.md

@@ -81,8 +81,8 @@ inline void notify_fatal(const std::string& what) {
 // Engine::protocol_at bounds checks). It is GLAP_REQUIRE unless the build
 // turns hot-path checks off (CMake -DGLAP_ENABLE_CHECKS=OFF, which defines
 // GLAP_NO_HOT_CHECKS — intended for optimized bench/Release builds; keep
-// checks ON in Debug and CI). Cold-path validation and type-mismatch
-// detection stay on GLAP_REQUIRE in every configuration.
+// checks ON in Debug and CI). Cold-path validation stays on GLAP_REQUIRE
+// in every configuration.
 #ifdef GLAP_NO_HOT_CHECKS
 #define GLAP_HOT_REQUIRE(expr, msg) ((void)0)
 #else

@@ -12,33 +12,34 @@ constexpr std::size_t kStateMsgBytes = 32;  // (cpu, mem) current + average
 }
 
 GlapConsolidationProtocol::GlapConsolidationProtocol(
-    const GlapConfig& config, cloud::DataCenter& dc,
-    sim::Engine::ProtocolSlot overlay_slot,
-    sim::Engine::ProtocolSlot learning_slot,
-    const cloud::RackTopology* topology, Rng rng)
+    const GlapConfig& config, cloud::DataCenter& dc, Slots slots,
+    Telemetry telemetry, const cloud::RackTopology* topology, Rng rng)
     : config_(config),
       dc_(dc),
-      overlay_slot_(overlay_slot),
-      learning_slot_(learning_slot),
+      slots_(slots),
+      telemetry_(telemetry),
       topology_(topology),
       rng_(rng) {
   GLAP_REQUIRE(config.rack_affinity >= 0.0 && config.rack_affinity <= 1.0,
                "rack_affinity out of [0,1]");
 }
 
-sim::Engine::ProtocolSlot GlapConsolidationProtocol::install(
+sim::Slot<GlapConsolidationProtocol> GlapConsolidationProtocol::install(
     sim::Engine& engine, const GlapConfig& config, cloud::DataCenter& dc,
-    sim::Engine::ProtocolSlot overlay_slot,
-    sim::Engine::ProtocolSlot learning_slot, std::uint64_t seed,
-    const cloud::RackTopology* topology) {
+    Slots slots, std::uint64_t seed, const cloud::RackTopology* topology) {
   GLAP_REQUIRE(engine.node_count() == dc.pm_count(),
                "engine nodes must map 1:1 onto data-center PMs");
+  Telemetry telemetry;
+  if (metrics::MetricsRegistry* m = engine.metrics())
+    telemetry = {m->counter("consolidation.exchanges"),
+                 m->counter("consolidation.pi_in_rejects"),
+                 m->counter("consolidation.capacity_rejects"),
+                 m->counter("consolidation.switch_offs")};
   Rng master(hash_combine(seed, hash_tag("glap-consolidation")));
   return engine.add_protocol_pool<GlapConsolidationProtocol>(
-      [&](sim::NodeId i) {
-        return GlapConsolidationProtocol(config, dc, overlay_slot,
-                                         learning_slot, topology,
-                                         master.split(i));
+      [&](sim::NodeId i, sim::Slot<GlapConsolidationProtocol> /*self*/) {
+        return GlapConsolidationProtocol(config, dc, slots, telemetry,
+                                         topology, master.split(i));
       });
 }
 
@@ -56,9 +57,8 @@ std::optional<sim::NodeId> GlapConsolidationProtocol::sample_peer(
     }
     // Whole rack asleep or solitary: fall through to the overlay.
   }
-  auto& sampler =
-      engine.protocol_at<overlay::NeighborProvider>(overlay_slot_, self);
-  return sampler.sample_active_peer(engine, self);
+  return engine.protocol_at(slots_.overlay, self)
+      .sample_active_peer(engine, self);
 }
 
 qlearn::State GlapConsolidationProtocol::pm_state(cloud::PmId pm) const {
@@ -75,8 +75,7 @@ void GlapConsolidationProtocol::execute(sim::Engine& engine,
   // configured start round (the experiment's warmup) has passed.
   const sim::Round cycle = cycles_++;
   if (cycle < config_.consolidation_start_round) return;
-  auto& learning = engine.protocol_at<GossipLearningProtocol>(
-      learning_slot_, self);
+  auto& learning = engine.protocol_at(slots_.learning, self);
   if (learning.phase() != GossipLearningProtocol::Phase::kIdle &&
       !config_.continue_during_relearn)
     return;
@@ -127,21 +126,11 @@ void GlapConsolidationProtocol::execute(sim::Engine& engine,
 void GlapConsolidationProtocol::perform_exchange(sim::Engine& engine,
                                                  sim::NodeId self,
                                                  sim::NodeId peer) {
-  if (!telemetry_resolved_) {
-    telemetry_resolved_ = true;
-    if (metrics::MetricsRegistry* m = engine.metrics()) {
-      ctr_exchanges_ = m->counter("consolidation.exchanges");
-      ctr_pi_in_rejects_ = m->counter("consolidation.pi_in_rejects");
-      ctr_capacity_rejects_ = m->counter("consolidation.capacity_rejects");
-      ctr_switch_offs_ = m->counter("consolidation.switch_offs");
-    }
-  }
-
   // Push-pull state exchange (Algorithm 3, lines 1-10).
   engine.network().count_message(self, peer, kStateMsgBytes);
   engine.network().count_message(peer, self, kStateMsgBytes);
   ++stats_.exchanges;
-  if (ctr_exchanges_ != nullptr) ctr_exchanges_->inc();
+  if (telemetry_.exchanges != nullptr) telemetry_.exchanges->inc();
 
   const std::size_t moved = update_state(
       engine, static_cast<cloud::PmId>(self), static_cast<cloud::PmId>(peer));
@@ -155,10 +144,8 @@ void GlapConsolidationProtocol::perform_exchange(sim::Engine& engine,
     // Candidate to park: measure convergence against this exchange's
     // partner. Deferring the cosine scan to the calm tail keeps the
     // O(|table|) cost off every non-candidate round.
-    auto& mine = engine.protocol_at<GossipLearningProtocol>(learning_slot_,
-                                                            self);
-    auto& theirs = engine.protocol_at<GossipLearningProtocol>(learning_slot_,
-                                                              peer);
+    auto& mine = engine.protocol_at(slots_.learning, self);
+    auto& theirs = engine.protocol_at(slots_.learning, peer);
     last_similarity_ = cosine_similarity(mine.tables(), theirs.tables());
   }
 }
@@ -204,7 +191,7 @@ std::size_t GlapConsolidationProtocol::update_state(sim::Engine& engine,
     engine.set_status(static_cast<sim::NodeId>(sender),
                       sim::NodeStatus::kSleeping);
     ++stats_.switch_offs;
-    if (ctr_switch_offs_ != nullptr) ctr_switch_offs_->inc();
+    if (telemetry_.switch_offs != nullptr) telemetry_.switch_offs->inc();
   }
   return moved;
 }
@@ -249,8 +236,8 @@ std::size_t GlapConsolidationProtocol::migrate_loop(sim::Engine& engine,
                                                     cloud::PmId sender,
                                                     cloud::PmId recipient,
                                                     Mode mode) {
-  auto& learning = engine.protocol_at<GossipLearningProtocol>(
-      learning_slot_, static_cast<sim::NodeId>(sender));
+  auto& learning =
+      engine.protocol_at(slots_.learning, static_cast<sim::NodeId>(sender));
   const QTablePair& tables = learning.tables();
 
   std::size_t moved = 0;
@@ -271,12 +258,13 @@ std::size_t GlapConsolidationProtocol::migrate_loop(sim::Engine& engine,
     // π_in evaluated on the sender's copy of the (unified) IN table.
     if (tables.in.value(pm_state(recipient), action) < 0.0) {
       ++stats_.rejected_by_pi_in;
-      if (ctr_pi_in_rejects_ != nullptr) ctr_pi_in_rejects_->inc();
+      if (telemetry_.pi_in_rejects != nullptr) telemetry_.pi_in_rejects->inc();
       break;
     }
     if (!dc_.can_host(recipient, vm)) {
       ++stats_.rejected_by_capacity;
-      if (ctr_capacity_rejects_ != nullptr) ctr_capacity_rejects_->inc();
+      if (telemetry_.capacity_rejects != nullptr)
+        telemetry_.capacity_rejects->inc();
       break;
     }
 

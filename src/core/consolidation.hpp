@@ -37,18 +37,31 @@ struct ConsolidationStats {
 
 class GlapConsolidationProtocol final : public sim::Protocol {
  public:
+  /// Registry mirrors of ConsolidationStats, shared by every instance
+  /// (null = disabled).
+  struct Telemetry {
+    metrics::Counter* exchanges = nullptr;
+    metrics::Counter* pi_in_rejects = nullptr;
+    metrics::Counter* capacity_rejects = nullptr;
+    metrics::Counter* switch_offs = nullptr;
+  };
+
+  /// The layers this one reads: peer sampling and the learned tables.
+  struct Slots {
+    sim::Slot<overlay::NeighborProvider> overlay;
+    sim::Slot<GossipLearningProtocol> learning;
+  };
+
   /// `topology` may be null (vanilla GLAP); when set and
   /// config.rack_affinity > 0, peer sampling and the drain rule become
   /// rack-aware (see GlapConfig::rack_affinity).
   GlapConsolidationProtocol(const GlapConfig& config, cloud::DataCenter& dc,
-                            sim::Engine::ProtocolSlot overlay_slot,
-                            sim::Engine::ProtocolSlot learning_slot,
+                            Slots slots, Telemetry telemetry,
                             const cloud::RackTopology* topology, Rng rng);
 
-  static sim::Engine::ProtocolSlot install(
+  static sim::Slot<GlapConsolidationProtocol> install(
       sim::Engine& engine, const GlapConfig& config, cloud::DataCenter& dc,
-      sim::Engine::ProtocolSlot overlay_slot,
-      sim::Engine::ProtocolSlot learning_slot, std::uint64_t seed,
+      Slots slots, std::uint64_t seed,
       const cloud::RackTopology* topology = nullptr);
 
   void execute(sim::Engine& engine, sim::NodeId self) override;
@@ -117,8 +130,8 @@ class GlapConsolidationProtocol final : public sim::Protocol {
 
   GlapConfig config_;
   cloud::DataCenter& dc_;
-  sim::Engine::ProtocolSlot overlay_slot_;
-  sim::Engine::ProtocolSlot learning_slot_;
+  Slots slots_;
+  Telemetry telemetry_;
   const cloud::RackTopology* topology_;
   Rng rng_;
   ConsolidationStats stats_;
@@ -131,12 +144,6 @@ class GlapConsolidationProtocol final : public sim::Protocol {
   PendingExchange pending_;
   // Round-loop scratch for find_vm's per-VM action levels.
   std::vector<qlearn::Action> scratch_actions_;
-  // Registry mirrors of stats_ (shared across instances; null = disabled).
-  bool telemetry_resolved_ = false;
-  metrics::Counter* ctr_exchanges_ = nullptr;
-  metrics::Counter* ctr_pi_in_rejects_ = nullptr;
-  metrics::Counter* ctr_capacity_rejects_ = nullptr;
-  metrics::Counter* ctr_switch_offs_ = nullptr;
 };
 
 }  // namespace glap::core

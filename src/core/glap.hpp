@@ -12,43 +12,37 @@
 namespace glap::core {
 
 struct GlapSlots {
-  sim::Engine::ProtocolSlot overlay;
-  sim::Engine::ProtocolSlot learning;
-  sim::Engine::ProtocolSlot consolidation;
+  sim::Slot<overlay::NeighborProvider> overlay;
+  sim::Slot<GossipLearningProtocol> learning;
+  sim::Slot<GlapConsolidationProtocol> consolidation;
 };
 
-/// Installs Cyclon + GossipLearning + GlapConsolidation on `engine` (one
-/// instance of each per node). Consolidation activates at
+/// Installs GossipLearning + GlapConsolidation over an already-installed
+/// peer-sampling overlay (any NeighborProvider slot — Cyclon, Newscast, or
+/// a static graph), enabling overlay ablations. Consolidation activates at
 /// config.consolidation_start_round. Pass a RackTopology (outliving the
 /// engine) to enable the rack-aware variant (config.rack_affinity).
+[[nodiscard]] inline GlapSlots install_glap_on(
+    sim::Engine& engine, cloud::DataCenter& dc, const GlapConfig& config,
+    sim::Slot<overlay::NeighborProvider> overlay, std::uint64_t seed,
+    const cloud::RackTopology* topology = nullptr) {
+  const auto learning =
+      GossipLearningProtocol::install(engine, config, dc, overlay, seed);
+  const auto consolidation = GlapConsolidationProtocol::install(
+      engine, config, dc, {overlay, learning}, seed, topology);
+  return {overlay, learning, consolidation};
+}
+
+/// The paper's stack: Cyclon membership under install_glap_on (one
+/// instance of each component per node).
 [[nodiscard]] inline GlapSlots install_glap(
     sim::Engine& engine, cloud::DataCenter& dc, const GlapConfig& config,
     const overlay::CyclonConfig& cyclon_config, std::uint64_t seed,
     const cloud::RackTopology* topology = nullptr) {
-  GlapSlots slots{};
-  slots.overlay = overlay::CyclonProtocol::install(engine, cyclon_config,
-                                                   seed);
-  slots.learning = GossipLearningProtocol::install(engine, config, dc,
-                                                   slots.overlay, seed);
-  slots.consolidation = GlapConsolidationProtocol::install(
-      engine, config, dc, slots.overlay, slots.learning, seed, topology);
-  return slots;
-}
-
-/// As install_glap, but on an already-installed peer-sampling overlay
-/// (any NeighborProvider slot — Cyclon, Newscast, or a static graph),
-/// enabling overlay ablations.
-[[nodiscard]] inline GlapSlots install_glap_on(
-    sim::Engine& engine, cloud::DataCenter& dc, const GlapConfig& config,
-    sim::Engine::ProtocolSlot overlay_slot, std::uint64_t seed,
-    const cloud::RackTopology* topology = nullptr) {
-  GlapSlots slots{};
-  slots.overlay = overlay_slot;
-  slots.learning = GossipLearningProtocol::install(engine, config, dc,
-                                                   slots.overlay, seed);
-  slots.consolidation = GlapConsolidationProtocol::install(
-      engine, config, dc, slots.overlay, slots.learning, seed, topology);
-  return slots;
+  return install_glap_on(
+      engine, dc, config,
+      overlay::CyclonProtocol::install(engine, cyclon_config, seed), seed,
+      topology);
 }
 
 }  // namespace glap::core

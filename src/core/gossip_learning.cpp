@@ -11,11 +11,12 @@ constexpr std::size_t kProfileBytes = 48;      // one VM profile on the wire
 }
 
 GossipLearningProtocol::GossipLearningProtocol(
-    const GlapConfig& config, cloud::DataCenter& dc,
-    sim::Engine::ProtocolSlot overlay_slot, Resources pm_capacity, Rng rng)
+    const GlapConfig& config, cloud::DataCenter& dc, Slots slots,
+    Telemetry telemetry, Resources pm_capacity, Rng rng)
     : config_(config),
       dc_(dc),
-      overlay_slot_(overlay_slot),
+      slots_(slots),
+      telemetry_(telemetry),
       trainer_(config, pm_capacity, rng),
       learning_rounds_(config.learning_rounds),
       aggregation_rounds_(config.aggregation_rounds) {}
@@ -27,33 +28,23 @@ void GossipLearningProtocol::retrigger(sim::Round learning_rounds,
   aggregation_rounds_ = aggregation_rounds;
 }
 
-struct GossipLearningInstaller {
-  static void set_slot(GossipLearningProtocol& p,
-                       sim::Engine::ProtocolSlot slot) {
-    p.self_slot_ = slot;
-    p.self_slot_known_ = true;
-  }
-};
-
-sim::Engine::ProtocolSlot GossipLearningProtocol::install(
+sim::Slot<GossipLearningProtocol> GossipLearningProtocol::install(
     sim::Engine& engine, const GlapConfig& config, cloud::DataCenter& dc,
-    sim::Engine::ProtocolSlot overlay_slot, std::uint64_t seed) {
+    sim::Slot<overlay::NeighborProvider> overlay, std::uint64_t seed) {
   GLAP_REQUIRE(engine.node_count() == dc.pm_count(),
                "engine nodes must map 1:1 onto data-center PMs");
+  Telemetry telemetry;
+  if (metrics::MetricsRegistry* m = engine.metrics())
+    telemetry = {m->counter("learning.train_cycles"),
+                 m->counter("learning.merges")};
   Rng master(hash_combine(seed, hash_tag("gossip-learning")));
-  const auto slot = engine.add_protocol_pool<GossipLearningProtocol>(
-      [&](sim::NodeId i) {
+  return engine.add_protocol_pool<GossipLearningProtocol>(
+      [&](sim::NodeId i, sim::Slot<GossipLearningProtocol> self) {
         return GossipLearningProtocol(
-            config, dc, overlay_slot,
+            config, dc, {overlay, self}, telemetry,
             dc.pm(static_cast<cloud::PmId>(i)).spec().capacity(),
             master.split(i));
       });
-  for (std::size_t i = 0; i < engine.node_count(); ++i)
-    GossipLearningInstaller::set_slot(
-        engine.protocol_at<GossipLearningProtocol>(
-            slot, static_cast<sim::NodeId>(i)),
-        slot);
-  return slot;
 }
 
 GossipLearningProtocol::Phase GossipLearningProtocol::phase() const noexcept {
@@ -64,13 +55,6 @@ GossipLearningProtocol::Phase GossipLearningProtocol::phase() const noexcept {
 }
 
 void GossipLearningProtocol::execute(sim::Engine& engine, sim::NodeId self) {
-  if (!telemetry_resolved_) {
-    telemetry_resolved_ = true;
-    if (metrics::MetricsRegistry* m = engine.metrics()) {
-      ctr_train_ = m->counter("learning.train_cycles");
-      ctr_merge_ = m->counter("learning.merges");
-    }
-  }
   // A deferred push-pull comes due before anything else this round; its
   // reply was on the wire, so it completes even if the phase has since
   // advanced (the merge is idempotent knowledge transfer).
@@ -101,13 +85,10 @@ void GossipLearningProtocol::learning_cycle(sim::Engine& engine,
       dc_.average_utilization(static_cast<cloud::PmId>(self));
   if (util.max_component() > config_.learning_util_threshold) return;
 
-  auto& sampler = engine.protocol_at<overlay::NeighborProvider>(
-      overlay_slot_, self);
+  auto& sampler = engine.protocol_at(slots_.overlay, self);
   profiles_of(dc_, static_cast<cloud::PmId>(self), &scratch_pool_);
   if (const auto peer = sampler.sample_active_peer(engine, self)) {
-    GLAP_ASSERT(self_slot_known_, "learning protocol used before install()");
-    auto& remote = engine.protocol_at<GossipLearningProtocol>(self_slot_,
-                                                              *peer);
+    auto& remote = engine.protocol_at(slots_.self, *peer);
     remote.shared_profiles(*peer, &scratch_remote_);
     // Profile freshness matters (they feed this round's training batch),
     // so a lost or late fetch is simply skipped: train on the local pool.
@@ -126,18 +107,15 @@ void GossipLearningProtocol::learning_cycle(sim::Engine& engine,
   }
   trainer_.grow_pool(scratch_pool_);
   trainer_.train_round(scratch_pool_, tables_);
-  if (ctr_train_ != nullptr) ctr_train_->inc();
+  if (telemetry_.train_cycles != nullptr) telemetry_.train_cycles->inc();
 }
 
 void GossipLearningProtocol::aggregation_cycle(sim::Engine& engine,
                                                sim::NodeId self) {
-  auto& sampler = engine.protocol_at<overlay::NeighborProvider>(
-      overlay_slot_, self);
+  auto& sampler = engine.protocol_at(slots_.overlay, self);
   const auto peer = sampler.sample_active_peer(engine, self);
   if (!peer) return;
-  GLAP_ASSERT(self_slot_known_, "learning protocol used before install()");
-  auto& remote =
-      engine.protocol_at<GossipLearningProtocol>(self_slot_, *peer);
+  auto& remote = engine.protocol_at(slots_.self, *peer);
 
   if (net::NetworkModel* net = engine.net_model()) {
     const net::Verdict verdict = net->round_trip(
@@ -165,7 +143,7 @@ void GossipLearningProtocol::aggregation_cycle(sim::Engine& engine,
   // third table.
   tables_.merge_average(remote.tables_);
   remote.tables_ = tables_;
-  if (ctr_merge_ != nullptr) ctr_merge_->inc();
+  if (telemetry_.merges != nullptr) telemetry_.merges->inc();
   // The push-pull rewrote the peer's tables: that is incoming gossip for
   // a parked peer, so re-activate it (no-op unless quiescent).
   engine.wake(*peer, sim::WakeReason::kGossip);
@@ -185,15 +163,14 @@ void GossipLearningProtocol::complete_pending(sim::Engine& engine,
                         engine.current_round() - send_round);
   // The merge uses delivery-time state: tables on both sides may have
   // moved since the send — exactly the staleness a slow network causes.
-  auto& remote =
-      engine.protocol_at<GossipLearningProtocol>(self_slot_, pending.partner);
+  auto& remote = engine.protocol_at(slots_.self, pending.partner);
   engine.network().count_message(self, pending.partner,
                                  tables_.size() * kQEntryBytes);
   engine.network().count_message(pending.partner, self,
                                  remote.tables_.size() * kQEntryBytes);
   tables_.merge_average(remote.tables_);
   remote.tables_ = tables_;
-  if (ctr_merge_ != nullptr) ctr_merge_->inc();
+  if (telemetry_.merges != nullptr) telemetry_.merges->inc();
   engine.wake(pending.partner, sim::WakeReason::kGossip);
 }
 

@@ -26,15 +26,27 @@ class GossipLearningProtocol final : public sim::Protocol {
  public:
   enum class Phase { kLearning, kAggregation, kIdle };
 
+  /// Registry instruments shared by every instance (null = disabled).
+  struct Telemetry {
+    metrics::Counter* train_cycles = nullptr;  ///< learning.train_cycles
+    metrics::Counter* merges = nullptr;        ///< learning.merges
+  };
+
+  /// The slots this instance talks to: the peer-sampling overlay and its
+  /// own slot, through which it reaches the peers' tables.
+  struct Slots {
+    sim::Slot<overlay::NeighborProvider> overlay;
+    sim::Slot<GossipLearningProtocol> self;
+  };
+
   GossipLearningProtocol(const GlapConfig& config, cloud::DataCenter& dc,
-                         sim::Engine::ProtocolSlot overlay_slot,
+                         Slots slots, Telemetry telemetry,
                          Resources pm_capacity, Rng rng);
 
-  /// Installs one instance per node; `overlay_slot` must host a
-  /// NeighborProvider.
-  static sim::Engine::ProtocolSlot install(
+  /// Installs one instance per node over the peer-sampling `overlay`.
+  static sim::Slot<GossipLearningProtocol> install(
       sim::Engine& engine, const GlapConfig& config, cloud::DataCenter& dc,
-      sim::Engine::ProtocolSlot overlay_slot, std::uint64_t seed);
+      sim::Slot<overlay::NeighborProvider> overlay, std::uint64_t seed);
 
   void execute(sim::Engine& engine, sim::NodeId self) override;
 
@@ -87,12 +99,8 @@ class GossipLearningProtocol final : public sim::Protocol {
 
   GlapConfig config_;
   cloud::DataCenter& dc_;
-  sim::Engine::ProtocolSlot overlay_slot_;
-  sim::Engine::ProtocolSlot self_slot_ = 0;
-  bool self_slot_known_ = false;
-  bool telemetry_resolved_ = false;
-  metrics::Counter* ctr_train_ = nullptr;  ///< learning.train_cycles
-  metrics::Counter* ctr_merge_ = nullptr;  ///< learning.merges
+  Slots slots_;
+  Telemetry telemetry_;
   LocalTrainer trainer_;
   QTablePair tables_;
   // Round-loop scratch: learning_cycle used to allocate the profile pool
@@ -103,8 +111,6 @@ class GossipLearningProtocol final : public sim::Protocol {
   sim::Round learning_rounds_;
   sim::Round aggregation_rounds_;
   PendingExchange pending_;
-
-  friend struct GossipLearningInstaller;
 };
 
 }  // namespace glap::core

@@ -57,7 +57,7 @@ std::vector<Spec> draw_specs(const std::vector<Class>& classes,
 
 /// Mean cosine similarity of Q-table pairs over sampled node pairs.
 double sample_convergence(sim::Engine& engine,
-                          sim::Engine::ProtocolSlot learning_slot,
+                          sim::Slot<core::GossipLearningProtocol> learning,
                           std::size_t pair_count, Rng& rng) {
   const std::size_t n = engine.node_count();
   if (n < 2) return 1.0;
@@ -66,12 +66,8 @@ double sample_convergence(sim::Engine& engine,
     const auto a = static_cast<sim::NodeId>(rng.bounded(n));
     auto b = static_cast<sim::NodeId>(rng.bounded(n));
     if (a == b) b = static_cast<sim::NodeId>((b + 1) % n);
-    const auto& ta =
-        engine.protocol_at<core::GossipLearningProtocol>(learning_slot, a)
-            .tables();
-    const auto& tb =
-        engine.protocol_at<core::GossipLearningProtocol>(learning_slot, b)
-            .tables();
+    const auto& ta = engine.protocol_at(learning, a).tables();
+    const auto& tb = engine.protocol_at(learning, b).tables();
     stats.add(core::cosine_similarity(ta, tb));
   }
   return stats.mean();
@@ -110,23 +106,11 @@ RunResult run_experiment(const ExperimentConfig& config) {
   const core::QuiescenceConfig& quiesce = config.glap.quiescence;
   if (quiesce.enabled) {
     engine.enable_quiescence(quiesce.recheck_rounds);
-    // Bridge data-center events onto parked nodes. The mapping is fixed:
-    // kPower transitions already flow through Engine::set_status (which
-    // un-parks), so the hook's kPower arm is only a safety net.
+    // Bridge data-center events onto parked nodes. Power transitions
+    // already flow through Engine::set_status (which un-parks), so the
+    // hook's kStatus wakes are only a safety net.
     dc.set_wake_hook(
-        [&engine](cloud::PmId pm, cloud::DataCenter::WakeEvent event) {
-          sim::WakeReason reason = sim::WakeReason::kStatus;
-          switch (event) {
-            case cloud::DataCenter::WakeEvent::kDemand:
-              reason = sim::WakeReason::kDemand;
-              break;
-            case cloud::DataCenter::WakeEvent::kMigration:
-              reason = sim::WakeReason::kMigration;
-              break;
-            case cloud::DataCenter::WakeEvent::kPower:
-              reason = sim::WakeReason::kStatus;
-              break;
-          }
+        [&engine](cloud::PmId pm, sim::WakeReason reason) {
           engine.wake(static_cast<sim::NodeId>(pm), reason);
         },
         quiesce.demand_epsilon);
@@ -206,18 +190,18 @@ RunResult run_experiment(const ExperimentConfig& config) {
   }
 
   // --- Protocol stack ----------------------------------------------------
-  auto install_overlay = [&] {
-    return config.overlay == OverlayKind::kNewscast
-               ? overlay::NewscastProtocol::install(engine, config.newscast,
-                                                    config.seed)
-               : overlay::CyclonProtocol::install(engine, config.cyclon,
-                                                  config.seed);
+  auto install_overlay = [&]() -> sim::Slot<overlay::NeighborProvider> {
+    if (config.overlay == OverlayKind::kNewscast)
+      return overlay::NewscastProtocol::install(engine, config.newscast,
+                                                config.seed);
+    return overlay::CyclonProtocol::install(engine, config.cyclon,
+                                            config.seed);
   };
   // Readable phase labels for the profile report: `execute.<protocol>`
   // per installed slot instead of the positional slot index.
-  auto label_slot = [&](sim::Engine::ProtocolSlot slot, const char* name) {
+  auto label_slot = [&](sim::Slot<sim::Protocol> slot, const char* name) {
     if (profiler)
-      profiler->set_label(prof::PhaseProfiler::kFirstSlot + slot,
+      profiler->set_label(prof::PhaseProfiler::kFirstSlot + slot.index(),
                           std::string("execute.") + name);
   };
   const char* overlay_name =
@@ -339,7 +323,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
         (static_cast<double>(dc.vm_count()) * rounds_since_relearn);
     if (rate < config.churn.relearn_rate_threshold) return;
     for (sim::NodeId n = 0; n < engine.node_count(); ++n)
-      engine.protocol_at<core::GossipLearningProtocol>(glap_slots->learning, n)
+      engine.protocol_at(glap_slots->learning, n)
           .retrigger(config.churn.relearn_learning_rounds,
                      config.churn.relearn_aggregation_rounds);
     // A fleet-wide phase reset invalidates every park decision.

@@ -12,8 +12,10 @@ namespace {
 constexpr std::size_t kEntryBytes = 8;  // (id, age) on the wire
 }
 
-CyclonProtocol::CyclonProtocol(CyclonConfig config, Rng rng)
-    : config_(config), rng_(rng) {
+CyclonProtocol::CyclonProtocol(sim::Slot<CyclonProtocol> self,
+                               CyclonConfig config, Rng rng,
+                               Telemetry telemetry)
+    : self_(self), config_(config), rng_(rng), telemetry_(telemetry) {
   GLAP_REQUIRE(config_.cache_size > 0, "cyclon cache_size must be positive");
   GLAP_REQUIRE(config_.shuffle_length > 0 &&
                    config_.shuffle_length <= config_.cache_size,
@@ -21,45 +23,37 @@ CyclonProtocol::CyclonProtocol(CyclonConfig config, Rng rng)
   cache_.reserve(config_.cache_size);
 }
 
-struct CyclonInstaller {
-  static void set_slot(CyclonProtocol& p, sim::Engine::ProtocolSlot slot) {
-    p.slot_ = slot;
-    p.slot_known_ = true;
-  }
-};
-
-sim::Engine::ProtocolSlot CyclonProtocol::install(sim::Engine& engine,
+sim::Slot<CyclonProtocol> CyclonProtocol::install(sim::Engine& engine,
                                                   const CyclonConfig& config,
                                                   std::uint64_t seed) {
   const std::size_t n = engine.node_count();
+  Telemetry telemetry;
+  if (metrics::MetricsRegistry* m = engine.metrics())
+    telemetry = {m->counter("cyclon.shuffles"),
+                 m->histogram("cyclon.shuffle_entries")};
   Rng master(hash_combine(seed, hash_tag("cyclon")));
-  const auto slot = engine.add_protocol_pool<CyclonProtocol>(
-      [&](sim::NodeId i) { return CyclonProtocol(config, master.split(i)); });
-  engine.add_protocol_view<CyclonProtocol, NeighborProvider>(slot);
-
   // Bootstrap each cache with random distinct peers (ring + random links
   // guarantees initial connectivity even for tiny caches).
   Rng boot(hash_combine(seed, hash_tag("cyclon-bootstrap")));
   std::vector<sim::NodeId> neighbors;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& proto = engine.protocol_at<CyclonProtocol>(
-        slot, static_cast<sim::NodeId>(i));
-    neighbors.clear();
-    if (n > 1) {
-      neighbors.push_back(static_cast<sim::NodeId>((i + 1) % n));
-      while (neighbors.size() < std::min(config.cache_size, n - 1)) {
-        auto candidate = static_cast<sim::NodeId>(boot.bounded(n));
-        if (candidate == i) continue;
-        if (std::find(neighbors.begin(), neighbors.end(), candidate) !=
-            neighbors.end())
-          continue;
-        neighbors.push_back(candidate);
-      }
-    }
-    proto.bootstrap(static_cast<sim::NodeId>(i), neighbors);
-    CyclonInstaller::set_slot(proto, slot);
-  }
-  return slot;
+  return engine.add_protocol_pool<CyclonProtocol>(
+      [&](sim::NodeId i, sim::Slot<CyclonProtocol> self) {
+        CyclonProtocol proto(self, config, master.split(i), telemetry);
+        neighbors.clear();
+        if (n > 1) {
+          neighbors.push_back(static_cast<sim::NodeId>((i + 1) % n));
+          while (neighbors.size() < std::min(config.cache_size, n - 1)) {
+            auto candidate = static_cast<sim::NodeId>(boot.bounded(n));
+            if (candidate == i) continue;
+            if (std::find(neighbors.begin(), neighbors.end(), candidate) !=
+                neighbors.end())
+              continue;
+            neighbors.push_back(candidate);
+          }
+        }
+        proto.bootstrap(i, neighbors);
+        return proto;
+      });
 }
 
 void CyclonProtocol::bootstrap(sim::NodeId self,
@@ -153,19 +147,7 @@ const std::vector<CyclonProtocol::Entry>& CyclonProtocol::handle_shuffle(
   return scratch_reply_;
 }
 
-void CyclonProtocol::resolve_telemetry(sim::Engine& engine) {
-  // Runs once per instance; the registry's get-or-create is mutex-guarded
-  // and the instruments are shared across all Cyclon instances.
-  telemetry_resolved_ = true;
-  if (metrics::MetricsRegistry* m = engine.metrics()) {
-    ctr_shuffles_ = m->counter("cyclon.shuffles");
-    hist_entries_ = m->histogram("cyclon.shuffle_entries");
-  }
-}
-
 void CyclonProtocol::execute(sim::Engine& engine, sim::NodeId self) {
-  GLAP_ASSERT(slot_known_, "cyclon used before install()");
-  if (!telemetry_resolved_) resolve_telemetry(engine);
   for (auto& entry : cache_) ++entry.age;
 
   for (std::size_t attempt = 0;
@@ -193,12 +175,12 @@ void CyclonProtocol::execute(sim::Engine& engine, sim::NodeId self) {
     scratch_outgoing_.push_back({self, 0});
     engine.network().count_message(self, peer,
                                    scratch_outgoing_.size() * kEntryBytes);
-    auto& remote = engine.protocol_at<CyclonProtocol>(slot_, peer);
+    auto& remote = engine.protocol_at(self_, peer);
     const auto& reply = remote.handle_shuffle(peer, self, scratch_outgoing_);
     engine.network().count_message(peer, self, reply.size() * kEntryBytes);
-    if (ctr_shuffles_ != nullptr) {
-      ctr_shuffles_->inc();
-      hist_entries_->observe(
+    if (telemetry_.shuffles != nullptr) {
+      telemetry_.shuffles->inc();
+      telemetry_.shuffle_entries->observe(
           static_cast<double>(scratch_outgoing_.size() + reply.size()));
     }
     if (trace::TraceLog* t = engine.trace_log())

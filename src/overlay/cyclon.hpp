@@ -39,11 +39,20 @@ class CyclonProtocol final : public NeighborProvider {
     std::uint32_t age;
   };
 
-  CyclonProtocol(CyclonConfig config, Rng rng);
+  /// Registry instruments shared by every instance (null = disabled).
+  struct Telemetry {
+    metrics::Counter* shuffles = nullptr;                ///< cyclon.shuffles
+    metrics::OrderedHistogram* shuffle_entries = nullptr;
+  };
+
+  /// `self` is the slot this instance is installed in; shuffles reach the
+  /// peer's instance through it.
+  CyclonProtocol(sim::Slot<CyclonProtocol> self, CyclonConfig config, Rng rng,
+                 Telemetry telemetry);
 
   /// Installs a Cyclon instance on every node of the engine, bootstrapped
   /// with `config.cache_size` random neighbors each, and returns the slot.
-  static sim::Engine::ProtocolSlot install(sim::Engine& engine,
+  static sim::Slot<CyclonProtocol> install(sim::Engine& engine,
                                            const CyclonConfig& config,
                                            std::uint64_t seed);
 
@@ -89,18 +98,11 @@ class CyclonProtocol final : public NeighborProvider {
                           std::optional<std::size_t> forced,
                           std::vector<Entry>& out);
 
-  /// Resolves (once per instance) the shared shuffle instruments from the
-  /// engine's registry; no-ops into the disabled state when none attached.
-  void resolve_telemetry(sim::Engine& engine);
-
+  sim::Slot<CyclonProtocol> self_;
   CyclonConfig config_;
   Rng rng_;
+  Telemetry telemetry_;
   std::vector<Entry> cache_;
-  sim::Engine::ProtocolSlot slot_ = 0;
-  bool slot_known_ = false;
-  bool telemetry_resolved_ = false;
-  metrics::Counter* ctr_shuffles_ = nullptr;          ///< cyclon.shuffles
-  metrics::OrderedHistogram* hist_entries_ = nullptr;  ///< cyclon.shuffle_entries
 
   // Scratch buffers reused across rounds: the shuffle exchange used to
   // allocate fresh vectors on both sides every round.
@@ -109,8 +111,6 @@ class CyclonProtocol final : public NeighborProvider {
   std::vector<Entry> scratch_outgoing_;  ///< initiator: sent + own entry
   std::vector<Entry> scratch_reply_;     ///< passive side: reply subset
   std::vector<Entry> scratch_incoming_;  ///< passive side: received + link
-
-  friend struct CyclonInstaller;
 };
 
 }  // namespace glap::overlay

@@ -12,48 +12,41 @@ namespace {
 constexpr std::size_t kItemBytes = 8;
 }
 
-NewscastProtocol::NewscastProtocol(NewscastConfig config, Rng rng)
-    : config_(config), rng_(rng) {
+NewscastProtocol::NewscastProtocol(sim::Slot<NewscastProtocol> self,
+                                   NewscastConfig config, Rng rng,
+                                   metrics::Counter* exchanges)
+    : self_(self), config_(config), rng_(rng), ctr_exchanges_(exchanges) {
   GLAP_REQUIRE(config.cache_size > 0, "newscast cache_size must be positive");
   cache_.reserve(config.cache_size);
 }
 
-struct NewscastInstaller {
-  static void set_slot(NewscastProtocol& p, sim::Engine::ProtocolSlot slot) {
-    p.slot_ = slot;
-    p.slot_known_ = true;
-  }
-};
-
-sim::Engine::ProtocolSlot NewscastProtocol::install(sim::Engine& engine,
-                                                    const NewscastConfig& config,
-                                                    std::uint64_t seed) {
+sim::Slot<NewscastProtocol> NewscastProtocol::install(
+    sim::Engine& engine, const NewscastConfig& config, std::uint64_t seed) {
   const std::size_t n = engine.node_count();
+  metrics::Counter* exchanges = nullptr;
+  if (metrics::MetricsRegistry* m = engine.metrics())
+    exchanges = m->counter("newscast.exchanges");
   Rng master(hash_combine(seed, hash_tag("newscast")));
-  const auto slot = engine.add_protocol_pool<NewscastProtocol>(
-      [&](sim::NodeId i) { return NewscastProtocol(config, master.split(i)); });
-  engine.add_protocol_view<NewscastProtocol, NeighborProvider>(slot);
-
   Rng boot(hash_combine(seed, hash_tag("newscast-bootstrap")));
   std::vector<sim::NodeId> peers;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& proto = engine.protocol_at<NewscastProtocol>(
-        slot, static_cast<sim::NodeId>(i));
-    peers.clear();
-    if (n > 1) {
-      peers.push_back(static_cast<sim::NodeId>((i + 1) % n));
-      while (peers.size() < std::min(config.cache_size, n - 1)) {
-        auto candidate = static_cast<sim::NodeId>(boot.bounded(n));
-        if (candidate == i) continue;
-        if (std::find(peers.begin(), peers.end(), candidate) != peers.end())
-          continue;
-        peers.push_back(candidate);
-      }
-    }
-    proto.bootstrap(static_cast<sim::NodeId>(i), peers);
-    NewscastInstaller::set_slot(proto, slot);
-  }
-  return slot;
+  return engine.add_protocol_pool<NewscastProtocol>(
+      [&](sim::NodeId i, sim::Slot<NewscastProtocol> self) {
+        NewscastProtocol proto(self, config, master.split(i), exchanges);
+        peers.clear();
+        if (n > 1) {
+          peers.push_back(static_cast<sim::NodeId>((i + 1) % n));
+          while (peers.size() < std::min(config.cache_size, n - 1)) {
+            auto candidate = static_cast<sim::NodeId>(boot.bounded(n));
+            if (candidate == i) continue;
+            if (std::find(peers.begin(), peers.end(), candidate) !=
+                peers.end())
+              continue;
+            peers.push_back(candidate);
+          }
+        }
+        proto.bootstrap(i, peers);
+        return proto;
+      });
 }
 
 void NewscastProtocol::bootstrap(sim::NodeId self,
@@ -99,12 +92,6 @@ std::vector<NewscastProtocol::Item> NewscastProtocol::handle_exchange(
 }
 
 void NewscastProtocol::execute(sim::Engine& engine, sim::NodeId self) {
-  GLAP_ASSERT(slot_known_, "newscast used before install()");
-  if (!telemetry_resolved_) {
-    telemetry_resolved_ = true;
-    if (metrics::MetricsRegistry* m = engine.metrics())
-      ctr_exchanges_ = m->counter("newscast.exchanges");
-  }
   const auto now = static_cast<std::uint32_t>(engine.current_round() + 1);
   for (std::size_t attempt = 0;
        attempt <= config_.dead_peer_retries && !cache_.empty(); ++attempt) {
@@ -125,7 +112,7 @@ void NewscastProtocol::execute(sim::Engine& engine, sim::NodeId self) {
     std::vector<Item> outgoing = cache_;
     outgoing.push_back({self, now});
     engine.network().count_message(self, peer, outgoing.size() * kItemBytes);
-    auto& remote = engine.protocol_at<NewscastProtocol>(slot_, peer);
+    auto& remote = engine.protocol_at(self_, peer);
     const auto reply = remote.handle_exchange(peer, self, outgoing, now);
     engine.network().count_message(peer, self, reply.size() * kItemBytes);
     if (ctr_exchanges_ != nullptr) ctr_exchanges_->inc();

@@ -34,11 +34,14 @@ class NewscastProtocol final : public NeighborProvider {
     std::uint32_t timestamp;
   };
 
-  NewscastProtocol(NewscastConfig config, Rng rng);
+  /// `self` is the slot this instance is installed in; `exchanges`
+  /// mirrors newscast.exchanges (null = disabled).
+  NewscastProtocol(sim::Slot<NewscastProtocol> self, NewscastConfig config,
+                   Rng rng, metrics::Counter* exchanges);
 
-  static sim::Engine::ProtocolSlot install(sim::Engine& engine,
-                                           const NewscastConfig& config,
-                                           std::uint64_t seed);
+  static sim::Slot<NewscastProtocol> install(sim::Engine& engine,
+                                             const NewscastConfig& config,
+                                             std::uint64_t seed);
 
   void execute(sim::Engine& engine, sim::NodeId self) override;
 
@@ -72,15 +75,11 @@ class NewscastProtocol final : public NeighborProvider {
   /// the cache_size freshest distinct ids.
   void merge(sim::NodeId self, const std::vector<Item>& incoming);
 
+  sim::Slot<NewscastProtocol> self_;
   NewscastConfig config_;
   Rng rng_;
+  metrics::Counter* ctr_exchanges_;
   std::vector<Item> cache_;
-  sim::Engine::ProtocolSlot slot_ = 0;
-  bool slot_known_ = false;
-  bool telemetry_resolved_ = false;
-  metrics::Counter* ctr_exchanges_ = nullptr;  ///< newscast.exchanges
-
-  friend struct NewscastInstaller;
 };
 
 }  // namespace glap::overlay

@@ -4,13 +4,13 @@
 
 namespace glap::overlay {
 
-sim::Engine::ProtocolSlot RandomGraphProtocol::install(
+sim::Slot<RandomGraphProtocol> RandomGraphProtocol::install(
     sim::Engine& engine, const RandomGraphConfig& config, std::uint64_t seed) {
   GLAP_REQUIRE(config.degree > 0, "random graph degree must be positive");
   const std::size_t n = engine.node_count();
   Rng master(hash_combine(seed, hash_tag("random-graph")));
-  const auto slot = engine.add_protocol_pool<RandomGraphProtocol>(
-      [&](sim::NodeId node) {
+  return engine.add_protocol_pool<RandomGraphProtocol>(
+      [&](sim::NodeId node, sim::Slot<RandomGraphProtocol> /*self*/) {
         const auto i = static_cast<std::size_t>(node);
         std::vector<sim::NodeId> neighbors;
         if (n > 1) {
@@ -28,8 +28,6 @@ sim::Engine::ProtocolSlot RandomGraphProtocol::install(
         }
         return RandomGraphProtocol(std::move(neighbors), master.split(i));
       });
-  engine.add_protocol_view<RandomGraphProtocol, NeighborProvider>(slot);
-  return slot;
 }
 
 std::optional<sim::NodeId> RandomGraphProtocol::sample_active_peer(

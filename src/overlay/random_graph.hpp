@@ -21,7 +21,7 @@ class RandomGraphProtocol final : public NeighborProvider {
       : neighbors_(std::move(neighbors)), rng_(rng) {}
 
   /// Installs the overlay on every node and returns its slot.
-  static sim::Engine::ProtocolSlot install(sim::Engine& engine,
+  static sim::Slot<RandomGraphProtocol> install(sim::Engine& engine,
                                            const RandomGraphConfig& config,
                                            std::uint64_t seed);
 

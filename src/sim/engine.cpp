@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/profiler.hpp"
+#include "common/rng.hpp"
 #include "common/tracing.hpp"
 
 namespace glap::sim {
@@ -14,51 +15,11 @@ Engine::Engine(std::size_t node_count, std::uint64_t seed)
       active_count_(node_count),
       order_(node_count),
       order_keys_(node_count),
-      rng_(hash_combine(seed, hash_tag("engine"))),
       order_seed_(hash_combine(seed, hash_tag("order"))) {
   GLAP_REQUIRE(node_count > 0, "engine needs at least one node");
   GLAP_REQUIRE(node_count < static_cast<std::size_t>(kInvalidNode),
                "too many nodes");
   std::iota(order_.begin(), order_.end(), NodeId{0});
-}
-
-Engine::ProtocolSlot Engine::add_protocol_slot(
-    std::vector<std::unique_ptr<Protocol>> instances) {
-  GLAP_REQUIRE(instances.size() == status_.size(),
-               "need exactly one protocol instance per node");
-  for (const auto& p : instances)
-    GLAP_REQUIRE(p != nullptr, "null protocol instance");
-  Slot slot;
-  slot.instances.reserve(instances.size());
-  for (const auto& p : instances) slot.instances.push_back(p.get());
-  slot.storage = std::make_shared<std::vector<std::unique_ptr<Protocol>>>(
-      std::move(instances));
-  return push_slot(std::move(slot));
-}
-
-Engine::ProtocolSlot Engine::push_slot(Slot slot) {
-  GLAP_REQUIRE(slot.instances.size() == status_.size(),
-               "need exactly one protocol instance per node");
-  slots_.push_back(std::move(slot));
-  views_.emplace_back();
-  return slots_.size() - 1;
-}
-
-void Engine::append_view(ProtocolSlot slot, TypeTag tag,
-                         std::vector<void*> ptrs) {
-  views_[slot].push_back({tag, std::move(ptrs)});
-}
-
-const Engine::TypedView* Engine::find_view(ProtocolSlot slot,
-                                           TypeTag tag) const {
-  for (const TypedView& view : views_[slot])
-    if (view.tag == tag) return &view;
-  return nullptr;
-}
-
-void Engine::add_observer(Observer* observer) {
-  GLAP_REQUIRE(observer != nullptr, "null observer");
-  observers_.push_back(observer);
 }
 
 void Engine::enable_quiescence(Round recheck_rounds) {
@@ -79,8 +40,8 @@ void Engine::set_status(NodeId node, NodeStatus status) {
   status_[node] = status;
   if (old == NodeStatus::kActive) --active_count_;
   if (status == NodeStatus::kActive) ++active_count_;
-  for (auto& slot : slots_)
-    slot.instances[node]->on_status_change(*this, node, status);
+  for (Layer& layer : layers_)
+    layer.instances[node]->on_status_change(*this, node, status);
 }
 
 void Engine::trace_activity(NodeId node, bool awake, WakeReason reason) {
@@ -125,8 +86,8 @@ void Engine::drain_wake_queue() {
 void Engine::poll_quiesce(NodeId node) {
   if (!quiescence_ || quiescent_[node] != 0) return;
   if (status_[node] != NodeStatus::kActive) return;
-  for (const Slot& slot : slots_)
-    if (!slot.instances[node]->can_quiesce(*this, node)) return;
+  for (const Layer& layer : layers_)
+    if (!layer.instances[node]->can_quiesce(*this, node)) return;
   quiescent_[node] = 1;
   ++quiescent_count_;
   trace_activity(node, /*awake=*/false, WakeReason::kConverged);
@@ -147,12 +108,12 @@ void Engine::compute_round_order() {
 }
 
 void Engine::execute_node(NodeId node) {
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
+  for (std::size_t s = 0; s < layers_.size(); ++s) {
     // A protocol earlier in the stack may have put this node to sleep
     // (e.g. consolidation switched the PM off mid-round).
     if (status_[node] != NodeStatus::kActive) break;
     prof::PhaseScope timer(profiler_, prof::PhaseProfiler::kFirstSlot + s);
-    slots_[s].instances[node]->execute(*this, node);
+    layers_[s].instances[node]->execute(*this, node);
   }
 }
 
@@ -173,19 +134,10 @@ void Engine::step() {
   compute_round_order();
   run_round();
   ++round_;
-  for (Observer* obs : observers_) {
-    if (!obs->on_round_end(*this, round_)) stop_requested_ = true;
-  }
 }
 
-Round Engine::run(Round rounds) {
-  stop_requested_ = false;
-  Round executed = 0;
-  while (executed < rounds && !stop_requested_) {
-    step();
-    ++executed;
-  }
-  return executed;
+void Engine::run(Round rounds) {
+  for (Round r = 0; r < rounds; ++r) step();
 }
 
 }  // namespace glap::sim

@@ -1,17 +1,20 @@
 // Cycle-driven P2P simulation engine (PeerSim CDSim equivalent).
 //
-// Usage:
-//   Engine engine(n_nodes, seed);
-//   auto slot = engine.add_protocol_slot(make_protocols(...));
-//   engine.add_observer(&metrics);
-//   engine.run(720);
+// Usage, as the protocol installers and the harness drive it:
+//   Engine engine(pm_count, seed);
+//   engine.set_telemetry(registry, trace);  // before any install
+//   Slot<Cyclon> overlay = engine.add_protocol_pool<Cyclon>(
+//       [&](NodeId node, Slot<Cyclon> self) { return Cyclon(self, ...); });
+//   // ...one pool per layer, each handed the slots it talks to...
+//   engine.step();                          // one round
+//   Cyclon& peer = engine.protocol_at(overlay, node);
 //
 // Per round the engine orders nodes by a counter-based hash of
 // (seed, round, node) — a deterministic per-round permutation, so no node
-// systematically initiates first — invokes every installed protocol slot on
-// every active node, then runs observers. Node status transitions (sleep
-// for switched-off PMs, wake, fail) are applied immediately and broadcast
-// to the node's protocol instances so overlays can drop dead links.
+// systematically initiates first — and invokes every installed protocol
+// slot on every active node. Node status transitions (sleep for
+// switched-off PMs, wake, fail) are applied immediately and broadcast to
+// the node's protocol instances so overlays can drop dead links.
 //
 // One thread runs the round, in the hash-rank order: a node is visited
 // iff it is active (and not parked) when the visit cursor reaches it, so a
@@ -24,17 +27,12 @@
 // every installed slot is polled via Protocol::can_quiesce, and a unanimous
 // vote parks the node — it is skipped until wake()/schedule_wake()/
 // set_status re-activates it.
+//
 // Protocol storage is struct-of-arrays: each slot owns one contiguous
 // arena of concrete protocol objects (add_protocol_pool) plus a flat
-// per-node pointer array scanned on the hot path.
-//
-// Typed peer access is RTTI-free on the per-round path: each slot carries
-// cached typed-pointer views, registered eagerly when the slot is added
-// through the typed add_protocol_slot overload (and widened to interface
-// types via add_protocol_view). protocol_at serves from those caches with
-// a tag compare; dynamic_cast only runs on the cold first-access fallback
-// for slots installed through the type-erased overload, plus a debug-only
-// consistency check.
+// per-node pointer array scanned on the hot path. Peer access is typed
+// by the slot handle: protocol_at(Slot<T>, node) is a static_cast of that
+// array, with dynamic_cast only in a debug-build assertion.
 #pragma once
 
 #include <concepts>
@@ -46,7 +44,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/rng.hpp"
 #include "sim/network_stats.hpp"
 #include "sim/node.hpp"
 #include "sim/protocol.hpp"
@@ -66,100 +63,64 @@ class NetworkModel;
 
 namespace glap::sim {
 
-namespace detail {
-/// One byte of static storage per distinct protocol type; its address is
-/// the type's identity (no RTTI, vague linkage merges it across TUs).
+/// Typed handle to one installed protocol layer, returned by
+/// Engine::add_protocol_pool<T>. It converts implicitly to Slot<Base> for
+/// any base of T, so a Cyclon, Newscast or random-graph slot passes as
+/// Slot<overlay::NeighborProvider>; Engine::protocol_at then needs no
+/// runtime type check, and asking a slot for a type it cannot be viewed
+/// as does not compile.
 template <typename T>
-inline constexpr char kProtocolTypeTag = 0;
-}  // namespace detail
+class Slot {
+ public:
+  template <typename U>
+    requires std::derived_from<U, T>
+  Slot(Slot<U> other) noexcept : index_(other.index()) {}
+
+  /// Position in the engine's slot stack: the execute order, and the
+  /// profiler's phase kFirstSlot + index.
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
+
+ private:
+  friend class Engine;
+  explicit Slot(std::size_t index) noexcept : index_(index) {}
+
+  std::size_t index_;
+};
 
 class Engine {
  public:
-  using ProtocolSlot = std::size_t;
-
   Engine(std::size_t node_count, std::uint64_t seed);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Installs one protocol layer: `instances` must hold exactly one
-  /// instance per node (index == NodeId). Returns the slot handle used to
-  /// reach peer instances. This type-erased overload registers no typed
-  /// view; the first protocol_at<T> on the slot resolves one lazily.
-  ProtocolSlot add_protocol_slot(
-      std::vector<std::unique_ptr<Protocol>> instances);
-
-  /// Typed overload: additionally caches the concrete per-node pointers so
-  /// protocol_at<T> never needs RTTI. Prefer this in protocol installers.
-  template <typename T>
-    requires(std::derived_from<T, Protocol> && !std::same_as<T, Protocol>)
-  ProtocolSlot add_protocol_slot(std::vector<std::unique_ptr<T>> instances) {
-    std::vector<std::unique_ptr<Protocol>> base;
-    base.reserve(instances.size());
-    std::vector<void*> ptrs;
-    ptrs.reserve(instances.size());
-    for (auto& p : instances) {
-      ptrs.push_back(p.get());
-      base.push_back(std::move(p));
-    }
-    const ProtocolSlot slot = add_protocol_slot(std::move(base));
-    append_view(slot, type_tag<T>(), std::move(ptrs));
-    return slot;
-  }
-
-  /// Struct-of-arrays slot: one contiguous arena of T, one object per
-  /// node, constructed in node-id order by `make(node)`. The per-round
-  /// scan walks objects that are adjacent in memory (no per-instance heap
+  /// Installs one protocol layer as a struct-of-arrays pool: one
+  /// contiguous arena of T, one object per node, built in node-id order
+  /// by `make(node, slot)`, where `slot` is the handle being filled, so
+  /// an instance can keep it to reach its peers. The per-round scan walks
+  /// objects that are adjacent in memory (no per-instance heap
   /// allocation, no pointer chasing between neighbours), which is what
   /// makes 100k-node rounds bandwidth-bound rather than allocator-bound.
-  /// The typed view is registered eagerly, like the typed overload above.
   /// T must be move-constructible (the arena is reserved up front, so the
   /// move only runs while filling the pool, never afterwards; element
   /// addresses are stable for the engine's lifetime).
   template <typename T, typename Factory>
     requires(std::derived_from<T, Protocol> && !std::same_as<T, Protocol> &&
-             std::constructible_from<T, std::invoke_result_t<Factory&, NodeId>>)
-  ProtocolSlot add_protocol_pool(Factory&& make) {
+             std::constructible_from<
+                 T, std::invoke_result_t<Factory&, NodeId, Slot<T>>>)
+  Slot<T> add_protocol_pool(Factory&& make) {
+    const Slot<T> slot(layers_.size());
     auto arena = std::make_shared<std::vector<T>>();
     arena->reserve(node_count());
     for (std::size_t node = 0; node < node_count(); ++node)
-      arena->emplace_back(make(static_cast<NodeId>(node)));
-    Slot slot;
-    slot.instances.reserve(arena->size());
-    std::vector<void*> ptrs;
-    ptrs.reserve(arena->size());
-    for (T& p : *arena) {
-      slot.instances.push_back(&p);
-      ptrs.push_back(&p);
-    }
-    slot.storage = std::move(arena);
-    const ProtocolSlot index = push_slot(std::move(slot));
-    append_view(index, type_tag<T>(), std::move(ptrs));
-    return index;
+      arena->emplace_back(make(static_cast<NodeId>(node), slot));
+    Layer layer;
+    layer.instances.reserve(arena->size());
+    for (T& p : *arena) layer.instances.push_back(&p);
+    layer.storage = std::move(arena);
+    layers_.push_back(std::move(layer));
+    return slot;
   }
-
-
-  /// Widens an already-registered `Concrete` view to a base/interface
-  /// type, so protocol_at<As> is served from cache too (e.g. a Cyclon
-  /// slot viewed as overlay::NeighborProvider). Pure pointer adjustment —
-  /// no RTTI. No-op when the `As` view already exists.
-  template <typename Concrete, typename As>
-    requires std::derived_from<Concrete, As>
-  void add_protocol_view(ProtocolSlot slot) {
-    GLAP_REQUIRE(slot < slots_.size(), "protocol slot out of range");
-    const TypedView* source = find_view(slot, type_tag<Concrete>());
-    GLAP_REQUIRE(source != nullptr,
-                 "add_protocol_view needs the concrete view registered");
-    if (find_view(slot, type_tag<As>()) != nullptr) return;
-    std::vector<void*> ptrs;
-    ptrs.reserve(source->ptrs.size());
-    for (void* p : source->ptrs)
-      ptrs.push_back(static_cast<As*>(static_cast<Concrete*>(p)));
-    append_view(slot, type_tag<As>(), std::move(ptrs));
-  }
-
-  /// Registers an observer (not owned). Observers run in add order.
-  void add_observer(Observer* observer);
 
   /// Enables the quiescence semantic: after a node executes, its slots are
   /// polled via Protocol::can_quiesce and a unanimous vote parks it until
@@ -198,9 +159,8 @@ class Engine {
   /// wake() for every parked node (e.g. a fleet-wide re-learning trigger).
   void wake_all(WakeReason reason);
 
-  /// Runs `rounds` rounds (continuing from the current round counter);
-  /// stops early if an observer requests it. Returns rounds executed.
-  Round run(Round rounds);
+  /// Runs `rounds` rounds, continuing from the current round counter.
+  void run(Round rounds);
 
   /// Executes a single round.
   void step();
@@ -225,22 +185,19 @@ class Engine {
   /// Changes a node's status and notifies all of its protocol instances.
   void set_status(NodeId node, NodeStatus status);
 
-  /// Typed access to a protocol instance; T must match the installed type
-  /// (or a registered view of it). Throws precondition_error on mismatch.
+  /// The instance of `slot` on `node`: a bounds-checked index into the
+  /// slot's flat pointer array. T comes from the slot's type, so no
+  /// runtime type check is needed (only a debug build verifies it).
   template <typename T>
-  [[nodiscard]] T& protocol_at(ProtocolSlot slot, NodeId node) {
-    GLAP_HOT_REQUIRE(slot < slots_.size(), "protocol slot out of range");
-    GLAP_HOT_REQUIRE(node < slots_[slot].instances.size(),
-                     "node id out of range");
-    for (const TypedView& view : views_[slot]) {
-      if (view.tag != type_tag<T>()) continue;
-      T* typed = static_cast<T*>(view.ptrs[node]);
-      GLAP_DEBUG_ASSERT(
-          dynamic_cast<T*>(slots_[slot].instances[node]) == typed,
-          "cached protocol view out of sync");
-      return *typed;
-    }
-    return resolve_protocol_view<T>(slot, node);
+  [[nodiscard]] T& protocol_at(Slot<T> slot, NodeId node) {
+    GLAP_HOT_REQUIRE(slot.index() < layers_.size(),
+                     "protocol slot out of range");
+    const std::vector<Protocol*>& instances = layers_[slot.index()].instances;
+    GLAP_HOT_REQUIRE(node < instances.size(), "node id out of range");
+    T* typed = static_cast<T*>(instances[node]);
+    GLAP_DEBUG_ASSERT(dynamic_cast<T*>(instances[node]) == typed,
+                      "protocol slot holds another type");
+    return *typed;
   }
 
   [[nodiscard]] NetworkStats& network() noexcept { return network_; }
@@ -248,16 +205,12 @@ class Engine {
     return network_;
   }
 
-  /// Engine-level RNG for protocols needing shared randomness. Protocols
-  /// typically hold their own split streams; the round order does not
-  /// consume this stream (it is counter-hashed from the seed).
-  [[nodiscard]] Rng& rng() noexcept { return rng_; }
-
   /// Attaches the observability sinks (neither owned; either may be null).
-  /// Install BEFORE protocols so instrumented code can resolve and cache
-  /// its instruments on the driver thread. Protocols read these through
-  /// metrics()/trace_log() and must guard every use with a null check —
-  /// a null pointer is the disabled state and costs one predictable branch.
+  /// Attach BEFORE installing protocols: installers resolve their
+  /// instruments from metrics() once and hand them to every instance.
+  /// Protocols read trace_log() per event and must guard every use with a
+  /// null check — a null pointer is the disabled state and costs one
+  /// predictable branch.
   void set_telemetry(metrics::MetricsRegistry* metrics,
                      trace::TraceLog* trace) noexcept {
     metrics_ = metrics;
@@ -289,56 +242,13 @@ class Engine {
   }
 
  private:
-  using TypeTag = const void*;
-
   /// One protocol layer, struct-of-arrays: `instances` is the flat hot
-  /// array scanned per round (index == NodeId); `storage` owns the backing
-  /// memory — a contiguous `std::vector<T>` arena for pool slots, or the
-  /// legacy per-instance unique_ptr vector for slots installed through
-  /// add_protocol_slot.
-  struct Slot {
+  /// array scanned per round (index == NodeId); `storage` owns the
+  /// contiguous `std::vector<T>` arena the pointers point into.
+  struct Layer {
     std::vector<Protocol*> instances;
     std::shared_ptr<void> storage;
   };
-
-  struct TypedView {
-    TypeTag tag = nullptr;
-    std::vector<void*> ptrs;  ///< per-node pointers, already cast to T*
-  };
-
-  template <typename T>
-  [[nodiscard]] static TypeTag type_tag() noexcept {
-    return &detail::kProtocolTypeTag<T>;
-  }
-
-  void append_view(ProtocolSlot slot, TypeTag tag, std::vector<void*> ptrs);
-
-  [[nodiscard]] const TypedView* find_view(ProtocolSlot slot,
-                                           TypeTag tag) const;
-
-  /// Cold path: first protocol_at<T> on a slot with no cached T view
-  /// (slots installed through the type-erased overload). Resolves every
-  /// instance with one dynamic_cast, caches the view, and throws
-  /// precondition_error when the slot does not actually hold T.
-  template <typename T>
-  T& resolve_protocol_view(ProtocolSlot slot, NodeId node) {
-    GLAP_REQUIRE(slot < slots_.size(), "protocol slot out of range");
-    GLAP_REQUIRE(node < slots_[slot].instances.size(),
-                 "node id out of range");
-    std::vector<void*> ptrs;
-    ptrs.reserve(slots_[slot].instances.size());
-    for (Protocol* p : slots_[slot].instances) {
-      T* typed = dynamic_cast<T*>(p);
-      GLAP_REQUIRE(typed != nullptr, "protocol type mismatch for slot");
-      ptrs.push_back(typed);
-    }
-    T* result = static_cast<T*>(ptrs[node]);
-    append_view(slot, type_tag<T>(), std::move(ptrs));
-    return *result;
-  }
-
-  /// Registers a finished Slot and its (empty) view set; returns its index.
-  ProtocolSlot push_slot(Slot slot);
 
   /// Recomputes order_ for the current round (hash-rank permutation).
   void compute_round_order();
@@ -366,9 +276,7 @@ class Engine {
 
   std::vector<NodeStatus> status_;
   std::size_t active_count_;
-  std::vector<Slot> slots_;
-  std::vector<std::vector<TypedView>> views_;  ///< parallel to slots_
-  std::vector<Observer*> observers_;
+  std::vector<Layer> layers_;
   std::vector<NodeId> order_;
   std::vector<std::uint64_t> order_keys_;  ///< per-node sort key, scratch
   NetworkStats network_;
@@ -376,10 +284,8 @@ class Engine {
   trace::TraceLog* trace_ = nullptr;
   prof::PhaseProfiler* profiler_ = nullptr;
   net::NetworkModel* net_model_ = nullptr;
-  Rng rng_;
   std::uint64_t order_seed_;
   Round round_ = 0;
-  bool stop_requested_ = false;
 
   // --- quiescence state ---
   bool quiescence_ = false;

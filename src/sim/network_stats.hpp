@@ -19,11 +19,6 @@ class NetworkStats {
     bytes_ += bytes;
   }
 
-  void reset() noexcept {
-    messages_ = 0;
-    bytes_ = 0;
-  }
-
   [[nodiscard]] std::uint64_t messages() const noexcept { return messages_; }
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 

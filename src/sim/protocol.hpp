@@ -1,4 +1,4 @@
-// Protocol and Observer interfaces for the cycle-driven engine.
+// The protocol interface of the cycle-driven engine.
 //
 // This mirrors PeerSim's CDSim model: every node owns one instance of each
 // installed protocol; once per round the engine invokes the active nodes'
@@ -35,16 +35,6 @@ class Protocol {
                            NodeId /*self*/) const {
     return false;
   }
-};
-
-/// Observers run at the end of every round; they sample metrics and may
-/// stop the simulation early by returning false from on_round_end.
-class Observer {
- public:
-  virtual ~Observer() = default;
-
-  /// Returns false to stop the simulation after this round.
-  virtual bool on_round_end(Engine& engine, Round round) = 0;
 };
 
 }  // namespace glap::sim

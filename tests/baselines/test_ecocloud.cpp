@@ -91,13 +91,13 @@ TEST(EcoCloudUnderload, MonotoneNonIncreasingWithinEachBand) {
 struct TestBed {
   cloud::DataCenter dc;
   sim::Engine engine;
-  sim::Engine::ProtocolSlot slot;
+  sim::Slot<EcoCloudProtocol> slot;
 
   TestBed(std::size_t pms, std::size_t vms, const EcoCloudConfig& config,
           std::uint64_t seed)
-      : dc(pms, vms, cloud::DataCenterConfig{}), engine(pms, seed) {
-    slot = EcoCloudProtocol::install(engine, config, dc, seed);
-  }
+      : dc(pms, vms, cloud::DataCenterConfig{}),
+        engine(pms, seed),
+        slot(EcoCloudProtocol::install(engine, config, dc, seed)) {}
 };
 
 TEST(EcoCloud, FailedEvacuationMovesNothingAndCoolsDown) {
@@ -121,8 +121,7 @@ TEST(EcoCloud, FailedEvacuationMovesNothingAndCoolsDown) {
   EXPECT_EQ(bed.dc.host_of(0), 0u);
   EXPECT_EQ(bed.dc.host_of(1), 0u);
   EXPECT_TRUE(bed.dc.pm_on(0));
-  const auto& node0 =
-      bed.engine.protocol_at<EcoCloudProtocol>(bed.slot, 0);
+  const auto& node0 = bed.engine.protocol_at(bed.slot, 0);
   EXPECT_EQ(node0.cooldown_remaining(), 40u);
 }
 
@@ -159,8 +158,7 @@ TEST(EcoCloud, CooldownDecrementsAndSuppressesRetry) {
   demands[0] = demands[1] = {0.0, 0.0};
   bed.dc.observe_demands(demands);
   bed.engine.step();  // plan fails -> cooldown = 3
-  const auto& node0 =
-      bed.engine.protocol_at<EcoCloudProtocol>(bed.slot, 0);
+  const auto& node0 = bed.engine.protocol_at(bed.slot, 0);
   ASSERT_EQ(node0.cooldown_remaining(), 3u);
   bed.engine.step();
   EXPECT_EQ(node0.cooldown_remaining(), 2u);

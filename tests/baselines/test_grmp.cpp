@@ -110,9 +110,12 @@ TEST(Grmp, PicksLargestCpuVmFirst) {
 
 TEST(Grmp, ConfigValidation) {
   cloud::DataCenter dc(2, 2, cloud::DataCenterConfig{});
-  EXPECT_THROW(GrmpProtocol({.upper_threshold = 0.0}, dc, 0),
+  sim::Engine engine(2, 1);
+  const auto overlay =
+      overlay::RandomGraphProtocol::install(engine, {.degree = 1}, 1);
+  EXPECT_THROW(GrmpProtocol({.upper_threshold = 0.0}, dc, overlay),
                precondition_error);
-  EXPECT_THROW(GrmpProtocol({.upper_threshold = 1.5}, dc, 0),
+  EXPECT_THROW(GrmpProtocol({.upper_threshold = 1.5}, dc, overlay),
                precondition_error);
 }
 

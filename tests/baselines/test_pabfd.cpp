@@ -8,17 +8,15 @@ namespace {
 struct TestBed {
   cloud::DataCenter dc;
   sim::Engine engine;
-  sim::Engine::ProtocolSlot slot;
+  sim::Slot<PabfdManager> slot;
 
   TestBed(std::size_t pms, std::size_t vms, const PabfdConfig& config,
           std::uint64_t seed)
-      : dc(pms, vms, cloud::DataCenterConfig{}), engine(pms, seed) {
-    slot = PabfdManager::install(engine, config, dc);
-  }
+      : dc(pms, vms, cloud::DataCenterConfig{}),
+        engine(pms, seed),
+        slot(PabfdManager::install(engine, config, dc)) {}
 
-  PabfdManager& manager() {
-    return engine.protocol_at<PabfdManager>(slot, 0);
-  }
+  PabfdManager& manager() { return engine.protocol_at(slot, 0); }
 };
 
 PabfdConfig immediate() {
@@ -171,11 +169,11 @@ TEST(Pabfd, IntervalThrottlesReconsolidation) {
 
 TEST(Pabfd, ConfigValidation) {
   cloud::DataCenter dc(2, 2, cloud::DataCenterConfig{});
-  EXPECT_THROW(PabfdManager({.mad_safety = 0.0}, dc), precondition_error);
+  EXPECT_THROW(PabfdManager({.mad_safety = 0.0}, dc, 0), precondition_error);
   EXPECT_THROW(
-      PabfdManager({.history_window = 5, .min_history = 10}, dc),
+      PabfdManager({.history_window = 5, .min_history = 10}, dc, 0),
       precondition_error);
-  EXPECT_THROW(PabfdManager({.min_history = 1}, dc), precondition_error);
+  EXPECT_THROW(PabfdManager({.min_history = 1}, dc, 0), precondition_error);
   EXPECT_THROW(PabfdManager::mad({}), precondition_error);
 }
 

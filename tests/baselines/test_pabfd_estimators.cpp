@@ -38,11 +38,12 @@ TEST(LrForecast, DecreasingTrend) {
 struct EstimatorBed {
   cloud::DataCenter dc;
   sim::Engine engine;
-  sim::Engine::ProtocolSlot slot;
+  sim::Slot<PabfdManager> slot;
 
   explicit EstimatorBed(const PabfdConfig& config)
-      : dc(2, 2, cloud::DataCenterConfig{}), engine(2, 1) {
-    slot = PabfdManager::install(engine, config, dc);
+      : dc(2, 2, cloud::DataCenterConfig{}),
+        engine(2, 1),
+        slot(PabfdManager::install(engine, config, dc)) {
     dc.place(0, 0);
     dc.place(1, 1);
   }
@@ -57,7 +58,7 @@ struct EstimatorBed {
   }
 
   double threshold() {
-    return engine.protocol_at<PabfdManager>(slot, 0).upper_threshold(0);
+    return engine.protocol_at(slot, 0).upper_threshold(0);
   }
 };
 

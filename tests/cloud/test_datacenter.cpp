@@ -257,37 +257,36 @@ TEST(DataCenter, SlaTracksMigrationDegradation) {
 
 // ---- quiescence wake hook (DESIGN.md §12) -------------------------------
 
-using HookLog = std::vector<std::pair<PmId, DataCenter::WakeEvent>>;
+using Reason = trace::ActivityReason;
+using HookLog = std::vector<std::pair<PmId, Reason>>;
 
-HookLog::value_type ev(PmId pm, DataCenter::WakeEvent event) {
-  return {pm, event};
-}
+HookLog::value_type ev(PmId pm, Reason reason) { return {pm, reason}; }
 
 TEST(DataCenter, WakeHookFiresOnMigrationPlacementDepartureAndPower) {
   DataCenter dc = make_dc(0.5);
   HookLog log;
   dc.set_wake_hook(
-      [&](PmId pm, DataCenter::WakeEvent event) { log.push_back({pm, event}); },
+      [&](PmId pm, Reason reason) { log.push_back({pm, reason}); },
       /*demand_epsilon=*/0.5);
 
   dc.migrate(0, 3);  // both endpoints must re-examine their packing
-  EXPECT_EQ(log, (HookLog{ev(0, DataCenter::WakeEvent::kMigration),
-                          ev(3, DataCenter::WakeEvent::kMigration)}));
+  EXPECT_EQ(log, (HookLog{ev(0, Reason::kMigration),
+                          ev(3, Reason::kMigration)}));
 
   log.clear();
   dc.depart(1);  // PM 0's remaining load changed
-  EXPECT_EQ(log, (HookLog{ev(0, DataCenter::WakeEvent::kMigration)}));
+  EXPECT_EQ(log, (HookLog{ev(0, Reason::kMigration)}));
 
   log.clear();
   dc.set_power(0, PmPower::kSleep);  // PM 0 is empty now
-  EXPECT_EQ(log, (HookLog{ev(0, DataCenter::WakeEvent::kPower)}));
+  EXPECT_EQ(log, (HookLog{ev(0, Reason::kStatus)}));
 }
 
 TEST(DataCenter, WakeHookDemandEpsilonBandsDrift) {
   DataCenter dc = make_dc(0.5);  // reference anchored at 0.5 on install
   HookLog log;
   dc.set_wake_hook(
-      [&](PmId pm, DataCenter::WakeEvent event) { log.push_back({pm, event}); },
+      [&](PmId pm, Reason reason) { log.push_back({pm, reason}); },
       /*demand_epsilon=*/0.2);
 
   // Drift within the epsilon band: no wake, reference stays anchored.
@@ -298,8 +297,8 @@ TEST(DataCenter, WakeHookDemandEpsilonBandsDrift) {
   // sample): every hosted VM triggers a demand wake on its host.
   dc.observe_demands(std::vector<Resources>(8, Resources{0.72, 0.5}));
   ASSERT_FALSE(log.empty());
-  for (const auto& [pm, event] : log) {
-    EXPECT_EQ(event, DataCenter::WakeEvent::kDemand);
+  for (const auto& [pm, reason] : log) {
+    EXPECT_EQ(reason, Reason::kDemand);
     EXPECT_LT(pm, 4u);
   }
   const std::size_t wakes_after_jump = log.size();

@@ -10,6 +10,14 @@ namespace {
 
 using qlearn::Level;
 
+GlapConfig immediate_config() {
+  GlapConfig config;
+  config.learning_rounds = 0;
+  config.aggregation_rounds = 0;
+  config.consolidation_start_round = 0;
+  return config;
+}
+
 /// A consolidation testbed with hand-seeded Q-tables: learning phases are
 /// disabled (0 rounds) so the protocol activates immediately, and the
 /// static random-graph overlay makes the pairing dense.
@@ -17,31 +25,23 @@ struct TestBed {
   cloud::DataCenter dc;
   sim::Engine engine;
   GlapConfig config;
-  sim::Engine::ProtocolSlot overlay;
-  sim::Engine::ProtocolSlot learning;
-  sim::Engine::ProtocolSlot consolidation;
+  GlapSlots slots;
 
   TestBed(std::size_t pms, std::size_t vms, std::uint64_t seed)
-      : dc(pms, vms, cloud::DataCenterConfig{}), engine(pms, seed) {
-    config.learning_rounds = 0;
-    config.aggregation_rounds = 0;
-    config.consolidation_start_round = 0;
-    overlay = overlay::RandomGraphProtocol::install(
-        engine, {.degree = pms - 1}, seed);
-    learning =
-        GossipLearningProtocol::install(engine, config, dc, overlay, seed);
-    consolidation = GlapConsolidationProtocol::install(
-        engine, config, dc, overlay, learning, seed);
-  }
+      : dc(pms, vms, cloud::DataCenterConfig{}),
+        engine(pms, seed),
+        config(immediate_config()),
+        slots(install_glap_on(engine, dc, config,
+                              overlay::RandomGraphProtocol::install(
+                                  engine, {.degree = pms - 1}, seed),
+                              seed)) {}
 
   /// Seeds every node's Q-tables: OUT prefers any action; IN accepts all
   /// (state, action) pairs except those whose CPU state level is at least
   /// `reject_from_level` (value -1).
   void seed_tables(int reject_from_level) {
     for (sim::NodeId n = 0; n < engine.node_count(); ++n) {
-      auto& tables = engine
-                         .protocol_at<GossipLearningProtocol>(learning, n)
-                         .tables_mutable();
+      auto& tables = engine.protocol_at(slots.learning, n).tables_mutable();
       for (std::uint16_t s = 0; s < qlearn::kLevelPairCount; ++s) {
         for (std::uint16_t a = 0; a < qlearn::kLevelPairCount; ++a) {
           const auto state = qlearn::State::from_index(s);
@@ -61,9 +61,7 @@ struct TestBed {
   }
 
   const ConsolidationStats& stats(sim::NodeId n) {
-    return engine
-        .protocol_at<GlapConsolidationProtocol>(consolidation, n)
-        .stats();
+    return engine.protocol_at(slots.consolidation, n).stats();
   }
 };
 
@@ -146,7 +144,7 @@ TEST(Consolidation, WaitsForConfiguredStartRound) {
       overlay::RandomGraphProtocol::install(engine, {.degree = 1}, 5);
   const auto learning =
       GossipLearningProtocol::install(engine, config, dc, overlay, 5);
-  GlapConsolidationProtocol::install(engine, config, dc, overlay, learning,
+  GlapConsolidationProtocol::install(engine, config, dc, {overlay, learning},
                                      5);
   dc.place(0, 0);
   dc.place(1, 1);

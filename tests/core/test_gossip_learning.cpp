@@ -13,17 +13,18 @@ namespace {
 struct TestBed {
   cloud::DataCenter dc;
   sim::Engine engine;
-  sim::Engine::ProtocolSlot overlay;
-  sim::Engine::ProtocolSlot learning;
+  sim::Slot<overlay::CyclonProtocol> overlay;
+  sim::Slot<GossipLearningProtocol> learning;
 
   TestBed(std::size_t pms, std::size_t vms, const GlapConfig& config,
           std::uint64_t seed)
-      : dc(pms, vms, cloud::DataCenterConfig{}), engine(pms, seed) {
+      : dc(pms, vms, cloud::DataCenterConfig{}),
+        engine(pms, seed),
+        overlay(overlay::CyclonProtocol::install(engine, {}, seed)),
+        learning(GossipLearningProtocol::install(engine, config, dc, overlay,
+                                                 seed)) {
     Rng placement(hash_combine(seed, hash_tag("placement")));
     dc.place_randomly(placement);
-    overlay = overlay::CyclonProtocol::install(engine, {}, seed);
-    learning =
-        GossipLearningProtocol::install(engine, config, dc, overlay, seed);
   }
 
   void advance_demands(std::uint64_t seed, std::uint32_t round) {
@@ -34,7 +35,7 @@ struct TestBed {
   }
 
   GossipLearningProtocol& node(sim::NodeId id) {
-    return engine.protocol_at<GossipLearningProtocol>(learning, id);
+    return engine.protocol_at(learning, id);
   }
 
   double mean_similarity() {

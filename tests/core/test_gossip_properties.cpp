@@ -11,22 +11,26 @@
 namespace glap::core {
 namespace {
 
+GlapConfig aggregation_only() {
+  GlapConfig config;
+  config.learning_rounds = 0;
+  config.aggregation_rounds = 1000;
+  return config;
+}
+
 struct Bed {
   cloud::DataCenter dc;
   sim::Engine engine;
-  sim::Engine::ProtocolSlot learning;
+  sim::Slot<GossipLearningProtocol> learning;
   std::size_t n;
 
   explicit Bed(std::size_t nodes, std::uint64_t seed)
       : dc(nodes, nodes * 2, cloud::DataCenterConfig{}),
         engine(nodes, seed),
+        learning(GossipLearningProtocol::install(
+            engine, aggregation_only(), dc,
+            overlay::CyclonProtocol::install(engine, {}, seed), seed)),
         n(nodes) {
-    GlapConfig config;
-    config.learning_rounds = 0;  // aggregation-only protocol
-    config.aggregation_rounds = 1000;
-    const auto overlay = overlay::CyclonProtocol::install(engine, {}, seed);
-    learning =
-        GossipLearningProtocol::install(engine, config, dc, overlay, seed);
     Rng rng(seed);
     dc.place_randomly(rng);
     std::vector<Resources> demands(nodes * 2, Resources{0.3, 0.3});
@@ -34,7 +38,7 @@ struct Bed {
   }
 
   GossipLearningProtocol& node(sim::NodeId id) {
-    return engine.protocol_at<GossipLearningProtocol>(learning, id);
+    return engine.protocol_at(learning, id);
   }
 
   RunningStats values(qlearn::State s, qlearn::Action a) {

@@ -98,7 +98,7 @@ TEST(Retrigger, ReentersLearningThenIdles) {
     engine.step();
   };
   for (int i = 0; i < 5; ++i) step();
-  auto& node = engine.protocol_at<core::GossipLearningProtocol>(learning, 0);
+  auto& node = engine.protocol_at(learning, 0);
   ASSERT_EQ(node.phase(), core::GossipLearningProtocol::Phase::kIdle);
   node.retrigger(3, 2);
   EXPECT_EQ(node.phase(), core::GossipLearningProtocol::Phase::kLearning);

@@ -13,13 +13,20 @@ using sim::Engine;
 using sim::NodeId;
 using sim::NodeStatus;
 
-CyclonProtocol& instance(Engine& engine, Engine::ProtocolSlot slot,
+CyclonProtocol& instance(Engine& engine, sim::Slot<CyclonProtocol> slot,
                          NodeId node) {
-  return engine.protocol_at<CyclonProtocol>(slot, node);
+  return engine.protocol_at(slot, node);
+}
+
+/// The instance of a one-node overlay, whose bootstrap leaves the cache
+/// empty: a fixture for unit tests of the cache operations.
+CyclonProtocol& lone_instance(Engine& engine, const CyclonConfig& config) {
+  return engine.protocol_at(CyclonProtocol::install(engine, config, 1), 0);
 }
 
 /// BFS over the directed neighbor graph from node 0.
-std::size_t reachable_from_zero(Engine& engine, Engine::ProtocolSlot slot) {
+std::size_t reachable_from_zero(Engine& engine,
+                                sim::Slot<CyclonProtocol> slot) {
   std::set<NodeId> visited{0};
   std::queue<NodeId> frontier;
   frontier.push(0);
@@ -44,12 +51,27 @@ TEST(Cyclon, BootstrapFillsCache) {
 }
 
 TEST(Cyclon, ConfigValidation) {
-  EXPECT_THROW(CyclonProtocol({.cache_size = 0}, Rng(1)), precondition_error);
-  EXPECT_THROW(
-      CyclonProtocol({.cache_size = 4, .shuffle_length = 5}, Rng(1)),
-      precondition_error);
-  EXPECT_THROW(CyclonProtocol({.shuffle_length = 0}, Rng(1)),
+  Engine engine(2, 1);
+  EXPECT_THROW(CyclonProtocol::install(engine, {.cache_size = 0}, 1),
                precondition_error);
+  EXPECT_THROW(CyclonProtocol::install(
+                   engine, {.cache_size = 4, .shuffle_length = 5}, 1),
+               precondition_error);
+  EXPECT_THROW(CyclonProtocol::install(engine, {.shuffle_length = 0}, 1),
+               precondition_error);
+}
+
+// The typed slot widens to the interface the consolidation layers use,
+// and both handles reach the same instance.
+TEST(Cyclon, SlotViewedAsNeighborProviderReachesTheSameInstance) {
+  Engine engine(12, 10);
+  const auto slot = CyclonProtocol::install(engine, {}, 10);
+  const sim::Slot<NeighborProvider> provider = slot;
+  for (NodeId n = 0; n < 12; ++n) {
+    NeighborProvider& p = engine.protocol_at(provider, n);
+    EXPECT_EQ(&p, &instance(engine, slot, n));
+    EXPECT_EQ(p.neighbor_view(), instance(engine, slot, n).neighbor_view());
+  }
 }
 
 TEST(Cyclon, InvariantsHoldOverManyRounds) {
@@ -151,7 +173,8 @@ TEST(Cyclon, AgesIncreaseWithoutContact) {
 }
 
 TEST(Cyclon, RemoveNeighborDeletesAllEntries) {
-  CyclonProtocol proto({.cache_size = 4, .shuffle_length = 2}, Rng(1));
+  Engine engine(1, 1);
+  auto& proto = lone_instance(engine, {.cache_size = 4, .shuffle_length = 2});
   proto.bootstrap(0, {1, 2, 3});
   proto.remove_neighbor(2);
   for (const auto& e : proto.cache()) EXPECT_NE(e.id, 2u);
@@ -159,13 +182,15 @@ TEST(Cyclon, RemoveNeighborDeletesAllEntries) {
 }
 
 TEST(Cyclon, BootstrapIgnoresSelfAndDuplicates) {
-  CyclonProtocol proto({.cache_size = 8, .shuffle_length = 2}, Rng(1));
+  Engine engine(1, 1);
+  auto& proto = lone_instance(engine, {.cache_size = 8, .shuffle_length = 2});
   proto.bootstrap(0, {0, 1, 1, 2});
   EXPECT_EQ(proto.cache().size(), 2u);
 }
 
 TEST(Cyclon, HandleShuffleReturnsSubsetAndLearnsInitiator) {
-  CyclonProtocol proto({.cache_size = 8, .shuffle_length = 3}, Rng(2));
+  Engine engine(1, 2);
+  auto& proto = lone_instance(engine, {.cache_size = 8, .shuffle_length = 3});
   proto.bootstrap(5, {1, 2, 3, 4});
   std::vector<CyclonProtocol::Entry> incoming{{7, 0}, {8, 1}};
   const auto reply = proto.handle_shuffle(5, 9, incoming);

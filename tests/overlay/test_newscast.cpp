@@ -13,12 +13,13 @@ using sim::Engine;
 using sim::NodeId;
 using sim::NodeStatus;
 
-NewscastProtocol& instance(Engine& engine, Engine::ProtocolSlot slot,
+NewscastProtocol& instance(Engine& engine, sim::Slot<NewscastProtocol> slot,
                            NodeId node) {
-  return engine.protocol_at<NewscastProtocol>(slot, node);
+  return engine.protocol_at(slot, node);
 }
 
-std::size_t reachable_from_zero(Engine& engine, Engine::ProtocolSlot slot) {
+std::size_t reachable_from_zero(Engine& engine,
+                                sim::Slot<NewscastProtocol> slot) {
   std::set<NodeId> visited{0};
   std::queue<NodeId> frontier;
   frontier.push(0);
@@ -103,12 +104,17 @@ TEST(Newscast, HealsAroundFailedNodes) {
 }
 
 TEST(Newscast, ConfigValidation) {
-  EXPECT_THROW(NewscastProtocol({.cache_size = 0}, Rng(1)),
+  Engine engine(2, 1);
+  EXPECT_THROW(NewscastProtocol::install(engine, {.cache_size = 0}, 1),
                precondition_error);
 }
 
 TEST(Newscast, HandleExchangeLearnsInitiator) {
-  NewscastProtocol proto({.cache_size = 8}, Rng(7));
+  // A one-node overlay bootstraps an empty cache.
+  Engine engine(1, 7);
+  auto& proto =
+      instance(engine, NewscastProtocol::install(engine, {.cache_size = 8}, 7),
+               0);
   proto.bootstrap(5, {1, 2});
   const auto reply = proto.handle_exchange(5, 9, {{3, 4}}, 10);
   EXPECT_EQ(reply.size(), 3u);  // snapshot of 2 items + fresh self entry

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
 #include <vector>
 
 namespace glap::sim {
@@ -24,18 +26,16 @@ class RecordingProtocol final : public Protocol {
   std::vector<NodeId>* log_;
 };
 
-std::vector<std::unique_ptr<Protocol>> make_recorders(
-    std::size_t n, std::vector<NodeId>* log) {
-  std::vector<std::unique_ptr<Protocol>> v;
-  for (std::size_t i = 0; i < n; ++i)
-    v.push_back(std::make_unique<RecordingProtocol>(log));
-  return v;
+Slot<RecordingProtocol> install_recorders(Engine& engine,
+                                          std::vector<NodeId>* log) {
+  return engine.add_protocol_pool<RecordingProtocol>(
+      [&](NodeId, Slot<RecordingProtocol>) { return RecordingProtocol(log); });
 }
 
 TEST(Engine, EveryActiveNodeRunsOncePerRound) {
   Engine engine(10, 1);
   std::vector<NodeId> log;
-  engine.add_protocol_slot(make_recorders(10, &log));
+  install_recorders(engine, &log);
   engine.step();
   EXPECT_EQ(log.size(), 10u);
   std::vector<NodeId> sorted = log;
@@ -46,7 +46,7 @@ TEST(Engine, EveryActiveNodeRunsOncePerRound) {
 TEST(Engine, OrderIsShuffledBetweenRounds) {
   Engine engine(50, 2);
   std::vector<NodeId> log;
-  engine.add_protocol_slot(make_recorders(50, &log));
+  install_recorders(engine, &log);
   engine.step();
   std::vector<NodeId> round1 = log;
   log.clear();
@@ -58,13 +58,13 @@ TEST(Engine, SameSeedSameSchedule) {
   std::vector<NodeId> log_a, log_b;
   {
     Engine engine(20, 7);
-    engine.add_protocol_slot(make_recorders(20, &log_a));
+    install_recorders(engine, &log_a);
     engine.step();
     engine.step();
   }
   {
     Engine engine(20, 7);
-    engine.add_protocol_slot(make_recorders(20, &log_b));
+    install_recorders(engine, &log_b);
     engine.step();
     engine.step();
   }
@@ -74,7 +74,7 @@ TEST(Engine, SameSeedSameSchedule) {
 TEST(Engine, SleepingNodesDoNotInitiate) {
   Engine engine(5, 3);
   std::vector<NodeId> log;
-  engine.add_protocol_slot(make_recorders(5, &log));
+  install_recorders(engine, &log);
   engine.set_status(2, NodeStatus::kSleeping);
   engine.step();
   EXPECT_EQ(log.size(), 4u);
@@ -95,13 +95,12 @@ TEST(Engine, ActiveCountTracksStatus) {
 TEST(Engine, StatusChangeNotifiesProtocols) {
   Engine engine(3, 5);
   std::vector<NodeId> log;
-  auto instances = make_recorders(3, &log);
-  auto* p1 = static_cast<RecordingProtocol*>(instances[1].get());
-  engine.add_protocol_slot(std::move(instances));
+  const auto slot = install_recorders(engine, &log);
   engine.set_status(1, NodeStatus::kSleeping);
-  ASSERT_EQ(p1->status_changes.size(), 1u);
-  EXPECT_EQ(p1->status_changes[0].first, 1u);
-  EXPECT_EQ(p1->status_changes[0].second, NodeStatus::kSleeping);
+  const auto& changes = engine.protocol_at(slot, 1).status_changes;
+  ASSERT_EQ(changes.size(), 1u);
+  EXPECT_EQ(changes[0].first, 1u);
+  EXPECT_EQ(changes[0].second, NodeStatus::kSleeping);
 }
 
 TEST(Engine, FailedNodesCannotRecover) {
@@ -113,63 +112,110 @@ TEST(Engine, FailedNodesCannotRecover) {
 TEST(Engine, RedundantStatusChangeIsNoop) {
   Engine engine(2, 6);
   std::vector<NodeId> log;
-  auto instances = make_recorders(2, &log);
-  auto* p0 = static_cast<RecordingProtocol*>(instances[0].get());
-  engine.add_protocol_slot(std::move(instances));
+  const auto slot = install_recorders(engine, &log);
   engine.set_status(0, NodeStatus::kActive);
-  EXPECT_TRUE(p0->status_changes.empty());
-}
-
-class StopAfterObserver final : public Observer {
- public:
-  explicit StopAfterObserver(Round stop_at) : stop_at_(stop_at) {}
-  bool on_round_end(Engine&, Round round) override {
-    ++calls;
-    return round < stop_at_;
-  }
-  int calls = 0;
-
- private:
-  Round stop_at_;
-};
-
-TEST(Engine, ObserverCanStopRun) {
-  Engine engine(3, 8);
-  std::vector<NodeId> log;
-  engine.add_protocol_slot(make_recorders(3, &log));
-  StopAfterObserver obs(4);
-  engine.add_observer(&obs);
-  const Round executed = engine.run(100);
-  EXPECT_EQ(executed, 4u);
-  EXPECT_EQ(obs.calls, 4);
-  EXPECT_EQ(engine.current_round(), 4u);
+  EXPECT_TRUE(engine.protocol_at(slot, 0).status_changes.empty());
 }
 
 TEST(Engine, RunExecutesRequestedRounds) {
   Engine engine(3, 9);
   std::vector<NodeId> log;
-  engine.add_protocol_slot(make_recorders(3, &log));
-  EXPECT_EQ(engine.run(7), 7u);
+  install_recorders(engine, &log);
+  engine.run(7);
+  EXPECT_EQ(engine.current_round(), 7u);
   EXPECT_EQ(log.size(), 21u);
 }
 
-TEST(Engine, ProtocolAtTypeMismatchThrows) {
-  Engine engine(2, 10);
+/// An interface between Protocol and a concrete layer, the way
+/// overlay::NeighborProvider sits between Protocol and Cyclon.
+class Peer : public Protocol {
+ public:
+  virtual int id() const = 0;
+};
+
+class NumberedPeer final : public Peer {
+ public:
+  explicit NumberedPeer(int id) : id_(id) {}
+  void execute(Engine&, NodeId) override {}
+  int id() const override { return id_; }
+
+ private:
+  int id_;
+};
+
+/// True when `engine.protocol_at<As>(slot, node)` compiles for a slot
+/// holding `Held`.
+template <typename As, typename Held>
+concept ViewableAs = requires(Engine& engine, Slot<Held> slot) {
+  engine.template protocol_at<As>(slot, NodeId{0});
+};
+
+// A slot can be read as its own type or any base of it; asking it for an
+// unrelated type, or a derived type it may not hold, does not compile.
+static_assert(ViewableAs<RecordingProtocol, RecordingProtocol>);
+static_assert(ViewableAs<Protocol, RecordingProtocol>);
+static_assert(ViewableAs<Peer, NumberedPeer>);
+static_assert(!ViewableAs<NumberedPeer, RecordingProtocol>);
+static_assert(!ViewableAs<RecordingProtocol, NumberedPeer>);
+static_assert(!ViewableAs<NumberedPeer, Peer>);
+static_assert(std::is_convertible_v<Slot<NumberedPeer>, Slot<Peer>>);
+static_assert(!std::is_convertible_v<Slot<Peer>, Slot<NumberedPeer>>);
+
+TEST(Engine, ProtocolAtReadsASlotThroughItsBaseTypes) {
+  Engine engine(3, 10);
+  const Slot<NumberedPeer> slot = engine.add_protocol_pool<NumberedPeer>(
+      [](NodeId node, Slot<NumberedPeer>) {
+        return NumberedPeer(static_cast<int>(node) * 10);
+      });
+  const Slot<Peer> as_peer = slot;
+  EXPECT_EQ(as_peer.index(), slot.index());
+  for (NodeId node = 0; node < 3; ++node) {
+    NumberedPeer& concrete = engine.protocol_at(slot, node);
+    Peer& peer = engine.protocol_at(as_peer, node);
+    EXPECT_EQ(&peer, &concrete);
+    EXPECT_EQ(peer.id(), static_cast<int>(node) * 10);
+  }
+}
+
+/// Keeps its own slot from construction and reaches its ring successor
+/// through it.
+class RingProtocol final : public Protocol {
+ public:
+  RingProtocol(Slot<RingProtocol> self, NodeId id) : self_(self), id_(id) {}
+  void execute(Engine& engine, NodeId self) override {
+    const auto next = static_cast<NodeId>((self + 1) % engine.node_count());
+    engine.protocol_at(self_, next).last_caller = id_;
+  }
+  NodeId last_caller = kInvalidNode;
+
+ private:
+  Slot<RingProtocol> self_;
+  NodeId id_;
+};
+
+TEST(Engine, PoolFactoryReceivesTheSlotItFills) {
+  Engine engine(4, 11);
   std::vector<NodeId> log;
-  engine.add_protocol_slot(make_recorders(2, &log));
-  EXPECT_NO_THROW(engine.protocol_at<RecordingProtocol>(0, 0));
-  class Other final : public Protocol {
-    void execute(Engine&, NodeId) override {}
-  };
-  EXPECT_THROW(engine.protocol_at<Other>(0, 0), precondition_error);
+  const auto first = install_recorders(engine, &log);
+  std::vector<std::size_t> seen;
+  const auto ring = engine.add_protocol_pool<RingProtocol>(
+      [&](NodeId node, Slot<RingProtocol> self) {
+        seen.push_back(self.index());
+        return RingProtocol(self, node);
+      });
+  EXPECT_EQ(first.index(), 0u);
+  EXPECT_EQ(ring.index(), 1u);
+  EXPECT_EQ(seen, std::vector<std::size_t>(4, ring.index()));
+
+  // No post-install pass: the first round already reaches every peer.
+  engine.step();
+  for (NodeId node = 0; node < 4; ++node)
+    EXPECT_EQ(engine.protocol_at(ring, node).last_caller, (node + 3) % 4);
 }
 
 TEST(Engine, ValidatesConstructionAndSlots) {
   EXPECT_THROW(Engine(0, 1), precondition_error);
   Engine engine(3, 1);
-  std::vector<NodeId> log;
-  EXPECT_THROW(engine.add_protocol_slot(make_recorders(2, &log)),
-               precondition_error);
   EXPECT_THROW(engine.status(99), precondition_error);
 }
 
@@ -179,8 +225,6 @@ TEST(NetworkStats, CountsMessagesAndBytes) {
   net.count_message(1, 0, 50);
   EXPECT_EQ(net.messages(), 2u);
   EXPECT_EQ(net.bytes(), 150u);
-  net.reset();
-  EXPECT_EQ(net.messages(), 0u);
 }
 
 TEST(NodeStatus, ToString) {

@@ -2,8 +2,8 @@
 // can_quiesce votes park a node, any veto blocks parking, wake /
 // schedule_wake / set_status re-activate, and a node woken or switched on
 // mid-round runs in the same round iff its rank comes after the waker's.
-// Protocol storage goes through add_protocol_pool, so these tests also
-// cover the struct-of-arrays arena path.
+// Protocol storage goes through add_protocol_pool, the only install
+// path, so these tests also cover the struct-of-arrays arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,10 +45,13 @@ class VetoProtocol final : public Protocol {
   void execute(Engine&, NodeId) override {}
 };
 
-Engine::ProtocolSlot install_counters(Engine& engine, std::vector<NodeId>* log,
-                                      int threshold) {
+Slot<CountingProtocol> install_counters(Engine& engine,
+                                        std::vector<NodeId>* log,
+                                        int threshold) {
   return engine.add_protocol_pool<CountingProtocol>(
-      [&](NodeId) { return CountingProtocol(log, threshold); });
+      [&](NodeId, Slot<CountingProtocol>) {
+        return CountingProtocol(log, threshold);
+      });
 }
 
 TEST(Quiescence, UnanimousVoteParksAfterThreshold) {
@@ -74,9 +77,8 @@ TEST(Quiescence, AnyVetoBlocksParking) {
   engine.enable_quiescence();
   std::vector<NodeId> log;
   install_counters(engine, &log, 1);
-  std::vector<std::unique_ptr<Protocol>> vetoes;
-  for (int i = 0; i < 4; ++i) vetoes.push_back(std::make_unique<VetoProtocol>());
-  engine.add_protocol_slot(std::move(vetoes));
+  engine.add_protocol_pool<VetoProtocol>(
+      [](NodeId, Slot<VetoProtocol>) { return VetoProtocol(); });
 
   for (int i = 0; i < 3; ++i) engine.step();
   EXPECT_EQ(engine.quiescent_count(), 0u);
@@ -92,7 +94,7 @@ TEST(Quiescence, WakeReactivatesAndReparksAfterOneRound) {
   ASSERT_EQ(engine.quiescent_count(), 4u);
 
   // Model an incoming gossip exchange touching node 2's state.
-  engine.protocol_at<CountingProtocol>(slot, 2).poke();
+  engine.protocol_at(slot, 2).poke();
   engine.wake(2, WakeReason::kGossip);
   EXPECT_FALSE(engine.is_quiescent(2));
   EXPECT_EQ(engine.quiescent_count(), 3u);
@@ -222,7 +224,7 @@ std::vector<NodeId> visit_order(Round round) {
   probe.round = static_cast<Round>(-1);  // never wakes anyone
   Engine engine(kVisitNodes, kVisitSeed);
   engine.add_protocol_pool<WakingProtocol>(
-      [&](NodeId) { return WakingProtocol(&probe); });
+      [&](NodeId, Slot<WakingProtocol>) { return WakingProtocol(&probe); });
   engine.run(round + 1);
   std::vector<NodeId> order;
   for (const auto& [r, node] : probe.log)
@@ -255,7 +257,7 @@ TEST(VisitRule, WokenNodeRunsThisRoundIffRankedAfterTheWaker) {
   Engine engine(kVisitNodes, kVisitSeed);
   engine.enable_quiescence();
   engine.add_protocol_pool<WakingProtocol>(
-      [&](NodeId) { return WakingProtocol(&script); });
+      [&](NodeId, Slot<WakingProtocol>) { return WakingProtocol(&script); });
   engine.step();  // round 0: every node runs once and parks
   ASSERT_EQ(engine.quiescent_count(), kVisitNodes);
   engine.wake(script.waker, WakeReason::kSchedule);
@@ -282,7 +284,7 @@ TEST(VisitRule, SwitchedOnNodeRunsThisRoundIffRankedAfterTheWaker) {
 
   Engine engine(kVisitNodes, kVisitSeed);
   engine.add_protocol_pool<WakingProtocol>(
-      [&](NodeId) { return WakingProtocol(&script); });
+      [&](NodeId, Slot<WakingProtocol>) { return WakingProtocol(&script); });
   engine.step();  // round 0: every node runs
   engine.set_status(before, NodeStatus::kSleeping);
   engine.set_status(after, NodeStatus::kSleeping);

@@ -119,75 +119,24 @@ TEST(LintCli, GraphDotModeEmitsGraphviz) {
   EXPECT_NE(out.find("\"sim\" -> \"common\""), std::string::npos);
 }
 
-// Incremental cache: cold run misses everything, warm run hits
-// everything with identical results, a content change re-lints exactly
-// the changed file, and a corrupt cache degrades to a cold scan.
-TEST(LintCli, ScanCacheHitsMissesAndDegradesSafely) {
-  namespace fs = std::filesystem;
-  const fs::path root = fs::path(::testing::TempDir()) / "glap_lint_cached";
-  fs::remove_all(root);
-  fs::create_directories(root / "src" / "sim");
-  const fs::path cache = root / "lint.cache";
-  {
-    std::ofstream a(root / "src" / "sim" / "a.cpp");
-    a << "int a() { return 1; }\n";
-    std::ofstream b(root / "src" / "sim" / "b.cpp");
-    b << "int b() { return 2; }\n";
-  }
-  const std::string scan =
-      kBin + " scan " + root.string() + " --cache " + cache.string();
-  std::string out = capture(scan + " 2>/dev/null");
-  EXPECT_NE(out.find("0 hit(s), 2 miss(es)"), std::string::npos) << out;
-  out = capture(scan + " 2>/dev/null");
-  EXPECT_NE(out.find("2 hit(s), 0 miss(es)"), std::string::npos) << out;
-
-  {
-    std::ofstream a(root / "src" / "sim" / "a.cpp");
-    a << "int a() { return 3; }\n";
-  }
-  out = capture(scan + " 2>/dev/null");
-  EXPECT_NE(out.find("1 hit(s), 1 miss(es)"), std::string::npos) << out;
-
-  {
-    std::ofstream corrupt(cache);
-    corrupt << "not a cache\n";
-  }
-  out = capture(scan + " 2>/dev/null");
-  EXPECT_NE(out.find("0 hit(s), 2 miss(es)"), std::string::npos) << out;
-  fs::remove_all(root);
+// --max-print takes a count: the whole token must be a non-negative
+// integer. "-1" used to wrap into "... (5 more)" for 4 findings.
+TEST(LintCli, MaxPrintRejectsMalformedCounts) {
+  const std::string fail =
+      std::string(GLAP_TESTS_DIR) + "/fixtures/lint/layering/fail";
+  for (const std::string bad : {"-1", "abc", "5x", ""})
+    EXPECT_EQ(run(kBin + " scan " + fail + " --max-print '" + bad + "'"), 2)
+        << "'" << bad << "'";
+  const std::string out =
+      capture(kBin + " scan " + fail + " --max-print 1 2>&1");
+  EXPECT_NE(out.find("... (3 more; raise --max-print)"), std::string::npos)
+      << out;
 }
 
-// A warm cache must replay *findings*, not just cleanliness: the exit
-// code and the per-file diagnostics survive the cache round-trip.
-TEST(LintCli, CachedScanReplaysFindingsIdentically) {
-  namespace fs = std::filesystem;
-  const fs::path root =
-      fs::path(::testing::TempDir()) / "glap_lint_cached_fail";
-  fs::remove_all(root);
-  fs::create_directories(root / "src" / "sim");
-  const fs::path cache = root / "lint.cache";
-  {
-    std::ofstream bad(root / "src" / "sim" / "bad.cpp");
-    bad << "#include <cstdlib>\n"
-           "int draw() { return std::rand(); }\n";
-  }
-  const std::string scan =
-      kBin + " scan " + root.string() + " --cache " + cache.string();
-  EXPECT_EQ(run(scan), 1);
-  const std::string cold = capture(scan + " 2>&1");
-  const std::string warm = capture(scan + " 2>&1");
-  EXPECT_EQ(run(scan), 1);  // still failing from cache
-  EXPECT_NE(warm.find("banned-random"), std::string::npos) << warm;
-  // Identical modulo the hit/miss accounting line.
-  auto strip_cache_line = [](std::string s) {
-    const auto at = s.find("glap-lint: cache");
-    if (at == std::string::npos) return s;
-    const auto nl = s.find('\n', at);
-    return s.erase(at, nl == std::string::npos ? s.size() - at
-                                               : nl - at + 1);
-  };
-  EXPECT_EQ(strip_cache_line(cold), strip_cache_line(warm));
-  fs::remove_all(root);
+// The incremental scan cache is gone; its flag is a usage error now.
+TEST(LintCli, CacheFlagIsUnknown) {
+  EXPECT_EQ(run(kBin + " scan " + GLAP_SOURCE_DIR + " --cache lint.cache"),
+            2);
 }
 
 }  // namespace

@@ -92,6 +92,31 @@ TEST(TraceCli, UnknownGenFlagExitsTwoBeforeRunning) {
   EXPECT_FALSE(std::filesystem::exists(out)) << "gen ran despite the flag";
 }
 
+// A numeric flag must parse as a whole token and fit its range: "-1"
+// used to wrap --rounds to 2^32 - 1 rounds, and "abc" read as 0.
+TEST(TraceCli, MalformedNumericGenFlagExitsTwoBeforeRunning) {
+  const std::filesystem::path out =
+      std::filesystem::path(::testing::TempDir()) / "glap_trace_num.jsonl";
+  for (const std::string bad :
+       {"--pms abc", "--pms 0", "--ratio 2x", "--warmup -5", "--seed 1e3",
+        "--loss 101", "--epsilon-pct 1.5", "--sample-net 150",
+        "--sample-shuffle nan", "--idle-rounds 4294967296",
+        "--rounds -1"}) {
+    std::filesystem::remove(out);
+    EXPECT_EQ(run("gen " + out.string() + " --pms 4 --warmup 1 " + bad), 2)
+        << bad;
+    EXPECT_FALSE(std::filesystem::exists(out)) << "gen ran despite " << bad;
+  }
+}
+
+TEST(TraceCli, MalformedAnalysisCountExitsTwo) {
+  EXPECT_EQ(run("lineage " + kGolden + " --top -3"), 2);
+  EXPECT_EQ(run("lineage " + kGolden + " --vm x"), 2);
+  EXPECT_EQ(run("episodes " + kGolden + " --min-rounds 1.5"), 2);
+  EXPECT_EQ(run("check " + kGolden + " --max-print -1"), 2);
+  EXPECT_EQ(run("lineage " + kGolden + " --top 3 --vm 0"), 0);
+}
+
 TEST(TraceCli, MisspeltCheckFlagExitsTwo) {
   EXPECT_EQ(run("check " + kGolden + " --strcit"), 2);
 }

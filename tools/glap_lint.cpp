@@ -4,7 +4,7 @@
 // cross-TU project model live in tools/lint; this binary is argument
 // handling and report formatting, mirroring glap-trace.
 //
-//   glap-lint scan [<root>] [--results] [--cache <file>] [--max-print N]
+//   glap-lint scan [<root>] [--results] [--max-print N]
 //   glap-lint graph [<root>] [--dot] [--results]
 //   glap-lint file <path> [--as <rel-path>]
 //   glap-lint rules
@@ -16,9 +16,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
+#include "cli_number.hpp"
 #include "harness/report.hpp"
 #include "lint/lint.hpp"
 
@@ -34,11 +36,10 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: glap-lint <subcommand> [args]\n"
-      "  scan [<root>] [--results] [--cache <file>] [--max-print N]\n"
+      "  scan [<root>] [--results] [--max-print N]\n"
       "        lint src/ bench/ tools/ tests/support under <root>\n"
       "        (default .); --results mirrors rule-hit counts to\n"
-      "        results/lint_stats.json; --cache skips files whose\n"
-      "        content hash matches the previous scan\n"
+      "        results/lint_stats.json\n"
       "  graph [<root>] [--dot] [--results]\n"
       "        print the src/ module dependency graph against the\n"
       "        tools/lint/layers.txt DAG; --dot emits Graphviz,\n"
@@ -51,12 +52,12 @@ int usage() {
 }
 
 void print_findings(const std::vector<lint::Finding>& findings,
-                    long long max_print) {
-  long long printed = 0;
+                    std::size_t max_print) {
+  std::size_t printed = 0;
   for (const auto& f : findings) {
     if (printed++ >= max_print) {
       std::fprintf(stderr, "  ... (%zu more; raise --max-print)\n",
-                   findings.size() - static_cast<std::size_t>(max_print));
+                   findings.size() - max_print);
       break;
     }
     std::fprintf(stderr, "%s:%zu: [%s] %s\n", f.file.c_str(), f.line,
@@ -66,16 +67,15 @@ void print_findings(const std::vector<lint::Finding>& findings,
 
 int cmd_scan(int argc, char** argv) {
   std::string root = ".";
-  std::string cache;
   bool results = false;
-  long long max_print = 50;
+  std::size_t max_print = 50;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--results") == 0) {
       results = true;
-    } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      cache = argv[++i];
     } else if (std::strcmp(argv[i], "--max-print") == 0 && i + 1 < argc) {
-      max_print = std::atoll(argv[++i]);
+      // Throws on a malformed count; main() reports it with exit 2.
+      max_print = cli::parse_uint("--max-print", argv[++i], 0,
+                                  std::numeric_limits<std::size_t>::max());
     } else if (std::strncmp(argv[i], "--", 2) != 0) {
       root = argv[i];
     } else {
@@ -84,7 +84,7 @@ int cmd_scan(int argc, char** argv) {
     }
   }
 
-  const lint::TreeReport report = lint::lint_tree(root, cache);
+  const lint::TreeReport report = lint::lint_tree(root);
   for (const auto& err : report.io_errors)
     std::fprintf(stderr, "glap-lint: %s\n", err.c_str());
   if (!report.io_errors.empty()) return kExitError;
@@ -114,9 +114,6 @@ int cmd_scan(int argc, char** argv) {
     out.write();
   }
 
-  if (!cache.empty())
-    std::printf("glap-lint: cache — %zu hit(s), %zu miss(es)\n",
-                report.cache_hits, report.cache_misses);
   if (report.findings.empty()) {
     std::printf("glap-lint: OK — %zu files, 0 violations, %zu "
                 "suppression(s) in effect\n",
@@ -137,7 +134,7 @@ int cmd_scan(int argc, char** argv) {
 // number of inducing #includes and whether layers.txt declares it);
 // --dot emits a Graphviz digraph; --results mirrors the module-level
 // graph to results/lint_graph.json (drift-checked against EXPERIMENTS.md,
-// so only stable fields go in — no cache stats, no per-file data).
+// so only stable fields go in — no per-file data).
 int cmd_graph(int argc, char** argv) {
   std::string root = ".";
   bool dot = false;

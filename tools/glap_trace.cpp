@@ -28,14 +28,17 @@
 //   1  `check` found invariant violations
 //   2  usage error, unreadable input, or a malformed trace line
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "cli_number.hpp"
 
 #include "common/stats.hpp"
 #include "common/trace_check.hpp"
@@ -51,6 +54,9 @@ using namespace glap;
 constexpr int kExitOk = 0;
 constexpr int kExitViolations = 1;
 constexpr int kExitError = 2;
+
+/// Upper bound of the count flags (--top, --min-rounds, --max-print).
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::size_t>::max();
 
 int usage() {
   std::fprintf(
@@ -110,18 +116,35 @@ bool parse_args(int argc, char** argv, Args* out) {
   return true;
 }
 
-long long flag_int(const Args& args, const char* name, long long fallback) {
-  const auto it = args.flags.find(name);
-  return it == args.flags.end() ? fallback : std::atoll(it->second.c_str());
-}
-
-double flag_double(const Args& args, const char* name, double fallback) {
-  const auto it = args.flags.find(name);
-  return it == args.flags.end() ? fallback : std::atof(it->second.c_str());
-}
-
 bool has_flag(const Args& args, const char* name) {
   return args.flags.count(name) != 0;
+}
+
+/// The integer value of flag `name` in [lo, hi], or `fallback` when the
+/// flag is absent. A malformed value throws, which main() reports as a
+/// usage error (exit 2) before any trace is read or run started.
+std::uint64_t flag_uint(const Args& args, const char* name,
+                        std::uint64_t fallback, std::uint64_t lo,
+                        std::uint64_t hi) {
+  const auto it = args.flags.find(name);
+  return it == args.flags.end() ? fallback
+                                : cli::parse_uint(name, it->second, lo, hi);
+}
+
+/// A percentage flag in [0, 100], or `fallback` when absent.
+double flag_percent(const Args& args, const char* name, double fallback) {
+  const auto it = args.flags.find(name);
+  return it == args.flags.end() ? fallback
+                                : cli::parse_percent(name, it->second);
+}
+
+/// A VM or PM id filter: -1 (no filter) when the flag is absent.
+std::int64_t flag_id(const Args& args, const char* name) {
+  constexpr auto kMaxId =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  return has_flag(args, name)
+             ? static_cast<std::int64_t>(flag_uint(args, name, 0, 0, kMaxId))
+             : -1;
 }
 
 /// Streams every event of `path` into the analyzers via `fn`. Returns
@@ -161,6 +184,10 @@ bool for_each_event(const std::string& path, Fn&& fn) {
 // ---- lineage ------------------------------------------------------------
 
 int cmd_lineage(const Args& args) {
+  const std::int64_t only_vm = flag_id(args, "--vm");
+  const std::int64_t only_pm = flag_id(args, "--pm");
+  const std::uint64_t top = flag_uint(args, "--top", 20, 0, kMaxCount);
+
   trace::LineageBuilder lineage;
   if (!for_each_event(args.file,
                       [&](const trace::TraceEvent& e, std::size_t) {
@@ -168,19 +195,15 @@ int cmd_lineage(const Args& args) {
                       }))
     return kExitError;
 
-  const long long only_vm = flag_int(args, "--vm", -1);
-  const long long only_pm = flag_int(args, "--pm", -1);
-  const long long top = flag_int(args, "--top", 20);
-
   if (only_pm < 0) {
     std::printf("== VM migration chains (%zu VMs migrated) ==\n",
                 lineage.vm_chains().size());
-    long long printed = 0;
+    std::uint64_t printed = 0;
     for (const auto& [vm, hops] : lineage.vm_chains()) {
       if (only_vm >= 0 && vm != only_vm) continue;
       if (only_vm < 0 && printed++ >= top) {
-        std::printf("  ... (--top %lld reached; --vm ID for one chain)\n",
-                    top);
+        std::printf("  ... (--top %llu reached; --vm ID for one chain)\n",
+                    static_cast<unsigned long long>(top));
         break;
       }
       std::printf("vm %lld: pm %lld", static_cast<long long>(vm),
@@ -197,12 +220,12 @@ int cmd_lineage(const Args& args) {
   if (only_vm < 0) {
     std::printf("== PM occupancy timelines (%zu PMs touched) ==\n",
                 lineage.pm_timelines().size());
-    long long printed = 0;
+    std::uint64_t printed = 0;
     for (const auto& [pm, events] : lineage.pm_timelines()) {
       if (only_pm >= 0 && pm != only_pm) continue;
       if (only_pm < 0 && printed++ >= top) {
-        std::printf("  ... (--top %lld reached; --pm ID for one timeline)\n",
-                    top);
+        std::printf("  ... (--top %llu reached; --pm ID for one timeline)\n",
+                    static_cast<unsigned long long>(top));
         break;
       }
       std::printf("pm %lld:", static_cast<long long>(pm));
@@ -231,6 +254,10 @@ int cmd_lineage(const Args& args) {
 // ---- episodes -----------------------------------------------------------
 
 int cmd_episodes(const Args& args) {
+  const std::int64_t only_pm = flag_id(args, "--pm");
+  const std::uint64_t min_rounds =
+      flag_uint(args, "--min-rounds", 1, 0, kMaxCount);
+
   trace::EpisodeDetector detector;
   if (!for_each_event(args.file,
                       [&](const trace::TraceEvent& e, std::size_t) {
@@ -238,8 +265,6 @@ int cmd_episodes(const Args& args) {
                       }))
     return kExitError;
 
-  const long long only_pm = flag_int(args, "--pm", -1);
-  const long long min_rounds = flag_int(args, "--min-rounds", 1);
   const auto episodes = detector.finish();
 
   std::printf("%-8s %-8s %-8s %-9s %s\n", "pm", "onset", "rounds", "peak_cpu",
@@ -247,7 +272,7 @@ int cmd_episodes(const Args& args) {
   std::size_t shown = 0, migration_resolved = 0;
   for (const auto& ep : episodes) {
     if (only_pm >= 0 && ep.pm != only_pm) continue;
-    if (static_cast<long long>(ep.rounds) < min_rounds) continue;
+    if (ep.rounds < min_rounds) continue;
     ++shown;
     if (ep.resolved_by_migration) ++migration_resolved;
     char resolution[80];
@@ -274,6 +299,8 @@ int cmd_episodes(const Args& args) {
 // ---- check --------------------------------------------------------------
 
 int cmd_check(const Args& args) {
+  const std::uint64_t max_print =
+      flag_uint(args, "--max-print", 20, 0, kMaxCount);
   trace::InvariantChecker::Options options;
   options.churn_tolerant = has_flag(args, "--churn-tolerant");
   options.strict_overload_target = has_flag(args, "--strict");
@@ -291,8 +318,7 @@ int cmd_check(const Args& args) {
                 static_cast<unsigned long long>(checker.events_checked()));
     return kExitOk;
   }
-  const long long max_print = flag_int(args, "--max-print", 20);
-  long long printed = 0;
+  std::uint64_t printed = 0;
   for (const auto& v : violations) {
     if (printed++ >= max_print) {
       std::fprintf(stderr, "  ... (%zu more; raise --max-print)\n",
@@ -506,27 +532,34 @@ int cmd_gen(const Args& args) {
       return kExitError;
     }
   }
-  config.pm_count =
-      static_cast<std::size_t>(flag_int(args, "--pms", 150));
-  config.vm_ratio = static_cast<std::size_t>(flag_int(args, "--ratio", 2));
+  // Every numeric flag is parsed here, before the run starts: PM ids are
+  // sim::NodeId below the engine's kInvalidNode, round counts sim::Round.
+  constexpr std::uint64_t kMaxRound = std::numeric_limits<sim::Round>::max();
+  config.pm_count = flag_uint(args, "--pms", 150, 1, sim::kInvalidNode - 1);
+  config.vm_ratio = flag_uint(args, "--ratio", 2, 1, sim::kInvalidNode - 1);
   config.warmup_rounds =
-      static_cast<sim::Round>(flag_int(args, "--warmup", 200));
-  config.rounds = static_cast<sim::Round>(flag_int(args, "--rounds", 150));
-  config.seed = static_cast<std::uint64_t>(flag_int(args, "--seed", 42));
+      static_cast<sim::Round>(flag_uint(args, "--warmup", 200, 0, kMaxRound));
+  config.rounds =
+      static_cast<sim::Round>(flag_uint(args, "--rounds", 150, 0, kMaxRound));
+  config.seed = flag_uint(args, "--seed", 42, 0,
+                          std::numeric_limits<std::uint64_t>::max());
+  const std::uint64_t epsilon_pct =
+      flag_uint(args, "--epsilon-pct", 15, 0, 100);
+  const auto idle_rounds = static_cast<sim::Round>(
+      flag_uint(args, "--idle-rounds", 8, 0, kMaxRound));
+  const std::uint64_t loss_pct = flag_uint(args, "--loss", 0, 0, 100);
   if (has_flag(args, "--quiesce")) {
     // Quiescence defaults tuned for short gen runs: wake on any visible
     // demand move, park after a short calm streak.
     config.glap.quiescence.enabled = true;
     config.glap.quiescence.demand_epsilon =
-        0.01 * static_cast<double>(flag_int(args, "--epsilon-pct", 15));
-    config.glap.quiescence.idle_rounds =
-        static_cast<sim::Round>(flag_int(args, "--idle-rounds", 8));
+        0.01 * static_cast<double>(epsilon_pct);
+    config.glap.quiescence.idle_rounds = idle_rounds;
   }
   if (has_flag(args, "--net") || has_flag(args, "--loss")) {
     // Network model (DESIGN.md §13): --loss takes percent (1 = 1% drop).
     config.network.enabled = true;
-    config.network.loss_rate =
-        0.01 * static_cast<double>(flag_int(args, "--loss", 0));
+    config.network.loss_rate = 0.01 * static_cast<double>(loss_pct);
   }
   config.fit_glap_phases_to_warmup();
   config.observability.trace_path = args.file;
@@ -535,9 +568,9 @@ int cmd_gen(const Args& args) {
   // Sampling keeps take percent, like --loss: --sample-net 10 keeps ~10%
   // of net messages (decided per message by a pure hash, DESIGN.md §10.6).
   config.observability.trace_sample_shuffle =
-      0.01 * flag_double(args, "--sample-shuffle", 100.0);
+      0.01 * flag_percent(args, "--sample-shuffle", 100.0);
   config.observability.trace_sample_net =
-      0.01 * flag_double(args, "--sample-net", 100.0);
+      0.01 * flag_percent(args, "--sample-net", 100.0);
   const auto flight_dump = args.flags.find("--flight-dump");
   if (flight_dump != args.flags.end())
     config.observability.flight_dump_path = flight_dump->second;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -592,143 +591,9 @@ std::vector<Suppression> parse_suppressions(
 /// One scanned file: per-file report plus the project-pass summary.
 struct FileEntry {
   std::string path;
-  std::uint64_t hash = 0;
   FileReport report;
   FileSummary summary;
 };
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Cache format/semantics version; bump when rules or the summary shape
-/// change so stale caches fall back to a cold scan.
-constexpr int kCacheVersion = 3;
-
-std::uint64_t cache_fingerprint() {
-  std::string all = "glap-lint-cache-v" + std::to_string(kCacheVersion);
-  for (const RuleInfo& r : rules()) {
-    all += '|';
-    all += r.name;
-  }
-  return fnv1a64(all);
-}
-
-void write_names(std::ostream& out, char tag,
-                 const std::vector<std::string>& names) {
-  if (names.empty()) return;
-  out << tag;
-  for (const std::string& n : names) out << ' ' << n;
-  out << '\n';
-}
-
-/// Serializes one entry into the line-based cache format. All fields are
-/// single-token except messages/reasons, which close out their line.
-void write_cache_entry(std::ostream& out, const FileEntry& e) {
-  out << "F " << std::hex << e.hash << std::dec << ' ' << e.path << '\n';
-  for (const Finding& f : e.report.findings)
-    out << "f " << f.line << ' ' << f.rule << ' ' << f.message << '\n';
-  for (const Suppression& s : e.report.suppressions)
-    out << "s " << s.line << ' ' << (s.file_wide ? 1 : 0) << ' '
-        << (s.used ? 1 : 0) << ' ' << s.rule << ' ' << s.reason << '\n';
-  const FileSummary& m = e.summary;
-  out << "y " << (m.is_header ? 1 : 0) << ' ' << (m.has_pragma_once ? 1 : 0)
-      << ' ' << (m.module.empty() ? "-" : m.module) << '\n';
-  for (const IncludeRef& inc : m.includes)
-    out << "i " << inc.line << ' ' << inc.path << '\n';
-  write_names(out, 'P', m.provided);
-  write_names(out, 'R', m.referenced);
-  out << ".\n";
-}
-
-/// Parses the cache produced by write_cache_entry. Any structural
-/// surprise invalidates the whole cache (returns empty) — the scan then
-/// runs cold, which is always correct.
-std::map<std::string, FileEntry> load_cache(const std::string& path) {
-  std::map<std::string, FileEntry> cache;
-  std::ifstream in(path);
-  if (!in.is_open()) return cache;
-  std::string line;
-  if (!std::getline(in, line)) return cache;
-  {
-    std::istringstream head(line);
-    std::string magic;
-    std::uint64_t fp = 0;
-    if (!(head >> magic >> std::hex >> fp) || magic != "glap-lint-cache" ||
-        fp != cache_fingerprint())
-      return cache;
-  }
-  FileEntry cur;
-  bool open = false;
-  auto rest_of = [](std::istringstream& is) {
-    std::string rest;
-    std::getline(is, rest);
-    const std::size_t p = rest.find_first_not_of(' ');
-    return p == std::string::npos ? std::string() : rest.substr(p);
-  };
-  auto read_names = [](std::istringstream& is, std::vector<std::string>* out) {
-    std::string n;
-    while (is >> n) out->push_back(n);
-  };
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    if (tag == "F") {
-      if (open) return {};  // truncated previous record
-      cur = FileEntry{};
-      if (!(is >> std::hex >> cur.hash >> std::dec >> cur.path)) return {};
-      cur.summary.path = cur.path;
-      open = true;
-    } else if (tag == ".") {
-      if (!open) return {};
-      cache[cur.path] = std::move(cur);
-      cur = FileEntry{};
-      open = false;
-    } else if (!open) {
-      return {};
-    } else if (tag == "f") {
-      Finding f;
-      f.file = cur.path;
-      if (!(is >> f.line >> f.rule)) return {};
-      f.message = rest_of(is);
-      cur.report.findings.push_back(std::move(f));
-    } else if (tag == "s") {
-      Suppression s;
-      int fw = 0, used = 0;
-      if (!(is >> s.line >> fw >> used >> s.rule)) return {};
-      s.file_wide = fw != 0;
-      s.used = used != 0;
-      s.reason = rest_of(is);
-      cur.report.suppressions.push_back(std::move(s));
-    } else if (tag == "y") {
-      int header = 0, pragma = 0;
-      std::string module;
-      if (!(is >> header >> pragma >> module)) return {};
-      cur.summary.is_header = header != 0;
-      cur.summary.has_pragma_once = pragma != 0;
-      cur.summary.module = module == "-" ? "" : module;
-    } else if (tag == "i") {
-      IncludeRef inc;
-      if (!(is >> inc.line >> inc.path)) return {};
-      cur.summary.includes.push_back(std::move(inc));
-    } else if (tag == "P") {
-      read_names(is, &cur.summary.provided);
-    } else if (tag == "R") {
-      read_names(is, &cur.summary.referenced);
-    } else {
-      return {};
-    }
-  }
-  if (open) return {};  // truncated final record
-  return cache;
-}
 
 /// Project pass + suppression resolution + aggregation over per-file
 /// entries. Consumes the entries (moves findings out).
@@ -916,10 +781,10 @@ TreeReport lint_project(const std::vector<ProjectFile>& files,
   return finalize_tree(entries, layers_text);
 }
 
-TreeReport lint_tree(const std::string& root, const std::string& cache_path) {
+TreeReport lint_tree(const std::string& root) {
   namespace fs = std::filesystem;
-  TreeReport report;
-  std::vector<fs::path> files;
+  std::vector<std::string> io_errors;
+  std::vector<fs::path> paths;
   bool any_root = false;
   for (const char* sub : {"src", "bench", "tools", "tests/support"}) {
     const fs::path dir = fs::path(root) / sub;
@@ -931,16 +796,17 @@ TreeReport lint_tree(const std::string& root, const std::string& cache_path) {
       if (!it->is_regular_file()) continue;
       const std::string ext = it->path().extension().string();
       if (ext == ".cpp" || ext == ".hpp" || ext == ".h")
-        files.push_back(it->path());
+        paths.push_back(it->path());
     }
-    if (ec) report.io_errors.push_back(dir.string() + ": " + ec.message());
+    if (ec) io_errors.push_back(dir.string() + ": " + ec.message());
   }
   if (!any_root) {
+    TreeReport report;
     report.io_errors.push_back(root +
                                ": no src/, bench/ or tools/ directory");
     return report;
   }
-  std::sort(files.begin(), files.end());
+  std::sort(paths.begin(), paths.end());
 
   std::string layers_text;
   {
@@ -952,57 +818,23 @@ TreeReport lint_tree(const std::string& root, const std::string& cache_path) {
     }
   }
 
-  std::map<std::string, FileEntry> cache;
-  if (!cache_path.empty()) cache = load_cache(cache_path);
-
-  std::vector<FileEntry> entries;
-  entries.reserve(files.size());
-  std::ostringstream cache_out;  // per-file state, before the project pass
-  for (const fs::path& path : files) {
+  std::vector<ProjectFile> files;
+  files.reserve(paths.size());
+  for (const fs::path& path : paths) {
     std::ifstream in(path, std::ios::binary);
     if (!in.is_open()) {
-      report.io_errors.push_back(path.string() + ": cannot open");
+      io_errors.push_back(path.string() + ": cannot open");
       continue;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string content = buf.str();
-    const std::string rel =
-        fs::path(fs::relative(path, root)).generic_string();
-    const std::uint64_t hash = fnv1a64(content);
-
-    FileEntry entry;
-    const auto hit = cache.find(rel);
-    if (hit != cache.end() && hit->second.hash == hash) {
-      entry = hit->second;
-      ++report.cache_hits;
-    } else {
-      entry.path = rel;
-      entry.hash = hash;
-      entry.report = lint_source(rel, content);
-      entry.summary = summarize_source(rel, content);
-      ++report.cache_misses;
-    }
-    if (!cache_path.empty()) write_cache_entry(cache_out, entry);
-    entries.push_back(std::move(entry));
+    files.push_back(
+        {fs::path(fs::relative(path, root)).generic_string(), buf.str()});
   }
 
-  if (!cache_path.empty()) {
-    // Best effort: an unwritable cache costs the next run a cold scan,
-    // never correctness, so it is not an io_error.
-    std::ofstream out(cache_path, std::ios::binary | std::ios::trunc);
-    if (out.is_open()) {
-      out << "glap-lint-cache " << std::hex << cache_fingerprint()
-          << std::dec << '\n';
-      out << cache_out.str();
-    }
-  }
-
-  TreeReport merged = finalize_tree(entries, layers_text);
-  merged.io_errors = std::move(report.io_errors);
-  merged.cache_hits = report.cache_hits;
-  merged.cache_misses = report.cache_misses;
-  return merged;
+  TreeReport report = lint_project(files, layers_text);
+  report.io_errors = std::move(io_errors);
+  return report;
 }
 
 }  // namespace glap::lint

@@ -103,9 +103,6 @@ struct TreeReport {
   // Project-model outputs (rendered by `glap-lint graph`).
   std::vector<LayerEdge> layer_edges;               ///< sorted (from, to)
   std::map<std::string, std::size_t> module_files;  ///< src module -> files
-  // Incremental-cache accounting (zero when no cache file was given).
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
 };
 
 /// Walks `<root>/src`, `<root>/bench`, `<root>/tools` and
@@ -114,14 +111,7 @@ struct TreeReport {
 /// summaries. The layering DAG is read from `<root>/tools/lint/layers.txt`
 /// when present (absent: the layering rule is skipped). Missing scan
 /// roots or unreadable files are reported in `io_errors`, never thrown.
-///
-/// `cache_path`, when non-empty, names a content-hash cache: files whose
-/// hash matches skip tokenization entirely (per-file findings and the
-/// project summary are replayed from the cache), and the cache is
-/// rewritten after the scan. A missing, stale or corrupt cache degrades
-/// to a cold scan — never to wrong results.
-TreeReport lint_tree(const std::string& root,
-                     const std::string& cache_path = "");
+TreeReport lint_tree(const std::string& root);
 
 /// An in-memory file for lint_project (fixture trees in tests).
 struct ProjectFile {

@@ -1,7 +1,7 @@
 // Cross-TU project model for glap-lint. The per-file rules in lint.cpp
 // see one token stream at a time; module layering and include hygiene
 // span translation units. This layer summarizes each file once
-// (`summarize_source`, pure and cacheable) and then runs the
+// (`summarize_source`, a pure function) and then runs the
 // project-scoped rules over the joined summaries (`analyze_project`):
 //
 //   layering         src/ module include edges must match the checked-in
@@ -29,8 +29,7 @@ struct IncludeRef {
 };
 
 /// Everything the project pass needs to know about one file. Produced by
-/// a single tokenize of the file, independent of every other file — which
-/// is what makes the on-disk scan cache sound.
+/// a single tokenize of the file, independent of every other file.
 struct FileSummary {
   std::string path;    ///< repo-relative, '/'-separated
   std::string module;  ///< "common", "sim", ... for src/<m>/...; else ""
