@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,17 @@
 namespace glap::bench {
 
 using harness::Algorithm;
+
+/// The sweep shape from GLAP_BENCH_SCALE / GLAP_BENCH_REPS; a malformed
+/// variable exits with status 2 and a message naming it, before any run.
+inline harness::BenchScale scale_from_env() {
+  try {
+    return harness::bench_scale_from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+}
 
 inline const std::vector<Algorithm>& all_algorithms() {
   static const std::vector<Algorithm> algos{

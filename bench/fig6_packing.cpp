@@ -12,7 +12,7 @@
 using namespace glap;
 
 int main() {
-  const harness::BenchScale scale = harness::bench_scale_from_env();
+  const harness::BenchScale scale = bench::scale_from_env();
   bench::print_bench_header(
       "Fig. 6 — active PMs vs BFD baseline, overloaded fraction", scale);
 

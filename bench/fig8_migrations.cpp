@@ -6,7 +6,7 @@ using namespace glap;
 using bench::Algorithm;
 
 int main() {
-  const harness::BenchScale scale = harness::bench_scale_from_env();
+  const harness::BenchScale scale = bench::scale_from_env();
   bench::print_bench_header(
       "Fig. 8 — migrations per round (median, p10, p90) and totals", scale);
 

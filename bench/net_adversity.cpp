@@ -34,7 +34,7 @@ const std::vector<Variant>& variants() {
 }  // namespace
 
 int main() {
-  const harness::BenchScale scale = harness::bench_scale_from_env();
+  const harness::BenchScale scale = bench::scale_from_env();
   bench::print_bench_header("Convergence under network adversity", scale);
 
   const std::size_t size = scale.sizes.back();

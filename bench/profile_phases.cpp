@@ -17,7 +17,7 @@
 using namespace glap;
 
 int main() {
-  const harness::BenchScale scale = harness::bench_scale_from_env();
+  const harness::BenchScale scale = bench::scale_from_env();
   bench::print_bench_header(
       "Engine phase profile — per-phase calls (deterministic) and wall "
       "time (host-dependent)",

@@ -7,7 +7,7 @@ using namespace glap;
 using bench::Algorithm;
 
 int main() {
-  const harness::BenchScale scale = harness::bench_scale_from_env();
+  const harness::BenchScale scale = bench::scale_from_env();
   bench::print_bench_header("Table I — SLAV per size and ratio", scale);
 
   ThreadPool pool;

@@ -11,7 +11,7 @@
 using namespace glap;
 
 int main() {
-  const harness::BenchScale scale = harness::bench_scale_from_env();
+  const harness::BenchScale scale = bench::scale_from_env();
   bench::print_bench_header(
       "Future work — rack-topology-aware consolidation", scale);
 

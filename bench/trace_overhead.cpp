@@ -31,10 +31,13 @@
 // back into simulation state.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "common/cli_number.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 
@@ -141,18 +144,47 @@ ScaleRun scale_run(ScaleMode mode, int reps) {
   return best;
 }
 
-double arg_ratio(int argc, char** argv, const char* flag, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
-  return fallback;
+/// The four gate thresholds (see the header comment for their defaults).
+struct Gates {
+  double min_on_ratio = 0.5;
+  double min_metrics_ratio = 0.9;
+  double min_sampled_ratio = 0.95;
+  double min_size_ratio = 10.0;
+};
+
+/// Reads `--<gate> <ratio>` pairs; an unknown flag, a missing value or a
+/// malformed ratio throws std::invalid_argument naming it.
+Gates parse_gates(int argc, char** argv) {
+  Gates gates;
+  const std::pair<std::string_view, double*> flags[] = {
+      {"--min-on-ratio", &gates.min_on_ratio},
+      {"--min-metrics-ratio", &gates.min_metrics_ratio},
+      {"--min-sampled-ratio", &gates.min_sampled_ratio},
+      {"--min-size-ratio", &gates.min_size_ratio}};
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    double* gate = nullptr;
+    for (const auto& [name, field] : flags)
+      if (arg == name) gate = field;
+    if (gate == nullptr)
+      throw std::invalid_argument("unknown flag '" + std::string(arg) + "'");
+    if (i + 1 == argc)
+      throw std::invalid_argument(std::string(arg) + " needs a value");
+    *gate = cli::parse_ratio(arg, argv[++i]);
+  }
+  return gates;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double min_on_ratio = arg_ratio(argc, argv, "--min-on-ratio", 0.5);
-  const double min_metrics_ratio =
-      arg_ratio(argc, argv, "--min-metrics-ratio", 0.9);
+  Gates gates;
+  try {
+    gates = parse_gates(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "[trace_overhead] %s\n", e.what());
+    return 2;
+  }
 
   std::fprintf(stderr, "[trace_overhead] tracing off (3 runs)...\n");
   const double off = rounds_per_sec(nullptr, 3);
@@ -165,11 +197,11 @@ int main(int argc, char** argv) {
               off, on, off > 0 ? on / off : 0.0, sink.str().size());
 
   bool ok = true;
-  if (on < min_on_ratio * off) {
+  if (on < gates.min_on_ratio * off) {
     std::fprintf(stderr,
                  "[trace_overhead] FAIL: enabled tracing costs too much "
                  "(%.2f < %.2f x %.2f)\n",
-                 on, min_on_ratio, off);
+                 on, gates.min_on_ratio, off);
     ok = false;
   }
 
@@ -183,17 +215,14 @@ int main(int argc, char** argv) {
               "on: %.2f rounds/sec (on/off %.2f)\n",
               metrics_off, metrics_on,
               metrics_off > 0 ? metrics_on / metrics_off : 0.0);
-  if (metrics_on < min_metrics_ratio * metrics_off) {
+  if (metrics_on < gates.min_metrics_ratio * metrics_off) {
     std::fprintf(stderr,
                  "[trace_overhead] FAIL: metrics alone cost too much at "
                  "1000 PMs (%.2f < %.2f x %.2f)\n",
-                 metrics_on, min_metrics_ratio, metrics_off);
+                 metrics_on, gates.min_metrics_ratio, metrics_off);
     ok = false;
   }
 
-  const double min_sampled_ratio =
-      arg_ratio(argc, argv, "--min-sampled-ratio", 0.95);
-  const double min_size_ratio = arg_ratio(argc, argv, "--min-size-ratio", 10.0);
   std::fprintf(stderr, "[trace_overhead] 10k PMs, tracing off (2 runs)...\n");
   const ScaleRun scale_off = scale_run(ScaleMode::kOff, 2);
   std::fprintf(stderr, "[trace_overhead] 10k PMs, full JSONL (1 run)...\n");
@@ -212,21 +241,21 @@ int main(int argc, char** argv) {
                 static_cast<double>(scale_sampled.trace_bytes)
           : 0.0,
       scale_off.rps > 0 ? scale_sampled.rps / scale_off.rps : 0.0);
-  if (static_cast<double>(scale_sampled.trace_bytes) * min_size_ratio >
+  if (static_cast<double>(scale_sampled.trace_bytes) * gates.min_size_ratio >
       static_cast<double>(scale_full.trace_bytes)) {
     std::fprintf(stderr,
                  "[trace_overhead] FAIL: sampled GTB trace is not %.0fx "
                  "smaller than full JSONL (%zu x %.0f > %zu)\n",
-                 min_size_ratio, scale_sampled.trace_bytes, min_size_ratio,
-                 scale_full.trace_bytes);
+                 gates.min_size_ratio, scale_sampled.trace_bytes,
+                 gates.min_size_ratio, scale_full.trace_bytes);
     ok = false;
   }
-  if (scale_sampled.rps < min_sampled_ratio * scale_off.rps) {
+  if (scale_sampled.rps < gates.min_sampled_ratio * scale_off.rps) {
     std::fprintf(stderr,
                  "[trace_overhead] FAIL: sampled GTB tracing costs more "
                  "than %.0f%% at 10k PMs (%.2f < %.2f x %.2f)\n",
-                 100.0 * (1.0 - min_sampled_ratio), scale_sampled.rps,
-                 min_sampled_ratio, scale_off.rps);
+                 100.0 * (1.0 - gates.min_sampled_ratio), scale_sampled.rps,
+                 gates.min_sampled_ratio, scale_off.rps);
     ok = false;
   }
 

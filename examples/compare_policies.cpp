@@ -2,8 +2,12 @@
 // the identical workload and prints the paper's headline comparison:
 // overloaded PMs, active PMs vs the BFD oracle, migrations, migration
 // energy, and the SLAV metric.
+//
+// Usage: compare_policies [pms] [ratio]
 #include <cstdio>
+#include <stdexcept>
 
+#include "common/cli_number.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "harness/sweep.hpp"
@@ -14,8 +18,15 @@ int main(int argc, char** argv) {
 
   std::size_t pm_count = 300;
   std::size_t ratio = 3;
-  if (argc > 1) pm_count = static_cast<std::size_t>(std::atol(argv[1]));
-  if (argc > 2) ratio = static_cast<std::size_t>(std::atol(argv[2]));
+  try {
+    if (argc > 1)
+      pm_count = cli::parse_uint("pms", argv[1], 1, sim::kInvalidNode - 1);
+    if (argc > 2)
+      ratio = cli::parse_uint("ratio", argv[2], 1, sim::kInvalidNode - 1);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "compare_policies: %s\n", e.what());
+    return 2;
+  }
 
   std::vector<harness::ExperimentConfig> cells;
   for (Algorithm algo : {Algorithm::kGlap, Algorithm::kEcoCloud,

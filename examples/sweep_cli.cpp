@@ -11,7 +11,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 
+#include "common/cli_number.hpp"
 #include "common/csv.hpp"
 #include "common/thread_pool.hpp"
 #include "harness/sweep.hpp"
@@ -45,17 +48,28 @@ int main(int argc, char** argv) {
 
   harness::ExperimentConfig config;
   config.algorithm = parse_algorithm(argv[1]);
-  config.pm_count = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 200;
-  config.vm_ratio = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 3;
-  config.rounds = argc > 4
-                      ? static_cast<sim::Round>(std::strtoul(argv[4], nullptr, 10))
-                      : 240;
-  config.warmup_rounds =
-      argc > 5 ? static_cast<sim::Round>(std::strtoul(argv[5], nullptr, 10))
-               : 240;
-  const std::size_t repeats =
-      argc > 6 ? std::strtoul(argv[6], nullptr, 10) : 1;
-  config.seed = argc > 7 ? std::strtoull(argv[7], nullptr, 10) : 42;
+  std::size_t repeats = 1;
+  try {
+    // Positional argument i, or `fallback` when it is absent.
+    auto arg = [&](int i, const char* name, std::uint64_t fallback,
+                   std::uint64_t lo, std::uint64_t hi) {
+      return argc > i ? cli::parse_uint(name, argv[i], lo, hi) : fallback;
+    };
+    constexpr std::uint64_t kMaxRound =
+        std::numeric_limits<sim::Round>::max();
+    config.pm_count = arg(2, "pms", 200, 1, sim::kInvalidNode - 1);
+    config.vm_ratio = arg(3, "ratio", 3, 1, sim::kInvalidNode - 1);
+    config.rounds =
+        static_cast<sim::Round>(arg(4, "rounds", 240, 0, kMaxRound));
+    config.warmup_rounds =
+        static_cast<sim::Round>(arg(5, "warmup", 240, 0, kMaxRound));
+    repeats = arg(6, "repeats", 1, 1, 1000);
+    config.seed =
+        arg(7, "seed", 42, 0, std::numeric_limits<std::uint64_t>::max());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sweep_cli: %s\n", e.what());
+    return 2;
+  }
   config.fit_glap_phases_to_warmup();
 
   ThreadPool pool;

@@ -4,10 +4,13 @@
 // the same path a user with the real Google traces would use).
 //
 // Usage: trace_explorer [n_vms] [rounds] [csv_path]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 
+#include "common/cli_number.hpp"
 #include "common/stats.hpp"
 #include "trace/google_synth.hpp"
 #include "trace/trace_store.hpp"
@@ -15,11 +18,17 @@
 int main(int argc, char** argv) {
   using namespace glap;
 
+  constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
   std::size_t n_vms = 200;
   std::size_t rounds = 720;
   const char* csv_path = nullptr;
-  if (argc > 1) n_vms = static_cast<std::size_t>(std::atol(argv[1]));
-  if (argc > 2) rounds = static_cast<std::size_t>(std::atol(argv[2]));
+  try {
+    if (argc > 1) n_vms = cli::parse_uint("n_vms", argv[1], 1, kMaxCount);
+    if (argc > 2) rounds = cli::parse_uint("rounds", argv[2], 1, kMaxCount);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "trace_explorer: %s\n", e.what());
+    return 2;
+  }
   if (argc > 3) csv_path = argv[3];
 
   const trace::GoogleSynth synth({}, /*seed=*/2026);

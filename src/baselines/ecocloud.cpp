@@ -39,7 +39,7 @@ double EcoCloudProtocol::acceptance_probability(
   const double t2 = config.upper_threshold;
   if (utilization < 0.0 || utilization >= t2) return 0.0;
   const double x = utilization / t2;
-  const double p = config.accept_shape;
+  const double p = kAcceptShape;
   // f(x) = x^p (1 − x), normalized so the peak value is 1.
   const double x_peak = p / (p + 1.0);
   const double peak = std::pow(x_peak, p) * (1.0 - x_peak);

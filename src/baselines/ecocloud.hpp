@@ -28,9 +28,6 @@ namespace glap::baselines {
 struct EcoCloudConfig {
   double lower_threshold = 0.3;  ///< T1
   double upper_threshold = 0.8;  ///< T2
-  /// Shape of the acceptance function f(u) ∝ (u/T2)^p · (1 − u/T2);
-  /// larger p moves the acceptance peak closer to T2.
-  double accept_shape = 3.0;
   /// Candidate servers probed per migration attempt (coordinator fan-out).
   std::size_t probe_count = 16;
   /// Scale of the underload migration probability at u = 0.
@@ -46,6 +43,10 @@ struct EcoCloudConfig {
 
 class EcoCloudProtocol final : public sim::Protocol {
  public:
+  /// Shape p of the acceptance function f(u) ∝ (u/T2)^p · (1 − u/T2);
+  /// larger p moves the acceptance peak closer to T2.
+  static constexpr double kAcceptShape = 3.0;
+
   EcoCloudProtocol(const EcoCloudConfig& config, cloud::DataCenter& dc,
                    Rng rng);
 

@@ -6,23 +6,28 @@ namespace glap::baselines {
 
 namespace {
 constexpr std::size_t kStateMsgBytes = 16;
-}
+/// The static upper threshold of the GLAP evaluation. GRMP's management
+/// objective is CPU-utilization-centric, so the threshold gates CPU only,
+/// leaving memory bounded by physical capacity alone — which reproduces
+/// the aggressive below-baseline packing (and the resulting overload
+/// rate) the GLAP evaluation reports for GRMP.
+constexpr double kUpperThreshold = 0.8;
+static_assert(kUpperThreshold > 0.0 && kUpperThreshold <= 1.0,
+              "grmp threshold out of (0,1]");
+}  // namespace
 
-GrmpProtocol::GrmpProtocol(const GrmpConfig& config, cloud::DataCenter& dc,
+GrmpProtocol::GrmpProtocol(cloud::DataCenter& dc,
                            sim::Slot<overlay::NeighborProvider> overlay)
-    : config_(config), dc_(dc), overlay_(overlay) {
-  GLAP_REQUIRE(config.upper_threshold > 0.0 && config.upper_threshold <= 1.0,
-               "grmp threshold out of (0,1]");
-}
+    : dc_(dc), overlay_(overlay) {}
 
 sim::Slot<GrmpProtocol> GrmpProtocol::install(
-    sim::Engine& engine, const GrmpConfig& config, cloud::DataCenter& dc,
+    sim::Engine& engine, cloud::DataCenter& dc,
     sim::Slot<overlay::NeighborProvider> overlay) {
   GLAP_REQUIRE(engine.node_count() == dc.pm_count(),
                "engine nodes must map 1:1 onto data-center PMs");
   return engine.add_protocol_pool<GrmpProtocol>(
       [&](sim::NodeId /*i*/, sim::Slot<GrmpProtocol> /*self*/) {
-        return GrmpProtocol(config, dc, overlay);
+        return GrmpProtocol(dc, overlay);
       });
 }
 
@@ -31,10 +36,7 @@ bool GrmpProtocol::accepts(cloud::PmId pm, cloud::VmId vm) const {
       dc_.current_usage(pm) + dc_.vm_current_usage(vm);
   const Resources util =
       projected.divided_by(dc_.pm(pm).spec().capacity());
-  if (util.cpu > config_.upper_threshold) return false;
-  if (config_.threshold_both_resources &&
-      util.mem > config_.upper_threshold)
-    return false;
+  if (util.cpu > kUpperThreshold) return false;
   // Memory is bounded by physical capacity regardless of the threshold.
   return util.mem <= 1.0;
 }

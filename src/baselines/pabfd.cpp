@@ -9,14 +9,13 @@ constexpr std::size_t kMonitorMsgBytes = 16;
 }
 
 PabfdManager::PabfdManager(const PabfdConfig& config, cloud::DataCenter& dc,
-                           sim::NodeId manager_node)
+                           sim::NodeId manager_node, sim::NodeId node)
     : config_(config),
       dc_(dc),
       manager_node_(manager_node),
-      history_(dc.pm_count()) {
-  GLAP_REQUIRE(config.mad_safety > 0.0, "mad_safety must be positive");
-  GLAP_REQUIRE(config.history_window >= config.min_history,
-               "history_window smaller than min_history");
+      history_(node == manager_node ? dc.pm_count() : 0) {
+  GLAP_REQUIRE(config.min_history <= kHistoryWindow,
+               "min_history exceeds the history window");
   GLAP_REQUIRE(config.min_history >= 2, "min_history too small for MAD");
 }
 
@@ -28,8 +27,8 @@ sim::Slot<PabfdManager> PabfdManager::install(sim::Engine& engine,
                "engine nodes must map 1:1 onto data-center PMs");
   GLAP_REQUIRE(manager_node < engine.node_count(), "manager node out of range");
   return engine.add_protocol_pool<PabfdManager>(
-      [&](sim::NodeId /*i*/, sim::Slot<PabfdManager> /*self*/) {
-        return PabfdManager(config, dc, manager_node);
+      [&](sim::NodeId i, sim::Slot<PabfdManager> /*self*/) {
+        return PabfdManager(config, dc, manager_node, i);
       });
 }
 
@@ -85,28 +84,29 @@ double PabfdManager::lr_forecast(const std::vector<double>& samples) {
 }
 
 double PabfdManager::upper_threshold(cloud::PmId pm) const {
-  GLAP_REQUIRE(pm < history_.size(), "pm id out of range");
+  GLAP_REQUIRE(pm < history_.size(),
+               "pm id out of range, or not the manager instance");
   const auto& h = history_[pm];
-  if (h.size() < config_.min_history) return config_.default_upper;
+  if (h.size() < config_.min_history) return kDefaultUpper;
   const std::vector<double> samples(h.begin(), h.end());
-  double tu = config_.default_upper;
+  double tu = kDefaultUpper;
   switch (config_.estimator) {
     case ThresholdEstimator::kMad:
-      tu = 1.0 - config_.mad_safety * mad(samples);
+      tu = 1.0 - kSafety * mad(samples);
       break;
     case ThresholdEstimator::kIqr:
-      tu = 1.0 - config_.mad_safety * iqr(samples);
+      tu = 1.0 - kSafety * iqr(samples);
       break;
     case ThresholdEstimator::kLr: {
       // Declare "overloaded" when the projected next utilization (scaled
       // by the safety factor) would saturate: equivalent to a threshold
       // of current + (1 − s·forecast) headroom, expressed as Tu.
       const double forecast = lr_forecast(samples);
-      tu = 1.0 - config_.mad_safety * std::max(0.0, forecast - samples.back());
+      tu = 1.0 - kSafety * std::max(0.0, forecast - samples.back());
       break;
     }
   }
-  return std::clamp(tu, config_.min_upper, 1.0);
+  return std::clamp(tu, kMinUpper, 1.0);
 }
 
 void PabfdManager::record_history() {
@@ -114,7 +114,7 @@ void PabfdManager::record_history() {
     if (!dc_.pm_on(p)) continue;
     auto& h = history_[p];
     h.push_back(std::min(dc_.current_utilization(p).cpu, 1.0));
-    while (h.size() > config_.history_window) h.pop_front();
+    while (h.size() > kHistoryWindow) h.pop_front();
   }
 }
 
@@ -152,7 +152,6 @@ std::optional<cloud::PmId> PabfdManager::best_target(
 }
 
 std::optional<cloud::PmId> PabfdManager::wake_one(sim::Engine& engine) {
-  if (!config_.allow_wake) return std::nullopt;
   for (cloud::PmId p = 0; p < dc_.pm_count(); ++p) {
     if (dc_.pm_on(p)) continue;
     dc_.set_power(p, cloud::PmPower::kOn);

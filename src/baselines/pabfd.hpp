@@ -54,12 +54,7 @@ enum class ThresholdEstimator : std::uint8_t {
 
 struct PabfdConfig {
   ThresholdEstimator estimator = ThresholdEstimator::kMad;
-  double mad_safety = 2.5;          ///< s in Tu = 1 − s·MAD
-  std::size_t history_window = 30;  ///< rounds of utilization history kept
-  std::size_t min_history = 10;     ///< MAD needs this many samples
-  double default_upper = 0.8;       ///< Tu before history accumulates
-  double min_upper = 0.4;           ///< clamp for Tu (very noisy hosts)
-  bool allow_wake = true;           ///< manager may wake sleeping hosts
+  std::size_t min_history = 10;  ///< MAD needs this many samples
   /// Manager reconsolidation period in rounds. Beloglazov's controller
   /// acts on a multi-minute period; 3 rounds = 6 simulated minutes
   /// (utilization history still records every round).
@@ -68,10 +63,19 @@ struct PabfdConfig {
 
 class PabfdManager final : public sim::Protocol {
  public:
-  /// Every instance knows the manager node; only the instance installed
-  /// there acts.
+  static constexpr double kSafety = 2.5;             ///< s in Tu = 1 − s·MAD
+  static constexpr std::size_t kHistoryWindow = 30;  ///< rounds of history
+  static constexpr double kDefaultUpper = 0.8;       ///< Tu before history
+  static constexpr double kMinUpper = 0.4;  ///< clamp for Tu (noisy hosts)
+  static_assert(kSafety > 0.0, "safety factor must be positive");
+  static_assert(0.0 < kMinUpper && kMinUpper <= kDefaultUpper &&
+                    kDefaultUpper <= 1.0,
+                "need 0 < kMinUpper <= kDefaultUpper <= 1");
+
+  /// The instance on `node`. Every instance knows the manager node; only
+  /// the one installed there acts and keeps a utilization history.
   PabfdManager(const PabfdConfig& config, cloud::DataCenter& dc,
-               sim::NodeId manager_node);
+               sim::NodeId manager_node, sim::NodeId node);
 
   /// Installs the manager logic; it executes on node `manager_node` only
   /// (the other instances are inert stand-ins so the slot is total).
@@ -94,7 +98,7 @@ class PabfdManager final : public sim::Protocol {
   /// exposed for tests.
   [[nodiscard]] static double lr_forecast(const std::vector<double>& samples);
 
-  /// Current adaptive upper threshold of `pm`.
+  /// Current adaptive upper threshold of `pm` (manager instance only).
   [[nodiscard]] double upper_threshold(cloud::PmId pm) const;
 
  private:
@@ -114,7 +118,8 @@ class PabfdManager final : public sim::Protocol {
   cloud::DataCenter& dc_;
   sim::NodeId manager_node_;
   std::uint32_t cycles_since_action_ = 0;
-  std::vector<std::deque<double>> history_;  // per-PM CPU utilization
+  // Per-PM CPU utilization; empty on the stand-ins.
+  std::vector<std::deque<double>> history_;
 };
 
 }  // namespace glap::baselines

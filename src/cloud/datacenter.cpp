@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/metrics.hpp"
+#include "common/round_time.hpp"
 #include "common/tracing.hpp"
 
 namespace glap::cloud {
@@ -36,9 +37,8 @@ DataCenter::DataCenter(std::vector<PmSpec> pm_specs,
       vm_wake_ref_(vm_specs.size()),
       active_pms_(pm_specs.size()),
       sla_(std::max<std::size_t>(1, pm_specs.size()),
-           std::max<std::size_t>(1, vm_specs.size()), config.sla) {
+           std::max<std::size_t>(1, vm_specs.size())) {
   GLAP_REQUIRE(!pm_specs.empty() && !vm_specs.empty(), "empty data center");
-  GLAP_REQUIRE(config.round_seconds > 0.0, "round duration must be positive");
   pms_.reserve(pm_specs.size());
   vms_.reserve(vm_specs.size());
   for (std::size_t i = 0; i < pm_specs.size(); ++i)
@@ -223,7 +223,7 @@ MigrationRecord DataCenter::migrate(VmId vm_id, PmId to) {
   const double dst_util = std::min(current_utilization(to).cpu, 1.0);
   const double energy = ::glap::cloud::migration_energy_joules(
       pms_[from].power_model(), src_util, pms_[to].power_model(), dst_util,
-      tau, config_.migration_energy);
+      tau);
 
   const bool removed = pms_[from].remove_vm(vm_id);
   GLAP_ASSERT(removed, "placement map out of sync");
@@ -242,8 +242,8 @@ MigrationRecord DataCenter::migrate(VmId vm_id, PmId to) {
   }
   sla_.record_migration(record.vm, moving_usage.cpu, record.tau_seconds);
   migration_energy_j_ += record.energy_joules;
+  ++total_migrations_;
   ++migrations_this_round_;
-  migrations_.push_back(record);
   if (wake_hook_) {
     wake_hook_(from, trace::ActivityReason::kMigration);
     wake_hook_(to, trace::ActivityReason::kMigration);
@@ -331,7 +331,7 @@ void DataCenter::observe_demands(std::span<const Resources> fractions) {
 }
 
 void DataCenter::end_round() {
-  const double dt = config_.round_seconds;
+  const double dt = kRoundSeconds;
   for (PmId p = 0; p < pms_.size(); ++p) {
     const bool active = pm_on_[p] != 0;
     sla_.record_pm_round(p, active, active && cpu_saturated(p), dt);

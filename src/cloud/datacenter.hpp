@@ -46,9 +46,6 @@ struct DataCenterConfig {
   /// class for the BFD oracle in heterogeneous fleets.
   PmSpec pm_spec = hp_proliant_ml110_g5();
   VmSpec vm_spec = ec2_micro();
-  double round_seconds = 120.0;  ///< paper: each round mimics 2 minutes
-  SlaParams sla;
-  MigrationEnergyParams migration_energy;
 };
 
 class DataCenter {
@@ -221,10 +218,7 @@ class DataCenter {
   // -------------------------------------------------------------- metrics
 
   [[nodiscard]] std::uint64_t total_migrations() const noexcept {
-    return migrations_.size();
-  }
-  [[nodiscard]] const std::vector<MigrationRecord>& migrations() const noexcept {
-    return migrations_;
+    return total_migrations_;
   }
   /// Total migration-overhead energy so far (J), per paper Eq. 3.
   [[nodiscard]] double migration_energy_joules() const noexcept {
@@ -260,7 +254,6 @@ class DataCenter {
   MigrationNetworkHook migration_network_;
   double demand_epsilon_ = 0.0;
   std::size_t active_pms_;
-  std::vector<MigrationRecord> migrations_;
   // Observability (see set_telemetry). Raw pointers into an externally
   // owned MetricsRegistry; null means disabled.
   trace::TraceLog* trace_ = nullptr;
@@ -268,6 +261,7 @@ class DataCenter {
   metrics::Counter* ctr_power_transitions_ = nullptr;
   metrics::OrderedHistogram* hist_tau_ = nullptr;
   metrics::OrderedHistogram* hist_energy_ = nullptr;
+  std::uint64_t total_migrations_ = 0;
   std::uint64_t migrations_this_round_ = 0;
   double migration_energy_j_ = 0.0;
   double total_energy_j_ = 0.0;

@@ -6,6 +6,11 @@
 
 namespace glap::cloud {
 
+namespace {
+/// Fraction of CPU the live-migration transfer consumes on each endpoint.
+constexpr double kMigrationCpuOverhead = 0.10;
+}  // namespace
+
 LinearPowerModel::LinearPowerModel(PowerParams params) : params_(params) {
   GLAP_REQUIRE(params.idle_watts >= 0.0, "idle power must be non-negative");
   GLAP_REQUIRE(params.max_watts >= params.idle_watts,
@@ -33,12 +38,12 @@ double migration_seconds(double vm_mem_mb, double src_bw_mbps,
 double migration_energy_joules(const LinearPowerModel& src_model,
                                double src_utilization,
                                const LinearPowerModel& dst_model,
-                               double dst_utilization, double tau_seconds,
-                               const MigrationEnergyParams& params) noexcept {
+                               double dst_utilization,
+                               double tau_seconds) noexcept {
   const double src_lm =
-      src_model.power_watts(src_utilization + params.cpu_overhead_fraction);
+      src_model.power_watts(src_utilization + kMigrationCpuOverhead);
   const double dst_lm =
-      dst_model.power_watts(dst_utilization + params.cpu_overhead_fraction);
+      dst_model.power_watts(dst_utilization + kMigrationCpuOverhead);
   const double delta =
       (src_lm - src_model.idle_watts()) + (dst_lm - dst_model.idle_watts());
   return delta * tau_seconds;

@@ -32,20 +32,15 @@ class LinearPowerModel {
   PowerParams params_;
 };
 
-struct MigrationEnergyParams {
-  /// Fraction of CPU the live-migration transfer consumes on each endpoint.
-  double cpu_overhead_fraction = 0.10;
-};
-
 /// Transfer duration: the VM's resident memory over the migration
 /// bandwidth shared by the two endpoints (the tighter of the two).
 [[nodiscard]] double migration_seconds(double vm_mem_mb, double src_bw_mbps,
                                        double dst_bw_mbps) noexcept;
 
-/// Paper Eq. 3.
+/// Paper Eq. 3, with the transfer taking 10% of each endpoint's CPU.
 [[nodiscard]] double migration_energy_joules(
     const LinearPowerModel& src_model, double src_utilization,
     const LinearPowerModel& dst_model, double dst_utilization,
-    double tau_seconds, const MigrationEnergyParams& params) noexcept;
+    double tau_seconds) noexcept;
 
 }  // namespace glap::cloud

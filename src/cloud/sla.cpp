@@ -2,13 +2,16 @@
 
 namespace glap::cloud {
 
-SlaAccounting::SlaAccounting(std::size_t pm_count, std::size_t vm_count,
-                             SlaParams params)
-    : params_(params), pms_(pm_count), vms_(vm_count) {
+namespace {
+/// Fraction of the VM's CPU usage counted as degraded during migration.
+constexpr double kMigrationDegradation = 0.10;
+static_assert(kMigrationDegradation >= 0.0 && kMigrationDegradation <= 1.0,
+              "migration degradation fraction out of range");
+}  // namespace
+
+SlaAccounting::SlaAccounting(std::size_t pm_count, std::size_t vm_count)
+    : pms_(pm_count), vms_(vm_count) {
   GLAP_REQUIRE(pm_count > 0 && vm_count > 0, "empty SLA accounting");
-  GLAP_REQUIRE(params.migration_degradation >= 0.0 &&
-                   params.migration_degradation <= 1.0,
-               "migration degradation fraction out of range");
 }
 
 void SlaAccounting::record_pm_round(std::size_t pm, bool active,
@@ -34,7 +37,7 @@ void SlaAccounting::record_migration(std::size_t vm, double cpu_usage_mips,
   GLAP_REQUIRE(cpu_usage_mips >= 0.0 && tau_seconds >= 0.0,
                "negative migration accounting inputs");
   vms_[vm].degraded_mips_s +=
-      params_.migration_degradation * cpu_usage_mips * tau_seconds;
+      kMigrationDegradation * cpu_usage_mips * tau_seconds;
 }
 
 double SlaAccounting::slavo() const {

@@ -19,14 +19,9 @@
 
 namespace glap::cloud {
 
-struct SlaParams {
-  /// Fraction of the VM's CPU usage counted as degraded during migration.
-  double migration_degradation = 0.10;
-};
-
 class SlaAccounting {
  public:
-  SlaAccounting(std::size_t pm_count, std::size_t vm_count, SlaParams params);
+  SlaAccounting(std::size_t pm_count, std::size_t vm_count);
 
   /// Accumulates one round of PM activity.
   void record_pm_round(std::size_t pm, bool active, bool cpu_saturated,
@@ -58,7 +53,6 @@ class SlaAccounting {
     double requested_mips_s = 0.0;
   };
 
-  SlaParams params_;
   std::vector<PmClock> pms_;
   std::vector<VmClock> vms_;
 };

@@ -20,10 +20,13 @@ using RackId = std::uint32_t;
 
 class RackTopology {
  public:
+  /// Power draw of one live top-of-rack switch in the experiments.
+  static constexpr double kSwitchWatts = 150.0;
+
   /// Groups `pm_count` PMs into consecutive racks of `rack_size` (the
   /// last rack may be smaller).
   RackTopology(std::size_t pm_count, std::size_t rack_size,
-               double switch_watts = 150.0);
+               double switch_watts = kSwitchWatts);
 
   [[nodiscard]] RackId rack_of(PmId pm) const;
   [[nodiscard]] std::size_t rack_count() const noexcept { return racks_; }

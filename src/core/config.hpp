@@ -3,27 +3,9 @@
 
 #include <cstddef>
 
-#include "qlearn/qtable.hpp"
 #include "sim/node.hpp"
 
 namespace glap::core {
-
-/// Per-level reward parameters (paper §IV-A, "Reward (R)").
-///
-/// Reward OUT: every level earns a positive reward, strictly decreasing
-/// with utilization (r_L > r_M > … > r_O > 0) — transitions toward
-/// emptiness pay more, pushing senders to drain quickly.
-///
-/// Reward IN: positive and increasing toward (but not including) Overload
-/// — recipients should be "avaricious" — with a strongly negative reward
-/// for landing in Overload (r_O ≪ 0).
-struct RewardParams {
-  double out_base = 9.0;    ///< reward of Low for OUT; decreases by out_step
-  double out_step = 1.0;    ///< per-level decrement (keeps r_O > 0)
-  double in_base = 1.0;     ///< reward of Low for IN; increases by in_step
-  double in_step = 1.0;     ///< per-level increment up to 5xHigh
-  double in_overload = -300.0;  ///< r_O for IN (≪ 0)
-};
 
 /// Quiescence: when enabled, a PM whose protocols unanimously report
 /// convergence is parked and skipped until a wake event (incoming gossip
@@ -47,18 +29,12 @@ struct QuiescenceConfig {
   /// |Δ demand fraction| (either resource, vs the last-notified
   /// reference) beyond which a hosted VM's drift re-activates its PM.
   double demand_epsilon = 0.05;
-  /// Optional heartbeat: re-wake every parked PM after this many rounds
-  /// (0 = no heartbeat; migrations/demand/gossip still wake).
-  sim::Round recheck_rounds = 0;
 };
 
 struct GlapConfig {
-  qlearn::QLearningParams q{.alpha = 0.5, .gamma = 0.8};
-  RewardParams rewards;
-
   /// Engine-level quiescence policy (see QuiescenceConfig). The harness
-  /// reads enabled/demand_epsilon/recheck_rounds; the consolidation
-  /// component reads similarity_threshold/idle_rounds for its vote.
+  /// reads enabled/demand_epsilon; the consolidation component reads
+  /// similarity_threshold/idle_rounds for its vote.
   QuiescenceConfig quiescence;
 
   /// Learning phase: only PMs with average utilization at or below this
@@ -93,13 +69,6 @@ struct GlapConfig {
   /// drains the PM of the emptier *rack* first, so whole racks — and
   /// their switches — power down. 0 keeps vanilla GLAP behaviour.
   double rack_affinity = 0.0;
-
-  /// When the learning component is re-triggered mid-run (VM churn
-  /// exceeded the oracle's threshold), consolidation either keeps using
-  /// the previous Q-values (true — the paper's "continue using the
-  /// previous Q-values") or pauses until the new ones are unified
-  /// (false — the paper's "pause for a while and resume").
-  bool continue_during_relearn = true;
 };
 
 }  // namespace glap::core

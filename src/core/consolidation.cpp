@@ -72,13 +72,11 @@ void GlapConsolidationProtocol::execute(sim::Engine& engine,
                                         sim::NodeId self) {
   // The learning component feeds this one: consolidation pauses until the
   // two-phase learning pre-run has produced unified Q-values and the
-  // configured start round (the experiment's warmup) has passed.
+  // configured start round (the experiment's warmup) has passed. A
+  // mid-run relearn does not pause it: it keeps using the previous
+  // Q-values (the paper's "continue using the previous Q-values").
   const sim::Round cycle = cycles_++;
   if (cycle < config_.consolidation_start_round) return;
-  auto& learning = engine.protocol_at(slots_.learning, self);
-  if (learning.phase() != GossipLearningProtocol::Phase::kIdle &&
-      !config_.continue_during_relearn)
-    return;
 
   // A deferred state exchange comes due before a new one is initiated:
   // the initiator was blocked on the reply in flight (DESIGN.md §13.4).

@@ -2,16 +2,19 @@
 
 #include <algorithm>
 
+#include "core/rewards.hpp"
+
 namespace glap::core {
 
 namespace {
 constexpr std::size_t kNoExclusion = static_cast<std::size_t>(-1);
-}
+/// Bellman update parameters of the GLAP evaluation.
+constexpr qlearn::QLearningParams kQParams{.alpha = 0.5, .gamma = 0.8};
+}  // namespace
 
 LocalTrainer::LocalTrainer(const GlapConfig& config, Resources pm_capacity,
                            Rng rng)
-    : config_(config), pm_capacity_(pm_capacity), rewards_(config.rewards),
-      rng_(rng) {
+    : config_(config), pm_capacity_(pm_capacity), rng_(rng) {
   GLAP_REQUIRE(pm_capacity.cpu > 0.0 && pm_capacity.mem > 0.0,
                "pm capacity must be positive");
   GLAP_REQUIRE(config.train_iterations_per_round > 0,
@@ -94,16 +97,16 @@ void LocalTrainer::train_round(const std::vector<VmProfile>& pool,
         subset_state(pool, sender, avg, kNoExclusion, nullptr);
     const qlearn::State s_sender_after =
         subset_state(pool, sender, /*use_average=*/false, vm_idx, nullptr);
-    tables.out.update(s_sender, action, rewards_.out_reward(s_sender_after),
-                      s_sender_after, config_.q);
+    tables.out.update(s_sender, action, out_reward(s_sender_after),
+                      s_sender_after, kQParams);
 
     // Target side (IN): would accepting this VM (eventually) overload us?
     const qlearn::State s_target =
         subset_state(pool, target, avg, kNoExclusion, nullptr);
     const qlearn::State s_target_after =
         subset_state(pool, target, /*use_average=*/false, kNoExclusion, &vm);
-    tables.in.update(s_target, action, rewards_.in_reward(s_target_after),
-                     s_target_after, config_.q);
+    tables.in.update(s_target, action, in_reward(s_target_after),
+                     s_target_after, kQParams);
   }
 }
 

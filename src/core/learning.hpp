@@ -17,7 +17,6 @@
 #include "core/config.hpp"
 #include "core/profiles.hpp"
 #include "core/qtable_pair.hpp"
-#include "core/rewards.hpp"
 
 namespace glap::core {
 
@@ -42,10 +41,6 @@ class LocalTrainer {
   /// (nothing to migrate between subsets).
   void train_round(const std::vector<VmProfile>& pool, QTablePair& tables);
 
-  [[nodiscard]] const RewardSystem& rewards() const noexcept {
-    return rewards_;
-  }
-
  private:
   /// Draws into `out` a random subset of pool indices whose aggregate
   /// average CPU utilization approaches a uniformly drawn target in
@@ -60,7 +55,6 @@ class LocalTrainer {
 
   GlapConfig config_;
   Resources pm_capacity_;
-  RewardSystem rewards_;
   Rng rng_;
   // Round-loop scratch: train_round used to allocate four vectors per
   // simulated migration; these keep their capacity across iterations.

@@ -24,7 +24,10 @@ struct BenchScale {
 /// Reads GLAP_BENCH_SCALE / GLAP_BENCH_REPS and returns the sweep shape.
 /// Default: sizes {150}, ratios {2, 3, 4}, 2 repetitions, 160+160 rounds
 /// (sized for a single-core CI box). "full": sizes {500, 1000, 2000},
-/// 5 repetitions (20 with GLAP_BENCH_REPS=20), 720+700 rounds.
+/// 5 repetitions (20 with GLAP_BENCH_REPS=20), 720+700 rounds. An unset
+/// or empty variable keeps the default; any other GLAP_BENCH_SCALE value,
+/// or a GLAP_BENCH_REPS that is not an integer in [1, 1000], throws
+/// std::invalid_argument naming the variable.
 [[nodiscard]] BenchScale bench_scale_from_env();
 
 /// Applies the scale's round counts to a config (and refits GLAP phases).

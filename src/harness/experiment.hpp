@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "baselines/ecocloud.hpp"
-#include "baselines/grmp.hpp"
 #include "baselines/pabfd.hpp"
 #include "cloud/datacenter.hpp"
 #include "common/tracing.hpp"
@@ -183,10 +182,9 @@ struct ExperimentConfig {
 
   /// Rack topology: 0 disables (no racks, no switch accounting). When
   /// set, PMs are grouped into racks of this size, active top-of-rack
-  /// switches are metered, and GLAP may use glap.rack_affinity.
+  /// switches are metered at cloud::RackTopology::kSwitchWatts, and GLAP
+  /// may use glap.rack_affinity.
   std::size_t rack_size = 0;
-  /// Power draw of one live top-of-rack switch (rack_size > 0 only).
-  double rack_switch_watts = 150.0;
 
   /// Record Fig. 5's per-round Q-table cosine similarity during warmup
   /// (GLAP only; costs a similarity sweep per round).
@@ -210,7 +208,6 @@ struct ExperimentConfig {
   overlay::CyclonConfig cyclon;
   overlay::NewscastConfig newscast;
   core::GlapConfig glap;
-  baselines::GrmpConfig grmp;
   baselines::EcoCloudConfig ecocloud;
   baselines::PabfdConfig pabfd;
 

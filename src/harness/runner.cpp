@@ -7,9 +7,11 @@
 #include <sstream>
 
 #include "baselines/bfd.hpp"
+#include "baselines/grmp.hpp"
 #include "common/flight_recorder.hpp"
 #include "common/metrics.hpp"
 #include "common/profiler.hpp"
+#include "common/round_time.hpp"
 #include "common/tracing.hpp"
 #include "core/glap.hpp"
 #include "trace/demand_model.hpp"
@@ -105,7 +107,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
   sim::Engine engine(config.pm_count, config.seed);
   const core::QuiescenceConfig& quiesce = config.glap.quiescence;
   if (quiesce.enabled) {
-    engine.enable_quiescence(quiesce.recheck_rounds);
+    engine.enable_quiescence();
     // Bridge data-center events onto parked nodes. Power transitions
     // already flow through Engine::set_status (which un-parks), so the
     // hook's kStatus wakes are only a safety net.
@@ -117,18 +119,13 @@ RunResult run_experiment(const ExperimentConfig& config) {
   }
 
   std::optional<cloud::RackTopology> topology;
-  if (config.rack_size > 0)
-    topology.emplace(config.pm_count, config.rack_size,
-                     config.rack_switch_watts);
+  if (config.rack_size > 0) topology.emplace(config.pm_count, config.rack_size);
 
   // --- Network model (DESIGN.md §13) -------------------------------------
   std::optional<net::NetworkModel> net_model;
   if (config.network.enabled) {
-    const std::size_t net_rack = config.rack_size > 0
-                                     ? config.rack_size
-                                     : config.network.default_rack_size;
-    net_model.emplace(config.pm_count, net_rack, config.network,
-                      config.datacenter.round_seconds, config.seed);
+    net_model.emplace(config.pm_count, config.rack_size, config.network,
+                      kRoundSeconds, config.seed);
     engine.set_net_model(&*net_model);
     if (config.network.migration_contention)
       dc.set_migration_network([&net_model](cloud::PmId from, cloud::PmId to,
@@ -219,8 +216,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
     case Algorithm::kGrmp: {
       const auto overlay_slot = install_overlay();
       label_slot(overlay_slot, overlay_name);
-      label_slot(baselines::GrmpProtocol::install(engine, config.grmp, dc,
-                                                  overlay_slot),
+      label_slot(baselines::GrmpProtocol::install(engine, dc, overlay_slot),
                  "grmp");
       break;
     }
@@ -408,7 +404,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
       sample.active_racks =
           static_cast<std::uint32_t>(topology->active_racks(dc));
       result.switch_energy_j +=
-          topology->switch_energy_joules(dc, config.datacenter.round_seconds);
+          topology->switch_energy_joules(dc, kRoundSeconds);
     }
     result.rounds.push_back(sample);
 

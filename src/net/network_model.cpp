@@ -9,16 +9,22 @@
 
 namespace glap::net {
 
+namespace {
+/// Rack width used when the experiment runs without a rack topology.
+constexpr std::size_t kDefaultRackSize = 32;
+/// Extra latency for crossing the core between two ToR uplinks (seconds).
+constexpr double kUplinkLatencyS = 450e-6;
+}  // namespace
+
 NetworkModel::NetworkModel(std::size_t pm_count, std::size_t rack_size,
                            const NetworkConfig& config, double round_seconds,
                            std::uint64_t seed)
     : config_(config),
       pm_count_(pm_count),
-      rack_size_(rack_size > 0 ? rack_size : config.default_rack_size),
+      rack_size_(rack_size > 0 ? rack_size : kDefaultRackSize),
       round_seconds_(round_seconds),
       seed_(hash_combine(seed, hash_tag("net-model"))) {
   GLAP_REQUIRE(pm_count > 0, "network model needs at least one PM");
-  GLAP_REQUIRE(rack_size_ > 0, "network rack size must be positive");
   GLAP_REQUIRE(config.access_gbps > 0.0, "access_gbps must be positive");
   GLAP_REQUIRE(config.oversubscription >= 1.0,
                "oversubscription must be >= 1");
@@ -161,7 +167,7 @@ Verdict NetworkModel::admit(sim::NodeId from, sim::NodeId to,
   // round trip fitting inside one round (the healthy case) behaves
   // exactly like the ideal instantaneous model.
   double latency = 2.0 * config_.access_latency_s + base_latency_extra;
-  if (route.count == 4) latency += config_.uplink_latency_s;
+  if (route.count == 4) latency += kUplinkLatencyS;
   double queue_delay = 0.0;
   for (std::size_t i = 0; i < route.count; ++i)
     queue_delay = std::max(

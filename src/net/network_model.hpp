@@ -44,8 +44,6 @@ struct NetworkConfig {
   double access_gbps = 1.0;
   /// Propagation + switching latency per access hop (seconds).
   double access_latency_s = 50e-6;
-  /// Extra latency for crossing the core between two ToR uplinks (seconds).
-  double uplink_latency_s = 450e-6;
   /// ToR uplink capacity = access_gbps * rack_size / oversubscription.
   double oversubscription = 4.0;
   /// Drop-tail queue limit per link, as a fraction of one round's service
@@ -56,9 +54,6 @@ struct NetworkConfig {
   /// counter-hash, not an RNG stream). A push-pull round trip has two
   /// legs, so its loss probability is 1 - (1 - loss_rate)^2.
   double loss_rate = 0.0;
-  /// Rack width used when the experiment runs without a rack topology
-  /// (rack_size == 0); with a topology the harness passes its rack_size.
-  std::size_t default_rack_size = 32;
   /// Charge live-migration payloads (VM memory) to the same links, so
   /// migrations stretch their own τ and delay/drown gossip.
   bool migration_contention = true;
@@ -84,7 +79,8 @@ struct Verdict {
 
 class NetworkModel {
  public:
-  /// `rack_size` groups consecutive PM ids exactly like cloud::RackTopology.
+  /// `rack_size` groups consecutive PM ids exactly like cloud::RackTopology;
+  /// 0 (no topology) means racks of 32.
   NetworkModel(std::size_t pm_count, std::size_t rack_size,
                const NetworkConfig& config, double round_seconds,
                std::uint64_t seed);

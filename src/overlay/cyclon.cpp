@@ -10,7 +10,10 @@ namespace glap::overlay {
 
 namespace {
 constexpr std::size_t kEntryBytes = 8;  // (id, age) on the wire
-}
+/// Retries when the chosen shuffle partner turns out to be dead; each
+/// failure removes the dead entry (Cyclon's self-healing behaviour).
+constexpr std::size_t kDeadPeerRetries = 3;
+}  // namespace
 
 CyclonProtocol::CyclonProtocol(sim::Slot<CyclonProtocol> self,
                                CyclonConfig config, Rng rng,
@@ -151,7 +154,7 @@ void CyclonProtocol::execute(sim::Engine& engine, sim::NodeId self) {
   for (auto& entry : cache_) ++entry.age;
 
   for (std::size_t attempt = 0;
-       attempt <= config_.dead_peer_retries && !cache_.empty(); ++attempt) {
+       attempt <= kDeadPeerRetries && !cache_.empty(); ++attempt) {
     const auto oldest = oldest_entry_index();
     if (!oldest) return;
     const sim::NodeId peer = cache_[*oldest].id;

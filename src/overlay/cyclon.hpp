@@ -27,9 +27,6 @@ namespace glap::overlay {
 struct CyclonConfig {
   std::size_t cache_size = 20;      ///< c: neighbor cache capacity
   std::size_t shuffle_length = 8;   ///< ℓ: entries exchanged per shuffle
-  /// Retries when the chosen shuffle partner turns out to be dead; each
-  /// failure removes the dead entry (Cyclon's self-healing behaviour).
-  std::size_t dead_peer_retries = 3;
 };
 
 class CyclonProtocol final : public NeighborProvider {

@@ -10,7 +10,10 @@ namespace glap::overlay {
 
 namespace {
 constexpr std::size_t kItemBytes = 8;
-}
+/// Retries when the picked peer turns out to be dead; each failure
+/// removes the dead item.
+constexpr std::size_t kDeadPeerRetries = 3;
+}  // namespace
 
 NewscastProtocol::NewscastProtocol(sim::Slot<NewscastProtocol> self,
                                    NewscastConfig config, Rng rng,
@@ -94,7 +97,7 @@ std::vector<NewscastProtocol::Item> NewscastProtocol::handle_exchange(
 void NewscastProtocol::execute(sim::Engine& engine, sim::NodeId self) {
   const auto now = static_cast<std::uint32_t>(engine.current_round() + 1);
   for (std::size_t attempt = 0;
-       attempt <= config_.dead_peer_retries && !cache_.empty(); ++attempt) {
+       attempt <= kDeadPeerRetries && !cache_.empty(); ++attempt) {
     const std::size_t idx = rng_.pick_index(cache_);
     const sim::NodeId peer = cache_[idx].id;
     if (!engine.is_active(peer)) {

@@ -24,7 +24,6 @@ namespace glap::overlay {
 
 struct NewscastConfig {
   std::size_t cache_size = 20;
-  std::size_t dead_peer_retries = 3;
 };
 
 class NewscastProtocol final : public NeighborProvider {

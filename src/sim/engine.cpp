@@ -22,9 +22,8 @@ Engine::Engine(std::size_t node_count, std::uint64_t seed)
   std::iota(order_.begin(), order_.end(), NodeId{0});
 }
 
-void Engine::enable_quiescence(Round recheck_rounds) {
+void Engine::enable_quiescence() {
   quiescence_ = true;
-  recheck_rounds_ = recheck_rounds;
   if (quiescent_.empty()) quiescent_.assign(node_count(), 0);
 }
 
@@ -91,8 +90,6 @@ void Engine::poll_quiesce(NodeId node) {
   quiescent_[node] = 1;
   ++quiescent_count_;
   trace_activity(node, /*awake=*/false, WakeReason::kConverged);
-  if (recheck_rounds_ > 0)
-    schedule_wake(node, round_ + recheck_rounds_, WakeReason::kSchedule);
 }
 
 void Engine::compute_round_order() {

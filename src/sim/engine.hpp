@@ -124,10 +124,10 @@ class Engine {
 
   /// Enables the quiescence semantic: after a node executes, its slots are
   /// polled via Protocol::can_quiesce and a unanimous vote parks it until
-  /// an event re-activates it. `recheck_rounds` > 0 additionally schedules
-  /// a wake `recheck_rounds` rounds after each parking, so no node stays
-  /// parked unobserved forever (0 disables the heartbeat).
-  void enable_quiescence(Round recheck_rounds = 0);
+  /// an event (wake, wake_all, a due schedule_wake, or a status change)
+  /// re-activates it. There is no timed heartbeat: a parked node stays
+  /// parked until something happens to it.
+  void enable_quiescence();
 
   [[nodiscard]] bool quiescence_enabled() const noexcept {
     return quiescence_;
@@ -289,7 +289,6 @@ class Engine {
 
   // --- quiescence state ---
   bool quiescence_ = false;
-  Round recheck_rounds_ = 0;
   std::vector<std::uint8_t> quiescent_;  ///< parked by can_quiesce vote
   std::size_t quiescent_count_ = 0;
   /// Pending schedule_wake entries, a min-heap on (round, node, reason).

@@ -68,7 +68,8 @@ class StableModel final : public DemandModel {
 };
 
 /// Diurnal front-end: sinusoid with one period per simulated day plus OU
-/// noise. `period_rounds` is typically 720 (24 h at 2 min/round).
+/// noise. GoogleSynth passes kRoundsPerDay (common/round_time.hpp) as
+/// `period_rounds`.
 class DiurnalModel final : public DemandModel {
  public:
   DiurnalModel(double cpu_base, double amplitude, std::uint32_t period_rounds,

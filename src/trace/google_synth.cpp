@@ -3,9 +3,31 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "common/round_time.hpp"
 #include "trace/demand_models.hpp"
 
 namespace glap::trace {
+
+namespace {
+
+// Base CPU level ~ Beta(kCpuBetaA, kCpuBetaB) scaled into [kCpuLo, kCpuHi].
+constexpr double kCpuBetaA = 2.0;
+constexpr double kCpuBetaB = 4.0;
+constexpr double kCpuLo = 0.05;
+constexpr double kCpuHi = 0.95;
+
+// Base memory level ~ Beta(kMemBetaA, kMemBetaB) scaled into
+// [kMemLo, kMemHi]. Memory runs lower and steadier than CPU (as in the
+// Google traces), so CPU is the binding resource during packing — the
+// regime the paper studies.
+constexpr double kMemBetaA = 2.5;
+constexpr double kMemBetaB = 3.5;
+constexpr double kMemLo = 0.10;
+constexpr double kMemHi = 0.60;
+
+static_assert(kCpuLo < kCpuHi && kMemLo < kMemHi, "level ranges empty");
+
+}  // namespace
 
 GoogleSynth::GoogleSynth(GoogleSynthConfig config, std::uint64_t seed)
     : config_(config), seed_(hash_combine(seed, hash_tag("google-synth"))) {
@@ -13,9 +35,6 @@ GoogleSynth::GoogleSynth(GoogleSynthConfig config, std::uint64_t seed)
                        config.w_random_walk + config.w_bursty +
                        config.w_spike;
   GLAP_REQUIRE(total > 0.0, "mixture weights must not all be zero");
-  GLAP_REQUIRE(config.cpu_hi > config.cpu_lo && config.mem_hi > config.mem_lo,
-               "level ranges empty");
-  GLAP_REQUIRE(config.rounds_per_day > 0, "rounds_per_day must be positive");
 }
 
 DemandModelPtr GoogleSynth::make_model(std::uint64_t vm_id) const {
@@ -27,9 +46,9 @@ DemandModelPtr GoogleSynth::make_model(std::uint64_t vm_id) const {
   const double pick = rng.uniform() * total;
 
   const double cpu_base =
-      c.cpu_lo + (c.cpu_hi - c.cpu_lo) * rng.beta(c.cpu_beta_a, c.cpu_beta_b);
+      kCpuLo + (kCpuHi - kCpuLo) * rng.beta(kCpuBetaA, kCpuBetaB);
   const double mem_base =
-      c.mem_lo + (c.mem_hi - c.mem_lo) * rng.beta(c.mem_beta_a, c.mem_beta_b);
+      kMemLo + (kMemHi - kMemLo) * rng.beta(kMemBetaA, kMemBetaB);
 
   double acc = c.w_stable;
   if (pick < acc)
@@ -42,7 +61,7 @@ DemandModelPtr GoogleSynth::make_model(std::uint64_t vm_id) const {
     // Keep the wave inside [0,1] around the base.
     const double base = std::clamp(cpu_base, amplitude + 0.02,
                                    1.0 - amplitude - 0.02);
-    return std::make_unique<DiurnalModel>(base, amplitude, c.rounds_per_day,
+    return std::make_unique<DiurnalModel>(base, amplitude, kRoundsPerDay,
                                           rng.uniform(), mem_base,
                                           rng.split("m"));
   }

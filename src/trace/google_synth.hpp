@@ -23,34 +23,17 @@
 
 namespace glap::trace {
 
-/// Mixture weights and level parameters for the ensemble. Defaults follow
-/// published Google-trace characterizations (low mean usage, heavy tail).
+/// Archetype mixture weights for the ensemble (normalized internally).
+/// Bursty/spiky jobs carry substantial weight: the Google traces' CPU
+/// series swing hard, and that variability is what separates the
+/// consolidation policies. The base-level distributions are fixed
+/// (google_synth.cpp).
 struct GoogleSynthConfig {
-  // Archetype mixture weights (normalized internally). Bursty/spiky jobs
-  // carry substantial weight: the Google traces' CPU series swing hard,
-  // and that variability is what separates the consolidation policies.
   double w_stable = 0.15;
   double w_diurnal = 0.25;
   double w_random_walk = 0.25;
   double w_bursty = 0.25;
   double w_spike = 0.10;
-
-  // Base CPU level ~ Beta(a, b) scaled into [cpu_lo, cpu_hi].
-  double cpu_beta_a = 2.0;
-  double cpu_beta_b = 4.0;
-  double cpu_lo = 0.05;
-  double cpu_hi = 0.95;
-
-  // Base memory level ~ Beta(a, b) scaled into [mem_lo, mem_hi]. Memory
-  // runs lower and steadier than CPU (as in the Google traces), so CPU is
-  // the binding resource during packing — the regime the paper studies.
-  double mem_beta_a = 2.5;
-  double mem_beta_b = 3.5;
-  double mem_lo = 0.10;
-  double mem_hi = 0.60;
-
-  /// Rounds per simulated day; diurnal VMs get this period.
-  std::uint32_t rounds_per_day = 720;
 };
 
 /// Factory for per-VM demand models. Construct one per experiment with the

@@ -20,7 +20,8 @@ TEST(EcoCloudAcceptance, ZeroAtAndAboveT2) {
 
 TEST(EcoCloudAcceptance, PeaksAtOneInsideBand) {
   EcoCloudConfig config;
-  const double x_peak = config.accept_shape / (config.accept_shape + 1.0);
+  const double x_peak = EcoCloudProtocol::kAcceptShape /
+                        (EcoCloudProtocol::kAcceptShape + 1.0);
   const double u_peak = x_peak * config.upper_threshold;
   EXPECT_NEAR(EcoCloudProtocol::acceptance_probability(u_peak, config), 1.0,
               1e-9);

@@ -11,17 +11,16 @@ struct TestBed {
   cloud::DataCenter dc;
   sim::Engine engine;
 
-  TestBed(std::size_t pms, std::size_t vms, const GrmpConfig& config,
-          std::uint64_t seed)
+  TestBed(std::size_t pms, std::size_t vms, std::uint64_t seed)
       : dc(pms, vms, cloud::DataCenterConfig{}), engine(pms, seed) {
     const auto overlay = overlay::RandomGraphProtocol::install(
         engine, {.degree = pms - 1}, seed);
-    GrmpProtocol::install(engine, config, dc, overlay);
+    GrmpProtocol::install(engine, dc, overlay);
   }
 };
 
 TEST(Grmp, PacksLowerUtilizedIntoHigher) {
-  TestBed bed(2, 3, {}, 1);
+  TestBed bed(2, 3, 1);
   bed.dc.place(0, 0);
   bed.dc.place(1, 1);
   bed.dc.place(2, 1);
@@ -34,7 +33,7 @@ TEST(Grmp, PacksLowerUtilizedIntoHigher) {
 }
 
 TEST(Grmp, ThresholdGatesCpuAcceptance) {
-  TestBed bed(2, 10, {.upper_threshold = 0.8}, 2);
+  TestBed bed(2, 10, 2);
   for (cloud::VmId v = 0; v < 5; ++v) bed.dc.place(v, 0);
   for (cloud::VmId v = 5; v < 10; ++v) bed.dc.place(v, 1);
   // Each VM uses 0.8 * 500 = 400 MIPS; 5 VMs = 2000 MIPS = 0.75 util.
@@ -49,7 +48,7 @@ TEST(Grmp, ThresholdGatesCpuAcceptance) {
 TEST(Grmp, MemoryGuardedOnlyByCapacityByDefault) {
   // CPU-only threshold: memory may be packed past 0.8 of capacity but
   // never past 1.0.
-  TestBed bed(2, 8, {}, 3);
+  TestBed bed(2, 8, 3);
   for (cloud::VmId v = 0; v < 4; ++v) bed.dc.place(v, 0);
   for (cloud::VmId v = 4; v < 8; ++v) bed.dc.place(v, 1);
   // Memory-heavy, CPU-light: 8 VMs x 613 MB = 4904 MB > 4096 capacity,
@@ -67,21 +66,10 @@ TEST(Grmp, MemoryGuardedOnlyByCapacityByDefault) {
             1.0);
 }
 
-TEST(Grmp, BothResourcesThresholdedWhenConfigured) {
-  TestBed bed(2, 8, {.threshold_both_resources = true}, 4);
-  for (cloud::VmId v = 0; v < 4; ++v) bed.dc.place(v, 0);
-  for (cloud::VmId v = 4; v < 8; ++v) bed.dc.place(v, 1);
-  std::vector<Resources> demands(8, Resources{0.05, 1.0});
-  bed.dc.observe_demands(demands);
-  bed.engine.step();
-  // 0.8 * 4096 = 3276 MB -> at most 5 VMs of 613 MB.
-  EXPECT_LE(std::max(bed.dc.pm(0).vm_count(), bed.dc.pm(1).vm_count()), 5u);
-}
-
 TEST(Grmp, NoOverloadReliefPath) {
   // An overloaded PM stays overloaded even when its neighbor has headroom
   // below the threshold: GRMP's objective is packing, not relief.
-  TestBed bed(2, 8, {}, 5);
+  TestBed bed(2, 8, 5);
   for (cloud::VmId v = 0; v < 7; ++v) bed.dc.place(v, 0);
   bed.dc.place(7, 1);
   std::vector<Resources> demands(8, Resources{0.8, 0.2});
@@ -95,7 +83,7 @@ TEST(Grmp, NoOverloadReliefPath) {
 }
 
 TEST(Grmp, PicksLargestCpuVmFirst) {
-  TestBed bed(2, 3, {}, 6);
+  TestBed bed(2, 3, 6);
   bed.dc.place(0, 0);
   bed.dc.place(1, 0);
   bed.dc.place(2, 1);
@@ -106,17 +94,6 @@ TEST(Grmp, PicksLargestCpuVmFirst) {
   // PM0's bigger VM (vm 1) must have moved (both fit, order is by CPU).
   EXPECT_EQ(bed.dc.host_of(1), 1u);
   EXPECT_EQ(bed.dc.host_of(0), 1u);
-}
-
-TEST(Grmp, ConfigValidation) {
-  cloud::DataCenter dc(2, 2, cloud::DataCenterConfig{});
-  sim::Engine engine(2, 1);
-  const auto overlay =
-      overlay::RandomGraphProtocol::install(engine, {.degree = 1}, 1);
-  EXPECT_THROW(GrmpProtocol({.upper_threshold = 0.0}, dc, overlay),
-               precondition_error);
-  EXPECT_THROW(GrmpProtocol({.upper_threshold = 1.5}, dc, overlay),
-               precondition_error);
 }
 
 }  // namespace

@@ -47,7 +47,18 @@ TEST(PabfdMad, RobustToOutliers) {
 TEST(Pabfd, DefaultThresholdBeforeHistory) {
   TestBed bed(3, 3, immediate(), 1);
   EXPECT_DOUBLE_EQ(bed.manager().upper_threshold(0),
-                   PabfdConfig{}.default_upper);
+                   PabfdManager::kDefaultUpper);
+}
+
+TEST(Pabfd, OnlyTheManagerHoldsAHistory) {
+  // The stand-ins on the other nodes never act, so they keep no per-PM
+  // history: install memory stays linear in the fleet size.
+  TestBed bed(3, 3, immediate(), 1);
+  EXPECT_NO_THROW((void)bed.manager().upper_threshold(2));
+  for (sim::NodeId node = 1; node < 3; ++node) {
+    const PabfdManager& stand_in = bed.engine.protocol_at(bed.slot, node);
+    EXPECT_THROW((void)stand_in.upper_threshold(0), precondition_error);
+  }
 }
 
 TEST(Pabfd, AdaptiveThresholdAfterHistory) {
@@ -65,7 +76,7 @@ TEST(Pabfd, AdaptiveThresholdAfterHistory) {
   }
   const double tu = bed.manager().upper_threshold(0);
   EXPECT_LT(tu, 1.0);
-  EXPECT_GE(tu, config.min_upper);
+  EXPECT_GE(tu, PabfdManager::kMinUpper);
 }
 
 TEST(Pabfd, StableHistoryKeepsHighThreshold) {
@@ -169,11 +180,10 @@ TEST(Pabfd, IntervalThrottlesReconsolidation) {
 
 TEST(Pabfd, ConfigValidation) {
   cloud::DataCenter dc(2, 2, cloud::DataCenterConfig{});
-  EXPECT_THROW(PabfdManager({.mad_safety = 0.0}, dc, 0), precondition_error);
-  EXPECT_THROW(
-      PabfdManager({.history_window = 5, .min_history = 10}, dc, 0),
-      precondition_error);
-  EXPECT_THROW(PabfdManager({.min_history = 1}, dc, 0), precondition_error);
+  EXPECT_THROW(PabfdManager({.min_history = PabfdManager::kHistoryWindow + 1},
+                            dc, 0, 0),
+               precondition_error);
+  EXPECT_THROW(PabfdManager({.min_history = 1}, dc, 0, 0), precondition_error);
   EXPECT_THROW(PabfdManager::mad({}), precondition_error);
 }
 

@@ -46,33 +46,28 @@ TEST(MigrationTime, MemoryOverBandwidth) {
 
 TEST(MigrationEnergy, MatchesEquationThree) {
   LinearPowerModel model({.idle_watts = 100.0, .max_watts = 200.0});
-  const MigrationEnergyParams params{.cpu_overhead_fraction = 0.10};
   // Both endpoints at 0.5 utilization: P^lm = P(0.6) = 160 W each;
   // E = ((160-100) + (160-100)) * tau = 120 * tau.
-  const double e =
-      migration_energy_joules(model, 0.5, model, 0.5, 4.0, params);
+  const double e = migration_energy_joules(model, 0.5, model, 0.5, 4.0);
   EXPECT_DOUBLE_EQ(e, 120.0 * 4.0);
 }
 
 TEST(MigrationEnergy, SaturatesAtFullUtilization) {
   LinearPowerModel model({.idle_watts = 100.0, .max_watts = 200.0});
-  const MigrationEnergyParams params{.cpu_overhead_fraction = 0.10};
   // u = 1.0 -> P^lm clamps at max.
-  const double e =
-      migration_energy_joules(model, 1.0, model, 1.0, 2.0, params);
+  const double e = migration_energy_joules(model, 1.0, model, 1.0, 2.0);
   EXPECT_DOUBLE_EQ(e, (100.0 + 100.0) * 2.0);
 }
 
 TEST(MigrationEnergy, ScalesWithTau) {
   LinearPowerModel model({.idle_watts = 90.0, .max_watts = 140.0});
-  const MigrationEnergyParams params;
-  const double e1 = migration_energy_joules(model, 0.3, model, 0.3, 1.0, params);
-  const double e5 = migration_energy_joules(model, 0.3, model, 0.3, 5.0, params);
+  const double e1 = migration_energy_joules(model, 0.3, model, 0.3, 1.0);
+  const double e5 = migration_energy_joules(model, 0.3, model, 0.3, 5.0);
   EXPECT_NEAR(e5, 5.0 * e1, 1e-9);
 }
 
 TEST(Sla, SlavoAveragesSaturatedShare) {
-  SlaAccounting sla(2, 1, {});
+  SlaAccounting sla(2, 1);
   // PM 0: saturated half its active time; PM 1: never saturated.
   sla.record_pm_round(0, true, true, 60.0);
   sla.record_pm_round(0, true, false, 60.0);
@@ -81,14 +76,14 @@ TEST(Sla, SlavoAveragesSaturatedShare) {
 }
 
 TEST(Sla, InactivePmsDoNotCount) {
-  SlaAccounting sla(2, 1, {});
+  SlaAccounting sla(2, 1);
   sla.record_pm_round(0, true, true, 100.0);
   sla.record_pm_round(1, false, false, 100.0);  // inactive: excluded
   EXPECT_DOUBLE_EQ(sla.slavo(), 1.0);
 }
 
 TEST(Sla, SlalmFollowsDegradationFormula) {
-  SlaAccounting sla(1, 2, {.migration_degradation = 0.10});
+  SlaAccounting sla(1, 2);
   // VM 0: requested 1000 MIPS*s; one migration of 5 s at 100 MIPS
   // degrades 0.1 * 100 * 5 = 50 MIPS*s -> ratio 0.05.
   sla.record_vm_round(0, 100.0, 10.0);
@@ -99,7 +94,7 @@ TEST(Sla, SlalmFollowsDegradationFormula) {
 }
 
 TEST(Sla, SlavIsProduct) {
-  SlaAccounting sla(1, 1, {});
+  SlaAccounting sla(1, 1);
   sla.record_pm_round(0, true, true, 50.0);
   sla.record_pm_round(0, true, false, 50.0);
   sla.record_vm_round(0, 100.0, 100.0);
@@ -108,14 +103,14 @@ TEST(Sla, SlavIsProduct) {
 }
 
 TEST(Sla, EmptyAccountingIsZero) {
-  SlaAccounting sla(3, 3, {});
+  SlaAccounting sla(3, 3);
   EXPECT_DOUBLE_EQ(sla.slavo(), 0.0);
   EXPECT_DOUBLE_EQ(sla.slalm(), 0.0);
   EXPECT_DOUBLE_EQ(sla.slav(), 0.0);
 }
 
 TEST(Sla, PerPmClocksQueryable) {
-  SlaAccounting sla(2, 1, {});
+  SlaAccounting sla(2, 1);
   sla.record_pm_round(0, true, true, 30.0);
   EXPECT_DOUBLE_EQ(sla.pm_saturated_seconds(0), 30.0);
   EXPECT_DOUBLE_EQ(sla.pm_active_seconds(0), 30.0);
@@ -123,13 +118,11 @@ TEST(Sla, PerPmClocksQueryable) {
 }
 
 TEST(Sla, Validation) {
-  EXPECT_THROW(SlaAccounting(0, 1, {}), precondition_error);
-  SlaAccounting sla(1, 1, {});
+  EXPECT_THROW(SlaAccounting(0, 1), precondition_error);
+  SlaAccounting sla(1, 1);
   EXPECT_THROW(sla.record_pm_round(5, true, true, 1.0), precondition_error);
   EXPECT_THROW(sla.record_vm_round(5, 1.0, 1.0), precondition_error);
   EXPECT_THROW(sla.record_migration(0, -1.0, 1.0), precondition_error);
-  EXPECT_THROW(SlaAccounting(1, 1, {.migration_degradation = 2.0}),
-               precondition_error);
 }
 
 }  // namespace

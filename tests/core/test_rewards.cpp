@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/assert.hpp"
-
 namespace glap::core {
 namespace {
 
@@ -11,10 +9,9 @@ using qlearn::Level;
 using qlearn::LevelPair;
 
 TEST(RewardOut, StrictlyDecreasingAndPositive) {
-  RewardSystem rewards({});
   double prev = 1e18;
   for (std::size_t i = 0; i < qlearn::kLevelCount; ++i) {
-    const double r = rewards.out_level_reward(static_cast<Level>(i));
+    const double r = out_level_reward(static_cast<Level>(i));
     EXPECT_GT(r, 0.0) << "r must stay positive at level " << i;
     EXPECT_LT(r, prev) << "r must strictly decrease";
     prev = r;
@@ -22,52 +19,38 @@ TEST(RewardOut, StrictlyDecreasingAndPositive) {
 }
 
 TEST(RewardIn, IncreasingUpTo5xHighThenVeryNegative) {
-  RewardSystem rewards({});
   double prev = -1e18;
   for (std::size_t i = 0; i + 1 < qlearn::kLevelCount; ++i) {
-    const double r = rewards.in_level_reward(static_cast<Level>(i));
+    const double r = in_level_reward(static_cast<Level>(i));
     EXPECT_GT(r, 0.0);
     EXPECT_GT(r, prev);
     prev = r;
   }
-  const double overload = rewards.in_level_reward(Level::kOverload);
+  const double overload = in_level_reward(Level::kOverload);
   EXPECT_LT(overload, 0.0);
   // r_O << 0: far below any positive reward.
   EXPECT_LT(overload, -10.0 * prev);
 }
 
 TEST(RewardTransition, SumsPerResourceRewards) {
-  RewardSystem rewards({});
   const LevelPair next{Level::kLow, Level::kMedium};
-  EXPECT_DOUBLE_EQ(rewards.out_reward(next),
-                   rewards.out_level_reward(Level::kLow) +
-                       rewards.out_level_reward(Level::kMedium));
-  EXPECT_DOUBLE_EQ(rewards.in_reward(next),
-                   rewards.in_level_reward(Level::kLow) +
-                       rewards.in_level_reward(Level::kMedium));
+  EXPECT_DOUBLE_EQ(out_reward(next),
+                   out_level_reward(Level::kLow) +
+                       out_level_reward(Level::kMedium));
+  EXPECT_DOUBLE_EQ(in_reward(next),
+                   in_level_reward(Level::kLow) +
+                       in_level_reward(Level::kMedium));
 }
 
 TEST(RewardIn, SingleOverloadedResourceDominates) {
-  RewardSystem rewards({});
   const LevelPair next{Level::kOverload, Level::kLow};
-  EXPECT_LT(rewards.in_reward(next), 0.0);
+  EXPECT_LT(in_reward(next), 0.0);
 }
 
 TEST(RewardOut, EmptierDestinationPaysMore) {
-  RewardSystem rewards({});
   const LevelPair lighter{Level::kLow, Level::kLow};
   const LevelPair heavier{Level::k4xHigh, Level::k4xHigh};
-  EXPECT_GT(rewards.out_reward(lighter), rewards.out_reward(heavier));
-}
-
-TEST(RewardParams, Validation) {
-  // out must stay positive at Overload: base too small for the step.
-  EXPECT_THROW(RewardSystem({.out_base = 5.0, .out_step = 1.0}),
-               precondition_error);
-  EXPECT_THROW(RewardSystem({.out_step = 0.0}), precondition_error);
-  EXPECT_THROW(RewardSystem({.in_base = -1.0}), precondition_error);
-  EXPECT_THROW(RewardSystem({.in_step = 0.0}), precondition_error);
-  EXPECT_THROW(RewardSystem({.in_overload = 5.0}), precondition_error);
+  EXPECT_GT(out_reward(lighter), out_reward(heavier));
 }
 
 }  // namespace

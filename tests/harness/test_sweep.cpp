@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+
 #include "harness/bench_scale.hpp"
 
 namespace glap::harness {
@@ -108,6 +111,30 @@ TEST(BenchScale, DefaultAndFull) {
   EXPECT_EQ(config.rounds, scale.rounds);
   EXPECT_LE(config.glap.learning_rounds + config.glap.aggregation_rounds,
             config.warmup_rounds);
+}
+
+TEST(BenchScale, AcceptsOnlyWellFormedVariables) {
+  // Each test runs in its own process, so the environment is private.
+  ::setenv("GLAP_BENCH_SCALE", "", 1);
+  ::setenv("GLAP_BENCH_REPS", "", 1);
+  EXPECT_EQ(bench_scale_from_env().sizes, std::vector<std::size_t>{150});
+  EXPECT_EQ(bench_scale_from_env().repetitions, 2u);
+  ::setenv("GLAP_BENCH_SCALE", "full", 1);
+  ::setenv("GLAP_BENCH_REPS", "20", 1);
+  EXPECT_EQ(bench_scale_from_env().sizes.size(), 3u);
+  EXPECT_EQ(bench_scale_from_env().repetitions, 20u);
+  for (const char* reps : {"abc", "0", "-1", "2x", "1001"}) {
+    ::setenv("GLAP_BENCH_REPS", reps, 1);
+    EXPECT_THROW((void)bench_scale_from_env(), std::invalid_argument) << reps;
+  }
+  ::setenv("GLAP_BENCH_REPS", "", 1);
+  for (const char* scale : {"FULL", "paper", " full"}) {
+    ::setenv("GLAP_BENCH_SCALE", scale, 1);
+    EXPECT_THROW((void)bench_scale_from_env(), std::invalid_argument)
+        << scale;
+  }
+  ::unsetenv("GLAP_BENCH_SCALE");
+  ::unsetenv("GLAP_BENCH_REPS");
 }
 
 }  // namespace

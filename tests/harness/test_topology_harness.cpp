@@ -19,7 +19,6 @@ ExperimentConfig topo_config(double affinity) {
   config.glap.consolidation_start_round = 30;
   config.seed = 77;
   config.rack_size = 6;
-  config.rack_switch_watts = 120.0;
   config.glap.rack_affinity = affinity;
   return config;
 }

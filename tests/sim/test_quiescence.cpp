@@ -136,21 +136,6 @@ TEST(Quiescence, ScheduleWakeFiresAtTheRequestedRound) {
   EXPECT_EQ(engine.quiescent_count(), 2u);
 }
 
-TEST(Quiescence, RecheckHeartbeatWakesParkedNodes) {
-  Engine engine(3, 1);
-  engine.enable_quiescence(/*recheck_rounds=*/2);
-  std::vector<NodeId> log;
-  install_counters(engine, &log, 1);
-  engine.step();  // all run, all park, heartbeat scheduled +2
-  ASSERT_EQ(engine.quiescent_count(), 3u);
-  log.clear();
-  engine.step();  // parked
-  EXPECT_TRUE(log.empty());
-  engine.step();  // heartbeat: every node re-checks (and re-parks)
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(engine.quiescent_count(), 3u);
-}
-
 TEST(Quiescence, WakeAllReactivatesEveryParkedNode) {
   Engine engine(5, 1);
   engine.enable_quiescence();

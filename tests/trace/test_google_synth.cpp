@@ -122,15 +122,6 @@ TEST(GoogleSynth, ValidatesConfig) {
       zero_weights.w_random_walk = zero_weights.w_bursty =
           zero_weights.w_spike = 0.0;
   EXPECT_THROW(GoogleSynth(zero_weights, 1), precondition_error);
-
-  GoogleSynthConfig bad_range;
-  bad_range.cpu_lo = 0.8;
-  bad_range.cpu_hi = 0.2;
-  EXPECT_THROW(GoogleSynth(bad_range, 1), precondition_error);
-
-  GoogleSynthConfig bad_period;
-  bad_period.rounds_per_day = 0;
-  EXPECT_THROW(GoogleSynth(bad_period, 1), precondition_error);
 }
 
 }  // namespace

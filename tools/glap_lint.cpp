@@ -20,7 +20,7 @@
 #include <sstream>
 #include <string>
 
-#include "cli_number.hpp"
+#include "common/cli_number.hpp"
 #include "harness/report.hpp"
 #include "lint/lint.hpp"
 

@@ -38,8 +38,7 @@
 #include <string_view>
 #include <vector>
 
-#include "cli_number.hpp"
-
+#include "common/cli_number.hpp"
 #include "common/stats.hpp"
 #include "common/trace_check.hpp"
 #include "common/trace_format.hpp"
