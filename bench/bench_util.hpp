@@ -1,6 +1,6 @@
-// Shared plumbing for the figure/table reproduction benches: sweep
-// construction over (algorithm × size × ratio), execution on the thread
-// pool, and a common header that records the run configuration.
+// Shared plumbing for the figure/table reproduction benches: the sweep
+// scale from the environment, the algorithm list, and a common header
+// that records the run configuration.
 #pragma once
 
 #include <cstdio>
@@ -35,24 +35,6 @@ inline const std::vector<Algorithm>& all_algorithms() {
       Algorithm::kGlap, Algorithm::kEcoCloud, Algorithm::kGrmp,
       Algorithm::kPabfd};
   return algos;
-}
-
-/// Builds one cell per (size × ratio × algorithm), ordered that way.
-inline std::vector<harness::ExperimentConfig> build_cells(
-    const harness::BenchScale& scale,
-    const std::vector<Algorithm>& algorithms) {
-  std::vector<harness::ExperimentConfig> cells;
-  for (std::size_t size : scale.sizes)
-    for (std::size_t ratio : scale.ratios)
-      for (Algorithm algo : algorithms) {
-        harness::ExperimentConfig config;
-        config.algorithm = algo;
-        config.pm_count = size;
-        config.vm_ratio = ratio;
-        apply_scale(config, scale);
-        cells.push_back(config);
-      }
-  return cells;
 }
 
 inline void print_bench_header(const char* title,

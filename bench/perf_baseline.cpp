@@ -290,9 +290,21 @@ int run_scale(const std::string& label) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--scale") == 0)
-    return run_scale(argc > 2 ? argv[2] : "current");
-  const std::string label = argc > 1 ? argv[1] : "current";
+  // `[label]` or `--scale [label]`; anything else is rejected before any
+  // run, so a mistyped flag cannot become a label.
+  const bool scale = argc > 1 && std::strcmp(argv[1], "--scale") == 0;
+  const int label_at = scale ? 2 : 1;
+  for (int i = label_at; i < argc; ++i) {
+    if (i > label_at || argv[i][0] == '-') {
+      std::fprintf(stderr,
+                   "perf_baseline: unexpected argument '%s' (usage: "
+                   "perf_baseline [label] | perf_baseline --scale [label])\n",
+                   argv[i]);
+      return 2;
+    }
+  }
+  const std::string label = argc > label_at ? argv[label_at] : "current";
+  if (scale) return run_scale(label);
 
   std::fprintf(stderr, "[perf_baseline] qtable update...\n");
   const double update_ns = time_update();

@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
   config.fit_glap_phases_to_warmup();
 
   ThreadPool pool;
-  const harness::CellResult cell = harness::run_cell(config, repeats, pool);
+  const harness::CellResult cell =
+      harness::run_cells({config}, repeats, pool).front();
 
   CsvWriter csv(std::cout);
   csv.write_row({"rep", "round", "active", "overloaded", "migrations_cum",

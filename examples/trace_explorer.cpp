@@ -87,6 +87,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     store.save_csv(out);
+    out.flush();
+    if (!out.good()) {
+      std::fprintf(stderr, "trace_explorer: write to '%s' failed\n",
+                   csv_path);
+      return 1;
+    }
     std::printf("\nwrote %zu x %zu trace to %s\n", n_vms, rounds, csv_path);
   }
   return 0;

@@ -5,8 +5,14 @@
 #
 #   cmake -DEXPECT=<text stderr must contain> -P expect_usage_error.cmake
 #         <program> [args...]
+#
+# With -DEXIT_STATUS=<n> it checks a failure after work began instead: exit
+# status n and EXPECT on stderr, whatever was printed to stdout first.
 if(NOT DEFINED EXPECT)
   message(FATAL_ERROR "expect_usage_error: set -DEXPECT=<text>")
+endif()
+if(NOT DEFINED EXIT_STATUS)
+  set(EXIT_STATUS 2)
 endif()
 
 # Everything after the script path is the command line to run.
@@ -28,10 +34,11 @@ execute_process(COMMAND ${command}
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
-if(NOT status STREQUAL "2")
-  message(FATAL_ERROR "expected exit status 2, got '${status}'\n${err}")
+if(NOT status STREQUAL EXIT_STATUS)
+  message(FATAL_ERROR
+          "expected exit status ${EXIT_STATUS}, got '${status}'\n${err}")
 endif()
-if(NOT out STREQUAL "")
+if(EXIT_STATUS STREQUAL "2" AND NOT out STREQUAL "")
   message(FATAL_ERROR "expected no output before the rejection, got:\n${out}")
 endif()
 string(FIND "${err}" "${EXPECT}" at)

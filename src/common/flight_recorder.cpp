@@ -57,12 +57,14 @@ bool FlightRecorder::dump(const std::string& path) const {
     for_each_bucket([&](const Bucket& b) {
       out.write(b.bytes.data(), static_cast<std::streamsize>(b.bytes.size()));
     });
+    out.flush();
     if (!out.good()) return false;
   }
   if (registry_ != nullptr) {
     std::ofstream out(path + ".metrics.json", std::ios::trunc);
     if (!out.is_open()) return false;
     registry_->write_json(out);
+    out.flush();
     if (!out.good()) return false;
   }
   return true;

@@ -76,6 +76,8 @@ std::string BenchReport::write() const {
   w.end_object();
   w.end_object();
   out << '\n';
+  out.flush();
+  GLAP_REQUIRE(out.good(), "write to '" + path.string() + "' failed");
 
   std::printf("[results] wrote %s\n", path.string().c_str());
   return path.string();

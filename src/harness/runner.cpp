@@ -57,6 +57,14 @@ std::vector<Spec> draw_specs(const std::vector<Class>& classes,
   return specs;
 }
 
+/// Flushes a file sink and fails, naming the file, if any write to it
+/// failed; without this a full disk leaves a truncated file and a run that
+/// reports success.
+void require_written(std::ofstream& out, const std::string& path) {
+  out.flush();
+  GLAP_REQUIRE(out.good(), "write to '" + path + "' failed");
+}
+
 /// Mean cosine similarity of Q-table pairs over sampled node pairs.
 double sample_convergence(sim::Engine& engine,
                           sim::Slot<core::GossipLearningProtocol> learning,
@@ -340,11 +348,12 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   // Crash dumping arms only now — after every config-validation
   // GLAP_REQUIRE and sink setup above — so an expected precondition
-  // failure leaves no stray dump file. From here to run end, any
-  // invariant failure or fatal signal dumps the flight-recorder ring to
-  // flight_recorder_path (plus `.what.txt` / `.metrics.json` sidecars).
-  const flight::CrashDumpScope crash_scope(
-      flight ? &*flight : nullptr, obs.flight_recorder_path);
+  // failure leaves no stray dump file. From here to the final validity
+  // check, any invariant failure or fatal signal dumps the flight-recorder
+  // ring to flight_recorder_path (plus `.what.txt` / `.metrics.json`
+  // sidecars).
+  std::optional<flight::CrashDumpScope> crash_scope;
+  crash_scope.emplace(flight ? &*flight : nullptr, obs.flight_recorder_path);
 
   // --- Warmup ------------------------------------------------------------
   for (sim::Round r = 0; r < config.warmup_rounds; ++r) {
@@ -445,6 +454,11 @@ RunResult run_experiment(const ExperimentConfig& config) {
       GLAP_ASSERT(dc.pm_on(dc.host_of(v)),
                   "vm stranded on a sleeping pm after the run");
 
+  // Disarmed before the sinks are checked: a failed write is an I/O
+  // error, not a broken invariant, and leaves no dump file behind.
+  crash_scope.reset();
+  if (trace_file.is_open()) require_written(trace_file, obs.trace_path);
+
   // --- Run-level aggregates ------------------------------------------------
   result.total_migrations = dc.total_migrations();
   result.migration_energy_j = dc.migration_energy_joules();
@@ -490,11 +504,13 @@ RunResult run_experiment(const ExperimentConfig& config) {
       std::ofstream out(obs.metrics_json_path);
       GLAP_REQUIRE(out.is_open(), "cannot open metrics_json_path");
       registry->write_json(out);
+      require_written(out, obs.metrics_json_path);
     }
     if (!obs.series_csv_path.empty()) {
       std::ofstream out(obs.series_csv_path);
       GLAP_REQUIRE(out.is_open(), "cannot open series_csv_path");
       registry->write_series_csv(out);
+      require_written(out, obs.series_csv_path);
     }
     result.metrics = registry;
   }
@@ -503,7 +519,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // the pipeline can verify crash dumps parse without crashing a run.
   if (flight && !obs.flight_dump_path.empty())
     GLAP_REQUIRE(flight->dump(obs.flight_dump_path),
-                 "cannot write flight_dump_path");
+                 "write to '" + obs.flight_dump_path + "' failed");
 
   return result;
 }

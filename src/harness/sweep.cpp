@@ -25,20 +25,6 @@ double CellResult::mean_of(
   return stats.mean();
 }
 
-CellResult run_cell(const ExperimentConfig& base, std::size_t repetitions,
-                    ThreadPool& pool) {
-  GLAP_REQUIRE(repetitions > 0, "need at least one repetition");
-  CellResult cell;
-  cell.config = base;
-  cell.runs.resize(repetitions);
-  parallel_for(pool, repetitions, [&](std::size_t rep) {
-    ExperimentConfig config = base;
-    config.seed = base.seed + rep;
-    cell.runs[rep] = run_experiment(config);
-  });
-  return cell;
-}
-
 std::vector<CellResult> run_cells(const std::vector<ExperimentConfig>& cells,
                                   std::size_t repetitions, ThreadPool& pool) {
   GLAP_REQUIRE(repetitions > 0, "need at least one repetition");

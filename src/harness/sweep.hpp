@@ -30,12 +30,8 @@ struct CellResult {
       const std::function<double(const RunResult&)>& metric) const;
 };
 
-/// Runs `repetitions` of `base` (seeds base.seed, base.seed+1, …) in
-/// parallel on `pool`.
-[[nodiscard]] CellResult run_cell(const ExperimentConfig& base,
-                                  std::size_t repetitions, ThreadPool& pool);
-
-/// Runs many cells × repetitions, all in parallel; preserves cell order.
+/// Runs `repetitions` of every cell (seeds cell.seed, cell.seed+1, …), all
+/// in parallel on `pool`; preserves cell order.
 [[nodiscard]] std::vector<CellResult> run_cells(
     const std::vector<ExperimentConfig>& cells, std::size_t repetitions,
     ThreadPool& pool);

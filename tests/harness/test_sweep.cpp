@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <sstream>
 #include <stdexcept>
 
 #include "harness/bench_scale.hpp"
+#include "harness/report.hpp"
 
 namespace glap::harness {
 namespace {
@@ -22,9 +25,17 @@ ExperimentConfig tiny() {
   return config;
 }
 
+/// Every repetition's per-round samples, as the harness's CSV sink renders
+/// them.
+std::string round_series(const CellResult& cell) {
+  std::ostringstream out;
+  write_round_series_csv(cell, out);
+  return out.str();
+}
+
 TEST(Sweep, RunCellUsesDistinctSeeds) {
   ThreadPool pool(2);
-  const CellResult cell = run_cell(tiny(), 3, pool);
+  const CellResult cell = run_cells({tiny()}, 3, pool).front();
   ASSERT_EQ(cell.runs.size(), 3u);
   // Seeds 100, 101, 102: at least two runs should differ somewhere.
   bool differ = false;
@@ -36,7 +47,7 @@ TEST(Sweep, RunCellUsesDistinctSeeds) {
 
 TEST(Sweep, RunCellMatchesDirectRuns) {
   ThreadPool pool(3);
-  const CellResult cell = run_cell(tiny(), 2, pool);
+  const CellResult cell = run_cells({tiny()}, 2, pool).front();
   ExperimentConfig direct = tiny();
   const RunResult first = run_experiment(direct);
   direct.seed = tiny().seed + 1;
@@ -58,6 +69,11 @@ TEST(Sweep, RunCellsPreservesOrder) {
   EXPECT_EQ(results[0].config.pm_count, 20u);
   EXPECT_EQ(results[1].config.pm_count, 30u);
   for (const auto& cell : results) EXPECT_EQ(cell.runs.size(), 2u);
+  // A cell's runs do not depend on the other cells of the sweep.
+  for (std::size_t c = 0; c < cells.size(); ++c)
+    EXPECT_EQ(round_series(results[c]),
+              round_series(run_cells({cells[c]}, 2, pool).front()))
+        << cells[c].pm_count;
 }
 
 TEST(Sweep, PooledRoundSummaryPoolsAcrossRuns) {
@@ -94,7 +110,6 @@ TEST(Sweep, MeanOfAveragesScalars) {
 
 TEST(Sweep, ZeroRepetitionsRejected) {
   ThreadPool pool(1);
-  EXPECT_THROW(run_cell(tiny(), 0, pool), precondition_error);
   EXPECT_THROW(run_cells({tiny()}, 0, pool), precondition_error);
 }
 
@@ -135,6 +150,29 @@ TEST(BenchScale, AcceptsOnlyWellFormedVariables) {
   }
   ::unsetenv("GLAP_BENCH_SCALE");
   ::unsetenv("GLAP_BENCH_REPS");
+}
+
+// A results file on a full disk fails the write, naming the file, instead
+// of leaving it truncated behind a "[results] wrote" line.
+TEST(BenchReport, WriteToAFullDiskThrowsNamingTheFile) {
+  namespace fs = std::filesystem;
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  const fs::path dir = fs::path(::testing::TempDir()) / "glap_full_results";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path file = dir / "full.json";
+  fs::create_symlink("/dev/full", file);
+  // Each test runs in its own process, so the environment is private.
+  ::setenv("GLAP_RESULTS_DIR", dir.c_str(), 1);
+  try {
+    BenchReport("full", "full disk").write();
+    ADD_FAILURE() << "write reported success on a full disk";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find(file.string()), std::string::npos)
+        << e.what();
+  }
+  ::unsetenv("GLAP_RESULTS_DIR");
+  fs::remove_all(dir);
 }
 
 }  // namespace

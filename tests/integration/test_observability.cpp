@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -283,6 +284,42 @@ TEST(Observability, MetricsSinksWriteFiles) {
   EXPECT_EQ(header,
             "round,active_pms,migrations_round,net_bytes,net_messages,"
             "overloaded_pms");
+}
+
+/// Runs tiny_config() with one file sink on /dev/full: the run must throw
+/// naming the file, not report success over a truncated file. A one-round
+/// flight ring keeps its dump inside the stream buffer, where only a flush
+/// reveals the failure.
+void expect_full_disk_fails(std::string ObservabilityConfig::*sink) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << full << " is absent";
+  ExperimentConfig config = tiny_config();
+  config.observability.flight_recorder_rounds = 1;
+  config.observability.*sink = full;
+  try {
+    (void)run_experiment(config);
+    ADD_FAILURE() << "run reported success after a failed write";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + full + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Observability, TraceSinkOnAFullDiskThrows) {
+  expect_full_disk_fails(&ObservabilityConfig::trace_path);
+}
+
+TEST(Observability, MetricsJsonOnAFullDiskThrows) {
+  expect_full_disk_fails(&ObservabilityConfig::metrics_json_path);
+}
+
+TEST(Observability, SeriesCsvOnAFullDiskThrows) {
+  expect_full_disk_fails(&ObservabilityConfig::series_csv_path);
+}
+
+TEST(Observability, FlightDumpOnAFullDiskThrows) {
+  expect_full_disk_fails(&ObservabilityConfig::flight_dump_path);
 }
 
 TEST(Observability, DisabledRunPublishesNoRegistry) {

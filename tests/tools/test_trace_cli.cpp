@@ -125,6 +125,19 @@ TEST(TraceCli, FlagOfAnotherSubcommandExitsTwo) {
   EXPECT_EQ(run("stats " + kGolden + " --vm 3"), 2);
 }
 
+// A trace or flight dump on a full disk fails gen instead of leaving a
+// truncated file behind exit 0.
+TEST(TraceCli, GenToAFullDiskFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string small = " --pms 8 --warmup 20 --rounds 8";
+  EXPECT_EQ(run("gen /dev/full" + small), 2);
+  const std::filesystem::path trace =
+      std::filesystem::path(::testing::TempDir()) / "glap_trace_full.jsonl";
+  EXPECT_EQ(run("gen " + trace.string() + small + " --flight-dump /dev/full"),
+            2);
+  std::filesystem::remove(trace);
+}
+
 TEST(TraceCli, UnknownSubcommandExitsTwo) {
   EXPECT_EQ(run("replay " + kGolden), 2);
 }
