@@ -1,7 +1,10 @@
 // Policy transfer: train GLAP's Q-tables on one cluster, persist them as
-// CSV, reload them, and show that the reloaded policy reproduces the
-// exact acceptance decisions — the workflow for shipping a learned
-// policy to PMs joining a cluster instead of retraining from scratch.
+// CSV, reload them, and show that the reloaded tables are the trained
+// ones, entry for entry and bit for bit — the workflow for shipping a
+// learned policy to PMs joining a cluster instead of retraining from
+// scratch. Exits 1 when a reloaded table differs.
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -12,6 +15,26 @@
 #include "trace/google_synth.hpp"
 
 using namespace glap;
+
+namespace {
+
+/// True when `loaded` holds exactly the keys of `trained`, each with a
+/// bit-identical value (save_qtable writes %.17g, so a round trip is
+/// exact).
+bool identical(const qlearn::QTable& trained, const qlearn::QTable& loaded) {
+  if (loaded.size() != trained.size()) return false;
+  for (const auto& [key, q] : trained.entries()) {
+    const auto s = qlearn::QTable::state_of(key);
+    const auto a = qlearn::QTable::action_of(key);
+    if (!loaded.contains(s, a) ||
+        std::bit_cast<std::uint64_t>(loaded.value(s, a)) !=
+            std::bit_cast<std::uint64_t>(q))
+      return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 int main() {
   // --- Train on a pool of profiles sampled from the synthetic ensemble.
@@ -51,20 +74,15 @@ int main() {
   const qlearn::QTable out_loaded = qlearn::load_qtable(out_src);
   const qlearn::QTable in_loaded = qlearn::load_qtable(in_src);
 
-  // --- The reloaded policy makes identical decisions.
-  std::size_t checked = 0, agreed = 0, rejections = 0;
-  for (const auto& [key, q] : tables.in.entries()) {
-    const auto s = qlearn::QTable::state_of(key);
-    const auto a = qlearn::QTable::action_of(key);
-    const bool original_accepts = q >= 0.0;
-    const bool loaded_accepts = in_loaded.value(s, a) >= 0.0;
-    ++checked;
-    if (original_accepts == loaded_accepts) ++agreed;
-    if (!loaded_accepts) ++rejections;
-  }
-  std::printf("pi_in decisions: %zu/%zu identical after reload "
-              "(%zu rejections in the policy)\n",
-              agreed, checked, rejections);
+  // --- The reloaded tables are the trained ones.
+  const bool out_same = identical(tables.out, out_loaded);
+  const bool in_same = identical(tables.in, in_loaded);
+  std::size_t rejections = 0;
+  for (const auto& [key, q] : in_loaded.entries())
+    if (q < 0.0) ++rejections;
+  std::printf("reloaded: OUT %s, IN %s (%zu pi_in rejections)\n",
+              out_same ? "bit-identical" : "DIFFERS",
+              in_same ? "bit-identical" : "DIFFERS", rejections);
 
   // Show a slice of the acceptance policy for a mid-loaded PM state.
   const qlearn::State mid{qlearn::Level::k3xHigh, qlearn::Level::kMedium};
@@ -79,5 +97,5 @@ int main() {
                 std::string(qlearn::to_string(action.cpu)).c_str(), q,
                 q >= 0.0 ? "accept" : "reject");
   }
-  return agreed == checked ? 0 : 1;
+  return out_same && in_same ? 0 : 1;
 }

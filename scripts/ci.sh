@@ -58,7 +58,7 @@
 # shorter run with --binary and --flight-dump verifies the always-on
 # flight recorder leaves a parseable GTB post-mortem at the same scale.
 # This is the cheap stand-in for the committed 1k/10k/100k sweep in
-# BENCH_scale.json, which is multi-minute and ~10.9 GiB at the top cell
+# BENCH_scale.json, which is multi-minute and ~6 GiB at the top cell
 # and therefore not rerun by CI.
 #
 # Stage 10 (network smoke, RUN_NET_SMOKE=1 default): a 1k-PM GLAP run

@@ -138,10 +138,12 @@ void GlapConsolidationProtocol::perform_exchange(sim::Engine& engine,
   }
   ++calm_rounds_;
   const QuiescenceConfig& quiesce = config_.quiescence;
-  if (quiesce.idle_rounds > 0 && calm_rounds_ >= quiesce.idle_rounds) {
+  if (engine.quiescence_enabled() && quiesce.idle_rounds > 0 &&
+      calm_rounds_ >= quiesce.idle_rounds) {
     // Candidate to park: measure convergence against this exchange's
     // partner. Deferring the cosine scan to the calm tail keeps the
-    // O(|table|) cost off every non-candidate round.
+    // O(|table|) cost off every non-candidate round; only can_quiesce
+    // reads it, and the engine polls that only with quiescence on.
     auto& mine = engine.protocol_at(slots_.learning, self);
     auto& theirs = engine.protocol_at(slots_.learning, peer);
     last_similarity_ = cosine_similarity(mine.tables(), theirs.tables());

@@ -80,7 +80,8 @@ class GlapConsolidationProtocol final : public sim::Protocol {
   }
 
   /// Last partner-table cosine similarity measured by the quiescence
-  /// candidate check (-2 until one has been computed). Test hook.
+  /// candidate check (-2 until one has been computed; never computed
+  /// while the engine's quiescence is off). Test hook.
   [[nodiscard]] double last_partner_similarity() const noexcept {
     return last_similarity_;
   }

@@ -139,8 +139,7 @@ void GossipLearningProtocol::aggregation_cycle(sim::Engine& engine,
 
   // Push-pull merge (Algorithm 2): both parties apply UPDATE and end up
   // with the identical averaged/unioned table. Merging in place and
-  // copying once (flat tables copy as a single memcpy) beats building a
-  // third table.
+  // copying once beats building a third table.
   tables_.merge_average(remote.tables_);
   remote.tables_ = tables_;
   if (telemetry_.merges != nullptr) telemetry_.merges->inc();

@@ -151,16 +151,22 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // site.
   const ObservabilityConfig& obs = config.observability;
   std::shared_ptr<metrics::MetricsRegistry> registry;
+  // The harness's per-round series, registered here so all registration
+  // stays out of the engine's execution phase; null without a registry.
+  struct {
+    metrics::Series* active_pms = nullptr;
+    metrics::Series* overloaded_pms = nullptr;
+    metrics::Series* migrations_round = nullptr;
+    metrics::Series* net_messages = nullptr;
+    metrics::Series* net_bytes = nullptr;
+  } series;
   if (obs.metrics_enabled()) {
     registry = std::make_shared<metrics::MetricsRegistry>();
-    // Pre-register the harness series (and shared instrument names) on the
-    // driver thread; name-sorted output makes this cosmetic, but it keeps
-    // all registration out of the engine's execution phase.
-    registry->series("active_pms");
-    registry->series("overloaded_pms");
-    registry->series("migrations_round");
-    registry->series("net_messages");
-    registry->series("net_bytes");
+    series.active_pms = registry->series("active_pms");
+    series.overloaded_pms = registry->series("overloaded_pms");
+    series.migrations_round = registry->series("migrations_round");
+    series.net_messages = registry->series("net_messages");
+    series.net_bytes = registry->series("net_bytes");
   }
   const trace::SamplingPolicy sampling{obs.trace_sample_shuffle,
                                        obs.trace_sample_net, config.seed};
@@ -420,13 +426,12 @@ RunResult run_experiment(const ExperimentConfig& config) {
     const std::uint64_t messages = engine.network().messages();
     const std::uint64_t bytes = engine.network().bytes();
     if (registry) {
-      registry->series("active_pms")->append(sample.active_pms);
-      registry->series("overloaded_pms")->append(sample.overloaded_pms);
-      registry->series("migrations_round")->append(sample.migrations_round);
-      registry->series("net_messages")
-          ->append(static_cast<double>(messages - prev_messages));
-      registry->series("net_bytes")
-          ->append(static_cast<double>(bytes - prev_bytes));
+      series.active_pms->append(sample.active_pms);
+      series.overloaded_pms->append(sample.overloaded_pms);
+      series.migrations_round->append(sample.migrations_round);
+      series.net_messages->append(
+          static_cast<double>(messages - prev_messages));
+      series.net_bytes->append(static_cast<double>(bytes - prev_bytes));
     }
     if (trace != nullptr) {
       trace->write(round, trace::RoundSummary{

@@ -1,20 +1,21 @@
-// Sparse-semantics Q-table over (PM-state, VM-action) pairs, stored flat.
+// Sparse Q-table over (PM-state, VM-action) pairs.
 //
 // The key space is tiny and fixed (81 states × 81 actions = 6561 pairs),
-// so the table keeps a dense row-major array of doubles plus a presence
-// bitmap (~52 KiB per table) instead of a hash map. Sparsity is still
+// but a table holds only part of it (a few percent after learning, about
+// a third after aggregation), so the table stores the present entries
+// only: a presence bitmap, a per-word rank prefix, and the present values
+// packed in ascending key order (~1 KiB plus 8 B per entry). Sparsity is
 // semantically meaningful — the gossip aggregation phase unions sparse
 // tables, so "no entry" means "this PM never observed that pair", not
-// "value zero" — but presence is a bit test, the Bellman update (paper
-// formula (1)) is a branch-free store, greedy lookups scan one contiguous
-// 81-element row, and Algorithm 2's merge plus the Fig. 5 cosine metric
-// are single linear passes with no hashing anywhere.
-//
-// Invariant: slots whose presence bit is clear always hold 0.0, so
-// value() and the linear kernels never need to consult the bitmap.
+// "value zero". A present key's value sits at its rank (the number of
+// present keys below it: one prefix read and one popcount), a state's
+// actions are one contiguous slice of the packed values, and Algorithm
+// 2's merge plus the Fig. 5 cosine metric are single passes over the
+// union of two bitmaps with no hashing anywhere.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -28,6 +29,15 @@ namespace glap::qlearn {
 struct QLearningParams {
   double alpha = 0.5;  ///< learning rate
   double gamma = 0.8;  ///< discount factor
+};
+
+/// Dot product and squared norms over two tables' shared key space (one
+/// pass; absent entries contribute nothing). Building block for the
+/// Fig. 5 convergence metric here and in core::QTablePair.
+struct CosineTerms {
+  double dot = 0.0;
+  double norm_a = 0.0;
+  double norm_b = 0.0;
 };
 
 class QTable {
@@ -50,7 +60,8 @@ class QTable {
 
   /// Q(s, a); 0 when the pair has never been visited.
   [[nodiscard]] double value(State s, Action a) const noexcept {
-    return values_[key_of(s, a)];
+    const Key k = key_of(s, a);
+    return present(k) ? values_[rank(k)] : 0.0;
   }
 
   /// Whether the pair has an entry.
@@ -58,15 +69,13 @@ class QTable {
     return present(key_of(s, a));
   }
 
-  void set(State s, Action a, double q) noexcept {
-    const Key k = key_of(s, a);
-    mark_present(k);
-    values_[k] = q;
-  }
+  /// Sets Q(s, a), inserting the pair when it is absent.
+  void set(State s, Action a, double q);
 
   /// Bellman update (paper formula (1)):
   ///   Q(s,a) ← (1−α)·Q(s,a) + α·(R + γ·max_{a'} Q(s',a')).
-  /// The max ranges over actions already known for s' (0 when none).
+  /// The max ranges over actions already known for s' (0 when none); a
+  /// pair this call inserts does not count in its own max.
   void update(State s, Action a, double reward, State next,
               const QLearningParams& params);
 
@@ -81,15 +90,15 @@ class QTable {
       State s, const std::vector<Action>& available) const;
 
   /// Algorithm 2's UPDATE: average values present in both tables, adopt
-  /// entries present in exactly one.
-  void merge_average(const QTable& other) noexcept;
+  /// entries present in exactly one. `other` may be this table.
+  void merge_average(const QTable& other);
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
   void clear() noexcept {
-    values_.fill(0.0);
     present_.fill(0);
-    size_ = 0;
+    rank_.fill(0);
+    values_.clear();
   }
 
   /// Iteration support for serialization/analysis: a forward range of
@@ -101,15 +110,17 @@ class QTable {
     using difference_type = std::ptrdiff_t;
     using iterator_category = std::forward_iterator_tag;
 
-    EntryIterator(const QTable* table, std::size_t key) noexcept
-        : table_(table), key_(key) {
+    EntryIterator(const QTable* table, std::size_t key,
+                  std::size_t index) noexcept
+        : table_(table), key_(key), index_(index) {
       skip_absent();
     }
     [[nodiscard]] value_type operator*() const noexcept {
-      return {static_cast<Key>(key_), table_->values_[key_]};
+      return {static_cast<Key>(key_), table_->values_[index_]};
     }
     EntryIterator& operator++() noexcept {
       ++key_;
+      ++index_;
       skip_absent();
       return *this;
     }
@@ -130,16 +141,17 @@ class QTable {
     }
     const QTable* table_;
     std::size_t key_;
+    std::size_t index_;  ///< position of key_ in the packed values
   };
 
   class EntryRange {
    public:
     explicit EntryRange(const QTable* table) noexcept : table_(table) {}
     [[nodiscard]] EntryIterator begin() const noexcept {
-      return {table_, 0};
+      return {table_, 0, 0};
     }
     [[nodiscard]] EntryIterator end() const noexcept {
-      return {table_, kEntryCount};
+      return {table_, kEntryCount, table_->size()};
     }
 
    private:
@@ -150,17 +162,14 @@ class QTable {
     return EntryRange{this};
   }
 
-  /// Flat 6561-element value array (absent pairs hold 0.0). Backing store
-  /// for the vectorized merge/cosine kernels and dense().
-  [[nodiscard]] const std::array<double, kEntryCount>& raw_values()
-      const noexcept {
-    return values_;
-  }
-
   /// Dense 6561-dim snapshot (unvisited pairs are 0).
   [[nodiscard]] std::vector<double> dense() const {
-    return {values_.begin(), values_.end()};
+    std::vector<double> out(kEntryCount, 0.0);
+    for (const auto& [key, q] : entries()) out[key] = q;
+    return out;
   }
+
+  friend CosineTerms cosine_terms(const QTable& a, const QTable& b) noexcept;
 
  private:
   static constexpr std::size_t kWordCount = (kEntryCount + 63) / 64;
@@ -168,26 +177,26 @@ class QTable {
   [[nodiscard]] bool present(Key k) const noexcept {
     return (present_[k >> 6] >> (k & 63)) & 1u;
   }
-  void mark_present(Key k) noexcept {
-    std::uint64_t& word = present_[k >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (k & 63);
-    size_ += static_cast<std::uint32_t>(!(word & bit));
-    word |= bit;
+  /// Number of present keys below `k` (k may be kEntryCount): the index
+  /// of k's value in values_ when k is present, its insertion point when
+  /// it is not.
+  [[nodiscard]] std::size_t rank(Key k) const noexcept {
+    const std::uint64_t below = (std::uint64_t{1} << (k & 63)) - 1;
+    return rank_[k >> 6] +
+           static_cast<std::size_t>(std::popcount(present_[k >> 6] & below));
   }
+  /// Inserts absent key `k` with value `q` at position `at` == rank(k).
+  void insert(Key k, std::size_t at, double q);
 
-  std::array<double, kEntryCount> values_{};
   std::array<std::uint64_t, kWordCount> present_{};
-  std::uint32_t size_ = 0;
+  /// rank_[w]: present keys in words [0, w).
+  std::array<std::uint16_t, kWordCount> rank_{};
+  /// Present values in ascending key order.
+  std::vector<double> values_;
 };
 
-/// Dot product and squared norms over two tables' shared key space (one
-/// linear pass; absent entries contribute nothing). Building block for
-/// the Fig. 5 convergence metric here and in core::QTablePair.
-struct CosineTerms {
-  double dot = 0.0;
-  double norm_a = 0.0;
-  double norm_b = 0.0;
-};
+/// Dot product and squared norms of two tables, summed in the order of
+/// the four-chain dense reduction (see qtable.cpp).
 [[nodiscard]] CosineTerms cosine_terms(const QTable& a,
                                        const QTable& b) noexcept;
 

@@ -113,6 +113,32 @@ TEST(Consolidation, OverloadedPmShedsUntilRelieved) {
   EXPECT_GE(bed.dc.pm(0).vm_count(), 5u);
 }
 
+TEST(Consolidation, PartnerSimilarityIsMeasuredOnlyWithQuiescenceOn) {
+  // π_in rejects every move, so every exchange is calm and the streak
+  // passes idle_rounds within 10 rounds. Only the quiescence vote reads
+  // the partner cosine, so with quiescence off nothing computes it.
+  for (const bool quiescence : {false, true}) {
+    TestBed bed(2, 3, 9);
+    if (quiescence) bed.engine.enable_quiescence();
+    bed.dc.place(0, 0);
+    bed.dc.place(1, 1);
+    bed.dc.place(2, 1);
+    bed.seed_tables(/*reject_from_level=*/0);
+    bed.set_demands({{0.3, 0.3}, {0.3, 0.3}, {0.3, 0.3}});
+    for (int round = 0; round < 10; ++round) bed.engine.step();
+    ASSERT_EQ(bed.dc.total_migrations(), 0u);
+    for (sim::NodeId n = 0; n < 2; ++n) {
+      const double similarity =
+          bed.engine.protocol_at(bed.slots.consolidation, n)
+              .last_partner_similarity();
+      if (quiescence)
+        EXPECT_NEAR(similarity, 1.0, 1e-12) << "node " << n;
+      else
+        EXPECT_EQ(similarity, -2.0) << "node " << n;
+    }
+  }
+}
+
 TEST(Consolidation, CapacityGateBlocksMigration) {
   TestBed bed(2, 10, 4);
   for (cloud::VmId v = 0; v < 5; ++v) bed.dc.place(v, 0);

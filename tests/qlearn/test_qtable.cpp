@@ -10,6 +10,10 @@ const State kStateB{Level::kHigh, Level::kMedium};
 const Action kActA{Level::kMedium, Level::kLow};
 const Action kActB{Level::k4xHigh, Level::kXHigh};
 
+// A table stores only its present values; a dense 6561-double array
+// (52 KiB) must not come back into the object.
+static_assert(sizeof(QTable) <= 2048);
+
 TEST(QTable, DefaultsToZeroAndEmpty) {
   QTable table;
   EXPECT_TRUE(table.empty());

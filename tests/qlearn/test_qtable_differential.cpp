@@ -1,7 +1,7 @@
-// Differential test for the flat-array QTable: drives it alongside a
+// Differential test for QTable's packed layout: drives it alongside a
 // straightforward unordered_map reference (the seed implementation's
 // storage) through tens of thousands of randomized operations and
-// requires bit-identical results throughout. This pins down the flat
+// requires bit-identical results throughout. This pins down the packed
 // table's two load-bearing claims: sparsity semantics are preserved
 // ("no entry" is distinct from "value 0"), and every kernel — Bellman
 // update, greedy lookups, Algorithm 2's merge, the Fig. 5 cosine —
@@ -198,13 +198,41 @@ TEST(QTableDifferential, TenThousandRandomizedOpsMatchHashMapReference) {
       ASSERT_EQ(cosine_similarity(flat_a, flat_b),
                 ReferenceQTable::cosine(ref_a, ref_b));
     } else {
-      // Algorithm 2's push-pull merge in a random direction.
-      if (roll % 2) {
-        flat_a.merge_average(flat_b);
-        ref_a.merge_average(ref_b);
-      } else {
-        flat_b.merge_average(flat_a);
-        ref_b.merge_average(ref_a);
+      // Algorithm 2's push-pull merge in a random direction, into the
+      // other table, itself, a default-constructed table, or a
+      // copy-assigned one (whose packed values have no spare capacity).
+      QTable& flat_dst = roll % 2 ? flat_a : flat_b;
+      const QTable& flat_src = roll % 2 ? flat_b : flat_a;
+      ReferenceQTable& ref_dst = roll % 2 ? ref_a : ref_b;
+      const ReferenceQTable& ref_src = roll % 2 ? ref_b : ref_a;
+      switch (rng.bounded(4)) {
+        case 0:
+          flat_dst.merge_average(flat_src);
+          ref_dst.merge_average(ref_src);
+          break;
+        case 1:
+          flat_dst.merge_average(flat_dst);
+          ref_dst.merge_average(ref_dst);
+          break;
+        case 2: {
+          QTable fresh;
+          ReferenceQTable ref_fresh;
+          fresh.merge_average(flat_src);
+          ref_fresh.merge_average(ref_src);
+          expect_identical(fresh, ref_fresh);
+          break;
+        }
+        default: {
+          QTable copy;
+          ReferenceQTable ref_copy;
+          copy = flat_dst;
+          ref_copy = ref_dst;
+          copy.merge_average(flat_src);
+          ref_copy.merge_average(ref_src);
+          flat_dst = copy;
+          ref_dst = ref_copy;
+          break;
+        }
       }
     }
     if (op % 500 == 0) {
