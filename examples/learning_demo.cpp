@@ -33,8 +33,7 @@ int main() {
   dc.place_randomly(placement_rng);
 
   sim::Engine engine(config.pm_count, config.seed);
-  const auto slots =
-      core::install_glap(engine, dc, config.glap, config.cyclon, config.seed);
+  const auto slots = core::install_glap(engine, dc, config.glap, config.seed);
 
   std::vector<Resources> demands(config.vm_count());
   auto step = [&] {

@@ -12,31 +12,23 @@ namespace {
 constexpr std::size_t kProbeMsgBytes = 16;
 }
 
-EcoCloudProtocol::EcoCloudProtocol(const EcoCloudConfig& config,
-                                   cloud::DataCenter& dc, Rng rng)
-    : config_(config), dc_(dc), rng_(rng) {
-  GLAP_REQUIRE(config.lower_threshold > 0.0 &&
-                   config.lower_threshold < config.upper_threshold &&
-                   config.upper_threshold <= 1.0,
-               "ecocloud thresholds must satisfy 0 < T1 < T2 <= 1");
-  GLAP_REQUIRE(config.probe_count > 0, "probe_count must be positive");
-}
+EcoCloudProtocol::EcoCloudProtocol(cloud::DataCenter& dc, Rng rng)
+    : dc_(dc), rng_(rng) {}
 
-sim::Slot<EcoCloudProtocol> EcoCloudProtocol::install(
-    sim::Engine& engine, const EcoCloudConfig& config, cloud::DataCenter& dc,
-    std::uint64_t seed) {
+sim::Slot<EcoCloudProtocol> EcoCloudProtocol::install(sim::Engine& engine,
+                                                      cloud::DataCenter& dc,
+                                                      std::uint64_t seed) {
   GLAP_REQUIRE(engine.node_count() == dc.pm_count(),
                "engine nodes must map 1:1 onto data-center PMs");
   Rng master(hash_combine(seed, hash_tag("ecocloud")));
   return engine.add_protocol_pool<EcoCloudProtocol>(
       [&](sim::NodeId i, sim::Slot<EcoCloudProtocol> /*self*/) {
-        return EcoCloudProtocol(config, dc, master.split(i));
+        return EcoCloudProtocol(dc, master.split(i));
       });
 }
 
-double EcoCloudProtocol::acceptance_probability(
-    double utilization, const EcoCloudConfig& config) noexcept {
-  const double t2 = config.upper_threshold;
+double EcoCloudProtocol::acceptance_probability(double utilization) noexcept {
+  const double t2 = kUpperThreshold;
   if (utilization < 0.0 || utilization >= t2) return 0.0;
   const double x = utilization / t2;
   const double p = kAcceptShape;
@@ -47,16 +39,15 @@ double EcoCloudProtocol::acceptance_probability(
 }
 
 double EcoCloudProtocol::underload_migration_probability(
-    double utilization, const EcoCloudConfig& config) noexcept {
-  if (utilization < config.lower_threshold)
+    double utilization) noexcept {
+  if (utilization < kLowerThreshold)
     // Grows linearly as the server empties: scale at u=0, zero at T1…
-    return config.migrate_prob_scale *
-           (1.0 - utilization / config.lower_threshold);
-  if (utilization < config.upper_threshold) {
+    return kMigrateProbScale * (1.0 - utilization / kLowerThreshold);
+  if (utilization < kUpperThreshold) {
     // …with a small residual drain in the (T1, T2) band, quadratically
-    // vanishing toward T2 (see mid_band_scale in the config).
-    const double slack = 1.0 - utilization / config.upper_threshold;
-    return config.mid_band_scale * slack * slack;
+    // vanishing toward T2 (see kMidBandScale).
+    const double slack = 1.0 - utilization / kUpperThreshold;
+    return kMidBandScale * slack * slack;
   }
   return 0.0;
 }
@@ -79,7 +70,7 @@ std::optional<cloud::VmId> EcoCloudProtocol::pick_vm(cloud::PmId pm) const {
 std::optional<cloud::PmId> EcoCloudProtocol::probe_place(
     sim::Engine& engine, cloud::PmId source, cloud::VmId vm) {
   const std::size_t n = dc_.pm_count();
-  for (std::size_t probe = 0; probe < config_.probe_count; ++probe) {
+  for (std::size_t probe = 0; probe < kProbeCount; ++probe) {
     const auto candidate = static_cast<cloud::PmId>(rng_.bounded(n));
     if (candidate == source) continue;
     if (!dc_.pm_on(candidate)) continue;
@@ -96,7 +87,7 @@ std::optional<cloud::PmId> EcoCloudProtocol::probe_place(
              .ok())
       continue;
     const double u = dc_.current_utilization(candidate).max_component();
-    if (!rng_.bernoulli(acceptance_probability(u, config_))) continue;
+    if (!rng_.bernoulli(acceptance_probability(u))) continue;
     if (!dc_.can_host(candidate, vm)) continue;
     return candidate;
   }
@@ -125,8 +116,7 @@ bool EcoCloudProtocol::plan_evacuation(
   for (cloud::VmId vm : dc_.pm(source).vms()) {
     const Resources usage = dc_.vm_current_usage(vm);
     bool placed = false;
-    for (std::size_t probe = 0; probe < config_.probe_count && !placed;
-         ++probe) {
+    for (std::size_t probe = 0; probe < kProbeCount && !placed; ++probe) {
       const auto candidate = static_cast<cloud::PmId>(rng_.bounded(n));
       if (candidate == source) continue;
       if (!dc_.pm_on(candidate)) continue;
@@ -143,7 +133,7 @@ bool EcoCloudProtocol::plan_evacuation(
       const Resources planned =
           dc_.current_usage(candidate) + reserved[candidate];
       const double u = planned.divided_by(pm_cap).max_component();
-      if (!rng_.bernoulli(acceptance_probability(u, config_))) continue;
+      if (!rng_.bernoulli(acceptance_probability(u))) continue;
       if (!(planned + usage).fits_within(pm_cap)) continue;
       reserved[candidate] += usage;
       plan.emplace_back(vm, candidate);
@@ -170,12 +160,11 @@ void EcoCloudProtocol::execute(sim::Engine& engine, sim::NodeId self) {
   const Resources util = dc_.current_utilization(p);
   const double u = util.max_component();
 
-  if (u > config_.upper_threshold) {
+  if (u > kUpperThreshold) {
     // Above T2: shed one VM via a Bernoulli trial whose probability ramps
     // with the excess — gradual relief, not a hard rule (servers hovering
     // at T2 would otherwise shed every round and churn forever).
-    const double excess =
-        (u - config_.upper_threshold) / (1.0 - config_.upper_threshold);
+    const double excess = (u - kUpperThreshold) / (1.0 - kUpperThreshold);
     if (rng_.bernoulli(std::min(1.0, 0.1 * excess)))
       if (const auto vm = pick_vm(p)) try_place(engine, p, *vm);
     return;
@@ -190,8 +179,8 @@ void EcoCloudProtocol::execute(sim::Engine& engine, sim::NodeId self) {
     engine.set_status(self, sim::NodeStatus::kSleeping);
     return;
   }
-  if (rng_.bernoulli(underload_migration_probability(u, config_))) {
-    if (!try_evacuate(engine, self, p)) cooldown_ = config_.evacuation_cooldown;
+  if (rng_.bernoulli(underload_migration_probability(u))) {
+    if (!try_evacuate(engine, self, p)) cooldown_ = kEvacuationCooldown;
   }
 }
 

@@ -25,33 +25,32 @@
 
 namespace glap::baselines {
 
-struct EcoCloudConfig {
-  double lower_threshold = 0.3;  ///< T1
-  double upper_threshold = 0.8;  ///< T2
-  /// Candidate servers probed per migration attempt (coordinator fan-out).
-  std::size_t probe_count = 16;
-  /// Scale of the underload migration probability at u = 0.
-  double migrate_prob_scale = 0.9;
-  /// Residual drain probability scale between T1 and T2: without it a
-  /// static VM population stalls in the (T1, T2) dead band and the system
-  /// never approaches the packing the EcoCloud paper reports under churn.
-  double mid_band_scale = 0.06;
-  /// Rounds a server waits after a failed evacuation plan before its
-  /// drain Bernoulli may fire again.
-  std::uint32_t evacuation_cooldown = 150;
-};
-
 class EcoCloudProtocol final : public sim::Protocol {
  public:
+  static constexpr double kLowerThreshold = 0.3;  ///< T1
+  static constexpr double kUpperThreshold = 0.8;  ///< T2
+  static_assert(0.0 < kLowerThreshold && kLowerThreshold < kUpperThreshold &&
+                    kUpperThreshold <= 1.0,
+                "ecocloud thresholds must satisfy 0 < T1 < T2 <= 1");
   /// Shape p of the acceptance function f(u) ∝ (u/T2)^p · (1 − u/T2);
   /// larger p moves the acceptance peak closer to T2.
   static constexpr double kAcceptShape = 3.0;
+  /// Candidate servers probed per migration attempt (coordinator fan-out).
+  static constexpr std::size_t kProbeCount = 16;
+  static_assert(kProbeCount > 0, "ecocloud must probe at least one server");
+  /// Scale of the underload migration probability at u = 0.
+  static constexpr double kMigrateProbScale = 0.9;
+  /// Residual drain probability scale between T1 and T2: without it a
+  /// static VM population stalls in the (T1, T2) dead band and the system
+  /// never approaches the packing the EcoCloud paper reports under churn.
+  static constexpr double kMidBandScale = 0.06;
+  /// Rounds a server waits after a failed evacuation plan before its
+  /// drain Bernoulli may fire again.
+  static constexpr std::uint32_t kEvacuationCooldown = 150;
 
-  EcoCloudProtocol(const EcoCloudConfig& config, cloud::DataCenter& dc,
-                   Rng rng);
+  EcoCloudProtocol(cloud::DataCenter& dc, Rng rng);
 
   static sim::Slot<EcoCloudProtocol> install(sim::Engine& engine,
-                                             const EcoCloudConfig& config,
                                              cloud::DataCenter& dc,
                                              std::uint64_t seed);
 
@@ -65,14 +64,14 @@ class EcoCloudProtocol final : public sim::Protocol {
 
   /// Acceptance probability of a server at utilization u (pure; tested).
   [[nodiscard]] static double acceptance_probability(
-      double utilization, const EcoCloudConfig& config) noexcept;
+      double utilization) noexcept;
 
   /// Underload migration probability at utilization u (pure; tested).
   [[nodiscard]] static double underload_migration_probability(
-      double utilization, const EcoCloudConfig& config) noexcept;
+      double utilization) noexcept;
 
  private:
-  /// Probes up to probe_count random servers for `vm`, counting probe
+  /// Probes up to kProbeCount random servers for `vm`, counting probe
   /// messages, and returns the first accepting candidate. Reads but never
   /// mutates data-center state.
   std::optional<cloud::PmId> probe_place(sim::Engine& engine,
@@ -86,7 +85,7 @@ class EcoCloudProtocol final : public sim::Protocol {
                        cloud::PmId source,
                        std::vector<std::pair<cloud::VmId, cloud::PmId>>& plan);
 
-  /// Offers `vm` to up to probe_count random active servers; each accepts
+  /// Offers `vm` to up to kProbeCount random active servers; each accepts
   /// via its Bernoulli trial plus a hard capacity check. Returns true when
   /// the VM migrated. Used by the overload-relief path.
   bool try_place(sim::Engine& engine, cloud::PmId source, cloud::VmId vm);
@@ -98,7 +97,6 @@ class EcoCloudProtocol final : public sim::Protocol {
   /// Picks the VM to shed: smallest current memory (cheapest migration).
   [[nodiscard]] std::optional<cloud::VmId> pick_vm(cloud::PmId pm) const;
 
-  EcoCloudConfig config_;
   cloud::DataCenter& dc_;
   Rng rng_;
   std::uint32_t cooldown_ = 0;

@@ -9,26 +9,19 @@ constexpr std::size_t kMonitorMsgBytes = 16;
 }
 
 PabfdManager::PabfdManager(const PabfdConfig& config, cloud::DataCenter& dc,
-                           sim::NodeId manager_node, sim::NodeId node)
+                           sim::NodeId node)
     : config_(config),
       dc_(dc),
-      manager_node_(manager_node),
-      history_(node == manager_node ? dc.pm_count() : 0) {
-  GLAP_REQUIRE(config.min_history <= kHistoryWindow,
-               "min_history exceeds the history window");
-  GLAP_REQUIRE(config.min_history >= 2, "min_history too small for MAD");
-}
+      history_(node == kManagerNode ? dc.pm_count() : 0) {}
 
 sim::Slot<PabfdManager> PabfdManager::install(sim::Engine& engine,
                                               const PabfdConfig& config,
-                                              cloud::DataCenter& dc,
-                                              sim::NodeId manager_node) {
+                                              cloud::DataCenter& dc) {
   GLAP_REQUIRE(engine.node_count() == dc.pm_count(),
                "engine nodes must map 1:1 onto data-center PMs");
-  GLAP_REQUIRE(manager_node < engine.node_count(), "manager node out of range");
   return engine.add_protocol_pool<PabfdManager>(
       [&](sim::NodeId i, sim::Slot<PabfdManager> /*self*/) {
-        return PabfdManager(config, dc, manager_node, i);
+        return PabfdManager(config, dc, i);
       });
 }
 
@@ -87,7 +80,7 @@ double PabfdManager::upper_threshold(cloud::PmId pm) const {
   GLAP_REQUIRE(pm < history_.size(),
                "pm id out of range, or not the manager instance");
   const auto& h = history_[pm];
-  if (h.size() < config_.min_history) return kDefaultUpper;
+  if (h.size() < kMinHistory) return kDefaultUpper;
   const std::vector<double> samples(h.begin(), h.end());
   double tu = kDefaultUpper;
   switch (config_.estimator) {
@@ -210,7 +203,7 @@ void PabfdManager::evacuate_underloaded(sim::Engine& engine) {
   std::vector<cloud::PmId> order;
   for (cloud::PmId p = 0; p < dc_.pm_count(); ++p) {
     // The manager's own host must stay on.
-    if (!dc_.pm_on(p) || p == static_cast<cloud::PmId>(manager_node_))
+    if (!dc_.pm_on(p) || p == static_cast<cloud::PmId>(kManagerNode))
       continue;
     if (dc_.pm(p).empty()) {
       dc_.set_power(p, cloud::PmPower::kSleep);
@@ -294,7 +287,7 @@ void PabfdManager::evacuate_underloaded(sim::Engine& engine) {
 }
 
 void PabfdManager::execute(sim::Engine& engine, sim::NodeId self) {
-  if (self != manager_node_) return;
+  if (self != kManagerNode) return;
   // The manager polls every active PM (monitoring traffic).
   for (cloud::PmId p = 0; p < dc_.pm_count(); ++p)
     if (dc_.pm_on(p))
@@ -302,9 +295,7 @@ void PabfdManager::execute(sim::Engine& engine, sim::NodeId self) {
                                      kMonitorMsgBytes);
   record_history();
   // Reconsolidation runs on the controller period, not every sample.
-  const std::uint32_t interval = std::max<std::uint32_t>(
-      1, config_.interval_rounds);
-  if (++cycles_since_action_ < interval) return;
+  if (++cycles_since_action_ < kIntervalRounds) return;
   cycles_since_action_ = 0;
   relieve_overloads(engine);
   evacuate_underloaded(engine);

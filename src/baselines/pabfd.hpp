@@ -54,35 +54,39 @@ enum class ThresholdEstimator : std::uint8_t {
 
 struct PabfdConfig {
   ThresholdEstimator estimator = ThresholdEstimator::kMad;
-  std::size_t min_history = 10;  ///< MAD needs this many samples
-  /// Manager reconsolidation period in rounds. Beloglazov's controller
-  /// acts on a multi-minute period; 3 rounds = 6 simulated minutes
-  /// (utilization history still records every round).
-  std::uint32_t interval_rounds = 3;
 };
 
 class PabfdManager final : public sim::Protocol {
  public:
+  static constexpr sim::NodeId kManagerNode = 0;     ///< hosts the manager
   static constexpr double kSafety = 2.5;             ///< s in Tu = 1 − s·MAD
   static constexpr std::size_t kHistoryWindow = 30;  ///< rounds of history
   static constexpr double kDefaultUpper = 0.8;       ///< Tu before history
   static constexpr double kMinUpper = 0.4;  ///< clamp for Tu (noisy hosts)
+  /// Samples of history a PM needs before its Tu leaves kDefaultUpper.
+  static constexpr std::size_t kMinHistory = 10;
+  /// Manager reconsolidation period in rounds. Beloglazov's controller
+  /// acts on a multi-minute period; 3 rounds = 6 simulated minutes
+  /// (utilization history still records every round).
+  static constexpr std::uint32_t kIntervalRounds = 3;
   static_assert(kSafety > 0.0, "safety factor must be positive");
+  static_assert(2 <= kMinHistory && kMinHistory <= kHistoryWindow,
+                "need 2 <= kMinHistory <= kHistoryWindow");
   static_assert(0.0 < kMinUpper && kMinUpper <= kDefaultUpper &&
                     kDefaultUpper <= 1.0,
                 "need 0 < kMinUpper <= kDefaultUpper <= 1");
+  static_assert(kIntervalRounds >= 1, "the manager must act periodically");
 
-  /// The instance on `node`. Every instance knows the manager node; only
-  /// the one installed there acts and keeps a utilization history.
+  /// The instance on `node`. Only the one on kManagerNode acts and keeps
+  /// a utilization history.
   PabfdManager(const PabfdConfig& config, cloud::DataCenter& dc,
-               sim::NodeId manager_node, sim::NodeId node);
+               sim::NodeId node);
 
-  /// Installs the manager logic; it executes on node `manager_node` only
-  /// (the other instances are inert stand-ins so the slot is total).
+  /// Installs the manager logic; it executes on kManagerNode only (the
+  /// other instances are inert stand-ins so the slot is total).
   static sim::Slot<PabfdManager> install(sim::Engine& engine,
                                          const PabfdConfig& config,
-                                         cloud::DataCenter& dc,
-                                         sim::NodeId manager_node = 0);
+                                         cloud::DataCenter& dc);
 
   /// The manager node scans and mutates the whole data center; the inert
   /// stand-in instances do nothing.
@@ -116,7 +120,6 @@ class PabfdManager final : public sim::Protocol {
 
   PabfdConfig config_;
   cloud::DataCenter& dc_;
-  sim::NodeId manager_node_;
   std::uint32_t cycles_since_action_ = 0;
   // Per-PM CPU utilization; empty on the stand-ins.
   std::vector<std::deque<double>> history_;

@@ -95,7 +95,7 @@ bool DataCenter::is_placed(VmId vm_id) const {
   return host_of_[vm_id] != static_cast<PmId>(-1);
 }
 
-void DataCenter::place_randomly(Rng& rng, std::size_t max_per_pm) {
+void DataCenter::place_randomly(Rng& rng) {
   // Random placement that respects *nominal* allocations (a PM never gets
   // more VMs than their requested resources fit), as an admission
   // controller would guarantee.
@@ -105,7 +105,6 @@ void DataCenter::place_randomly(Rng& rng, std::size_t max_per_pm) {
     bool placed = false;
     for (std::size_t attempt = 0; attempt < pms_.size() * 4; ++attempt) {
       const auto p = static_cast<PmId>(rng.bounded(pms_.size()));
-      if (max_per_pm && pms_[p].vm_count() >= max_per_pm) continue;
       if (!(allocated[p] + vm_alloc).fits_within(pms_[p].spec().capacity()))
         continue;
       place(v, p);
@@ -116,7 +115,6 @@ void DataCenter::place_randomly(Rng& rng, std::size_t max_per_pm) {
     if (!placed) {
       // Dense corner case: fall back to the first PM that fits.
       for (PmId p = 0; p < pms_.size() && !placed; ++p) {
-        if (max_per_pm && pms_[p].vm_count() >= max_per_pm) continue;
         if (!(allocated[p] + vm_alloc).fits_within(pms_[p].spec().capacity()))
           continue;
         place(v, p);
@@ -143,7 +141,6 @@ void DataCenter::place_randomly(Rng& rng, std::size_t max_per_pm) {
         PmId best = static_cast<PmId>(-1);
         double best_spare = 0.0;
         for (PmId p = 0; p < pms_.size(); ++p) {
-          if (max_per_pm && pms_[p].vm_count() >= max_per_pm) continue;
           const Resources cap = pms_[p].spec().capacity();
           if (!(allocated[p] + alloc).fits_within(cap)) continue;
           const double spare = cap.cpu - allocated[p].cpu;

@@ -64,10 +64,9 @@ class DataCenter {
   /// Places VM `vm` on PM `pm` during initial setup (no migration cost).
   void place(VmId vm, PmId pm);
 
-  /// Random initial placement, at most `max_per_pm` VMs per PM (0 = no
-  /// cap). The same seed reproduces the same placement, which the paper
-  /// requires to compare algorithms fairly.
-  void place_randomly(Rng& rng, std::size_t max_per_pm = 0);
+  /// Random initial placement. The same seed reproduces the same
+  /// placement, which the paper requires to compare algorithms fairly.
+  void place_randomly(Rng& rng);
 
   /// Removes a placed VM from its host (churn departure). The VM keeps
   /// its identity and demand-average history and may be re-placed later

@@ -74,12 +74,4 @@ double Rng::beta(double a, double b) noexcept {
   return sum > 0.0 ? x / sum : 0.5;
 }
 
-double Rng::bounded_pareto(double shape, double lo, double hi) noexcept {
-  GLAP_DEBUG_ASSERT(shape > 0 && lo > 0 && hi > lo, "bad bounded_pareto args");
-  const double u = uniform();
-  const double la = std::pow(lo, shape);
-  const double ha = std::pow(hi, shape);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / shape);
-}
-
 }  // namespace glap

@@ -123,9 +123,6 @@ class Rng {
   /// Beta(a, b) sample in [0, 1].
   double beta(double a, double b) noexcept;
 
-  /// Pareto (Lomax-style bounded) sample in [0,1]: heavy-tailed helper.
-  double bounded_pareto(double shape, double lo, double hi) noexcept;
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {

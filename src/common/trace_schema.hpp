@@ -55,16 +55,17 @@ namespace glap::trace {
 
 /// Cause of a quiescence transition (sim::WakeReason, DESIGN.md §12):
 /// kConverged tags the parking itself, the rest tag the event that
-/// re-activated a parked node.
+/// re-activated a parked node. kSchedule and kNetwork are decode-only:
+/// nothing emits them, but traces that carry them still read.
 #define GLAP_TRACE_ACTIVITY_REASONS(X)                                  \
   X(kConverged, 0, "converged") /* every slot voted can_quiesce */      \
   X(kGossip, 1, "gossip")       /* an incoming exchange touched state */ \
   X(kDemand, 2, "demand")       /* a hosted VM's demand moved */        \
   X(kMigration, 3, "migration") /* a migration/placement/departure */   \
   X(kStatus, 4, "status")       /* lifecycle transition */              \
-  X(kSchedule, 5, "schedule")   /* Engine::schedule_wake re-check */    \
+  X(kSchedule, 5, "schedule")   /* decode-only: a timed re-check */     \
   X(kRelearn, 6, "relearn")     /* fleet-wide re-learning trigger */    \
-  X(kNetwork, 7, "network")     /* a delayed delivery came due */
+  X(kNetwork, 7, "network")     /* decode-only: a delayed reply due */
 
 // ---- event kinds: X(enumerator, GTB code, "ev" name, payload, member) ---
 // GTB kind code 4 is retired: it belonged to the reserved "fault" kind,

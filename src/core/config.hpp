@@ -1,8 +1,6 @@
 // GLAP configuration knobs, with defaults matching the paper's evaluation.
 #pragma once
 
-#include <cstddef>
-
 #include "sim/node.hpp"
 
 namespace glap::core {
@@ -36,15 +34,6 @@ struct GlapConfig {
   /// reads enabled/demand_epsilon; the consolidation component reads
   /// similarity_threshold/idle_rounds for its vote.
   QuiescenceConfig quiescence;
-
-  /// Learning phase: only PMs with average utilization at or below this
-  /// run local training (the evaluation uses PMs with ≥50% free CPU).
-  double learning_util_threshold = 0.5;
-  /// k — simulated sender/target consolidation steps per learning round.
-  std::size_t train_iterations_per_round = 24;
-  /// Duplicate the collected profile pool until its aggregate average CPU
-  /// could fill this many PMs (covers highly loaded states, §IV-B).
-  double duplicate_pool_pm_multiple = 2.5;
 
   /// Two-phase pre-run. The paper reserves 700 extra rounds before the
   /// evaluation window; learning saturates far sooner and gossip

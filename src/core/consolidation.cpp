@@ -113,7 +113,6 @@ void GlapConsolidationProtocol::execute(sim::Engine& engine,
     if (verdict.outcome == net::Verdict::Outcome::kDelayed) {
       pending_ = {true, *peer, engine.current_round() + verdict.delay,
                   verdict.msg_id, verdict.delay};
-      engine.schedule_wake(self, pending_.due, sim::WakeReason::kNetwork);
       return;
     }
   }

@@ -120,7 +120,7 @@ class GlapConsolidationProtocol final : public sim::Protocol {
 
   /// A state exchange the network model delayed: performed at `due` with
   /// delivery-time state (DESIGN.md §13.4). Blocks quiescence while in
-  /// flight; the engine re-activates the node via WakeReason::kNetwork.
+  /// flight, so the node is still awake when the reply comes due.
   struct PendingExchange {
     bool active = false;
     sim::NodeId partner = 0;

@@ -37,12 +37,10 @@ struct GlapSlots {
 /// instance of each component per node).
 [[nodiscard]] inline GlapSlots install_glap(
     sim::Engine& engine, cloud::DataCenter& dc, const GlapConfig& config,
-    const overlay::CyclonConfig& cyclon_config, std::uint64_t seed,
-    const cloud::RackTopology* topology = nullptr) {
-  return install_glap_on(
-      engine, dc, config,
-      overlay::CyclonProtocol::install(engine, cyclon_config, seed), seed,
-      topology);
+    std::uint64_t seed, const cloud::RackTopology* topology = nullptr) {
+  return install_glap_on(engine, dc, config,
+                         overlay::CyclonProtocol::install(engine, seed), seed,
+                         topology);
 }
 
 }  // namespace glap::core

@@ -83,7 +83,7 @@ void GossipLearningProtocol::learning_cycle(sim::Engine& engine,
   // (paper: PMs with ≥50% free CPU run the algorithm locally).
   const Resources util =
       dc_.average_utilization(static_cast<cloud::PmId>(self));
-  if (util.max_component() > config_.learning_util_threshold) return;
+  if (util.max_component() > kLearningUtilThreshold) return;
 
   auto& sampler = engine.protocol_at(slots_.overlay, self);
   profiles_of(dc_, static_cast<cloud::PmId>(self), &scratch_pool_);
@@ -115,9 +115,9 @@ void GossipLearningProtocol::aggregation_cycle(sim::Engine& engine,
   auto& sampler = engine.protocol_at(slots_.overlay, self);
   const auto peer = sampler.sample_active_peer(engine, self);
   if (!peer) return;
-  auto& remote = engine.protocol_at(slots_.self, *peer);
 
   if (net::NetworkModel* net = engine.net_model()) {
+    const auto& remote = engine.protocol_at(slots_.self, *peer);
     const net::Verdict verdict = net->round_trip(
         self, *peer, tables_.size() * kQEntryBytes,
         remote.tables_.size() * kQEntryBytes, net::Channel::kAggregation);
@@ -127,25 +127,10 @@ void GossipLearningProtocol::aggregation_cycle(sim::Engine& engine,
       // The reply is in flight; merge when it lands (DESIGN.md §13.4).
       pending_ = {true, *peer, engine.current_round() + verdict.delay,
                   verdict.msg_id, verdict.delay};
-      engine.schedule_wake(self, pending_.due, sim::WakeReason::kNetwork);
       return;
     }
   }
-
-  engine.network().count_message(self, *peer,
-                                 tables_.size() * kQEntryBytes);
-  engine.network().count_message(*peer, self,
-                                 remote.tables_.size() * kQEntryBytes);
-
-  // Push-pull merge (Algorithm 2): both parties apply UPDATE and end up
-  // with the identical averaged/unioned table. Merging in place and
-  // copying once beats building a third table.
-  tables_.merge_average(remote.tables_);
-  remote.tables_ = tables_;
-  if (telemetry_.merges != nullptr) telemetry_.merges->inc();
-  // The push-pull rewrote the peer's tables: that is incoming gossip for
-  // a parked peer, so re-activate it (no-op unless quiescent).
-  engine.wake(*peer, sim::WakeReason::kGossip);
+  push_pull(engine, self, *peer);
 }
 
 void GossipLearningProtocol::complete_pending(sim::Engine& engine,
@@ -162,15 +147,25 @@ void GossipLearningProtocol::complete_pending(sim::Engine& engine,
                         engine.current_round() - send_round);
   // The merge uses delivery-time state: tables on both sides may have
   // moved since the send — exactly the staleness a slow network causes.
-  auto& remote = engine.protocol_at(slots_.self, pending.partner);
-  engine.network().count_message(self, pending.partner,
-                                 tables_.size() * kQEntryBytes);
-  engine.network().count_message(pending.partner, self,
+  push_pull(engine, self, pending.partner);
+}
+
+void GossipLearningProtocol::push_pull(sim::Engine& engine, sim::NodeId self,
+                                       sim::NodeId peer) {
+  auto& remote = engine.protocol_at(slots_.self, peer);
+  engine.network().count_message(self, peer, tables_.size() * kQEntryBytes);
+  engine.network().count_message(peer, self,
                                  remote.tables_.size() * kQEntryBytes);
+
+  // Push-pull merge (Algorithm 2): both parties apply UPDATE and end up
+  // with the identical averaged/unioned table. Merging in place and
+  // copying once beats building a third table.
   tables_.merge_average(remote.tables_);
   remote.tables_ = tables_;
   if (telemetry_.merges != nullptr) telemetry_.merges->inc();
-  engine.wake(pending.partner, sim::WakeReason::kGossip);
+  // The push-pull rewrote the peer's tables: that is incoming gossip for
+  // a parked peer, so re-activate it (no-op unless quiescent).
+  engine.wake(peer, sim::WakeReason::kGossip);
 }
 
 }  // namespace glap::core

@@ -26,6 +26,10 @@ class GossipLearningProtocol final : public sim::Protocol {
  public:
   enum class Phase { kLearning, kAggregation, kIdle };
 
+  /// Learning phase: only PMs with average utilization at or below this
+  /// run local training (the evaluation uses PMs with ≥50% free CPU).
+  static constexpr double kLearningUtilThreshold = 0.5;
+
   /// Registry instruments shared by every instance (null = disabled).
   struct Telemetry {
     metrics::Counter* train_cycles = nullptr;  ///< learning.train_cycles
@@ -51,8 +55,9 @@ class GossipLearningProtocol final : public sim::Protocol {
   void execute(sim::Engine& engine, sim::NodeId self) override;
 
   /// Quiescence vote: done once both phases have run and no deferred
-  /// network exchange is in flight. A relearn retrigger resets the
-  /// phase; the harness wakes every node then.
+  /// network exchange is in flight (so the node is still awake when the
+  /// reply comes due). A relearn retrigger resets the phase; the harness
+  /// wakes every node then.
   [[nodiscard]] bool can_quiesce(const sim::Engine& /*engine*/,
                                  sim::NodeId /*self*/) const override {
     return phase() == Phase::kIdle && !pending_.active;
@@ -85,6 +90,10 @@ class GossipLearningProtocol final : public sim::Protocol {
   void learning_cycle(sim::Engine& engine, sim::NodeId self);
   void aggregation_cycle(sim::Engine& engine, sim::NodeId self);
   void complete_pending(sim::Engine& engine, sim::NodeId self);
+  /// The table exchange with `peer` (Algorithm 2): both sides end up
+  /// with the averaged tables. Shared by the immediate path and a
+  /// deferred reply coming due.
+  void push_pull(sim::Engine& engine, sim::NodeId self, sim::NodeId peer);
 
   /// A table push-pull the network model delayed (DESIGN.md §13.4): the
   /// merge runs at `due` with delivery-time state. One in flight per

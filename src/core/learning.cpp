@@ -17,15 +17,13 @@ LocalTrainer::LocalTrainer(const GlapConfig& config, Resources pm_capacity,
     : config_(config), pm_capacity_(pm_capacity), rng_(rng) {
   GLAP_REQUIRE(pm_capacity.cpu > 0.0 && pm_capacity.mem > 0.0,
                "pm capacity must be positive");
-  GLAP_REQUIRE(config.train_iterations_per_round > 0,
-               "train_iterations_per_round must be positive");
 }
 
 void LocalTrainer::grow_pool(std::vector<VmProfile>& pool) const {
   if (pool.empty()) return;
   double total_avg_cpu = 0.0;
   for (const auto& p : pool) total_avg_cpu += p.average_usage.cpu;
-  const double target = config_.duplicate_pool_pm_multiple * pm_capacity_.cpu;
+  const double target = kDuplicatePoolPmMultiple * pm_capacity_.cpu;
   const std::size_t originals = pool.size();
   std::size_t cursor = 0;
   // Hard cap keeps adversarial all-idle pools from ballooning the pool.
@@ -78,8 +76,7 @@ void LocalTrainer::train_round(const std::vector<VmProfile>& pool,
   if (pool.size() < 2) return;
   const bool avg = config_.use_average_state;
 
-  for (std::size_t iter = 0; iter < config_.train_iterations_per_round;
-       ++iter) {
+  for (std::size_t iter = 0; iter < kTrainIterationsPerRound; ++iter) {
     draw_subset(pool, scratch_sender_);
     draw_subset(pool, scratch_target_);
     const auto& sender = scratch_sender_;

@@ -22,11 +22,18 @@ namespace glap::core {
 
 class LocalTrainer {
  public:
+  /// k — simulated sender/target consolidation steps per learning round.
+  static constexpr std::size_t kTrainIterationsPerRound = 24;
+  static_assert(kTrainIterationsPerRound > 0, "training needs iterations");
+  /// The profile pool is duplicated until its aggregate average CPU could
+  /// fill this many PMs (covers highly loaded states, §IV-B).
+  static constexpr double kDuplicatePoolPmMultiple = 2.5;
+
   LocalTrainer(const GlapConfig& config, Resources pm_capacity, Rng rng);
 
   /// Duplicates `pool` entries in place (round-robin) until the pool's
-  /// aggregate average CPU could fill `duplicate_pool_pm_multiple` PMs;
-  /// no-op when the pool is already big enough or empty.
+  /// aggregate average CPU could fill kDuplicatePoolPmMultiple PMs; no-op
+  /// when the pool is already big enough or empty.
   void grow_pool(std::vector<VmProfile>& pool) const;
 
   /// Value-returning convenience wrapper around grow_pool.

@@ -8,14 +8,11 @@
 #include <string>
 #include <string_view>
 
-#include "baselines/ecocloud.hpp"
 #include "baselines/pabfd.hpp"
 #include "cloud/datacenter.hpp"
 #include "common/tracing.hpp"
 #include "core/config.hpp"
 #include "net/network_model.hpp"
-#include "overlay/cyclon.hpp"
-#include "overlay/newscast.hpp"
 #include "trace/google_synth.hpp"
 
 namespace glap::harness {
@@ -95,10 +92,9 @@ struct ChurnConfig {
   double initial_placed_fraction = 1.0;
 
   // GLAP's re-learning oracle (paper §IV-B): re-trigger the two-phase
-  // learning when churn since the last learning exceeds a rate threshold.
+  // learning when churn since the last learning exceeds a rate threshold
+  // (kRelearnRateThreshold in runner.cpp: 0.02 events per VM per round).
   bool glap_relearn = true;
-  /// Churn events per VM per round (since last trigger) that re-trigger.
-  double relearn_rate_threshold = 0.02;
   sim::Round relearn_learning_rounds = 40;
   sim::Round relearn_aggregation_rounds = 20;
   sim::Round relearn_min_interval = 60;
@@ -107,8 +103,9 @@ struct ChurnConfig {
 /// Observability knobs (DESIGN.md §10). File sinks default to off; a run
 /// with the defaults constructs no registry and no trace file, so the
 /// only cost instrumented code pays is one null-pointer test per site —
-/// except the flight recorder (§10.7), which stays on with a bounded
-/// in-memory ring so crashes always leave a post-mortem trace.
+/// except the flight recorder (§10.7), which is always on with a bounded
+/// in-memory ring of the last FlightRecorder::kDefaultRounds rounds, so
+/// crashes always leave a post-mortem trace.
 struct ObservabilityConfig {
   /// Collect counters/gauges/histograms/per-round series into a
   /// MetricsRegistry, returned via RunResult::metrics. Implied by any of
@@ -131,12 +128,8 @@ struct ObservabilityConfig {
   double trace_sample_shuffle = 1.0;
   double trace_sample_net = 1.0;
 
-  /// Flight recorder (DESIGN.md §10.7): rounds of GTB trace retained in
-  /// memory for post-mortem dumps. Always on (even with no trace sink);
-  /// 0 disables.
-  std::size_t flight_recorder_rounds = 8;
-  /// Where the recorder dumps when an invariant check, GLAP_ENABLE_CHECKS
-  /// assertion, or fatal signal fires mid-run.
+  /// Where the flight recorder dumps when an invariant check,
+  /// GLAP_ENABLE_CHECKS assertion, or fatal signal fires mid-run.
   std::string flight_recorder_path = "glap-flight.gtb";
   /// Non-empty: also dump the recorder here at normal run end (CI hook —
   /// lets the pipeline verify the dump parses without crashing a run).
@@ -156,12 +149,6 @@ struct ObservabilityConfig {
 
   [[nodiscard]] bool metrics_enabled() const noexcept {
     return metrics || !metrics_json_path.empty() || !series_csv_path.empty();
-  }
-  [[nodiscard]] bool trace_enabled() const noexcept {
-    return trace_sink != nullptr || !trace_path.empty();
-  }
-  [[nodiscard]] bool flight_enabled() const noexcept {
-    return flight_recorder_rounds > 0;
   }
 };
 
@@ -205,10 +192,7 @@ struct ExperimentConfig {
   ChurnConfig churn;
   trace::GoogleSynthConfig workload;
   OverlayKind overlay = OverlayKind::kCyclon;
-  overlay::CyclonConfig cyclon;
-  overlay::NewscastConfig newscast;
   core::GlapConfig glap;
-  baselines::EcoCloudConfig ecocloud;
   baselines::PabfdConfig pabfd;
 
   [[nodiscard]] std::size_t vm_count() const noexcept {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "baselines/bfd.hpp"
+#include "baselines/ecocloud.hpp"
 #include "baselines/grmp.hpp"
 #include "common/flight_recorder.hpp"
 #include "common/metrics.hpp"
@@ -14,6 +15,7 @@
 #include "common/round_time.hpp"
 #include "common/tracing.hpp"
 #include "core/glap.hpp"
+#include "overlay/newscast.hpp"
 #include "trace/demand_model.hpp"
 
 namespace glap::harness {
@@ -26,6 +28,10 @@ std::string ExperimentConfig::label() const {
 }
 
 namespace {
+
+/// GLAP's re-learning oracle fires when churn since the last trigger
+/// reaches this many events per VM per round.
+constexpr double kRelearnRateThreshold = 0.02;
 
 /// Builds the per-entity spec vectors for a heterogeneous fleet; class
 /// choice depends only on (seed, index), never on the algorithm.
@@ -147,8 +153,9 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // --- Observability -----------------------------------------------------
   // Sinks attach BEFORE protocol install so instrumented code resolves its
   // instruments from a registry that exists for the whole run. Off by
-  // default: no registry, no trace log, one null check per instrumented
-  // site.
+  // default: no registry and no trace file, one null check per
+  // instrumented site. The trace log always exists, because it feeds the
+  // always-on flight recorder.
   const ObservabilityConfig& obs = config.observability;
   std::shared_ptr<metrics::MetricsRegistry> registry;
   // The harness's per-round series, registered here so all registration
@@ -171,29 +178,23 @@ RunResult run_experiment(const ExperimentConfig& config) {
   const trace::SamplingPolicy sampling{obs.trace_sample_shuffle,
                                        obs.trace_sample_net, config.seed};
   std::ofstream trace_file;
-  std::optional<trace::TraceLog> trace_log;
-  if (obs.trace_sink != nullptr) {
-    trace_log.emplace(obs.trace_sink, obs.trace_format, sampling);
-  } else if (!obs.trace_path.empty()) {
+  std::ostream* trace_out = obs.trace_sink;
+  if (trace_out == nullptr && !obs.trace_path.empty()) {
     // Binary mode either way: GTB needs it, and JSONL never emits '\r'.
     trace_file.open(obs.trace_path, std::ios::binary | std::ios::trunc);
     GLAP_REQUIRE(trace_file.is_open(), "cannot open trace_path for writing");
-    trace_log.emplace(&trace_file, obs.trace_format, sampling);
-  } else if (obs.flight_enabled()) {
-    // No file sink, but the always-on flight recorder still needs the
-    // event stream: a sink-less log GTB-encodes straight into the ring.
-    trace_log.emplace(nullptr, trace::Format::kGtb, sampling);
+    trace_out = &trace_file;
   }
-  std::optional<flight::FlightRecorder> flight;
-  if (obs.flight_enabled() && trace_log) {
-    flight.emplace(obs.flight_recorder_rounds);
-    flight->set_registry(registry.get());
-    trace_log->set_flight_recorder(&*flight);
-  }
-  trace::TraceLog* trace = trace_log ? &*trace_log : nullptr;
-  engine.set_telemetry(registry.get(), trace);
-  dc.set_telemetry(registry.get(), trace);
-  if (net_model) net_model->set_telemetry(registry.get(), trace);
+  // Without a file sink the log GTB-encodes straight into the ring.
+  trace::TraceLog trace_log(
+      trace_out, trace_out != nullptr ? obs.trace_format : trace::Format::kGtb,
+      sampling);
+  flight::FlightRecorder flight;
+  flight.set_registry(registry.get());
+  trace_log.set_flight_recorder(&flight);
+  engine.set_telemetry(registry.get(), &trace_log);
+  dc.set_telemetry(registry.get(), &trace_log);
+  if (net_model) net_model->set_telemetry(registry.get(), &trace_log);
   std::unique_ptr<prof::PhaseProfiler> profiler;
   if (obs.profile) {
     profiler = std::make_unique<prof::PhaseProfiler>();
@@ -203,10 +204,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // --- Protocol stack ----------------------------------------------------
   auto install_overlay = [&]() -> sim::Slot<overlay::NeighborProvider> {
     if (config.overlay == OverlayKind::kNewscast)
-      return overlay::NewscastProtocol::install(engine, config.newscast,
-                                                config.seed);
-    return overlay::CyclonProtocol::install(engine, config.cyclon,
-                                            config.seed);
+      return overlay::NewscastProtocol::install(engine, config.seed);
+    return overlay::CyclonProtocol::install(engine, config.seed);
   };
   // Readable phase labels for the profile report: `execute.<protocol>`
   // per installed slot instead of the positional slot index.
@@ -235,8 +234,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
       break;
     }
     case Algorithm::kEcoCloud:
-      label_slot(baselines::EcoCloudProtocol::install(engine, config.ecocloud,
-                                                      dc, config.seed),
+      label_slot(baselines::EcoCloudProtocol::install(engine, dc, config.seed),
                  "ecocloud");
       break;
     case Algorithm::kPabfd:
@@ -331,7 +329,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
     const double rate =
         static_cast<double>(churn_events_since_relearn) /
         (static_cast<double>(dc.vm_count()) * rounds_since_relearn);
-    if (rate < config.churn.relearn_rate_threshold) return;
+    if (rate < kRelearnRateThreshold) return;
     for (sim::NodeId n = 0; n < engine.node_count(); ++n)
       engine.protocol_at(glap_slots->learning, n)
           .retrigger(config.churn.relearn_learning_rounds,
@@ -339,8 +337,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
     // A fleet-wide phase reset invalidates every park decision.
     engine.wake_all(sim::WakeReason::kRelearn);
     ++result.relearn_triggers;
-    if (trace != nullptr)
-      trace->write(engine.current_round(), trace::Relearn{});
+    trace_log.write(engine.current_round(), trace::Relearn{});
     churn_events_since_relearn = 0;
     rounds_since_relearn = 0;
   };
@@ -359,26 +356,25 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // ring to flight_recorder_path (plus `.what.txt` / `.metrics.json`
   // sidecars).
   std::optional<flight::CrashDumpScope> crash_scope;
-  crash_scope.emplace(flight ? &*flight : nullptr, obs.flight_recorder_path);
+  crash_scope.emplace(&flight, obs.flight_recorder_path);
 
   // --- Warmup ------------------------------------------------------------
   for (sim::Round r = 0; r < config.warmup_rounds; ++r) {
     advance_demands();
     if (!baseline_idles_in_warmup) {
-      if (trace != nullptr) trace->begin_round(engine.current_round());
+      trace_log.begin_round(engine.current_round());
       if (net_model) net_model->begin_round(engine.current_round());
       engine.step();
       {
         prof::PhaseScope timer(profiler.get(), prof::PhaseProfiler::kCommit);
-        if (trace != nullptr) trace->commit_round();
+        trace_log.commit_round();
       }
       if (config.track_convergence && glap_slots) {
         result.convergence.push_back(
             sample_convergence(engine, glap_slots->learning,
                                config.convergence_pairs, convergence_rng));
-        if (trace != nullptr)
-          trace->write(engine.current_round() - 1,
-                       trace::Qsim{result.convergence.back()});
+        trace_log.write(engine.current_round() - 1,
+                        trace::Qsim{result.convergence.back()});
       }
     }
     // Note: no dc.end_round() — warmup time does not count toward SLA,
@@ -394,7 +390,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   for (sim::Round r = 0; r < config.rounds; ++r) {
     const std::uint64_t round = engine.current_round();
-    if (trace != nullptr) trace->begin_round(round);
+    trace_log.begin_round(round);
     advance_demands();
     churn_step();
     maybe_relearn();
@@ -402,7 +398,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
     engine.step();
     {
       prof::PhaseScope timer(profiler.get(), prof::PhaseProfiler::kCommit);
-      if (trace != nullptr) trace->commit_round();
+      trace_log.commit_round();
     }
 
     RoundSample sample;
@@ -433,17 +429,15 @@ RunResult run_experiment(const ExperimentConfig& config) {
           static_cast<double>(messages - prev_messages));
       series.net_bytes->append(static_cast<double>(bytes - prev_bytes));
     }
-    if (trace != nullptr) {
-      trace->write(round, trace::RoundSummary{
-                              sample.active_pms, sample.overloaded_pms,
-                              sample.migrations_round,
-                              messages - prev_messages, bytes - prev_bytes});
-      for (cloud::PmId p = 0; p < dc.pm_count(); ++p)
-        if (dc.pm_on(p) && dc.overloaded(p))
-          trace->write(round,
-                       trace::Overload{p, dc.current_utilization(p).cpu});
-      if (net_model) net_model->trace_queue_depths(round);
-    }
+    trace_log.write(round, trace::RoundSummary{
+                               sample.active_pms, sample.overloaded_pms,
+                               sample.migrations_round,
+                               messages - prev_messages, bytes - prev_bytes});
+    for (cloud::PmId p = 0; p < dc.pm_count(); ++p)
+      if (dc.pm_on(p) && dc.overloaded(p))
+        trace_log.write(round,
+                        trace::Overload{p, dc.current_utilization(p).cpu});
+    if (net_model) net_model->trace_queue_depths(round);
     prev_messages = messages;
     prev_bytes = bytes;
 
@@ -522,8 +516,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   // CI hook: persist the flight-recorder ring at normal run end too, so
   // the pipeline can verify crash dumps parse without crashing a run.
-  if (flight && !obs.flight_dump_path.empty())
-    GLAP_REQUIRE(flight->dump(obs.flight_dump_path),
+  if (!obs.flight_dump_path.empty())
+    GLAP_REQUIRE(flight.dump(obs.flight_dump_path),
                  "write to '" + obs.flight_dump_path + "' failed");
 
   return result;

@@ -26,8 +26,6 @@ NetworkModel::NetworkModel(std::size_t pm_count, std::size_t rack_size,
       seed_(hash_combine(seed, hash_tag("net-model"))) {
   GLAP_REQUIRE(pm_count > 0, "network model needs at least one PM");
   GLAP_REQUIRE(config.access_gbps > 0.0, "access_gbps must be positive");
-  GLAP_REQUIRE(config.oversubscription >= 1.0,
-               "oversubscription must be >= 1");
   GLAP_REQUIRE(config.loss_rate >= 0.0 && config.loss_rate < 1.0,
                "loss_rate out of [0, 1)");
   GLAP_REQUIRE(config.queue_limit_rounds > 0.0,
@@ -35,7 +33,7 @@ NetworkModel::NetworkModel(std::size_t pm_count, std::size_t rack_size,
   GLAP_REQUIRE(round_seconds > 0.0, "round_seconds must be positive");
   access_rate_ = config.access_gbps * 1e9 / 8.0;
   uplink_rate_ = access_rate_ * static_cast<double>(rack_size_) /
-                 config.oversubscription;
+                 kOversubscription;
   access_backlog_.assign(pm_count_, 0.0);
   uplink_backlog_.assign((pm_count_ + rack_size_ - 1) / rack_size_, 0.0);
 }
@@ -127,10 +125,10 @@ void NetworkModel::emit_drop(sim::NodeId from, sim::NodeId to,
                             .reason = reason});
 }
 
-Verdict NetworkModel::admit(sim::NodeId from, sim::NodeId to,
-                            std::size_t fwd_bytes, std::size_t rev_bytes,
-                            Channel channel, double loss_prob,
-                            double base_latency_extra) {
+Verdict NetworkModel::round_trip(sim::NodeId from, sim::NodeId to,
+                                 std::size_t fwd_bytes, std::size_t rev_bytes,
+                                 Channel channel) {
+  GLAP_REQUIRE(from != to, "round trip to self");
   Verdict v;
   v.msg_id = next_msg_id_++;
   ++totals_.sends;
@@ -153,6 +151,10 @@ Verdict NetworkModel::admit(sim::NodeId from, sim::NodeId to,
     }
   }
 
+  // Two independent loss legs collapse into one draw with the combined
+  // probability — the initiator cannot distinguish which leg vanished.
+  const double p = config_.loss_rate;
+  const double loss_prob = 1.0 - (1.0 - p) * (1.0 - p);
   if (loss_prob > 0.0 && loss_draw(v.msg_id) < loss_prob) {
     v.outcome = Verdict::Outcome::kDropped;
     v.reason = DropReason::kLoss;
@@ -166,7 +168,7 @@ Verdict NetworkModel::admit(sim::NodeId from, sim::NodeId to,
   // bytes already in flight; floor() maps it onto whole rounds, so a
   // round trip fitting inside one round (the healthy case) behaves
   // exactly like the ideal instantaneous model.
-  double latency = 2.0 * config_.access_latency_s + base_latency_extra;
+  double latency = 2.0 * kAccessLatencyS;
   if (route.count == 4) latency += kUplinkLatencyS;
   double queue_delay = 0.0;
   for (std::size_t i = 0; i < route.count; ++i)
@@ -191,23 +193,6 @@ Verdict NetworkModel::admit(sim::NodeId from, sim::NodeId to,
     // The deliver event is emitted at the due round by deliver_deferred.
   }
   return v;
-}
-
-Verdict NetworkModel::round_trip(sim::NodeId a, sim::NodeId b,
-                                 std::size_t fwd_bytes, std::size_t rev_bytes,
-                                 Channel channel) {
-  GLAP_REQUIRE(a != b, "round trip to self");
-  // Two independent loss legs collapse into one draw with the combined
-  // probability — the initiator cannot distinguish which leg vanished.
-  const double p = config_.loss_rate;
-  const double p_round_trip = 1.0 - (1.0 - p) * (1.0 - p);
-  return admit(a, b, fwd_bytes, rev_bytes, channel, p_round_trip, 0.0);
-}
-
-Verdict NetworkModel::send(sim::NodeId from, sim::NodeId to, std::size_t bytes,
-                           Channel channel) {
-  GLAP_REQUIRE(from != to, "send to self");
-  return admit(from, to, bytes, 0, channel, config_.loss_rate, 0.0);
 }
 
 void NetworkModel::deliver_deferred(sim::NodeId from, sim::NodeId to,

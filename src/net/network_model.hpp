@@ -42,10 +42,6 @@ struct NetworkConfig {
   bool enabled = false;
   /// Access-link bandwidth per PM (both directions share one queue).
   double access_gbps = 1.0;
-  /// Propagation + switching latency per access hop (seconds).
-  double access_latency_s = 50e-6;
-  /// ToR uplink capacity = access_gbps * rack_size / oversubscription.
-  double oversubscription = 4.0;
   /// Drop-tail queue limit per link, as a fraction of one round's service
   /// capacity: a message that would push a link's backlog past
   /// queue_limit_rounds * bytes_per_round is dropped as congested.
@@ -79,6 +75,12 @@ struct Verdict {
 
 class NetworkModel {
  public:
+  /// Propagation + switching latency per access hop (seconds).
+  static constexpr double kAccessLatencyS = 50e-6;
+  /// ToR uplink capacity = access_gbps * rack_size / kOversubscription.
+  static constexpr double kOversubscription = 4.0;
+  static_assert(kOversubscription >= 1.0, "oversubscription must be >= 1");
+
   /// `rack_size` groups consecutive PM ids exactly like cloud::RackTopology;
   /// 0 (no topology) means racks of 32.
   NetworkModel(std::size_t pm_count, std::size_t rack_size,
@@ -96,14 +98,11 @@ class NetworkModel {
   /// Engine::step(), for warmup and evaluation rounds alike.
   void begin_round(sim::Round round);
 
-  /// Admits one push-pull exchange (request `fwd_bytes` from a to b, reply
-  /// `rev_bytes` back). Charges both legs to the route on success.
-  Verdict round_trip(sim::NodeId a, sim::NodeId b, std::size_t fwd_bytes,
+  /// Admits one push-pull exchange (request `fwd_bytes` from `from` to
+  /// `to`, reply `rev_bytes` back). Charges both legs to the route on
+  /// success.
+  Verdict round_trip(sim::NodeId from, sim::NodeId to, std::size_t fwd_bytes,
                      std::size_t rev_bytes, Channel channel);
-
-  /// Admits a one-way datagram (single loss leg, same queueing rules).
-  Verdict send(sim::NodeId from, sim::NodeId to, std::size_t bytes,
-               Channel channel);
 
   /// Completion report for an exchange a protocol deferred: emits the
   /// "deliver" trace event at the due round and counts the delivery.
@@ -166,9 +165,6 @@ class NetworkModel {
   [[nodiscard]] double limit_bytes_of(std::size_t link) const noexcept;
   /// Deterministic per-message uniform in [0, 1).
   [[nodiscard]] double loss_draw(std::uint64_t msg_id) const noexcept;
-  Verdict admit(sim::NodeId from, sim::NodeId to, std::size_t fwd_bytes,
-                std::size_t rev_bytes, Channel channel, double loss_prob,
-                double base_latency_extra);
   void emit_send(sim::NodeId from, sim::NodeId to, std::uint64_t msg_id,
                  std::size_t bytes, Channel channel);
   void emit_deliver(sim::NodeId from, sim::NodeId to, std::uint64_t msg_id,

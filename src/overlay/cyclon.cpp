@@ -15,19 +15,13 @@ constexpr std::size_t kEntryBytes = 8;  // (id, age) on the wire
 constexpr std::size_t kDeadPeerRetries = 3;
 }  // namespace
 
-CyclonProtocol::CyclonProtocol(sim::Slot<CyclonProtocol> self,
-                               CyclonConfig config, Rng rng,
+CyclonProtocol::CyclonProtocol(sim::Slot<CyclonProtocol> self, Rng rng,
                                Telemetry telemetry)
-    : self_(self), config_(config), rng_(rng), telemetry_(telemetry) {
-  GLAP_REQUIRE(config_.cache_size > 0, "cyclon cache_size must be positive");
-  GLAP_REQUIRE(config_.shuffle_length > 0 &&
-                   config_.shuffle_length <= config_.cache_size,
-               "cyclon shuffle_length must be in [1, cache_size]");
-  cache_.reserve(config_.cache_size);
+    : self_(self), rng_(rng), telemetry_(telemetry) {
+  cache_.reserve(kCacheSize);
 }
 
 sim::Slot<CyclonProtocol> CyclonProtocol::install(sim::Engine& engine,
-                                                  const CyclonConfig& config,
                                                   std::uint64_t seed) {
   const std::size_t n = engine.node_count();
   Telemetry telemetry;
@@ -41,11 +35,11 @@ sim::Slot<CyclonProtocol> CyclonProtocol::install(sim::Engine& engine,
   std::vector<sim::NodeId> neighbors;
   return engine.add_protocol_pool<CyclonProtocol>(
       [&](sim::NodeId i, sim::Slot<CyclonProtocol> self) {
-        CyclonProtocol proto(self, config, master.split(i), telemetry);
+        CyclonProtocol proto(self, master.split(i), telemetry);
         neighbors.clear();
         if (n > 1) {
           neighbors.push_back(static_cast<sim::NodeId>((i + 1) % n));
-          while (neighbors.size() < std::min(config.cache_size, n - 1)) {
+          while (neighbors.size() < std::min(kCacheSize, n - 1)) {
             auto candidate = static_cast<sim::NodeId>(boot.bounded(n));
             if (candidate == i) continue;
             if (std::find(neighbors.begin(), neighbors.end(), candidate) !=
@@ -63,7 +57,7 @@ void CyclonProtocol::bootstrap(sim::NodeId self,
                                const std::vector<sim::NodeId>& neighbors) {
   for (sim::NodeId id : neighbors) {
     if (id == self) continue;
-    if (cache_.size() >= config_.cache_size) break;
+    if (cache_.size() >= kCacheSize) break;
     const bool dup = std::any_of(cache_.begin(), cache_.end(),
                                  [&](const Entry& e) { return e.id == id; });
     if (!dup) cache_.push_back({id, 0});
@@ -123,12 +117,12 @@ void CyclonProtocol::merge(sim::NodeId self, const std::vector<Entry>& received,
         std::any_of(cache_.begin(), cache_.end(),
                     [&](const Entry& e) { return e.id == entry.id; });
     if (dup) continue;
-    if (cache_.size() < config_.cache_size) cache_.push_back(entry);
+    if (cache_.size() < kCacheSize) cache_.push_back(entry);
   }
   // Re-insert shipped entries that still fit (they were not replaced).
   for (const Entry& entry : sent) {
     if (entry.id == self) continue;
-    if (cache_.size() >= config_.cache_size) break;
+    if (cache_.size() >= kCacheSize) break;
     const bool dup =
         std::any_of(cache_.begin(), cache_.end(),
                     [&](const Entry& e) { return e.id == entry.id; });
@@ -139,7 +133,7 @@ void CyclonProtocol::merge(sim::NodeId self, const std::vector<Entry>& received,
 const std::vector<CyclonProtocol::Entry>& CyclonProtocol::handle_shuffle(
     sim::NodeId self, sim::NodeId initiator,
     const std::vector<Entry>& received) {
-  take_random_subset(config_.shuffle_length, std::nullopt, scratch_reply_);
+  take_random_subset(kShuffleLength, std::nullopt, scratch_reply_);
   // The passive node may keep a fresh pointer back to the initiator.
   scratch_incoming_.assign(received.begin(), received.end());
   const bool has_initiator =
@@ -167,12 +161,12 @@ void CyclonProtocol::execute(sim::Engine& engine, sim::NodeId self) {
       // A shuffle is only useful fresh: a lost or late round-trip simply
       // times out and the node retries next round (membership
       // self-heals), before any cache entry has been moved.
-      const std::size_t wire = config_.shuffle_length * kEntryBytes;
+      const std::size_t wire = kShuffleLength * kEntryBytes;
       if (!net->round_trip(self, peer, wire, wire, net::Channel::kShuffle)
                .ok())
         return;
     }
-    take_random_subset(config_.shuffle_length - 1, std::nullopt,
+    take_random_subset(kShuffleLength - 1, std::nullopt,
                        scratch_sent_);
     scratch_outgoing_.assign(scratch_sent_.begin(), scratch_sent_.end());
     scratch_outgoing_.push_back({self, 0});

@@ -24,13 +24,13 @@ class OrderedHistogram;
 
 namespace glap::overlay {
 
-struct CyclonConfig {
-  std::size_t cache_size = 20;      ///< c: neighbor cache capacity
-  std::size_t shuffle_length = 8;   ///< ℓ: entries exchanged per shuffle
-};
-
 class CyclonProtocol final : public NeighborProvider {
  public:
+  static constexpr std::size_t kCacheSize = 20;     ///< c: cache capacity
+  static constexpr std::size_t kShuffleLength = 8;  ///< ℓ: entries per shuffle
+  static_assert(0 < kShuffleLength && kShuffleLength <= kCacheSize,
+                "cyclon shuffle length must be in [1, cache size]");
+
   struct Entry {
     sim::NodeId id;
     std::uint32_t age;
@@ -44,13 +44,11 @@ class CyclonProtocol final : public NeighborProvider {
 
   /// `self` is the slot this instance is installed in; shuffles reach the
   /// peer's instance through it.
-  CyclonProtocol(sim::Slot<CyclonProtocol> self, CyclonConfig config, Rng rng,
-                 Telemetry telemetry);
+  CyclonProtocol(sim::Slot<CyclonProtocol> self, Rng rng, Telemetry telemetry);
 
   /// Installs a Cyclon instance on every node of the engine, bootstrapped
-  /// with `config.cache_size` random neighbors each, and returns the slot.
+  /// with kCacheSize random neighbors each, and returns the slot.
   static sim::Slot<CyclonProtocol> install(sim::Engine& engine,
-                                           const CyclonConfig& config,
                                            std::uint64_t seed);
 
   void execute(sim::Engine& engine, sim::NodeId self) override;
@@ -69,7 +67,7 @@ class CyclonProtocol final : public NeighborProvider {
   [[nodiscard]] std::vector<sim::NodeId> neighbor_view() const override;
 
   /// Passive side of a shuffle: merges the initiator's subset and returns
-  /// a random subset of (up to) shuffle_length local entries. The returned
+  /// a random subset of (up to) kShuffleLength local entries. The returned
   /// reference aliases an internal scratch buffer that stays valid until
   /// this instance's next handle_shuffle call.
   const std::vector<Entry>& handle_shuffle(sim::NodeId self,
@@ -82,7 +80,6 @@ class CyclonProtocol final : public NeighborProvider {
   [[nodiscard]] const std::vector<Entry>& cache() const noexcept {
     return cache_;
   }
-  [[nodiscard]] const CyclonConfig& config() const noexcept { return config_; }
 
   /// Removes every cache entry pointing at `peer` (dead-link pruning).
   void remove_neighbor(sim::NodeId peer);
@@ -96,7 +93,6 @@ class CyclonProtocol final : public NeighborProvider {
                           std::vector<Entry>& out);
 
   sim::Slot<CyclonProtocol> self_;
-  CyclonConfig config_;
   Rng rng_;
   Telemetry telemetry_;
   std::vector<Entry> cache_;

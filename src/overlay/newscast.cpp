@@ -15,16 +15,14 @@ constexpr std::size_t kItemBytes = 8;
 constexpr std::size_t kDeadPeerRetries = 3;
 }  // namespace
 
-NewscastProtocol::NewscastProtocol(sim::Slot<NewscastProtocol> self,
-                                   NewscastConfig config, Rng rng,
+NewscastProtocol::NewscastProtocol(sim::Slot<NewscastProtocol> self, Rng rng,
                                    metrics::Counter* exchanges)
-    : self_(self), config_(config), rng_(rng), ctr_exchanges_(exchanges) {
-  GLAP_REQUIRE(config.cache_size > 0, "newscast cache_size must be positive");
-  cache_.reserve(config.cache_size);
+    : self_(self), rng_(rng), ctr_exchanges_(exchanges) {
+  cache_.reserve(kCacheSize);
 }
 
-sim::Slot<NewscastProtocol> NewscastProtocol::install(
-    sim::Engine& engine, const NewscastConfig& config, std::uint64_t seed) {
+sim::Slot<NewscastProtocol> NewscastProtocol::install(sim::Engine& engine,
+                                                      std::uint64_t seed) {
   const std::size_t n = engine.node_count();
   metrics::Counter* exchanges = nullptr;
   if (metrics::MetricsRegistry* m = engine.metrics())
@@ -34,11 +32,11 @@ sim::Slot<NewscastProtocol> NewscastProtocol::install(
   std::vector<sim::NodeId> peers;
   return engine.add_protocol_pool<NewscastProtocol>(
       [&](sim::NodeId i, sim::Slot<NewscastProtocol> self) {
-        NewscastProtocol proto(self, config, master.split(i), exchanges);
+        NewscastProtocol proto(self, master.split(i), exchanges);
         peers.clear();
         if (n > 1) {
           peers.push_back(static_cast<sim::NodeId>((i + 1) % n));
-          while (peers.size() < std::min(config.cache_size, n - 1)) {
+          while (peers.size() < std::min(kCacheSize, n - 1)) {
             auto candidate = static_cast<sim::NodeId>(boot.bounded(n));
             if (candidate == i) continue;
             if (std::find(peers.begin(), peers.end(), candidate) !=
@@ -55,7 +53,7 @@ sim::Slot<NewscastProtocol> NewscastProtocol::install(
 void NewscastProtocol::bootstrap(sim::NodeId self,
                                  const std::vector<sim::NodeId>& peers) {
   for (sim::NodeId id : peers) {
-    if (id == self || cache_.size() >= config_.cache_size) continue;
+    if (id == self || cache_.size() >= kCacheSize) continue;
     const bool dup = std::any_of(cache_.begin(), cache_.end(),
                                  [&](const Item& e) { return e.id == id; });
     if (!dup) cache_.push_back({id, 0});
@@ -74,12 +72,12 @@ void NewscastProtocol::merge(sim::NodeId self,
       cache_.push_back(item);
     }
   }
-  if (cache_.size() > config_.cache_size) {
+  if (cache_.size() > kCacheSize) {
     std::sort(cache_.begin(), cache_.end(),
               [](const Item& a, const Item& b) {
                 return a.timestamp > b.timestamp;
               });
-    cache_.resize(config_.cache_size);
+    cache_.resize(kCacheSize);
   }
 }
 

@@ -22,12 +22,11 @@ class Counter;
 
 namespace glap::overlay {
 
-struct NewscastConfig {
-  std::size_t cache_size = 20;
-};
-
 class NewscastProtocol final : public NeighborProvider {
  public:
+  static constexpr std::size_t kCacheSize = 20;  ///< c: news items kept
+  static_assert(kCacheSize > 0, "newscast cache size must be positive");
+
   struct Item {
     sim::NodeId id;
     std::uint32_t timestamp;
@@ -35,11 +34,10 @@ class NewscastProtocol final : public NeighborProvider {
 
   /// `self` is the slot this instance is installed in; `exchanges`
   /// mirrors newscast.exchanges (null = disabled).
-  NewscastProtocol(sim::Slot<NewscastProtocol> self, NewscastConfig config,
-                   Rng rng, metrics::Counter* exchanges);
+  NewscastProtocol(sim::Slot<NewscastProtocol> self, Rng rng,
+                   metrics::Counter* exchanges);
 
   static sim::Slot<NewscastProtocol> install(sim::Engine& engine,
-                                             const NewscastConfig& config,
                                              std::uint64_t seed);
 
   void execute(sim::Engine& engine, sim::NodeId self) override;
@@ -71,11 +69,10 @@ class NewscastProtocol final : public NeighborProvider {
 
  private:
   /// Unions `incoming` into the cache, dropping self-entries and keeping
-  /// the cache_size freshest distinct ids.
+  /// the kCacheSize freshest distinct ids.
   void merge(sim::NodeId self, const std::vector<Item>& incoming);
 
   sim::Slot<NewscastProtocol> self_;
-  NewscastConfig config_;
   Rng rng_;
   metrics::Counter* ctr_exchanges_;
   std::vector<Item> cache_;

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 
 #include "common/profiler.hpp"
@@ -39,8 +38,6 @@ void Engine::set_status(NodeId node, NodeStatus status) {
   status_[node] = status;
   if (old == NodeStatus::kActive) --active_count_;
   if (status == NodeStatus::kActive) ++active_count_;
-  for (Layer& layer : layers_)
-    layer.instances[node]->on_status_change(*this, node, status);
 }
 
 void Engine::trace_activity(NodeId node, bool awake, WakeReason reason) {
@@ -64,22 +61,6 @@ void Engine::wake_all(WakeReason reason) {
   if (quiescent_count_ == 0) return;
   for (std::size_t node = 0; node < status_.size(); ++node)
     wake(static_cast<NodeId>(node), reason);
-}
-
-void Engine::schedule_wake(NodeId node, Round round, WakeReason reason) {
-  GLAP_REQUIRE(node < status_.size(), "node id out of range");
-  wake_queue_.emplace_back(round, std::make_pair(node, reason));
-  std::push_heap(wake_queue_.begin(), wake_queue_.end(),
-                 std::greater<>());
-}
-
-void Engine::drain_wake_queue() {
-  while (!wake_queue_.empty() && wake_queue_.front().first <= round_) {
-    std::pop_heap(wake_queue_.begin(), wake_queue_.end(), std::greater<>());
-    const auto [node, reason] = wake_queue_.back().second;
-    wake_queue_.pop_back();
-    wake(node, reason);
-  }
 }
 
 void Engine::poll_quiesce(NodeId node) {
@@ -127,7 +108,6 @@ void Engine::run_round() {
 }
 
 void Engine::step() {
-  drain_wake_queue();
   compute_round_order();
   run_round();
   ++round_;

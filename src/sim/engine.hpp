@@ -13,8 +13,8 @@
 // (seed, round, node) — a deterministic per-round permutation, so no node
 // systematically initiates first — and invokes every installed protocol
 // slot on every active node. Node status transitions (sleep for
-// switched-off PMs, wake, fail) are applied immediately and broadcast to
-// the node's protocol instances so overlays can drop dead links.
+// switched-off PMs, wake, fail) are applied immediately; overlays see
+// them through is_active and drop dead links when they next sample.
 //
 // One thread runs the round, in the hash-rank order: a node is visited
 // iff it is active (and not parked) when the visit cursor reaches it, so a
@@ -25,8 +25,8 @@
 //
 // Quiescence (enable_quiescence, DESIGN.md §12): after a node executes,
 // every installed slot is polled via Protocol::can_quiesce, and a unanimous
-// vote parks the node — it is skipped until wake()/schedule_wake()/
-// set_status re-activates it.
+// vote parks the node — it is skipped until wake()/wake_all()/set_status
+// re-activates it.
 //
 // Protocol storage is struct-of-arrays: each slot owns one contiguous
 // arena of concrete protocol objects (add_protocol_pool) plus a flat
@@ -124,9 +124,9 @@ class Engine {
 
   /// Enables the quiescence semantic: after a node executes, its slots are
   /// polled via Protocol::can_quiesce and a unanimous vote parks it until
-  /// an event (wake, wake_all, a due schedule_wake, or a status change)
-  /// re-activates it. There is no timed heartbeat: a parked node stays
-  /// parked until something happens to it.
+  /// an event (wake, wake_all, or a status change) re-activates it. There
+  /// is no timed wake: a parked node stays parked until something happens
+  /// to it, so a protocol waiting on a future round must veto parking.
   void enable_quiescence();
 
   [[nodiscard]] bool quiescence_enabled() const noexcept {
@@ -150,11 +150,6 @@ class Engine {
   /// round iff its rank has not passed yet. No-op on nodes that are not
   /// parked, so callers may signal unconditionally.
   void wake(NodeId node, WakeReason reason);
-
-  /// Enqueues a wake for the start of `round` (or the next round start if
-  /// `round` has passed). Drained before the round order is computed, in
-  /// (round, node) order, so the resulting schedule is deterministic.
-  void schedule_wake(NodeId node, Round round, WakeReason reason);
 
   /// wake() for every parked node (e.g. a fleet-wide re-learning trigger).
   void wake_all(WakeReason reason);
@@ -182,7 +177,8 @@ class Engine {
     return active_count_;
   }
 
-  /// Changes a node's status and notifies all of its protocol instances.
+  /// Changes a node's status; a parked node leaving the active state is
+  /// un-parked first.
   void set_status(NodeId node, NodeStatus status);
 
   /// The instance of `slot` on `node`: a bounds-checked index into the
@@ -261,10 +257,6 @@ class Engine {
   /// agrees.
   void poll_quiesce(NodeId node);
 
-  /// Drains schedule_wake entries due at the current round (round start,
-  /// before any node of the round executes).
-  void drain_wake_queue();
-
   /// Clears a node's parked bit (if set) and emits the activity event.
   void clear_quiescent(NodeId node, WakeReason reason);
 
@@ -291,8 +283,6 @@ class Engine {
   bool quiescence_ = false;
   std::vector<std::uint8_t> quiescent_;  ///< parked by can_quiesce vote
   std::size_t quiescent_count_ = 0;
-  /// Pending schedule_wake entries, a min-heap on (round, node, reason).
-  std::vector<std::pair<Round, std::pair<NodeId, WakeReason>>> wake_queue_;
 };
 
 }  // namespace glap::sim

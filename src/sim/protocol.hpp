@@ -21,10 +21,6 @@ class Protocol {
   /// One gossip cycle initiated by `self`. Called only for active nodes.
   virtual void execute(Engine& engine, NodeId self) = 0;
 
-  /// Invoked when the node's lifecycle status changes (sleep/wake/fail).
-  virtual void on_status_change(Engine& /*engine*/, NodeId /*self*/,
-                                NodeStatus /*status*/) {}
-
   /// Quiescence vote (DESIGN.md §12): polled right after the node executed
   /// a round, only when the engine runs with quiescence enabled. A node is
   /// parked — skipped in subsequent rounds until an event re-activates it —

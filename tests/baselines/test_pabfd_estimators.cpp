@@ -35,6 +35,13 @@ TEST(LrForecast, DecreasingTrend) {
   EXPECT_THROW(PabfdManager::lr_forecast({1.0}), precondition_error);
 }
 
+/// Rounds each bed runs: past PabfdManager::kMinHistory, so the
+/// estimator (not the default threshold) decides.
+constexpr int kRounds = static_cast<int>(PabfdManager::kMinHistory) + 2;
+
+/// Two PMs with both VMs on the manager's PM 0: the empty PM 1 sleeps at
+/// the first controller period, and no consolidation ever moves a VM onto
+/// PM 0, so its history is exactly the demand the test feeds.
 struct EstimatorBed {
   cloud::DataCenter dc;
   sim::Engine engine;
@@ -45,7 +52,7 @@ struct EstimatorBed {
         engine(2, 1),
         slot(PabfdManager::install(engine, config, dc)) {
     dc.place(0, 0);
-    dc.place(1, 1);
+    dc.place(1, 0);
   }
 
   void run_rounds(int n, double lo, double hi) {
@@ -65,14 +72,11 @@ struct EstimatorBed {
 TEST(Estimators, VolatileHistoryLowersThresholdForAll) {
   for (ThresholdEstimator est : {ThresholdEstimator::kMad,
                                  ThresholdEstimator::kIqr}) {
-    PabfdConfig config;
-    config.estimator = est;
-    config.interval_rounds = 1;
-    config.min_history = 4;
+    const PabfdConfig config{.estimator = est};
     EstimatorBed volatile_bed(config);
-    volatile_bed.run_rounds(12, 0.2, 0.8);
+    volatile_bed.run_rounds(kRounds, 0.2, 0.8);
     EstimatorBed stable_bed(config);
-    stable_bed.run_rounds(12, 0.5, 0.5);
+    stable_bed.run_rounds(kRounds, 0.5, 0.5);
     EXPECT_LT(volatile_bed.threshold(), stable_bed.threshold())
         << to_string(est);
     EXPECT_DOUBLE_EQ(stable_bed.threshold(), 1.0) << to_string(est);
@@ -80,24 +84,19 @@ TEST(Estimators, VolatileHistoryLowersThresholdForAll) {
 }
 
 TEST(Estimators, LrPenalizesRisingTrend) {
-  PabfdConfig config;
-  config.estimator = ThresholdEstimator::kLr;
-  config.interval_rounds = 1;
-  config.min_history = 4;
+  const PabfdConfig config{.estimator = ThresholdEstimator::kLr};
   // Rising utilization: each VM ramps its demand upward.
   EstimatorBed rising(config);
-  for (int round = 0; round < 12; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     const double f = 0.1 + 0.05 * round;
     std::vector<Resources> demands(2, Resources{f, 0.2});
     rising.dc.observe_demands(demands);
     rising.engine.step();
   }
   EstimatorBed flat(config);
-  flat.run_rounds(12, 0.5, 0.5);
+  flat.run_rounds(kRounds, 0.5, 0.5);
   EXPECT_LT(rising.threshold(), flat.threshold());
-  // The manager's own consolidation steps the history once, so "flat" is
-  // near — not exactly — trendless.
-  EXPECT_GT(flat.threshold(), 0.9);
+  EXPECT_NEAR(flat.threshold(), 1.0, 1e-9);
 }
 
 TEST(Estimators, NamesRoundTrip) {

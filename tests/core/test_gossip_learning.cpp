@@ -20,11 +20,18 @@ struct TestBed {
           std::uint64_t seed)
       : dc(pms, vms, cloud::DataCenterConfig{}),
         engine(pms, seed),
-        overlay(overlay::CyclonProtocol::install(engine, {}, seed)),
+        overlay(overlay::CyclonProtocol::install(engine, seed)),
         learning(GossipLearningProtocol::install(engine, config, dc, overlay,
                                                  seed)) {
     Rng placement(hash_combine(seed, hash_tag("placement")));
     dc.place_randomly(placement);
+  }
+
+  /// Every VM at 90% CPU. Placement fits at most five 500-MIPS VMs on a
+  /// 2660-MIPS PM, so with five VMs per PM every PM averages 4.5 x 500 /
+  /// 2660 ≈ 0.85 CPU, above kLearningUtilThreshold: no PM trains.
+  void load_every_pm() {
+    dc.observe_demands(std::vector<Resources>(dc.vm_count(), {0.9, 0.3}));
   }
 
   void advance_demands(std::uint64_t seed, std::uint32_t round) {
@@ -107,11 +114,9 @@ TEST(GossipLearning, AggregationUnifiesTables) {
 }
 
 TEST(GossipLearning, HighlyLoadedPmsSkipTraining) {
-  GlapConfig config = short_phases();
-  config.learning_util_threshold = -1.0;  // nobody may train
-  TestBed bed(10, 20, config, 4);
+  TestBed bed(10, 50, short_phases(), 4);
   for (std::uint32_t r = 0; r < 10; ++r) {
-    bed.advance_demands(4, r);
+    bed.load_every_pm();
     bed.engine.step();
   }
   for (sim::NodeId n = 0; n < 10; ++n)
@@ -145,15 +150,15 @@ TEST(GossipLearning, MergeIsPairwiseSymmetric) {
 
 TEST(GossipLearning, AggregationPreservesValueScale) {
   // Gossip averaging keeps values within the convex hull of initial ones.
-  GlapConfig config = short_phases();
-  config.learning_util_threshold = 0.0;  // no fresh training noise
-  TestBed bed(16, 32, config, 6);
+  // Every PM is loaded past the training threshold: no fresh training
+  // noise.
+  TestBed bed(16, 80, short_phases(), 6);
   const qlearn::State s{qlearn::Level::kMedium, qlearn::Level::kLow};
   const qlearn::Action a{qlearn::Level::kHigh, qlearn::Level::kLow};
   for (sim::NodeId n = 0; n < 16; ++n)
     bed.node(n).tables_mutable().in.set(s, a, static_cast<double>(n));
   for (std::uint32_t r = 0; r < 40; ++r) {
-    bed.advance_demands(6, r);
+    bed.load_every_pm();
     bed.engine.step();
   }
   for (sim::NodeId n = 0; n < 16; ++n) {
@@ -168,7 +173,7 @@ TEST(GossipLearning, AggregationPreservesValueScale) {
 TEST(GossipLearning, InstallValidatesNodeMapping) {
   cloud::DataCenter dc(4, 8, cloud::DataCenterConfig{});
   sim::Engine engine(5, 1);  // mismatch: 5 nodes vs 4 PMs
-  const auto overlay = overlay::CyclonProtocol::install(engine, {}, 1);
+  const auto overlay = overlay::CyclonProtocol::install(engine, 1);
   EXPECT_THROW(
       GossipLearningProtocol::install(engine, GlapConfig{}, dc, overlay, 1),
       precondition_error);

@@ -29,7 +29,7 @@ struct Bed {
         engine(nodes, seed),
         learning(GossipLearningProtocol::install(
             engine, aggregation_only(), dc,
-            overlay::CyclonProtocol::install(engine, {}, seed), seed)),
+            overlay::CyclonProtocol::install(engine, seed), seed)),
         n(nodes) {
     Rng rng(seed);
     dc.place_randomly(rng);

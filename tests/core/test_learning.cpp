@@ -17,12 +17,6 @@ VmProfile profile(double cur_cpu, double avg_cpu, double cur_mem = 0.3,
           Resources{avg_cpu, avg_mem}.scaled_by(alloc), alloc};
 }
 
-GlapConfig test_config() {
-  GlapConfig config;
-  config.train_iterations_per_round = 50;
-  return config;
-}
-
 TEST(VmProfile, ActionUsesVmRelativeLevels) {
   const VmProfile p = profile(0.85, 0.45);
   EXPECT_EQ(p.action(/*use_average=*/true),
@@ -48,29 +42,29 @@ TEST(StateOfProfiles, AverageAndCurrentDiffer) {
 }
 
 TEST(LocalTrainer, DuplicationReachesTarget) {
-  GlapConfig config = test_config();
-  config.duplicate_pool_pm_multiple = 2.0;
-  LocalTrainer trainer(config, kPmCapacity, Rng(1));
-  // Each profile averages 0.5*500 = 250 MIPS; target = 2*2660 = 5320
-  // -> needs ~22 profiles.
+  LocalTrainer trainer(GlapConfig{}, kPmCapacity, Rng(1));
+  // Each profile averages 0.5*500 = 250 MIPS; target = 2.5*2660 = 6650
+  // -> needs ~27 profiles.
   std::vector<VmProfile> pool{profile(0.5, 0.5), profile(0.5, 0.5)};
   const auto grown = trainer.duplicate_if_required(pool);
   double total = 0.0;
   for (const auto& p : grown) total += p.average_usage.cpu;
-  EXPECT_GE(total, 2.0 * kPmCapacity.cpu);
+  EXPECT_GE(total, LocalTrainer::kDuplicatePoolPmMultiple * kPmCapacity.cpu);
+  // Growth stops at the first copy that reaches the target.
+  EXPECT_LT(total - grown.back().average_usage.cpu,
+            LocalTrainer::kDuplicatePoolPmMultiple * kPmCapacity.cpu);
 }
 
 TEST(LocalTrainer, DuplicationCapped) {
-  GlapConfig config = test_config();
-  config.duplicate_pool_pm_multiple = 100.0;  // unreachable target
-  LocalTrainer trainer(config, kPmCapacity, Rng(1));
+  LocalTrainer trainer(GlapConfig{}, kPmCapacity, Rng(1));
+  // 5 MIPS per copy: 16 copies fall far short of the target.
   std::vector<VmProfile> pool{profile(0.01, 0.01)};
   const auto grown = trainer.duplicate_if_required(pool);
-  EXPECT_LE(grown.size(), 16u);  // 16x the original single profile
+  EXPECT_EQ(grown.size(), 16u);  // 16x the original single profile
 }
 
 TEST(LocalTrainer, EmptyAndTinyPoolsAreSafe) {
-  LocalTrainer trainer(test_config(), kPmCapacity, Rng(1));
+  LocalTrainer trainer(GlapConfig{}, kPmCapacity, Rng(1));
   QTablePair tables;
   trainer.train_round({}, tables);
   trainer.train_round({profile(0.5, 0.5)}, tables);
@@ -79,7 +73,7 @@ TEST(LocalTrainer, EmptyAndTinyPoolsAreSafe) {
 }
 
 TEST(LocalTrainer, TrainingPopulatesBothTables) {
-  LocalTrainer trainer(test_config(), kPmCapacity, Rng(2));
+  LocalTrainer trainer(GlapConfig{}, kPmCapacity, Rng(2));
   std::vector<VmProfile> pool;
   for (int i = 0; i < 24; ++i)
     pool.push_back(profile(0.2 + 0.03 * i, 0.25 + 0.02 * i));
@@ -93,8 +87,8 @@ TEST(LocalTrainer, DeterministicGivenSeed) {
   std::vector<VmProfile> pool;
   for (int i = 0; i < 16; ++i) pool.push_back(profile(0.3, 0.4));
   QTablePair a, b;
-  LocalTrainer ta(test_config(), kPmCapacity, Rng(7));
-  LocalTrainer tb(test_config(), kPmCapacity, Rng(7));
+  LocalTrainer ta(GlapConfig{}, kPmCapacity, Rng(7));
+  LocalTrainer tb(GlapConfig{}, kPmCapacity, Rng(7));
   for (int round = 0; round < 5; ++round) {
     ta.train_round(pool, a);
     tb.train_round(pool, b);
@@ -107,7 +101,7 @@ TEST(LocalTrainer, VolatileWorkloadsLearnNegativeAcceptanceValues) {
   // Profiles whose current demand is far above their average: accepting
   // them into loaded states lands in Overload often, so the IN table must
   // contain strongly negative entries.
-  LocalTrainer trainer(test_config(), kPmCapacity, Rng(3));
+  LocalTrainer trainer(GlapConfig{}, kPmCapacity, Rng(3));
   std::vector<VmProfile> pool;
   for (int i = 0; i < 40; ++i) pool.push_back(profile(1.0, 0.35));
   QTablePair tables;
@@ -123,7 +117,7 @@ TEST(LocalTrainer, AcceptanceRiskGrowsWithStateLoad) {
   // risk (the in-map has no "stop accepting" action), but the learned
   // risk must be ordered: accepting into Low states scores strictly
   // better than accepting into heavily loaded states.
-  LocalTrainer trainer(test_config(), kPmCapacity, Rng(4));
+  LocalTrainer trainer(GlapConfig{}, kPmCapacity, Rng(4));
   std::vector<VmProfile> pool;
   for (int i = 0; i < 40; ++i) pool.push_back(profile(0.2, 0.2));
   QTablePair tables;
@@ -143,7 +137,7 @@ TEST(LocalTrainer, AcceptanceRiskGrowsWithStateLoad) {
 }
 
 TEST(LocalTrainer, OutValuesRewardDraining) {
-  LocalTrainer trainer(test_config(), kPmCapacity, Rng(5));
+  LocalTrainer trainer(GlapConfig{}, kPmCapacity, Rng(5));
   std::vector<VmProfile> pool;
   for (int i = 0; i < 30; ++i) pool.push_back(profile(0.4, 0.4));
   QTablePair tables;

@@ -4,6 +4,7 @@
 
 #include "core/gossip_learning.hpp"
 #include "harness/runner.hpp"
+#include "overlay/cyclon.hpp"
 
 namespace glap::harness {
 namespace {
@@ -49,7 +50,6 @@ TEST(Churn, RelearnOracleFiresUnderHeavyChurn) {
   ExperimentConfig config = churn_config(Algorithm::kGlap);
   config.churn.departure_prob = 0.05;
   config.churn.arrival_prob = 0.2;
-  config.churn.relearn_rate_threshold = 0.01;
   config.churn.relearn_min_interval = 20;
   config.churn.relearn_learning_rounds = 5;
   config.churn.relearn_aggregation_rounds = 5;
@@ -67,10 +67,12 @@ TEST(Churn, RelearnDisabledNeverFires) {
 }
 
 TEST(Churn, BaselinesNeverRelearn) {
+  // The heavy churn that makes GLAP relearn (see
+  // RelearnOracleFiresUnderHeavyChurn) never retriggers a baseline.
   ExperimentConfig config = churn_config(Algorithm::kGrmp);
   config.churn.departure_prob = 0.05;
   config.churn.arrival_prob = 0.2;
-  config.churn.relearn_rate_threshold = 0.0;
+  config.churn.relearn_min_interval = 20;
   const RunResult result = run_experiment(config);
   EXPECT_EQ(result.relearn_triggers, 0u);
 }
@@ -88,7 +90,7 @@ TEST(Retrigger, ReentersLearningThenIdles) {
   core::GlapConfig glap;
   glap.learning_rounds = 2;
   glap.aggregation_rounds = 2;
-  const auto overlay = overlay::CyclonProtocol::install(engine, {}, 5);
+  const auto overlay = overlay::CyclonProtocol::install(engine, 5);
   const auto learning =
       core::GossipLearningProtocol::install(engine, glap, dc, overlay, 5);
   for (cloud::VmId v = 0; v < 8; ++v) dc.place(v, static_cast<cloud::PmId>(v / 2));

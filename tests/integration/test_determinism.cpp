@@ -166,8 +166,8 @@ INSTANTIATE_TEST_SUITE_P(Baselines, NetworkDeterminismTest,
 
 TEST(Determinism, NetworkWithQuiescenceIsReproducible) {
   // Quiescence + network exercises the deferred-exchange machinery: a
-  // delayed reply must block the initiator's park vote and the kNetwork
-  // wake must fire identically in every run.
+  // delayed reply must block the initiator's park vote, identically in
+  // every run.
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.rounds = 60;
   config.network.enabled = true;

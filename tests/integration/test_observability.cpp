@@ -13,10 +13,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 
+#include "common/flight_recorder.hpp"
 #include "common/metrics.hpp"
 #include "common/trace_check.hpp"
 #include "common/trace_format.hpp"
@@ -150,6 +152,49 @@ TEST(Observability, AllKindsTraceCoversEveryKindAndNetOp) {
   EXPECT_GT(delivers, 0u);
   EXPECT_GT(loss_drops, 0u);
   EXPECT_GT(queues, 0u);
+}
+
+// A node with a delayed reply in flight vetoes parking, so it is awake
+// when the reply comes due; the engine has no timed wake to fall back on.
+// Walks the trace of the all-kinds configuration: between the send of a
+// table or state exchange and its deliver or drop, the sender must not
+// park. (Shuffles, profile fetches and probes give up on a late reply
+// instead of waiting for it, so they never get a deliver.) Twice the
+// all-kinds evaluation window gives parks time to meet delayed replies:
+// without the veto, this run parks two senders mid-exchange.
+TEST(Observability, NoInitiatorParksWhileItsDelayedReplyIsInFlight) {
+  ExperimentConfig config = all_kinds_config();
+  config.rounds = 24;
+  const Captured captured = run_captured(config);
+  std::istringstream in(captured.trace);
+  trace::TraceReader reader(in);
+  std::map<std::int64_t, std::int64_t> in_flight;  // msg id -> sender
+  std::uint64_t delayed = 0, parks = 0;
+  trace::TraceEvent e;
+  std::string error;
+  while (reader.next(&e, &error) == trace::TraceReader::Status::kEvent) {
+    if (e.kind == trace::EventKind::kNet) {
+      if (e.net.op == trace::NetOp::kSend) {
+        if (e.net.channel == trace::Channel::kAggregation ||
+            e.net.channel == trace::Channel::kConsolidation)
+          in_flight[e.net.msg] = e.net.src;
+      } else if (e.net.op == trace::NetOp::kDeliver ||
+                 e.net.op == trace::NetOp::kDrop) {
+        delayed += e.net.op == trace::NetOp::kDeliver && e.net.delay > 0;
+        in_flight.erase(e.net.msg);
+      }
+    } else if (e.kind == trace::EventKind::kActivity && !e.activity.awake) {
+      ++parks;
+      for (const auto& [msg, sender] : in_flight)
+        EXPECT_NE(sender, e.activity.pm)
+            << "round " << e.round << ": pm " << e.activity.pm
+            << " parked with msg " << msg << " in flight";
+    }
+  }
+  EXPECT_TRUE(error.empty()) << error;
+  // The run must exercise both halves of the invariant.
+  EXPECT_GT(delayed, 0u);
+  EXPECT_GT(parks, 0u);
 }
 
 TEST(Observability, AllKindsTraceMatchesGoldenFile) {
@@ -287,14 +332,13 @@ TEST(Observability, MetricsSinksWriteFiles) {
 }
 
 /// Runs tiny_config() with one file sink on /dev/full: the run must throw
-/// naming the file, not report success over a truncated file. A one-round
-/// flight ring keeps its dump inside the stream buffer, where only a flush
-/// reveals the failure.
+/// naming the file, not report success over a truncated file. The tiny
+/// run's flight ring dump fits inside the stream buffer, where only a
+/// flush reveals the failure.
 void expect_full_disk_fails(std::string ObservabilityConfig::*sink) {
   const std::string full = "/dev/full";
   if (!std::filesystem::exists(full)) GTEST_SKIP() << full << " is absent";
   ExperimentConfig config = tiny_config();
-  config.observability.flight_recorder_rounds = 1;
   config.observability.*sink = full;
   try {
     (void)run_experiment(config);
@@ -332,7 +376,6 @@ TEST(Observability, FlightDumpIsAParseableTraceOfTheLastRounds) {
   // an end-of-run dump so the ring's contents can be inspected without a
   // crash. The dump must be a valid GTB trace of the last N rounds.
   ExperimentConfig config = tiny_config();
-  config.observability.flight_recorder_rounds = 4;
   config.observability.flight_dump_path =
       ::testing::TempDir() + "glap_flight_obs.gtb";
   run_experiment(config);
@@ -353,8 +396,10 @@ TEST(Observability, FlightDumpIsAParseableTraceOfTheLastRounds) {
   EXPECT_TRUE(error.empty()) << error;
   ASSERT_TRUE(any) << "flight dump holds no events";
   EXPECT_TRUE(reader.binary());
-  // Four retained rounds ending at the final evaluation round.
-  EXPECT_EQ(summaries, 4u);
+  // The ring's rounds, ending at the final evaluation round.
+  static_assert(flight::FlightRecorder::kDefaultRounds == 8);
+  ASSERT_EQ(config.rounds, 8u);
+  EXPECT_EQ(summaries, 8u);
   EXPECT_GE(first_round, config.warmup_rounds);
   EXPECT_EQ(last_round, config.warmup_rounds + config.rounds - 1);
   std::remove(config.observability.flight_dump_path.c_str());

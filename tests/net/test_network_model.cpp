@@ -31,20 +31,17 @@ TEST(NetworkModelTopology, RacksGroupConsecutiveIds) {
 TEST(NetworkModelTopology, RatesFollowOversubscription) {
   NetworkConfig c = healthy();
   c.access_gbps = 1.0;
-  c.oversubscription = 4.0;
   NetworkModel net(64, 32, c, kRoundSeconds, 1);
   const double access = 1e9 / 8.0 * kRoundSeconds;
   EXPECT_DOUBLE_EQ(net.access_bytes_per_round(), access);
   // Uplink serves 32 PMs at 4:1 oversubscription = 8 access links' worth.
+  static_assert(NetworkModel::kOversubscription == 4.0);
   EXPECT_DOUBLE_EQ(net.uplink_bytes_per_round(), access * 32.0 / 4.0);
 }
 
 TEST(NetworkModelTopology, ConfigValidationRejectsNonsense) {
   NetworkConfig c = healthy();
   c.loss_rate = 1.0;
-  EXPECT_THROW(NetworkModel(10, 5, c, kRoundSeconds, 1), precondition_error);
-  c = healthy();
-  c.oversubscription = 0.5;
   EXPECT_THROW(NetworkModel(10, 5, c, kRoundSeconds, 1), precondition_error);
   c = healthy();
   c.queue_limit_rounds = 0.0;
@@ -77,7 +74,7 @@ TEST(NetworkModelDelivery, MsgIdsAreAssignedInAdmissionOrder) {
   net.begin_round(0);
   EXPECT_EQ(net.round_trip(0, 1, 8, 8, Channel::kShuffle).msg_id, 0u);
   EXPECT_EQ(net.round_trip(2, 3, 8, 8, Channel::kShuffle).msg_id, 1u);
-  EXPECT_EQ(net.send(4, 5, 8, Channel::kProbe).msg_id, 2u);
+  EXPECT_EQ(net.round_trip(4, 5, 8, 8, Channel::kProbe).msg_id, 2u);
 }
 
 TEST(NetworkModelDelivery, PayloadChargesEveryLinkOnTheRoute) {
@@ -122,15 +119,16 @@ TEST(NetworkModelDrops, DropTailCongestionRejectsAndKeepsQueue) {
 
 TEST(NetworkModelDrops, QueueingDelayDefersPastTheRoundBoundary) {
   // Shrink the round so a modest backlog is worth >= 1 round of service,
-  // and raise the queue limit so admission still succeeds.
+  // and raise the queue limit so admission still succeeds. Propagation
+  // alone (two access hops) stays a tenth of a round.
   NetworkConfig c = healthy();
   c.queue_limit_rounds = 10.0;
-  c.access_latency_s = 0.0;  // isolate queueing from propagation
-  const double round_s = 1e-4;  // one round serves 12.5 kB per access link
+  const double round_s = 20.0 * NetworkModel::kAccessLatencyS;
+  // One round (1 ms) serves 125 kB per access link.
   NetworkModel net(64, 32, c, round_s, 7);
   net.begin_round(0);
-  EXPECT_TRUE(net.round_trip(0, 1, 20000, 0, Channel::kAggregation).ok());
-  // The second exchange queues behind 20 kB > 1 round of service.
+  EXPECT_TRUE(net.round_trip(0, 1, 200000, 0, Channel::kAggregation).ok());
+  // The second exchange queues behind 200 kB > 1 round of service.
   const Verdict v = net.round_trip(0, 1, 100, 0, Channel::kAggregation);
   EXPECT_EQ(v.outcome, Verdict::Outcome::kDelayed);
   EXPECT_GE(v.delay, 1u);
@@ -164,16 +162,16 @@ TEST(NetworkModelDrops, RoundTripLossExceedsOneWayLoss) {
   NetworkConfig c = healthy();
   c.loss_rate = 0.2;
   NetworkModel rt(64, 32, c, kRoundSeconds, 9);
-  NetworkModel ow(64, 32, c, kRoundSeconds, 9);
   rt.begin_round(0);
-  ow.begin_round(0);
-  for (int i = 0; i < 2000; ++i) {
+  constexpr int kTrials = 2000;
+  for (int i = 0; i < kTrials; ++i)
     rt.round_trip(0, 1, 8, 8, Channel::kShuffle);
-    ow.send(0, 1, 8, Channel::kProbe);
-  }
-  // Identical msg ids and seed, so draws coincide; the round trip's
-  // combined probability 1-(1-p)^2 = 0.36 > 0.2 strictly dominates.
-  EXPECT_GT(rt.totals().dropped_loss, ow.totals().dropped_loss);
+  // Both legs can be lost: the combined probability 1-(1-p)^2 = 0.36,
+  // well above the one-leg 0.2 (binomial sd ~ 0.011).
+  const double rate =
+      static_cast<double>(rt.totals().dropped_loss) / kTrials;
+  EXPECT_NEAR(rate, 0.36, 0.04);
+  EXPECT_GT(rate, c.loss_rate + 0.1);
 }
 
 TEST(NetworkModelTelemetry, CountersMirrorTotals) {

@@ -20,8 +20,8 @@ CyclonProtocol& instance(Engine& engine, sim::Slot<CyclonProtocol> slot,
 
 /// The instance of a one-node overlay, whose bootstrap leaves the cache
 /// empty: a fixture for unit tests of the cache operations.
-CyclonProtocol& lone_instance(Engine& engine, const CyclonConfig& config) {
-  return engine.protocol_at(CyclonProtocol::install(engine, config, 1), 0);
+CyclonProtocol& lone_instance(Engine& engine) {
+  return engine.protocol_at(CyclonProtocol::install(engine, 1), 0);
 }
 
 /// BFS over the directed neighbor graph from node 0.
@@ -42,30 +42,19 @@ std::size_t reachable_from_zero(Engine& engine,
 
 TEST(Cyclon, BootstrapFillsCache) {
   Engine engine(50, 1);
-  const auto slot = CyclonProtocol::install(engine, {}, 1);
+  const auto slot = CyclonProtocol::install(engine, 1);
   for (NodeId n = 0; n < 50; ++n) {
     const auto& cache = instance(engine, slot, n).cache();
     EXPECT_GT(cache.size(), 0u);
-    EXPECT_LE(cache.size(), CyclonConfig{}.cache_size);
+    EXPECT_LE(cache.size(), CyclonProtocol::kCacheSize);
   }
-}
-
-TEST(Cyclon, ConfigValidation) {
-  Engine engine(2, 1);
-  EXPECT_THROW(CyclonProtocol::install(engine, {.cache_size = 0}, 1),
-               precondition_error);
-  EXPECT_THROW(CyclonProtocol::install(
-                   engine, {.cache_size = 4, .shuffle_length = 5}, 1),
-               precondition_error);
-  EXPECT_THROW(CyclonProtocol::install(engine, {.shuffle_length = 0}, 1),
-               precondition_error);
 }
 
 // The typed slot widens to the interface the consolidation layers use,
 // and both handles reach the same instance.
 TEST(Cyclon, SlotViewedAsNeighborProviderReachesTheSameInstance) {
   Engine engine(12, 10);
-  const auto slot = CyclonProtocol::install(engine, {}, 10);
+  const auto slot = CyclonProtocol::install(engine, 10);
   const sim::Slot<NeighborProvider> provider = slot;
   for (NodeId n = 0; n < 12; ++n) {
     NeighborProvider& p = engine.protocol_at(provider, n);
@@ -76,12 +65,11 @@ TEST(Cyclon, SlotViewedAsNeighborProviderReachesTheSameInstance) {
 
 TEST(Cyclon, InvariantsHoldOverManyRounds) {
   Engine engine(60, 2);
-  CyclonConfig config{.cache_size = 8, .shuffle_length = 4};
-  const auto slot = CyclonProtocol::install(engine, config, 2);
+  const auto slot = CyclonProtocol::install(engine, 2);
   engine.run(50);
   for (NodeId n = 0; n < 60; ++n) {
     const auto& cache = instance(engine, slot, n).cache();
-    EXPECT_LE(cache.size(), config.cache_size);
+    EXPECT_LE(cache.size(), CyclonProtocol::kCacheSize);
     std::set<NodeId> ids;
     for (const auto& entry : cache) {
       EXPECT_NE(entry.id, n) << "self-link in cache of node " << n;
@@ -94,15 +82,14 @@ TEST(Cyclon, InvariantsHoldOverManyRounds) {
 
 TEST(Cyclon, OverlayStaysConnected) {
   Engine engine(80, 3);
-  const auto slot = CyclonProtocol::install(engine, {}, 3);
+  const auto slot = CyclonProtocol::install(engine, 3);
   engine.run(30);
   EXPECT_EQ(reachable_from_zero(engine, slot), 80u);
 }
 
 TEST(Cyclon, InDegreeStaysBalanced) {
   Engine engine(100, 4);
-  CyclonConfig config{.cache_size = 10, .shuffle_length = 5};
-  const auto slot = CyclonProtocol::install(engine, config, 4);
+  const auto slot = CyclonProtocol::install(engine, 4);
   engine.run(60);
   std::vector<int> indegree(100, 0);
   for (NodeId n = 0; n < 100; ++n)
@@ -110,14 +97,15 @@ TEST(Cyclon, InDegreeStaysBalanced) {
       ++indegree[neighbor];
   // Random-graph-like overlays keep in-degree near the cache size; a
   // star/hub topology would concentrate it.
-  for (int d : indegree) EXPECT_LT(d, 40);
+  const auto c = static_cast<double>(CyclonProtocol::kCacheSize);
+  for (int d : indegree) EXPECT_LT(d, 2.0 * c);
   const int total = std::accumulate(indegree.begin(), indegree.end(), 0);
-  EXPECT_NEAR(static_cast<double>(total) / 100.0, 10.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(total) / 100.0, c, 0.2 * c);
 }
 
 TEST(Cyclon, SampleReturnsActivePeer) {
   Engine engine(30, 5);
-  const auto slot = CyclonProtocol::install(engine, {}, 5);
+  const auto slot = CyclonProtocol::install(engine, 5);
   engine.run(5);
   auto& node0 = instance(engine, slot, 0);
   for (int i = 0; i < 50; ++i) {
@@ -130,7 +118,7 @@ TEST(Cyclon, SampleReturnsActivePeer) {
 
 TEST(Cyclon, SamplePrunesDeadPeers) {
   Engine engine(10, 6);
-  const auto slot = CyclonProtocol::install(engine, {}, 6);
+  const auto slot = CyclonProtocol::install(engine, 6);
   engine.run(5);
   // Put everyone but node 0 to sleep: sampling must eventually return
   // nullopt and leave the cache empty of dead entries it touched.
@@ -142,7 +130,7 @@ TEST(Cyclon, SamplePrunesDeadPeers) {
 
 TEST(Cyclon, HealsAroundFailedNodes) {
   Engine engine(60, 7);
-  const auto slot = CyclonProtocol::install(engine, {}, 7);
+  const auto slot = CyclonProtocol::install(engine, 7);
   engine.run(10);
   // Fail a third of the overlay.
   for (NodeId n = 40; n < 60; ++n) engine.set_status(n, NodeStatus::kFailed);
@@ -159,8 +147,7 @@ TEST(Cyclon, HealsAroundFailedNodes) {
 
 TEST(Cyclon, AgesIncreaseWithoutContact) {
   Engine engine(5, 8);
-  CyclonConfig config{.cache_size = 4, .shuffle_length = 2};
-  const auto slot = CyclonProtocol::install(engine, config, 8);
+  const auto slot = CyclonProtocol::install(engine, 8);
   auto& node0 = instance(engine, slot, 0);
   // Directly drive only node 0's cycle: all its entries age.
   const auto before = node0.cache();
@@ -174,7 +161,7 @@ TEST(Cyclon, AgesIncreaseWithoutContact) {
 
 TEST(Cyclon, RemoveNeighborDeletesAllEntries) {
   Engine engine(1, 1);
-  auto& proto = lone_instance(engine, {.cache_size = 4, .shuffle_length = 2});
+  auto& proto = lone_instance(engine);
   proto.bootstrap(0, {1, 2, 3});
   proto.remove_neighbor(2);
   for (const auto& e : proto.cache()) EXPECT_NE(e.id, 2u);
@@ -183,18 +170,21 @@ TEST(Cyclon, RemoveNeighborDeletesAllEntries) {
 
 TEST(Cyclon, BootstrapIgnoresSelfAndDuplicates) {
   Engine engine(1, 1);
-  auto& proto = lone_instance(engine, {.cache_size = 8, .shuffle_length = 2});
+  auto& proto = lone_instance(engine);
   proto.bootstrap(0, {0, 1, 1, 2});
   EXPECT_EQ(proto.cache().size(), 2u);
 }
 
 TEST(Cyclon, HandleShuffleReturnsSubsetAndLearnsInitiator) {
   Engine engine(1, 2);
-  auto& proto = lone_instance(engine, {.cache_size = 8, .shuffle_length = 3});
-  proto.bootstrap(5, {1, 2, 3, 4});
+  auto& proto = lone_instance(engine);
+  // More entries than one shuffle ships, so the reply is a strict subset.
+  std::vector<NodeId> neighbors(CyclonProtocol::kShuffleLength + 4);
+  std::iota(neighbors.begin(), neighbors.end(), NodeId{10});
+  proto.bootstrap(5, neighbors);
   std::vector<CyclonProtocol::Entry> incoming{{7, 0}, {8, 1}};
   const auto reply = proto.handle_shuffle(5, 9, incoming);
-  EXPECT_LE(reply.size(), 3u);
+  EXPECT_EQ(reply.size(), CyclonProtocol::kShuffleLength);
   bool knows_initiator = false;
   for (const auto& e : proto.cache())
     if (e.id == 9) knows_initiator = true;
@@ -203,7 +193,7 @@ TEST(Cyclon, HandleShuffleReturnsSubsetAndLearnsInitiator) {
 
 TEST(Cyclon, SingleNodeOverlayIsDegenerate) {
   Engine engine(1, 9);
-  const auto slot = CyclonProtocol::install(engine, {}, 9);
+  const auto slot = CyclonProtocol::install(engine, 9);
   engine.run(3);
   auto& only = instance(engine, slot, 0);
   EXPECT_TRUE(only.cache().empty());

@@ -34,19 +34,18 @@ std::size_t reachable_from_zero(Engine& engine,
 
 TEST(Newscast, BootstrapFillsCache) {
   Engine engine(40, 1);
-  const auto slot = NewscastProtocol::install(engine, {}, 1);
+  const auto slot = NewscastProtocol::install(engine, 1);
   for (NodeId n = 0; n < 40; ++n)
     EXPECT_GT(instance(engine, slot, n).cache().size(), 0u);
 }
 
 TEST(Newscast, InvariantsHoldOverRounds) {
   Engine engine(50, 2);
-  NewscastConfig config{.cache_size = 8};
-  const auto slot = NewscastProtocol::install(engine, config, 2);
+  const auto slot = NewscastProtocol::install(engine, 2);
   engine.run(40);
   for (NodeId n = 0; n < 50; ++n) {
     const auto& cache = instance(engine, slot, n).cache();
-    EXPECT_LE(cache.size(), config.cache_size);
+    EXPECT_LE(cache.size(), NewscastProtocol::kCacheSize);
     std::set<NodeId> ids;
     for (const auto& item : cache) {
       EXPECT_NE(item.id, n);
@@ -57,7 +56,7 @@ TEST(Newscast, InvariantsHoldOverRounds) {
 
 TEST(Newscast, TimestampsStayFresh) {
   Engine engine(50, 3);
-  const auto slot = NewscastProtocol::install(engine, {}, 3);
+  const auto slot = NewscastProtocol::install(engine, 3);
   engine.run(60);
   // Freshness-driven replacement: after many rounds no cache holds
   // entries older than a small window.
@@ -70,14 +69,14 @@ TEST(Newscast, TimestampsStayFresh) {
 
 TEST(Newscast, OverlayStaysConnected) {
   Engine engine(60, 4);
-  const auto slot = NewscastProtocol::install(engine, {}, 4);
+  const auto slot = NewscastProtocol::install(engine, 4);
   engine.run(30);
   EXPECT_EQ(reachable_from_zero(engine, slot), 60u);
 }
 
 TEST(Newscast, SamplesOnlyActivePeers) {
   Engine engine(20, 5);
-  const auto slot = NewscastProtocol::install(engine, {}, 5);
+  const auto slot = NewscastProtocol::install(engine, 5);
   engine.run(5);
   for (NodeId n = 10; n < 20; ++n) engine.set_status(n, NodeStatus::kSleeping);
   auto& node0 = instance(engine, slot, 0);
@@ -91,7 +90,7 @@ TEST(Newscast, SamplesOnlyActivePeers) {
 
 TEST(Newscast, HealsAroundFailedNodes) {
   Engine engine(40, 6);
-  const auto slot = NewscastProtocol::install(engine, {}, 6);
+  const auto slot = NewscastProtocol::install(engine, 6);
   engine.run(10);
   for (NodeId n = 30; n < 40; ++n) engine.set_status(n, NodeStatus::kFailed);
   engine.run(30);
@@ -103,18 +102,10 @@ TEST(Newscast, HealsAroundFailedNodes) {
   }
 }
 
-TEST(Newscast, ConfigValidation) {
-  Engine engine(2, 1);
-  EXPECT_THROW(NewscastProtocol::install(engine, {.cache_size = 0}, 1),
-               precondition_error);
-}
-
 TEST(Newscast, HandleExchangeLearnsInitiator) {
   // A one-node overlay bootstraps an empty cache.
   Engine engine(1, 7);
-  auto& proto =
-      instance(engine, NewscastProtocol::install(engine, {.cache_size = 8}, 7),
-               0);
+  auto& proto = instance(engine, NewscastProtocol::install(engine, 7), 0);
   proto.bootstrap(5, {1, 2});
   const auto reply = proto.handle_exchange(5, 9, {{3, 4}}, 10);
   EXPECT_EQ(reply.size(), 3u);  // snapshot of 2 items + fresh self entry

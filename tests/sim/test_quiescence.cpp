@@ -1,7 +1,7 @@
 // Quiescence and the round loop's visit rule (DESIGN.md §12): unanimous
-// can_quiesce votes park a node, any veto blocks parking, wake /
-// schedule_wake / set_status re-activate, and a node woken or switched on
-// mid-round runs in the same round iff its rank comes after the waker's.
+// can_quiesce votes park a node, any veto blocks parking, wake / wake_all /
+// set_status re-activate, and a node woken or switched on mid-round runs
+// in the same round iff its rank comes after the waker's.
 // Protocol storage goes through add_protocol_pool, the only install
 // path, so these tests also cover the struct-of-arrays arena.
 #include <gtest/gtest.h>
@@ -115,25 +115,6 @@ TEST(Quiescence, WakeOnNonParkedNodeIsANoOp) {
   engine.step();
   EXPECT_EQ(log.size(), 6u);
   EXPECT_EQ(engine.quiescent_count(), 0u);
-}
-
-TEST(Quiescence, ScheduleWakeFiresAtTheRequestedRound) {
-  Engine engine(2, 1);
-  engine.enable_quiescence();
-  std::vector<NodeId> log;
-  install_counters(engine, &log, 1);
-  engine.step();
-  ASSERT_EQ(engine.quiescent_count(), 2u);
-
-  const Round target = engine.current_round() + 2;
-  engine.schedule_wake(0, target, WakeReason::kSchedule);
-  log.clear();
-  engine.step();  // current_round()     < target: still parked
-  engine.step();  // current_round() + 1 < target: still parked
-  EXPECT_TRUE(log.empty());
-  engine.step();  // target round: node 0 runs, then re-parks
-  EXPECT_EQ(log, std::vector<NodeId>{0});
-  EXPECT_EQ(engine.quiescent_count(), 2u);
 }
 
 TEST(Quiescence, WakeAllReactivatesEveryParkedNode) {
