@@ -1,6 +1,6 @@
-// Shared plumbing for the figure/table reproduction benches: the sweep
-// scale from the environment, the algorithm list, and a common header
-// that records the run configuration.
+// Shared plumbing for the two table benches (paper_sweep, extensions): the
+// sweep scale from the environment, the algorithm list, the cell configs,
+// a common header that records the run configuration, and the table sink.
 #pragma once
 
 #include <cstdio>
@@ -37,6 +37,20 @@ inline const std::vector<Algorithm>& all_algorithms() {
   return algos;
 }
 
+/// A default-config cell of `algorithm` at `pm_count` × `vm_ratio`, with
+/// the scale's round counts.
+inline harness::ExperimentConfig cell_config(Algorithm algorithm,
+                                             std::size_t pm_count,
+                                             std::size_t vm_ratio,
+                                             const harness::BenchScale& scale) {
+  harness::ExperimentConfig config;
+  config.algorithm = algorithm;
+  config.pm_count = pm_count;
+  config.vm_ratio = vm_ratio;
+  apply_scale(config, scale);
+  return config;
+}
+
 inline void print_bench_header(const char* title,
                                const harness::BenchScale& scale) {
   std::printf("=== %s ===\n", title);
@@ -54,6 +68,17 @@ inline void print_bench_header(const char* title,
 inline std::string cell_label(const harness::ExperimentConfig& config) {
   return std::to_string(config.pm_count) + "-" +
          std::to_string(config.vm_ratio);
+}
+
+/// Prints a table under its title, then `note` (the expected shape, or
+/// how to read it) unless empty, and mirrors the table into the report.
+inline void emit(harness::BenchReport& report, const std::string& title,
+                 const char* name, const ConsoleTable& table,
+                 const std::string& note = "") {
+  std::printf("--- %s ---\n%s", title.c_str(), table.render().c_str());
+  if (!note.empty()) std::printf("\n%s\n", note.c_str());
+  std::printf("\n");
+  report.add_table(name, table);
 }
 
 }  // namespace glap::bench

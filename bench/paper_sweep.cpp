@@ -1,8 +1,12 @@
-// The paper's evaluation grid (§V), run once: every cluster size × VM:PM
-// ratio × algorithm, each cell's repetitions seeded alike so every
-// algorithm starts from the same initial placement. Figs. 6–10 and
-// Table I are all views of that one result.
+// The paper's evaluation (§V). Fig. 5 runs GLAP's warmup alone; the rest
+// is one grid, run once: every cluster size × VM:PM ratio × algorithm,
+// each cell's repetitions seeded alike so every algorithm starts from the
+// same initial placement. Figs. 6–10 and Table I are all views of that
+// one result.
 //
+// Fig. 5  — cosine similarity of Q-values across PMs per warmup cycle,
+//           learning only (WOG) vs learning then gossip aggregation (WG),
+//           at the largest configured cluster size.
 // Fig. 6  — packing: mean active PMs, the BFD oracle packing of the final
 //           round (the paper's "baseline packing without any SLA
 //           violation") and the mean overloaded fraction of active PMs.
@@ -33,15 +37,58 @@ std::vector<harness::ExperimentConfig> build_cells(
   std::vector<harness::ExperimentConfig> cells;
   for (std::size_t size : scale.sizes)
     for (std::size_t ratio : scale.ratios)
-      for (Algorithm algo : bench::all_algorithms()) {
-        harness::ExperimentConfig config;
-        config.algorithm = algo;
-        config.pm_count = size;
-        config.vm_ratio = ratio;
-        apply_scale(config, scale);
-        cells.push_back(config);
-      }
+      for (Algorithm algo : bench::all_algorithms())
+        cells.push_back(bench::cell_config(algo, size, ratio, scale));
   return cells;
+}
+
+/// Fig. 5's cells: per ratio, GLAP's warmup without (WOG) and with (WG)
+/// the aggregation phase, sampling Q-value similarity every round.
+std::vector<harness::ExperimentConfig> build_convergence_cells(
+    const harness::BenchScale& scale) {
+  std::vector<harness::ExperimentConfig> cells;
+  for (std::size_t ratio : scale.ratios)
+    for (bool with_gossip : {false, true}) {
+      harness::ExperimentConfig config = bench::cell_config(
+          Algorithm::kGlap, scale.sizes.back(), ratio, scale);
+      config.rounds = 1;  // only the warmup (learning) window matters here
+      config.track_convergence = true;
+      config.convergence_pairs = 64;
+      if (!with_gossip) {
+        // WOG: all pre-run rounds are learning, none aggregate.
+        config.glap.learning_rounds = config.warmup_rounds;
+        config.glap.aggregation_rounds = 0;
+      }
+      cells.push_back(config);
+    }
+  return cells;
+}
+
+/// Plateau = mean similarity over the last 10 warmup rounds;
+/// rounds-to-0.999 is the first cycle at or above that similarity.
+ConsoleTable convergence(const Cells& results) {
+  ConsoleTable table(
+      {"ratio", "variant", "plateau", "final", "rounds-to-0.999"});
+  for (const auto& cell : results) {
+    const auto& series = cell.runs.front().convergence;
+    RunningStats tail;
+    const std::size_t tail_from =
+        series.size() > 10 ? series.size() - 10 : 0;
+    for (std::size_t c = tail_from; c < series.size(); ++c)
+      tail.add(series[c]);
+    std::string to_unity = "-";
+    for (std::size_t c = 0; c < series.size(); ++c)
+      if (series[c] >= 0.999) {
+        to_unity = std::to_string(c + 1);
+        break;
+      }
+    table.add_row({std::to_string(cell.config.vm_ratio),
+                   cell.config.glap.aggregation_rounds > 0 ? "WG" : "WOG",
+                   format_double(tail.mean(), 3),
+                   series.empty() ? "-" : format_double(series.back(), 4),
+                   to_unity});
+  }
+  return table;
 }
 
 double total_migrations(const RunResult& r) {
@@ -201,26 +248,34 @@ ConsoleTable slav_components(const Cells& results) {
 }  // namespace
 
 int main() {
+  const char* title = "Paper evaluation — Figs. 5–10 and Table I";
   const harness::BenchScale scale = bench::scale_from_env();
-  bench::print_bench_header("Paper sweep — Figs. 6–10 and Table I", scale);
+  bench::print_bench_header(title, scale);
 
   ThreadPool pool;
+  const Cells converging =
+      harness::run_cells(build_convergence_cells(scale), 1, pool);
   const Cells results =
       harness::run_cells(build_cells(scale), scale.repetitions, pool);
 
-  harness::BenchReport report("paper_sweep",
-                              "Paper sweep — Figs. 6–10 and Table I");
+  harness::BenchReport report("paper_sweep", title);
   report.set_scale(scale);
   // Prints one table under its title, mirrors it into the report, and
   // prints the paper's expected shape when given one.
-  auto emit = [&](const char* title, const char* name,
+  auto emit = [&](const std::string& heading, const char* name,
                   const ConsoleTable& table, const char* shape) {
-    std::printf("--- %s ---\n%s", title, table.render().c_str());
-    if (shape != nullptr) std::printf("\nexpected shape (paper): %s\n", shape);
-    std::printf("\n");
-    report.add_table(name, table);
+    bench::emit(report, heading, name, table,
+                shape != nullptr
+                    ? std::string("expected shape (paper): ") + shape
+                    : "");
   };
 
+  const std::string largest = std::to_string(scale.sizes.back()) + " PMs";
+  emit("Fig. 5 — Q-value convergence, " + largest +
+           " (WOG = learning only, WG = learning + gossip aggregation)",
+       "convergence", convergence(converging),
+       "WOG plateaus well below 1 for every ratio; WG converges rapidly to "
+       "1.0 once aggregation starts.");
   emit("Fig. 6 — active PMs vs BFD baseline, overloaded fraction", "packing",
        packing(results),
        "overloaded/active ordering GLAP < EcoCloud < PABFD < GRMP; GRMP and "
@@ -243,9 +298,7 @@ int main() {
        reductions(results, total_migrations, {23.0, 37.0, 70.0}),
        "GLAP fewest migrations, PABFD by far the most; totals grow with the "
        "workload ratio.");
-  const std::string fig9_title = "Fig. 9 — cumulative migrations over time, " +
-                                 std::to_string(scale.sizes.back()) + " PMs";
-  emit(fig9_title.c_str(), "cumulative",
+  emit("Fig. 9 — cumulative migrations over time, " + largest, "cumulative",
        cumulative(results, scale.sizes.back()),
        "distributed algorithms (GLAP, EcoCloud, GRMP) are concave — most "
        "migrations early; PABFD keeps migrating at a near-constant rate "

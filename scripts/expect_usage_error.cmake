@@ -7,7 +7,8 @@
 #         <program> [args...]
 #
 # With -DEXIT_STATUS=<n> it checks a failure after work began instead: exit
-# status n and EXPECT on stderr, whatever was printed to stdout first.
+# status n and EXPECT on stderr, whatever was printed to stdout first
+# (tests/ also compiles a must-fail fixture through it).
 if(NOT DEFINED EXPECT)
   message(FATAL_ERROR "expect_usage_error: set -DEXPECT=<text>")
 endif()

@@ -14,12 +14,22 @@
 
 namespace glap::cloud {
 
+/// The paper's fold of sample `demand` into `average`, the running average
+/// of `count` earlier samples: ((c·v) + d(t)) / (c + 1). DataCenter's
+/// per-VM averages and AverageTracker both call it, so they agree bit for
+/// bit.
+[[nodiscard]] inline Resources fold_average(const Resources& average,
+                                            std::uint64_t count,
+                                            const Resources& demand) noexcept {
+  const auto c = static_cast<double>(count);
+  return (average * c + demand) * (1.0 / (c + 1.0));
+}
+
 class AverageTracker {
  public:
   /// Folds one observation into the running average.
   void observe(const Resources& demand) noexcept {
-    const auto c = static_cast<double>(count_);
-    value_ = (value_ * c + demand) * (1.0 / (c + 1.0));
+    value_ = fold_average(value_, count_, demand);
     ++count_;
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "cloud/average_tracker.hpp"
 #include "common/metrics.hpp"
 #include "common/round_time.hpp"
 #include "common/tracing.hpp"
@@ -305,10 +306,7 @@ void DataCenter::observe_demands(std::span<const Resources> fractions) {
     GLAP_REQUIRE(f.cpu >= 0.0 && f.cpu <= 1.0 && f.mem >= 0.0 && f.mem <= 1.0,
                  "demand fraction out of [0,1]");
     vm_demand_[v] = f;
-    // The paper's running average: ((c·v) + d(t)) / (c + 1). Keep the
-    // exact AverageTracker arithmetic so results are bit-identical.
-    const auto c = static_cast<double>(vm_avg_count_[v]);
-    vm_avg_[v] = (vm_avg_[v] * c + f) * (1.0 / (c + 1.0));
+    vm_avg_[v] = fold_average(vm_avg_[v], vm_avg_count_[v], f);
     ++vm_avg_count_[v];
     vm_usage_[v] = f.scaled_by(vm_capacity_[v]);
     usage_cache_[host] += vm_usage_[v];

@@ -24,6 +24,8 @@ struct RoundSample {
                                       ///< topology is disabled)
   std::uint32_t quiescent_pms = 0;    ///< nodes parked by can_quiesce votes
                                       ///< (0 unless glap.quiescence.enabled)
+
+  bool operator==(const RoundSample&) const = default;
 };
 
 struct RunResult {

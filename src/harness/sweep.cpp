@@ -1,10 +1,5 @@
 #include "harness/sweep.hpp"
 
-#include <ostream>
-
-#include "common/csv.hpp"
-#include "common/json.hpp"
-
 namespace glap::harness {
 
 PercentileSummary CellResult::pooled_round_summary(
@@ -43,24 +38,6 @@ std::vector<CellResult> run_cells(const std::vector<ExperimentConfig>& cells,
     results[c].runs[rep] = run_experiment(config);
   });
   return results;
-}
-
-void write_round_series_csv(const CellResult& cell, std::ostream& out) {
-  CsvWriter csv(out);
-  csv.write_row({"rep", "round", "active_pms", "overloaded_pms",
-                 "migrations_round", "migrations_cum", "migration_energy_j",
-                 "active_racks"});
-  for (std::size_t rep = 0; rep < cell.runs.size(); ++rep) {
-    for (const RoundSample& s : cell.runs[rep].rounds) {
-      csv.write_row({std::to_string(rep), std::to_string(s.round),
-                     std::to_string(s.active_pms),
-                     std::to_string(s.overloaded_pms),
-                     std::to_string(s.migrations_round),
-                     std::to_string(s.migrations_cum),
-                     json_double(s.migration_energy_j),
-                     std::to_string(s.active_racks)});
-    }
-  }
 }
 
 }  // namespace glap::harness

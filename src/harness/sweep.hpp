@@ -36,10 +36,4 @@ struct CellResult {
     const std::vector<ExperimentConfig>& cells, std::size_t repetitions,
     ThreadPool& pool);
 
-/// Writes every repetition's per-round samples as CSV (columns: rep,
-/// round, active_pms, overloaded_pms, migrations_round, migrations_cum,
-/// migration_energy_j, active_racks) — the machine-readable per-round sink
-/// behind examples/sweep_cli and external plotting.
-void write_round_series_csv(const CellResult& cell, std::ostream& out);
-
 }  // namespace glap::harness

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <iterator>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -193,6 +194,9 @@ class QTable {
   std::array<std::uint16_t, kWordCount> rank_{};
   /// Present values in ascending key order.
   std::vector<double> values_;
+  static_assert(std::is_same_v<decltype(values_)::value_type, double>,
+                "Q-values are double end to end: a float round-trip "
+                "changes merge and update results");
 };
 
 /// Dot product and squared norms of two tables, summed in the order of

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "cloud/average_tracker.hpp"
 #include "common/assert.hpp"
 
@@ -39,6 +41,24 @@ TEST(AverageTracker, PaperFormula) {
   tracker.reset();
   EXPECT_EQ(tracker.count(), 0u);
   EXPECT_EQ(tracker.average(), (Resources{0.0, 0.0}));
+}
+
+// A DataCenter VM's running average and an AverageTracker fed the same
+// samples agree bit for bit, since both fold through fold_average.
+TEST(AverageTracker, MatchesDataCenterVmAverageBitForBit) {
+  DataCenter dc(1, 1, small_config());
+  dc.place(0, 0);
+  AverageTracker tracker;
+  Rng rng(7);
+  for (int i = 0; i < 500; ++i) {
+    const Resources sample{rng.uniform(), rng.uniform()};
+    dc.observe_demands(std::vector<Resources>{sample});
+    tracker.observe(sample);
+    ASSERT_EQ(dc.vm_observation_count(0), tracker.count());
+    const Resources vm = dc.vm_average_fraction(0);
+    const Resources tracked = tracker.average();
+    ASSERT_EQ(std::memcmp(&vm, &tracked, sizeof vm), 0) << "sample " << i;
+  }
 }
 
 TEST(Vm, UsageScalesWithSpec) {

@@ -4,7 +4,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 
 #include "harness/bench_scale.hpp"
@@ -25,12 +24,35 @@ ExperimentConfig tiny() {
   return config;
 }
 
-/// Every repetition's per-round samples, as the harness's CSV sink renders
-/// them.
-std::string round_series(const CellResult& cell) {
-  std::ostringstream out;
-  write_round_series_csv(cell, out);
-  return out.str();
+/// Requires a pooled run to equal the same config run on its own: every
+/// round sample, every run total, the convergence series and the profile's
+/// deterministic half (labels and call counts).
+void expect_same_run(const RunResult& pooled, const RunResult& alone) {
+  EXPECT_TRUE(pooled.rounds == alone.rounds);
+  EXPECT_EQ(pooled.total_migrations, alone.total_migrations);
+  EXPECT_EQ(pooled.migration_energy_j, alone.migration_energy_j);
+  EXPECT_EQ(pooled.total_energy_j, alone.total_energy_j);
+  EXPECT_EQ(pooled.slavo, alone.slavo);
+  EXPECT_EQ(pooled.slalm, alone.slalm);
+  EXPECT_EQ(pooled.slav, alone.slav);
+  EXPECT_EQ(pooled.messages, alone.messages);
+  EXPECT_EQ(pooled.bytes, alone.bytes);
+  EXPECT_EQ(pooled.final_active_pms, alone.final_active_pms);
+  EXPECT_EQ(pooled.final_overloaded_pms, alone.final_overloaded_pms);
+  EXPECT_EQ(pooled.final_bfd_bins, alone.final_bfd_bins);
+  EXPECT_EQ(pooled.relearn_triggers, alone.relearn_triggers);
+  EXPECT_EQ(pooled.switch_energy_j, alone.switch_energy_j);
+  EXPECT_EQ(pooled.net_sends, alone.net_sends);
+  EXPECT_EQ(pooled.net_delivered, alone.net_delivered);
+  EXPECT_EQ(pooled.net_delayed, alone.net_delayed);
+  EXPECT_EQ(pooled.net_dropped_loss, alone.net_dropped_loss);
+  EXPECT_EQ(pooled.net_dropped_congestion, alone.net_dropped_congestion);
+  EXPECT_EQ(pooled.convergence, alone.convergence);
+  ASSERT_EQ(pooled.profile.size(), alone.profile.size());
+  for (std::size_t p = 0; p < pooled.profile.size(); ++p) {
+    EXPECT_EQ(pooled.profile[p].label, alone.profile[p].label);
+    EXPECT_EQ(pooled.profile[p].calls, alone.profile[p].calls);
+  }
 }
 
 TEST(Sweep, RunCellUsesDistinctSeeds) {
@@ -56,24 +78,60 @@ TEST(Sweep, RunCellMatchesDirectRuns) {
   EXPECT_EQ(cell.runs[1].total_migrations, second.total_migrations);
 }
 
+// One run_cells call mixing shrunk versions of the cells the table benches
+// pool: each cell keeps its place, and its runs do not depend on the other
+// cells of the sweep.
 TEST(Sweep, RunCellsPreservesOrder) {
-  ThreadPool pool(4);
-  std::vector<ExperimentConfig> cells;
-  for (std::size_t size : {20, 30}) {
-    ExperimentConfig config = tiny();
-    config.pm_count = size;
-    cells.push_back(config);
-  }
-  const auto results = run_cells(cells, 2, pool);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].config.pm_count, 20u);
-  EXPECT_EQ(results[1].config.pm_count, 30u);
-  for (const auto& cell : results) EXPECT_EQ(cell.runs.size(), 2u);
-  // A cell's runs do not depend on the other cells of the sweep.
+  ExperimentConfig glap = tiny();
+  glap.algorithm = Algorithm::kGlap;
+  std::vector<ExperimentConfig> cells(8, glap);
+  cells[0].track_convergence = true;
+  cells[0].convergence_pairs = 16;
+  cells[1].network.enabled = true;
+  cells[1].network.loss_rate = 0.01;
+  cells[2].churn.enabled = true;
+  cells[2].churn.departure_prob = 0.05;
+  cells[2].churn.arrival_prob = 0.2;
+  cells[2].churn.initial_placed_fraction = 0.7;
+  cells[2].churn.relearn_min_interval = 5;
+  cells[2].churn.relearn_learning_rounds = 3;
+  cells[2].churn.relearn_aggregation_rounds = 2;
+  cells[3].rack_size = 6;
+  cells[3].glap.rack_affinity = 0.5;
+  cells[4].algorithm = Algorithm::kGrmp;
+  cells[4].observability.profile = true;
+  cells[5].algorithm = Algorithm::kEcoCloud;
+  cells[5].fleet.pm_classes = {{cloud::hp_proliant_ml110_g5(), 0.5},
+                               {cloud::hp_proliant_ml110_g4(), 0.5}};
+  cells[5].fleet.vm_classes = {{cloud::ec2_micro(), 0.8},
+                               {cloud::ec2_small(), 0.2}};
+  cells[6].overlay = OverlayKind::kNewscast;
+  cells[7].algorithm = Algorithm::kPabfd;
+  cells[7].pabfd.estimator = baselines::ThresholdEstimator::kIqr;
+  // Distinct sizes make the order visible.
   for (std::size_t c = 0; c < cells.size(); ++c)
-    EXPECT_EQ(round_series(results[c]),
-              round_series(run_cells({cells[c]}, 2, pool).front()))
-        << cells[c].pm_count;
+    cells[c].pm_count = 20 + 2 * c;
+
+  ThreadPool pool(4);
+  const std::size_t repetitions = 2;
+  const auto results = run_cells(cells, repetitions, pool);
+  ASSERT_EQ(results.size(), cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    SCOPED_TRACE("cell " + std::to_string(c));
+    EXPECT_EQ(results[c].config.pm_count, cells[c].pm_count);
+    ASSERT_EQ(results[c].runs.size(), repetitions);
+    for (std::size_t rep = 0; rep < repetitions; ++rep) {
+      ExperimentConfig alone = cells[c];
+      alone.seed += rep;
+      expect_same_run(results[c].runs[rep], run_experiment(alone));
+    }
+  }
+  // Each feature under test is live in its cell.
+  EXPECT_FALSE(results[0].runs[0].convergence.empty());
+  EXPECT_GT(results[1].runs[0].net_dropped_loss, 0u);
+  EXPECT_GT(results[2].runs[0].relearn_triggers, 0u);
+  EXPECT_GT(results[3].runs[0].switch_energy_j, 0.0);
+  EXPECT_FALSE(results[4].runs[0].profile.empty());
 }
 
 TEST(Sweep, PooledRoundSummaryPoolsAcrossRuns) {

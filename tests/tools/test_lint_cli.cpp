@@ -77,16 +77,20 @@ TEST(LintCli, MissingInputsExitTwo) {
 TEST(LintCli, FileSubcommandHonoursAsScoping) {
   namespace fs = std::filesystem;
   const fs::path file =
-      fs::path(::testing::TempDir()) / "glap_lint_float_probe.cpp";
+      fs::path(::testing::TempDir()) / "glap_lint_scope_probe.cpp";
   {
     std::ofstream out(file);
-    out << "float q = 0.0f;\n";
+    out << "#include <unordered_set>\n"
+           "int f(const std::unordered_set<int>& s) {\n"
+           "  int t = 0;\n"
+           "  for (int v : s) t += v;\n"
+           "  return t;\n"
+           "}\n";
   }
-  // float is only a violation inside the Q-table kernels.
+  // Unordered iteration is only a violation in protocol code.
   EXPECT_EQ(run(kBin + " file " + file.string()), 0);
-  EXPECT_EQ(
-      run(kBin + " file " + file.string() + " --as src/qlearn/probe.cpp"),
-      1);
+  EXPECT_EQ(run(kBin + " file " + file.string() + " --as src/sim/probe.cpp"),
+            1);
   fs::remove(file);
 }
 

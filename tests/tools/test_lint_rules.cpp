@@ -26,7 +26,7 @@ std::string read_file(const std::string& path) {
 
 // Each rule's fixtures are linted *as if* they lived at a path where the
 // rule is in force — e.g. unordered-iteration only fires in protocol
-// dirs, float-narrowing only in Q-kernel files.
+// dirs, hot-alloc only in src/sim and src/core.
 const std::map<std::string, std::string>& as_path_for_rule() {
   static const std::map<std::string, std::string> kAsPath = {
       {"wall-clock", "bench/fixture.cpp"},
@@ -35,7 +35,6 @@ const std::map<std::string, std::string>& as_path_for_rule() {
       {"pointer-order", "src/sim/fixture.cpp"},
       {"static-mutable", "src/overlay/fixture.cpp"},
       {"checks-guard", "src/common/fixture.cpp"},
-      {"float-narrowing", "src/qlearn/fixture.cpp"},
       {"hot-alloc", "src/sim/fixture.cpp"},
       {"suppression", "bench/fixture.cpp"},
   };
@@ -85,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllRules, LintRuleTest,
     ::testing::Values("wall-clock", "banned-random", "unordered-iteration",
                       "pointer-order", "static-mutable", "checks-guard",
-                      "float-narrowing", "hot-alloc", "suppression"),
+                      "hot-alloc", "suppression"),
     [](const auto& info) {
       std::string name = info.param;
       for (char& c : name)
@@ -147,14 +146,6 @@ TEST(LintRules, WallClockWhitelistCoversProfilerAndRngOnly) {
   EXPECT_FALSE(lint_source("src/sim/engine.cpp", code).findings.empty());
 }
 
-TEST(LintRules, FloatNarrowingCoversQtablePairButNotOtherCore) {
-  const std::string code = "float q = 0.0f;\n";
-  EXPECT_FALSE(
-      lint_source("src/core/qtable_pair.cpp", code).findings.empty());
-  EXPECT_FALSE(lint_source("src/qlearn/qtable.hpp", code).findings.empty());
-  EXPECT_TRUE(lint_source("src/core/rewards.cpp", code).findings.empty());
-}
-
 // hot-alloc is scoped twice: by directory (src/sim, src/core) and by
 // scope (round-loop functions only); a reserve anywhere in the file
 // excuses push_back growth.
@@ -193,14 +184,13 @@ TEST(LintRules, StaleAllowIsReportedUnderTheSuppressionRule) {
 TEST(LintRules, RuleCatalogueTiersAreStable) {
   std::map<std::string, std::string> tier;
   for (const RuleInfo& r : rules()) tier[r.name] = r.tier;
-  EXPECT_EQ(tier.size(), 11u);
+  EXPECT_EQ(tier.size(), 10u);
   EXPECT_EQ(tier.at("wall-clock"), "determinism");
   EXPECT_EQ(tier.at("banned-random"), "determinism");
   EXPECT_EQ(tier.at("unordered-iteration"), "determinism");
   EXPECT_EQ(tier.at("pointer-order"), "determinism");
   EXPECT_EQ(tier.at("static-mutable"), "determinism");
   EXPECT_EQ(tier.at("checks-guard"), "safety");
-  EXPECT_EQ(tier.at("float-narrowing"), "safety");
   EXPECT_EQ(tier.at("hot-alloc"), "perf");
   EXPECT_EQ(tier.at("layering"), "project");
   EXPECT_EQ(tier.at("include-hygiene"), "project");

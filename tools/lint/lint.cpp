@@ -34,9 +34,6 @@ constexpr RuleInfo kRules[] = {
     {"checks-guard", "safety",
      "GLAP_NO_HOT_CHECKS conditionals must be closed and carry an #else; "
      "GLAP_ENABLE_CHECKS never appears in C++ (it is the CMake name)"},
-    {"float-narrowing", "safety",
-     "no float in Q-table kernels (src/qlearn, src/core/qtable_pair) — "
-     "the learning state is double end to end"},
     {"hot-alloc", "perf",
      "no per-round heap allocation in round-loop scopes of src/sim and "
      "src/core: new/make_unique/make_shared, or push_back/emplace_back on "
@@ -63,13 +60,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 bool in_protocol_code(std::string_view rel) {
   return starts_with(rel, "src/sim/") || starts_with(rel, "src/overlay/") ||
          starts_with(rel, "src/core/") || starts_with(rel, "src/baselines/");
-}
-
-/// Q-table kernel files: the flat-storage merge/cosine/update kernels and
-/// their paired-table wrapper; double-precision end to end.
-bool in_qtable_kernels(std::string_view rel) {
-  return starts_with(rel, "src/qlearn/") ||
-         starts_with(rel, "src/core/qtable_pair");
 }
 
 /// Wall-clock whitelist: the profiler measures wall time by design, and
@@ -409,17 +399,6 @@ void rule_checks_guard(Analysis& a) {
              "(see src/common/assert.hpp)");
 }
 
-// float-narrowing: the Q-table kernels are double end to end.
-void rule_float_narrowing(Analysis& a) {
-  if (!in_qtable_kernels(a.rel)) return;
-  for (const Token& tok : a.toks)
-    if (tok.kind == Token::Kind::kIdent && tok.text == "float")
-      a.flag(tok.line, "float-narrowing",
-             "float in a Q-table kernel: learning state is double end to "
-             "end; a float round-trip silently changes merge/update "
-             "results and breaks golden tests");
-}
-
 // hot-alloc: heap allocation inside round-loop scopes. The engine's round
 // loop dominates wall time at 10k-100k PMs, so per-round allocation there
 // is a measured regression, not a style nit (DESIGN.md §12). A scope is
@@ -723,7 +702,6 @@ FileReport lint_source(std::string_view rel_path, std::string_view content) {
   rule_pointer_order(a);
   rule_static_mutable(a);
   rule_checks_guard(a);
-  rule_float_narrowing(a);
   rule_hot_alloc(a);
 
   FileReport report;
