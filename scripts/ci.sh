@@ -64,8 +64,9 @@
 # Stage 10 (network smoke, RUN_NET_SMOKE=1 default): a 1k-PM GLAP run
 # with the network model enabled at 1% loss (DESIGN.md §13) must emit
 # "ev":"net" send/deliver/drop events and pass `glap-trace check`,
-# which enforces the net-* invariants (delay arithmetic, terminal
-# uniqueness, drop reasons) over the full message population.
+# which enforces the net-* invariants over the full message population:
+# every send has exactly one deliver or drop, in its own round (a
+# deliver with delay 0), and queue lines report a positive backlog.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

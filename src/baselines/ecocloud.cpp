@@ -77,8 +77,8 @@ std::optional<cloud::PmId> EcoCloudProtocol::probe_place(
     engine.network().count_message(static_cast<sim::NodeId>(source),
                                    static_cast<sim::NodeId>(candidate),
                                    kProbeMsgBytes);
-    // Probe semantics under the network model: a lost or late probe/reply
-    // skips this candidate (the next draw tries another).
+    // Probe semantics under the network model: a lost probe/reply skips
+    // this candidate (the next draw tries another).
     if (net::NetworkModel* net = engine.net_model();
         net != nullptr &&
         !net->round_trip(static_cast<sim::NodeId>(source),

@@ -71,7 +71,7 @@ void GrmpProtocol::execute(sim::Engine& engine, sim::NodeId self) {
       engine.protocol_at(overlay_, self).sample_active_peer(engine, self);
   if (!peer) return;
   if (net::NetworkModel* net = engine.net_model()) {
-    // GRMP rounds are self-contained: a lost or late state exchange just
+    // GRMP rounds are self-contained: a lost state exchange just
     // abandons this round's packing attempt.
     if (!net->round_trip(self, *peer, kStateMsgBytes, kStateMsgBytes,
                          net::Channel::kConsolidation)

@@ -88,3 +88,10 @@ inline void notify_fatal(const std::string& what) {
 #else
 #define GLAP_HOT_REQUIRE(expr, msg) GLAP_REQUIRE(expr, msg)
 #endif
+
+// GLAP_ENABLE_CHECKS is the CMake option's name and is never defined for
+// the compiler: a C++ guard on it would silently take the same branch in
+// every build. Poisoned, any use after this header fails to compile
+// (tests/fixtures/compile/enable_checks_guard.cpp); guard on
+// GLAP_NO_HOT_CHECKS instead.
+#pragma GCC poison GLAP_ENABLE_CHECKS

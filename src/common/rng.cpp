@@ -38,12 +38,6 @@ double Rng::normal() noexcept {
   return u * factor;
 }
 
-double Rng::exponential(double rate) noexcept {
-  GLAP_DEBUG_ASSERT(rate > 0, "exponential rate must be positive");
-  // 1 - uniform() is in (0, 1], so the log is finite.
-  return -std::log(1.0 - uniform()) / rate;
-}
-
 double Rng::gamma(double shape) noexcept {
   GLAP_DEBUG_ASSERT(shape > 0, "gamma shape must be positive");
   if (shape < 1.0) {

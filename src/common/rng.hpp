@@ -114,9 +114,6 @@ class Rng {
     return mean + stddev * normal();
   }
 
-  /// Exponential with given rate (mean = 1/rate).
-  double exponential(double rate) noexcept;
-
   /// Gamma(shape, scale=1) via Marsaglia-Tsang; shape > 0.
   double gamma(double shape) noexcept;
 

@@ -131,15 +131,31 @@ void InvariantChecker::finalize_overload_report() {
   }
 }
 
+void InvariantChecker::expire_open_sends(std::uint64_t round) {
+  for (const std::int64_t id : net_sent_this_round_) {
+    NetMsg& m = net_msgs_.at(id);
+    if (m.state != NetMsg::State::kOpen) continue;
+    std::ostringstream msg;
+    msg << "msg " << id << " sent in round " << m.send_round
+        << " has no deliver or drop before round " << round
+        << " (every exchange resolves in its send round)";
+    report(m.send_line, m.send_round, "net-delay-arithmetic", msg.str());
+    m.state = NetMsg::State::kLate;
+  }
+  net_sent_this_round_.clear();
+}
+
 void InvariantChecker::add(const TraceEvent& e, std::size_t line) {
   ++events_checked_;
 
   // Crossing into a later round proves the previous round's driver
   // overload scan is complete (overload lines are the last deterministic
-  // lines of a round).
+  // lines of a round), and that its exchanges have all resolved.
   if ((report_open_ && e.round > report_round_) ||
       (have_summary_ && e.round > summary_round_))
     finalize_overload_report();
+  if (!net_sent_this_round_.empty() && e.round > last_round_)
+    expire_open_sends(e.round);
 
   if (any_event_ && e.round < last_round_) {
     std::ostringstream msg;
@@ -261,7 +277,9 @@ void InvariantChecker::add(const TraceEvent& e, std::size_t line) {
     case EventKind::kNet: {
       const auto& n = e.net;
       if (n.op == NetOp::kSend) {
-        if (!net_msgs_.emplace(n.msg, NetMsg{e.round, false}).second) {
+        if (net_msgs_.emplace(n.msg, NetMsg{e.round, line}).second) {
+          net_sent_this_round_.push_back(n.msg);
+        } else {
           std::ostringstream msg;
           msg << "msg " << n.msg << " sent twice";
           report(line, e.round, "net-deliver-unsent", msg.str());
@@ -274,29 +292,24 @@ void InvariantChecker::add(const TraceEvent& e, std::size_t line) {
               << " which was never sent";
           report(line, e.round, "net-deliver-unsent", msg.str());
         } else {
-          if (it->second.terminal) {
+          NetMsg& m = it->second;
+          if (m.state == NetMsg::State::kClosed) {
             std::ostringstream msg;
             msg << "msg " << n.msg << " already delivered or dropped before "
                 << "this " << wire_name(n.op);
             report(line, e.round, "net-terminal-duplicate", msg.str());
-          }
-          it->second.terminal = true;
-          if (n.op == NetOp::kDeliver &&
-              e.round != it->second.send_round +
-                             static_cast<std::uint64_t>(n.delay)) {
+          } else if (m.state == NetMsg::State::kOpen &&
+                     (e.round != m.send_round ||
+                      (n.op == NetOp::kDeliver && n.delay != 0))) {
             std::ostringstream msg;
-            msg << "msg " << n.msg << " sent in round " << it->second.send_round
-                << " with delay " << n.delay << " but delivered in round "
-                << e.round;
+            msg << "msg " << n.msg << " sent in round " << m.send_round
+                << (n.op == NetOp::kDeliver ? " delivered" : " dropped")
+                << " in round " << e.round;
+            if (n.op == NetOp::kDeliver) msg << " with delay " << n.delay;
+            msg << " (every exchange resolves in its send round)";
             report(line, e.round, "net-delay-arithmetic", msg.str());
           }
-          if (n.op == NetOp::kDrop && e.round != it->second.send_round) {
-            std::ostringstream msg;
-            msg << "msg " << n.msg << " sent in round " << it->second.send_round
-                << " but dropped in round " << e.round
-                << " (drops are decided at send time)";
-            report(line, e.round, "net-delay-arithmetic", msg.str());
-          }
+          m.state = NetMsg::State::kClosed;
         }
       } else if (n.op == NetOp::kQueue) {
         if (n.bytes == 0) {

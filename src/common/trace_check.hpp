@@ -146,7 +146,11 @@ struct Violation {
 ///                            carry any other sim::WakeReason
 ///   net-deliver-unsent       a deliver/drop references a msg id with no
 ///                            prior send (no deliver-before-send)
-///   net-delay-arithmetic     deliver.round == send.round + deliver.delay
+///   net-delay-arithmetic     every exchange resolves in its send round: a
+///                            deliver or drop carries the send's round (a
+///                            deliver with delay 0), and a send still open
+///                            when a later round's event arrives is a
+///                            violation
 ///   net-terminal-duplicate   at most one terminal (deliver or drop) per
 ///                            msg id — a message cannot be both delivered
 ///                            and dropped
@@ -189,6 +193,9 @@ class InvariantChecker {
   /// Completes the open overload report once an event proves the driver
   /// scan for that round is over.
   void finalize_overload_report();
+  /// Reports every send still awaiting its deliver or drop once the
+  /// trace has moved on to `round`, and marks them late.
+  void expire_open_sends(std::uint64_t round);
 
   Options options_;
   std::vector<Violation> violations_;
@@ -229,13 +236,23 @@ class InvariantChecker {
   std::uint64_t migration_round_ = 0;
   std::int64_t net_power_delta_ = 0;  ///< since the last summary
 
-  /// Network-model message ledger: send round + whether a terminal event
-  /// (deliver or drop) has been seen, keyed by msg id.
+  /// Network-model message ledger, keyed by msg id: where it was sent
+  /// and whether its terminal event (deliver or drop) has been seen.
   struct NetMsg {
+    enum class State : std::uint8_t {
+      kOpen,    ///< sent this round, no terminal yet
+      kLate,    ///< reported open past its round; a late terminal is the
+                ///< same fault, not a new one
+      kClosed,  ///< terminal seen
+    };
     std::uint64_t send_round = 0;
-    bool terminal = false;
+    std::size_t send_line = 0;
+    State state = State::kOpen;
   };
   std::map<std::int64_t, NetMsg> net_msgs_;
+  /// Ids sent in the latest round, in send order; expiry reports those
+  /// still kOpen.
+  std::vector<std::int64_t> net_sent_this_round_;
 };
 
 // ---- statistics ---------------------------------------------------------

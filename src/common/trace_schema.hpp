@@ -111,7 +111,10 @@ namespace glap::trace {
   F(bool, awake, "awake")             \
   F(ActivityReason, reason, "reason")
 
-/* One network-model event (DESIGN.md §13); `op` selects the fields. */
+/* One network-model event (DESIGN.md §13); `op` selects the fields.
+   A deliver's `delay` is always 0: every exchange lands in its send
+   round. The field stays so GTB v1 and the committed traces keep their
+   layout. */
 #define GLAP_TRACE_FIELDS_Net(F)                                           \
   F(NetOp, op, "op")                                                       \
   F(Link, link, "link", NetOp::kQueue)                                     \

@@ -78,24 +78,6 @@ void GlapConsolidationProtocol::execute(sim::Engine& engine,
   const sim::Round cycle = cycles_++;
   if (cycle < config_.consolidation_start_round) return;
 
-  // A deferred state exchange comes due before a new one is initiated:
-  // the initiator was blocked on the reply in flight (DESIGN.md §13.4).
-  if (pending_.active) {
-    if (engine.current_round() < pending_.due) return;
-    const PendingExchange pending = pending_;
-    pending_ = {};
-    net::NetworkModel* net = engine.net_model();
-    GLAP_ASSERT(net != nullptr, "pending exchange without a network model");
-    const sim::Round send_round = pending.due - pending.delay;
-    net->deliver_deferred(self, pending.partner, pending.msg_id,
-                          engine.current_round() - send_round);
-    // A partner that slept or failed while the reply was in flight makes
-    // the exchange moot — the payload arrived, the conversation did not.
-    if (engine.is_active(pending.partner))
-      perform_exchange(engine, self, pending.partner);
-    return;
-  }
-
   const auto peer = sample_peer(engine, self);
   if (!peer) {
     // No active partner: an interaction-free round still counts toward
@@ -104,33 +86,21 @@ void GlapConsolidationProtocol::execute(sim::Engine& engine,
     return;
   }
 
-  if (net::NetworkModel* net = engine.net_model()) {
-    const net::Verdict verdict = net->round_trip(
-        self, *peer, kStateMsgBytes, kStateMsgBytes,
-        net::Channel::kConsolidation);
-    if (verdict.outcome == net::Verdict::Outcome::kDropped)
-      return;  // no reply, no evidence: the calm streak does not advance
-    if (verdict.outcome == net::Verdict::Outcome::kDelayed) {
-      pending_ = {true, *peer, engine.current_round() + verdict.delay,
-                  verdict.msg_id, verdict.delay};
-      return;
-    }
-  }
+  if (net::NetworkModel* net = engine.net_model();
+      net != nullptr &&
+      !net->round_trip(self, *peer, kStateMsgBytes, kStateMsgBytes,
+                       net::Channel::kConsolidation)
+           .ok())
+    return;  // no reply, no evidence: the calm streak does not advance
 
-  perform_exchange(engine, self, *peer);
-}
-
-void GlapConsolidationProtocol::perform_exchange(sim::Engine& engine,
-                                                 sim::NodeId self,
-                                                 sim::NodeId peer) {
   // Push-pull state exchange (Algorithm 3, lines 1-10).
-  engine.network().count_message(self, peer, kStateMsgBytes);
-  engine.network().count_message(peer, self, kStateMsgBytes);
+  engine.network().count_message(self, *peer, kStateMsgBytes);
+  engine.network().count_message(*peer, self, kStateMsgBytes);
   ++stats_.exchanges;
   if (telemetry_.exchanges != nullptr) telemetry_.exchanges->inc();
 
   const std::size_t moved = update_state(
-      engine, static_cast<cloud::PmId>(self), static_cast<cloud::PmId>(peer));
+      engine, static_cast<cloud::PmId>(self), static_cast<cloud::PmId>(*peer));
   if (moved > 0) {
     calm_rounds_ = 0;
     return;
@@ -144,14 +114,13 @@ void GlapConsolidationProtocol::perform_exchange(sim::Engine& engine,
     // O(|table|) cost off every non-candidate round; only can_quiesce
     // reads it, and the engine polls that only with quiescence on.
     auto& mine = engine.protocol_at(slots_.learning, self);
-    auto& theirs = engine.protocol_at(slots_.learning, peer);
+    auto& theirs = engine.protocol_at(slots_.learning, *peer);
     last_similarity_ = cosine_similarity(mine.tables(), theirs.tables());
   }
 }
 
 bool GlapConsolidationProtocol::can_quiesce(const sim::Engine& /*engine*/,
                                             sim::NodeId /*self*/) const {
-  if (pending_.active) return false;  // a reply is in flight
   const QuiescenceConfig& quiesce = config_.quiescence;
   if (quiesce.idle_rounds == 0) return false;
   if (cycles_ <= config_.consolidation_start_round) return false;

@@ -112,23 +112,6 @@ class GlapConsolidationProtocol final : public sim::Protocol {
   [[nodiscard]] std::optional<sim::NodeId> sample_peer(sim::Engine& engine,
                                                        sim::NodeId self);
 
-  /// The state push-pull plus the migrate loop and the calm/similarity
-  /// bookkeeping — the exchange body shared by the immediate path and a
-  /// deferred delivery coming due.
-  void perform_exchange(sim::Engine& engine, sim::NodeId self,
-                        sim::NodeId peer);
-
-  /// A state exchange the network model delayed: performed at `due` with
-  /// delivery-time state (DESIGN.md §13.4). Blocks quiescence while in
-  /// flight, so the node is still awake when the reply comes due.
-  struct PendingExchange {
-    bool active = false;
-    sim::NodeId partner = 0;
-    sim::Round due = 0;
-    std::uint64_t msg_id = 0;
-    sim::Round delay = 0;
-  };
-
   GlapConfig config_;
   cloud::DataCenter& dc_;
   Slots slots_;
@@ -142,7 +125,6 @@ class GlapConsolidationProtocol final : public sim::Protocol {
   // threshold (so non-candidates never pay the cosine scan).
   sim::Round calm_rounds_ = 0;
   double last_similarity_ = -2.0;
-  PendingExchange pending_;
   // Round-loop scratch for find_vm's per-VM action levels.
   std::vector<qlearn::Action> scratch_actions_;
 };

@@ -55,14 +55,6 @@ GossipLearningProtocol::Phase GossipLearningProtocol::phase() const noexcept {
 }
 
 void GossipLearningProtocol::execute(sim::Engine& engine, sim::NodeId self) {
-  // A deferred push-pull comes due before anything else this round; its
-  // reply was on the wire, so it completes even if the phase has since
-  // advanced (the merge is idempotent knowledge transfer).
-  if (pending_.active && engine.current_round() >= pending_.due) {
-    complete_pending(engine, self);
-    ++cycles_;
-    return;
-  }
   const Phase current = phase();
   ++cycles_;
   switch (current) {
@@ -90,8 +82,7 @@ void GossipLearningProtocol::learning_cycle(sim::Engine& engine,
   if (const auto peer = sampler.sample_active_peer(engine, self)) {
     auto& remote = engine.protocol_at(slots_.self, *peer);
     remote.shared_profiles(*peer, &scratch_remote_);
-    // Profile freshness matters (they feed this round's training batch),
-    // so a lost or late fetch is simply skipped: train on the local pool.
+    // A lost fetch is simply skipped: train on the local pool.
     bool fetched = true;
     if (net::NetworkModel* net = engine.net_model())
       fetched = net->round_trip(self, *peer, kQEntryBytes,
@@ -116,45 +107,17 @@ void GossipLearningProtocol::aggregation_cycle(sim::Engine& engine,
   const auto peer = sampler.sample_active_peer(engine, self);
   if (!peer) return;
 
-  if (net::NetworkModel* net = engine.net_model()) {
-    const auto& remote = engine.protocol_at(slots_.self, *peer);
-    const net::Verdict verdict = net->round_trip(
-        self, *peer, tables_.size() * kQEntryBytes,
-        remote.tables_.size() * kQEntryBytes, net::Channel::kAggregation);
-    if (verdict.outcome == net::Verdict::Outcome::kDropped)
-      return;  // lost on the wire: neither side merges this cycle
-    if (verdict.outcome == net::Verdict::Outcome::kDelayed) {
-      // The reply is in flight; merge when it lands (DESIGN.md §13.4).
-      pending_ = {true, *peer, engine.current_round() + verdict.delay,
-                  verdict.msg_id, verdict.delay};
-      return;
-    }
-  }
-  push_pull(engine, self, *peer);
-}
+  auto& remote = engine.protocol_at(slots_.self, *peer);
+  if (net::NetworkModel* net = engine.net_model();
+      net != nullptr &&
+      !net->round_trip(self, *peer, tables_.size() * kQEntryBytes,
+                       remote.tables_.size() * kQEntryBytes,
+                       net::Channel::kAggregation)
+           .ok())
+    return;  // lost on the wire: neither side merges this cycle
 
-void GossipLearningProtocol::complete_pending(sim::Engine& engine,
-                                              sim::NodeId self) {
-  const PendingExchange pending = pending_;
-  pending_ = {};
-  net::NetworkModel* net = engine.net_model();
-  GLAP_ASSERT(net != nullptr, "pending exchange without a network model");
-  // Report the actual rounds-in-flight: a node that slept past its due
-  // round picks the reply up late, and the trace must say so (the checker
-  // pins deliver.round == send.round + delay).
-  const sim::Round send_round = pending.due - pending.delay;
-  net->deliver_deferred(self, pending.partner, pending.msg_id,
-                        engine.current_round() - send_round);
-  // The merge uses delivery-time state: tables on both sides may have
-  // moved since the send — exactly the staleness a slow network causes.
-  push_pull(engine, self, pending.partner);
-}
-
-void GossipLearningProtocol::push_pull(sim::Engine& engine, sim::NodeId self,
-                                       sim::NodeId peer) {
-  auto& remote = engine.protocol_at(slots_.self, peer);
-  engine.network().count_message(self, peer, tables_.size() * kQEntryBytes);
-  engine.network().count_message(peer, self,
+  engine.network().count_message(self, *peer, tables_.size() * kQEntryBytes);
+  engine.network().count_message(*peer, self,
                                  remote.tables_.size() * kQEntryBytes);
 
   // Push-pull merge (Algorithm 2): both parties apply UPDATE and end up
@@ -165,7 +128,7 @@ void GossipLearningProtocol::push_pull(sim::Engine& engine, sim::NodeId self,
   if (telemetry_.merges != nullptr) telemetry_.merges->inc();
   // The push-pull rewrote the peer's tables: that is incoming gossip for
   // a parked peer, so re-activate it (no-op unless quiescent).
-  engine.wake(peer, sim::WakeReason::kGossip);
+  engine.wake(*peer, sim::WakeReason::kGossip);
 }
 
 }  // namespace glap::core

@@ -54,13 +54,11 @@ class GossipLearningProtocol final : public sim::Protocol {
 
   void execute(sim::Engine& engine, sim::NodeId self) override;
 
-  /// Quiescence vote: done once both phases have run and no deferred
-  /// network exchange is in flight (so the node is still awake when the
-  /// reply comes due). A relearn retrigger resets the phase; the harness
-  /// wakes every node then.
+  /// Quiescence vote: done once both phases have run. A relearn
+  /// retrigger resets the phase; the harness wakes every node then.
   [[nodiscard]] bool can_quiesce(const sim::Engine& /*engine*/,
                                  sim::NodeId /*self*/) const override {
-    return phase() == Phase::kIdle && !pending_.active;
+    return phase() == Phase::kIdle;
   }
 
   [[nodiscard]] Phase phase() const noexcept;
@@ -89,22 +87,6 @@ class GossipLearningProtocol final : public sim::Protocol {
  private:
   void learning_cycle(sim::Engine& engine, sim::NodeId self);
   void aggregation_cycle(sim::Engine& engine, sim::NodeId self);
-  void complete_pending(sim::Engine& engine, sim::NodeId self);
-  /// The table exchange with `peer` (Algorithm 2): both sides end up
-  /// with the averaged tables. Shared by the immediate path and a
-  /// deferred reply coming due.
-  void push_pull(sim::Engine& engine, sim::NodeId self, sim::NodeId peer);
-
-  /// A table push-pull the network model delayed (DESIGN.md §13.4): the
-  /// merge runs at `due` with delivery-time state. One in flight per
-  /// node — the initiator blocks on the outstanding reply.
-  struct PendingExchange {
-    bool active = false;
-    sim::NodeId partner = 0;
-    sim::Round due = 0;
-    std::uint64_t msg_id = 0;
-    sim::Round delay = 0;
-  };
 
   GlapConfig config_;
   cloud::DataCenter& dc_;
@@ -119,7 +101,6 @@ class GossipLearningProtocol final : public sim::Protocol {
   sim::Round cycles_ = 0;
   sim::Round learning_rounds_;
   sim::Round aggregation_rounds_;
-  PendingExchange pending_;
 };
 
 }  // namespace glap::core

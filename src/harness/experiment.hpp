@@ -183,8 +183,8 @@ struct ExperimentConfig {
 
   /// Message-level network model (DESIGN.md §13). Off by default: gossip
   /// then completes instantaneously as in the paper's evaluation. When
-  /// network.enabled, exchanges route over the rack fabric (latency,
-  /// bandwidth, loss, ToR contention).
+  /// network.enabled, exchanges route over the rack fabric (bandwidth,
+  /// loss, ToR contention).
   net::NetworkConfig network;
 
   cloud::DataCenterConfig datacenter;

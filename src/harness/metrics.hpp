@@ -55,7 +55,9 @@ struct RunResult {
   // off). Counts cover warmup + evaluation — every admitted round-trip.
   std::uint64_t net_sends = 0;
   std::uint64_t net_delivered = 0;           ///< same-round deliveries
-  std::uint64_t net_delayed = 0;             ///< deferred ≥1 round
+  /// Always 0: every admitted exchange lands in its send round. Kept
+  /// because benchmark/glap_bench.cpp folds it into its run digest.
+  std::uint64_t net_delayed = 0;
   std::uint64_t net_dropped_loss = 0;        ///< random loss drops
   std::uint64_t net_dropped_congestion = 0;  ///< queue-overflow drops
 

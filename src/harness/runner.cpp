@@ -139,7 +139,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
   std::optional<net::NetworkModel> net_model;
   if (config.network.enabled) {
     net_model.emplace(config.pm_count, config.rack_size, config.network,
-                      kRoundSeconds, config.seed);
+                      config.seed);
     engine.set_net_model(&*net_model);
     if (config.network.migration_contention)
       dc.set_migration_network([&net_model](cloud::PmId from, cloud::PmId to,
@@ -477,7 +477,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
     const net::NetworkModel::Totals& net_totals = net_model->totals();
     result.net_sends = net_totals.sends;
     result.net_delivered = net_totals.delivered;
-    result.net_delayed = net_totals.delayed;
     result.net_dropped_loss = net_totals.dropped_loss;
     result.net_dropped_congestion = net_totals.dropped_congestion;
   }

@@ -1,7 +1,6 @@
 #include "net/network_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
 #include "common/metrics.hpp"
@@ -12,25 +11,18 @@ namespace glap::net {
 namespace {
 /// Rack width used when the experiment runs without a rack topology.
 constexpr std::size_t kDefaultRackSize = 32;
-/// Extra latency for crossing the core between two ToR uplinks (seconds).
-constexpr double kUplinkLatencyS = 450e-6;
 }  // namespace
 
 NetworkModel::NetworkModel(std::size_t pm_count, std::size_t rack_size,
-                           const NetworkConfig& config, double round_seconds,
-                           std::uint64_t seed)
+                           const NetworkConfig& config, std::uint64_t seed)
     : config_(config),
       pm_count_(pm_count),
       rack_size_(rack_size > 0 ? rack_size : kDefaultRackSize),
-      round_seconds_(round_seconds),
       seed_(hash_combine(seed, hash_tag("net-model"))) {
   GLAP_REQUIRE(pm_count > 0, "network model needs at least one PM");
   GLAP_REQUIRE(config.access_gbps > 0.0, "access_gbps must be positive");
   GLAP_REQUIRE(config.loss_rate >= 0.0 && config.loss_rate < 1.0,
                "loss_rate out of [0, 1)");
-  GLAP_REQUIRE(config.queue_limit_rounds > 0.0,
-               "queue_limit_rounds must be positive");
-  GLAP_REQUIRE(round_seconds > 0.0, "round_seconds must be positive");
   access_rate_ = config.access_gbps * 1e9 / 8.0;
   uplink_rate_ = access_rate_ * static_cast<double>(rack_size_) /
                  kOversubscription;
@@ -45,16 +37,15 @@ void NetworkModel::set_telemetry(metrics::MetricsRegistry* metrics,
   if (metrics_ != nullptr) {
     ctr_sends_ = metrics_->counter("netmodel.sends");
     ctr_delivered_ = metrics_->counter("netmodel.delivered");
-    ctr_delayed_ = metrics_->counter("netmodel.delayed");
     ctr_dropped_loss_ = metrics_->counter("netmodel.dropped_loss");
     ctr_dropped_congestion_ = metrics_->counter("netmodel.dropped_congestion");
   }
 }
 
 void NetworkModel::begin_round(sim::Round /*round*/) {
-  const double access_service = access_rate_ * round_seconds_;
+  const double access_service = access_bytes_per_round();
   for (double& b : access_backlog_) b = std::max(0.0, b - access_service);
-  const double uplink_service = uplink_rate_ * round_seconds_;
+  const double uplink_service = uplink_bytes_per_round();
   for (double& b : uplink_backlog_) b = std::max(0.0, b - uplink_service);
 }
 
@@ -83,7 +74,7 @@ double NetworkModel::rate_of(std::size_t link) const noexcept {
 }
 
 double NetworkModel::limit_bytes_of(std::size_t link) const noexcept {
-  return config_.queue_limit_rounds * rate_of(link) * round_seconds_;
+  return kQueueLimitRounds * rate_of(link) * kRoundSeconds;
 }
 
 double NetworkModel::loss_draw(std::uint64_t msg_id) const noexcept {
@@ -106,13 +97,14 @@ void NetworkModel::emit_send(sim::NodeId from, sim::NodeId to,
 }
 
 void NetworkModel::emit_deliver(sim::NodeId from, sim::NodeId to,
-                                std::uint64_t msg_id, sim::Round delay) {
+                                std::uint64_t msg_id) {
+  // Every delivery lands in its send round; the schema's delay field
+  // stays (always 0) so the trace wire formats keep their layout.
   if (trace_ != nullptr)
     trace_->emit(trace::Net{.op = trace::NetOp::kDeliver,
                             .src = from,
                             .dst = to,
-                            .msg = static_cast<std::int64_t>(msg_id),
-                            .delay = delay});
+                            .msg = static_cast<std::int64_t>(msg_id)});
 }
 
 void NetworkModel::emit_drop(sim::NodeId from, sim::NodeId to,
@@ -142,7 +134,6 @@ Verdict NetworkModel::round_trip(sim::NodeId from, sim::NodeId to,
   // its queue unchanged.
   for (std::size_t i = 0; i < route.count; ++i) {
     if (backlog_of(route.links[i]) + payload > limit_bytes_of(route.links[i])) {
-      v.outcome = Verdict::Outcome::kDropped;
       v.reason = DropReason::kCongestion;
       ++totals_.dropped_congestion;
       if (ctr_dropped_congestion_ != nullptr) ctr_dropped_congestion_->inc();
@@ -156,7 +147,6 @@ Verdict NetworkModel::round_trip(sim::NodeId from, sim::NodeId to,
   const double p = config_.loss_rate;
   const double loss_prob = 1.0 - (1.0 - p) * (1.0 - p);
   if (loss_prob > 0.0 && loss_draw(v.msg_id) < loss_prob) {
-    v.outcome = Verdict::Outcome::kDropped;
     v.reason = DropReason::kLoss;
     ++totals_.dropped_loss;
     if (ctr_dropped_loss_ != nullptr) ctr_dropped_loss_->inc();
@@ -164,42 +154,15 @@ Verdict NetworkModel::round_trip(sim::NodeId from, sim::NodeId to,
     return v;
   }
 
-  // Latency = propagation along the route + worst queueing delay behind
-  // bytes already in flight; floor() maps it onto whole rounds, so a
-  // round trip fitting inside one round (the healthy case) behaves
-  // exactly like the ideal instantaneous model.
-  double latency = 2.0 * kAccessLatencyS;
-  if (route.count == 4) latency += kUplinkLatencyS;
-  double queue_delay = 0.0;
-  for (std::size_t i = 0; i < route.count; ++i)
-    queue_delay = std::max(
-        queue_delay, backlog_of(route.links[i]) / rate_of(route.links[i]));
-  latency += queue_delay;
+  // Admitted: the backlog ahead plus this payload fits under a fraction
+  // of a round on every link (kQueueLimitRounds < 1), so the reply is in
+  // hand before the round ends.
   for (std::size_t i = 0; i < route.count; ++i)
     backlog_of(route.links[i]) += payload;
-
-  const auto delay =
-      static_cast<sim::Round>(std::floor(latency / round_seconds_));
-  if (delay == 0) {
-    v.outcome = Verdict::Outcome::kDelivered;
-    ++totals_.delivered;
-    if (ctr_delivered_ != nullptr) ctr_delivered_->inc();
-    emit_deliver(from, to, v.msg_id, 0);
-  } else {
-    v.outcome = Verdict::Outcome::kDelayed;
-    v.delay = delay;
-    ++totals_.delayed;
-    if (ctr_delayed_ != nullptr) ctr_delayed_->inc();
-    // The deliver event is emitted at the due round by deliver_deferred.
-  }
-  return v;
-}
-
-void NetworkModel::deliver_deferred(sim::NodeId from, sim::NodeId to,
-                                    std::uint64_t msg_id, sim::Round delay) {
   ++totals_.delivered;
   if (ctr_delivered_ != nullptr) ctr_delivered_->inc();
-  emit_deliver(from, to, msg_id, delay);
+  emit_deliver(from, to, v.msg_id);
+  return v;
 }
 
 double NetworkModel::migration_delay_seconds(sim::NodeId from, sim::NodeId to,
@@ -222,9 +185,9 @@ double NetworkModel::migration_delay_seconds(sim::NodeId from, sim::NodeId to,
   if (ctr_delivered_ != nullptr) ctr_delivered_->inc();
   emit_send(from, to, msg_id, static_cast<std::size_t>(bytes),
             Channel::kMigration);
-  // The pre-copy stream starts transferring immediately (delay 0); its
-  // queueing stretch is reported through the migration's τ, not here.
-  emit_deliver(from, to, msg_id, 0);
+  // The pre-copy stream starts transferring immediately; its queueing
+  // stretch is reported through the migration's τ, not here.
+  emit_deliver(from, to, msg_id);
   return queue_ahead;
 }
 

@@ -2,13 +2,13 @@
 // (DESIGN.md §13). Models the two-tier datacenter fabric the rack
 // topology implies: every PM hangs off one access link, racks share an
 // oversubscribed top-of-rack uplink, and the core is non-blocking. An
-// exchange sent in round r is delivered in round r + floor(latency /
-// round_seconds) — 0 at healthy defaults, which reproduces the ideal
-// instantaneous model — or dropped, either by the configured random loss
-// rate or because a link's drop-tail queue is full. Live migrations are
-// charged to the same links (DataCenter's migration-network hook), so a
-// migration storm inflates queueing delay for — and can congestion-drop —
-// the gossip that scheduled it.
+// exchange is delivered in the round it is sent — drop-tail admission
+// takes it only while every queue on its route stays within a quarter
+// round of service, so the reply is in hand before the round ends — or
+// dropped, either by the configured random loss rate or because a link's
+// drop-tail queue is full. Live migrations are charged to the same links
+// (DataCenter's migration-network hook), so a migration storm stretches
+// its own τ and can congestion-drop the gossip that scheduled it.
 //
 // Determinism: the model holds no RNG stream. Loss decisions hash
 // (seed, msg_id) through splitmix64, and msg ids are assigned in executed
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/round_time.hpp"
 #include "common/trace_schema.hpp"
 #include "sim/node.hpp"
 
@@ -36,22 +37,18 @@ namespace glap::net {
 
 /// Knobs for the two-tier fabric (all deterministic; DESIGN.md §13.2).
 /// Defaults describe a healthy 1 GbE edge where gossip-sized payloads see
-/// zero queueing and sub-round latency, i.e. the modeled network is
-/// behaviorally identical to the ideal one until loss or contention bite.
+/// no congestion, i.e. the modeled network is behaviorally identical to
+/// the ideal one until loss or contention bite.
 struct NetworkConfig {
   bool enabled = false;
   /// Access-link bandwidth per PM (both directions share one queue).
   double access_gbps = 1.0;
-  /// Drop-tail queue limit per link, as a fraction of one round's service
-  /// capacity: a message that would push a link's backlog past
-  /// queue_limit_rounds * bytes_per_round is dropped as congested.
-  double queue_limit_rounds = 0.25;
   /// Probability that one leg of an exchange is lost (per-message
   /// counter-hash, not an RNG stream). A push-pull round trip has two
   /// legs, so its loss probability is 1 - (1 - loss_rate)^2.
   double loss_rate = 0.0;
   /// Charge live-migration payloads (VM memory) to the same links, so
-  /// migrations stretch their own τ and delay/drown gossip.
+  /// migrations stretch their own τ and can drown gossip.
   bool migration_contention = true;
 };
 
@@ -60,23 +57,27 @@ struct NetworkConfig {
 using Channel = trace::Channel;
 using DropReason = trace::DropReason;
 
-/// Admission decision for one exchange.
+/// Admission decision for one exchange: delivered this round (reason
+/// kNone), or dropped for `reason`.
 struct Verdict {
-  enum class Outcome : std::uint8_t { kDelivered, kDelayed, kDropped };
-  Outcome outcome = Outcome::kDelivered;
-  /// Rounds until the reply is in hand (kDelayed only; >= 1).
-  sim::Round delay = 0;
   DropReason reason = DropReason::kNone;
   std::uint64_t msg_id = 0;
   [[nodiscard]] bool ok() const noexcept {
-    return outcome == Outcome::kDelivered;
+    return reason == DropReason::kNone;
   }
 };
 
 class NetworkModel {
  public:
-  /// Propagation + switching latency per access hop (seconds).
-  static constexpr double kAccessLatencyS = 50e-6;
+  /// Drop-tail queue limit per link, as a fraction of one round's service
+  /// capacity: a message that would push a link's backlog past
+  /// kQueueLimitRounds * bytes_per_round is dropped as congested. Kept
+  /// below one round, so an admitted exchange waits less than a round
+  /// behind the bytes queued ahead of it: its reply lands in the round it
+  /// was sent, and no protocol holds an exchange across a round boundary.
+  static constexpr double kQueueLimitRounds = 0.25;
+  static_assert(kQueueLimitRounds > 0.0 && kQueueLimitRounds < 1.0,
+                "an admitted exchange must complete within its round");
   /// ToR uplink capacity = access_gbps * rack_size / kOversubscription.
   static constexpr double kOversubscription = 4.0;
   static_assert(kOversubscription >= 1.0, "oversubscription must be >= 1");
@@ -84,8 +85,7 @@ class NetworkModel {
   /// `rack_size` groups consecutive PM ids exactly like cloud::RackTopology;
   /// 0 (no topology) means racks of 32.
   NetworkModel(std::size_t pm_count, std::size_t rack_size,
-               const NetworkConfig& config, double round_seconds,
-               std::uint64_t seed);
+               const NetworkConfig& config, std::uint64_t seed);
 
   /// Observability sinks (neither owned; either may be null). Attach
   /// before the first round; "net" trace events are buffered through the
@@ -100,15 +100,9 @@ class NetworkModel {
 
   /// Admits one push-pull exchange (request `fwd_bytes` from `from` to
   /// `to`, reply `rev_bytes` back). Charges both legs to the route on
-  /// success.
+  /// success; the caller then completes the exchange this round.
   Verdict round_trip(sim::NodeId from, sim::NodeId to, std::size_t fwd_bytes,
                      std::size_t rev_bytes, Channel channel);
-
-  /// Completion report for an exchange a protocol deferred: emits the
-  /// "deliver" trace event at the due round and counts the delivery.
-  /// Call from the deferred execute(), never twice per msg_id.
-  void deliver_deferred(sim::NodeId from, sim::NodeId to,
-                        std::uint64_t msg_id, sim::Round delay);
 
   /// Charges a live migration's memory payload to the route and returns
   /// the extra seconds the stream spends queued behind traffic already in
@@ -125,8 +119,7 @@ class NetworkModel {
   // ---- run-level counters (pure function of config and seed) ----
   struct Totals {
     std::uint64_t sends = 0;         ///< exchanges attempted
-    std::uint64_t delivered = 0;     ///< completed (incl. deferred)
-    std::uint64_t delayed = 0;       ///< admitted with delay >= 1 round
+    std::uint64_t delivered = 0;     ///< completed in their send round
     std::uint64_t dropped_loss = 0;
     std::uint64_t dropped_congestion = 0;
   };
@@ -146,10 +139,10 @@ class NetworkModel {
     return uplink_backlog_[rack];
   }
   [[nodiscard]] double access_bytes_per_round() const noexcept {
-    return access_rate_ * round_seconds_;
+    return access_rate_ * kRoundSeconds;
   }
   [[nodiscard]] double uplink_bytes_per_round() const noexcept {
-    return uplink_rate_ * round_seconds_;
+    return uplink_rate_ * kRoundSeconds;
   }
 
  private:
@@ -167,15 +160,13 @@ class NetworkModel {
   [[nodiscard]] double loss_draw(std::uint64_t msg_id) const noexcept;
   void emit_send(sim::NodeId from, sim::NodeId to, std::uint64_t msg_id,
                  std::size_t bytes, Channel channel);
-  void emit_deliver(sim::NodeId from, sim::NodeId to, std::uint64_t msg_id,
-                    sim::Round delay);
+  void emit_deliver(sim::NodeId from, sim::NodeId to, std::uint64_t msg_id);
   void emit_drop(sim::NodeId from, sim::NodeId to, std::uint64_t msg_id,
                  DropReason reason);
 
   NetworkConfig config_;
   std::size_t pm_count_;
   std::size_t rack_size_;
-  double round_seconds_;
   std::uint64_t seed_;
 
   double access_rate_;  ///< bytes per second per access link
@@ -191,7 +182,6 @@ class NetworkModel {
   trace::TraceLog* trace_ = nullptr;
   metrics::Counter* ctr_sends_ = nullptr;
   metrics::Counter* ctr_delivered_ = nullptr;
-  metrics::Counter* ctr_delayed_ = nullptr;
   metrics::Counter* ctr_dropped_loss_ = nullptr;
   metrics::Counter* ctr_dropped_congestion_ = nullptr;
 };

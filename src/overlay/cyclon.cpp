@@ -158,9 +158,9 @@ void CyclonProtocol::execute(sim::Engine& engine, sim::NodeId self) {
       continue;
     }
     if (net::NetworkModel* net = engine.net_model()) {
-      // A shuffle is only useful fresh: a lost or late round-trip simply
-      // times out and the node retries next round (membership
-      // self-heals), before any cache entry has been moved.
+      // A lost round-trip simply times out and the node retries next
+      // round (membership self-heals), before any cache entry has been
+      // moved.
       const std::size_t wire = kShuffleLength * kEntryBytes;
       if (!net->round_trip(self, peer, wire, wire, net::Channel::kShuffle)
                .ok())

@@ -103,8 +103,8 @@ void NewscastProtocol::execute(sim::Engine& engine, sim::NodeId self) {
       continue;
     }
     if (net::NetworkModel* net = engine.net_model()) {
-      // Like Cyclon: exchanges are freshness-bound, so a lost or delayed
-      // round-trip just times the exchange out until next round.
+      // Like Cyclon: a lost round-trip just times the exchange out until
+      // next round.
       const std::size_t wire = (cache_.size() + 1) * kItemBytes;
       if (!net->round_trip(self, peer, wire, wire, net::Channel::kShuffle)
                .ok())

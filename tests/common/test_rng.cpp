@@ -148,14 +148,6 @@ TEST(Rng, NormalShifted) {
   EXPECT_NEAR(sum / n, 5.0, 0.05);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(43);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(Rng, GammaMean) {
   Rng rng(47);
   double sum = 0;

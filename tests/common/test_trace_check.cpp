@@ -383,7 +383,7 @@ TraceEvent net_drop(std::uint64_t round, std::int64_t msg) {
 TEST(Invariants, NetSendDeliverDropLifecyclesPass) {
   EXPECT_TRUE(check({net_send(0, 1), net_deliver(0, 1, 0),  // same round
                      net_send(0, 2), net_drop(0, 2),        // lost at send
-                     net_send(1, 3), net_deliver(3, 3, 2)}) // deferred
+                     net_send(1, 3), net_deliver(1, 3, 0)}) // next round
                   .empty());
 }
 
@@ -392,7 +392,8 @@ TEST(Invariants, NetDeliverWithoutSend) {
 }
 
 TEST(Invariants, NetDuplicateSend) {
-  expect_single(check({net_send(0, 4), net_send(1, 4)}), "net-deliver-unsent");
+  expect_single(check({net_send(0, 4), net_deliver(0, 4), net_send(1, 4)}),
+                "net-deliver-unsent");
 }
 
 TEST(Invariants, NetSecondTerminalForOneMessage) {
@@ -402,12 +403,28 @@ TEST(Invariants, NetSecondTerminalForOneMessage) {
 }
 
 TEST(Invariants, NetDelayArithmeticMustHold) {
-  // Sent round 1 with delay 2 but delivered round 2.
-  expect_single(check({net_send(1, 6), net_deliver(2, 6, 2)}),
+  // Every exchange resolves in its send round: a deliver carries delay 0.
+  expect_single(check({net_send(1, 6), net_deliver(1, 6, 2)}),
+                "net-delay-arithmetic");
+  // A deliver in a later round: the send was left open past its round,
+  // and the late deliver is that one fault, not a second.
+  expect_single(check({net_send(1, 6), net_deliver(2, 6, 1)}),
                 "net-delay-arithmetic");
   // Drops are decided at send time; a later drop round is a lie.
   expect_single(check({net_send(1, 7), net_drop(3, 7)}),
                 "net-delay-arithmetic");
+  // A send still open when the next round's first event arrives, even
+  // if no terminal ever follows; it is reported at the send's line.
+  const auto open = check({net_send(1, 8), net_send(2, 9), net_drop(2, 9)});
+  expect_single(open, "net-delay-arithmetic");
+  ASSERT_EQ(open.size(), 1u);
+  EXPECT_EQ(open[0].line, 1u);
+  EXPECT_EQ(open[0].round, 1u);
+  // Within its round the send may wait for its terminal behind other
+  // events of that round.
+  EXPECT_TRUE(check({net_send(1, 8), net_send(1, 9), net_drop(1, 9),
+                     net_deliver(1, 8)})
+                  .empty());
 }
 
 TEST(Invariants, NetQueueMustReportAPositiveBacklog) {

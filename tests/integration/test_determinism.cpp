@@ -165,9 +165,9 @@ INSTANTIATE_TEST_SUITE_P(Baselines, NetworkDeterminismTest,
                          });
 
 TEST(Determinism, NetworkWithQuiescenceIsReproducible) {
-  // Quiescence + network exercises the deferred-exchange machinery: a
-  // delayed reply must block the initiator's park vote, identically in
-  // every run.
+  // Quiescence + network: parked nodes skip their exchanges, which moves
+  // every later msg id, so parking and admission must interleave
+  // identically in every run.
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.rounds = 60;
   config.network.enabled = true;

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -83,23 +82,24 @@ TEST(Observability, GtbTraceMatchesGoldenFile) {
 }
 
 // A small run that exercises every emit site: the network model at 1%
-// loss with migration contention, quiescence, churn with re-learning and
-// the Fig. 5 convergence probe. Its two goldens pin one or more lines of
-// every event kind and every net op.
+// loss with migration contention on links slow enough to congestion-drop,
+// quiescence, churn with re-learning and the Fig. 5 convergence probe.
+// Its two goldens pin one or more lines of every event kind and every
+// net op. The seed is the first from 0 whose trace covers all of them,
+// including a congestion drop and an uplink queue line.
 ExperimentConfig all_kinds_config() {
   ExperimentConfig config = tiny_config();
   config.pm_count = 8;
   config.vm_ratio = 4;
   config.warmup_rounds = 12;
   config.rounds = 12;
-  config.seed = 20;
+  config.seed = 14;
   config.track_convergence = true;
   config.convergence_pairs = 8;
   config.network.enabled = true;
   config.network.loss_rate = 0.01;
   config.network.migration_contention = true;
   config.network.access_gbps = 0.02;
-  config.network.queue_limit_rounds = 2.0;
   config.rack_size = 4;
   config.glap.quiescence.enabled = true;
   config.glap.quiescence.demand_epsilon = 0.15;
@@ -123,7 +123,8 @@ TEST(Observability, AllKindsTraceCoversEveryKindAndNetOp) {
   trace::StatsCollector stats;
   // Churn departures leave no trace event, hence churn_tolerant.
   trace::InvariantChecker checker({.churn_tolerant = true});
-  std::uint64_t sends = 0, delivers = 0, loss_drops = 0, queues = 0;
+  std::uint64_t sends = 0, delivers = 0, loss_drops = 0, congestion_drops = 0,
+                uplink_queues = 0;
   trace::TraceEvent e;
   std::string error;
   while (reader.next(&e, &error) == trace::TraceReader::Status::kEvent) {
@@ -134,7 +135,10 @@ TEST(Observability, AllKindsTraceCoversEveryKindAndNetOp) {
     delivers += e.net.op == trace::NetOp::kDeliver;
     loss_drops += e.net.op == trace::NetOp::kDrop &&
                   e.net.reason == trace::DropReason::kLoss;
-    queues += e.net.op == trace::NetOp::kQueue;
+    congestion_drops += e.net.op == trace::NetOp::kDrop &&
+                        e.net.reason == trace::DropReason::kCongestion;
+    uplink_queues += e.net.op == trace::NetOp::kQueue &&
+                     e.net.link == trace::Link::kUplink;
   }
   EXPECT_TRUE(error.empty()) << error;
   checker.finish();
@@ -151,50 +155,8 @@ TEST(Observability, AllKindsTraceCoversEveryKindAndNetOp) {
   EXPECT_GT(sends, 0u);
   EXPECT_GT(delivers, 0u);
   EXPECT_GT(loss_drops, 0u);
-  EXPECT_GT(queues, 0u);
-}
-
-// A node with a delayed reply in flight vetoes parking, so it is awake
-// when the reply comes due; the engine has no timed wake to fall back on.
-// Walks the trace of the all-kinds configuration: between the send of a
-// table or state exchange and its deliver or drop, the sender must not
-// park. (Shuffles, profile fetches and probes give up on a late reply
-// instead of waiting for it, so they never get a deliver.) Twice the
-// all-kinds evaluation window gives parks time to meet delayed replies:
-// without the veto, this run parks two senders mid-exchange.
-TEST(Observability, NoInitiatorParksWhileItsDelayedReplyIsInFlight) {
-  ExperimentConfig config = all_kinds_config();
-  config.rounds = 24;
-  const Captured captured = run_captured(config);
-  std::istringstream in(captured.trace);
-  trace::TraceReader reader(in);
-  std::map<std::int64_t, std::int64_t> in_flight;  // msg id -> sender
-  std::uint64_t delayed = 0, parks = 0;
-  trace::TraceEvent e;
-  std::string error;
-  while (reader.next(&e, &error) == trace::TraceReader::Status::kEvent) {
-    if (e.kind == trace::EventKind::kNet) {
-      if (e.net.op == trace::NetOp::kSend) {
-        if (e.net.channel == trace::Channel::kAggregation ||
-            e.net.channel == trace::Channel::kConsolidation)
-          in_flight[e.net.msg] = e.net.src;
-      } else if (e.net.op == trace::NetOp::kDeliver ||
-                 e.net.op == trace::NetOp::kDrop) {
-        delayed += e.net.op == trace::NetOp::kDeliver && e.net.delay > 0;
-        in_flight.erase(e.net.msg);
-      }
-    } else if (e.kind == trace::EventKind::kActivity && !e.activity.awake) {
-      ++parks;
-      for (const auto& [msg, sender] : in_flight)
-        EXPECT_NE(sender, e.activity.pm)
-            << "round " << e.round << ": pm " << e.activity.pm
-            << " parked with msg " << msg << " in flight";
-    }
-  }
-  EXPECT_TRUE(error.empty()) << error;
-  // The run must exercise both halves of the invariant.
-  EXPECT_GT(delayed, 0u);
-  EXPECT_GT(parks, 0u);
+  EXPECT_GT(congestion_drops, 0u);
+  EXPECT_GT(uplink_queues, 0u);
 }
 
 TEST(Observability, AllKindsTraceMatchesGoldenFile) {

@@ -17,10 +17,8 @@ NetworkConfig healthy() {
   return c;
 }
 
-constexpr double kRoundSeconds = 120.0;
-
 TEST(NetworkModelTopology, RacksGroupConsecutiveIds) {
-  NetworkModel net(100, 32, healthy(), kRoundSeconds, 1);
+  NetworkModel net(100, 32, healthy(), 1);
   EXPECT_EQ(net.rack_of(0), 0u);
   EXPECT_EQ(net.rack_of(31), 0u);
   EXPECT_EQ(net.rack_of(32), 1u);
@@ -31,7 +29,7 @@ TEST(NetworkModelTopology, RacksGroupConsecutiveIds) {
 TEST(NetworkModelTopology, RatesFollowOversubscription) {
   NetworkConfig c = healthy();
   c.access_gbps = 1.0;
-  NetworkModel net(64, 32, c, kRoundSeconds, 1);
+  NetworkModel net(64, 32, c, 1);
   const double access = 1e9 / 8.0 * kRoundSeconds;
   EXPECT_DOUBLE_EQ(net.access_bytes_per_round(), access);
   // Uplink serves 32 PMs at 4:1 oversubscription = 8 access links' worth.
@@ -42,24 +40,21 @@ TEST(NetworkModelTopology, RatesFollowOversubscription) {
 TEST(NetworkModelTopology, ConfigValidationRejectsNonsense) {
   NetworkConfig c = healthy();
   c.loss_rate = 1.0;
-  EXPECT_THROW(NetworkModel(10, 5, c, kRoundSeconds, 1), precondition_error);
+  EXPECT_THROW(NetworkModel(10, 5, c, 1), precondition_error);
   c = healthy();
-  c.queue_limit_rounds = 0.0;
-  EXPECT_THROW(NetworkModel(10, 5, c, kRoundSeconds, 1), precondition_error);
-  EXPECT_THROW(NetworkModel(0, 5, healthy(), kRoundSeconds, 1),
-               precondition_error);
-  EXPECT_THROW(NetworkModel(10, 5, healthy(), 0.0, 1), precondition_error);
+  c.access_gbps = 0.0;
+  EXPECT_THROW(NetworkModel(10, 5, c, 1), precondition_error);
+  EXPECT_THROW(NetworkModel(0, 5, healthy(), 1), precondition_error);
 }
 
 TEST(NetworkModelDelivery, HealthyFabricDeliversSameRound) {
-  NetworkModel net(64, 32, healthy(), kRoundSeconds, 7);
+  NetworkModel net(64, 32, healthy(), 7);
   net.begin_round(0);
   // Intra-rack and inter-rack gossip-sized exchanges both complete within
   // the round at healthy defaults — the modeled network is behaviorally
   // the ideal one.
   const Verdict intra = net.round_trip(0, 1, 128, 128, Channel::kShuffle);
   EXPECT_TRUE(intra.ok());
-  EXPECT_EQ(intra.delay, 0u);
   const Verdict inter =
       net.round_trip(0, 40, 4096, 4096, Channel::kAggregation);
   EXPECT_TRUE(inter.ok());
@@ -70,7 +65,7 @@ TEST(NetworkModelDelivery, HealthyFabricDeliversSameRound) {
 }
 
 TEST(NetworkModelDelivery, MsgIdsAreAssignedInAdmissionOrder) {
-  NetworkModel net(64, 32, healthy(), kRoundSeconds, 7);
+  NetworkModel net(64, 32, healthy(), 7);
   net.begin_round(0);
   EXPECT_EQ(net.round_trip(0, 1, 8, 8, Channel::kShuffle).msg_id, 0u);
   EXPECT_EQ(net.round_trip(2, 3, 8, 8, Channel::kShuffle).msg_id, 1u);
@@ -78,7 +73,7 @@ TEST(NetworkModelDelivery, MsgIdsAreAssignedInAdmissionOrder) {
 }
 
 TEST(NetworkModelDelivery, PayloadChargesEveryLinkOnTheRoute) {
-  NetworkModel net(64, 32, healthy(), kRoundSeconds, 7);
+  NetworkModel net(64, 32, healthy(), 7);
   net.begin_round(0);
   net.round_trip(0, 40, 100, 50, Channel::kConsolidation);
   EXPECT_DOUBLE_EQ(net.access_backlog(0), 150.0);
@@ -91,7 +86,7 @@ TEST(NetworkModelDelivery, PayloadChargesEveryLinkOnTheRoute) {
 }
 
 TEST(NetworkModelDelivery, BeginRoundDrainsOneRoundOfService) {
-  NetworkModel net(64, 32, healthy(), kRoundSeconds, 7);
+  NetworkModel net(64, 32, healthy(), 7);
   net.begin_round(0);
   net.round_trip(0, 1, 1000, 1000, Channel::kShuffle);
   EXPECT_GT(net.access_backlog(0), 0.0);
@@ -101,59 +96,79 @@ TEST(NetworkModelDelivery, BeginRoundDrainsOneRoundOfService) {
 }
 
 TEST(NetworkModelDrops, DropTailCongestionRejectsAndKeepsQueue) {
-  NetworkConfig c = healthy();
-  c.queue_limit_rounds = 0.25;
-  NetworkModel net(64, 32, c, kRoundSeconds, 7);
+  NetworkModel net(64, 32, healthy(), 7);
   net.begin_round(0);
-  const double limit = 0.25 * net.access_bytes_per_round();
+  const double limit =
+      NetworkModel::kQueueLimitRounds * net.access_bytes_per_round();
   const auto big = static_cast<std::size_t>(limit * 0.75);
   EXPECT_TRUE(net.round_trip(0, 1, big, 0, Channel::kAggregation).ok());
   const double before = net.access_backlog(0);
   const Verdict v = net.round_trip(0, 1, big, 0, Channel::kAggregation);
-  EXPECT_EQ(v.outcome, Verdict::Outcome::kDropped);
   EXPECT_EQ(v.reason, DropReason::kCongestion);
   // Drop-tail: the rejected payload never joins the queue.
   EXPECT_DOUBLE_EQ(net.access_backlog(0), before);
   EXPECT_EQ(net.totals().dropped_congestion, 1u);
 }
 
-TEST(NetworkModelDrops, QueueingDelayDefersPastTheRoundBoundary) {
-  // Shrink the round so a modest backlog is worth >= 1 round of service,
-  // and raise the queue limit so admission still succeeds. Propagation
-  // alone (two access hops) stays a tenth of a round.
-  NetworkConfig c = healthy();
-  c.queue_limit_rounds = 10.0;
-  const double round_s = 20.0 * NetworkModel::kAccessLatencyS;
-  // One round (1 ms) serves 125 kB per access link.
-  NetworkModel net(64, 32, c, round_s, 7);
-  net.begin_round(0);
-  EXPECT_TRUE(net.round_trip(0, 1, 200000, 0, Channel::kAggregation).ok());
-  // The second exchange queues behind 200 kB > 1 round of service.
-  const Verdict v = net.round_trip(0, 1, 100, 0, Channel::kAggregation);
-  EXPECT_EQ(v.outcome, Verdict::Outcome::kDelayed);
-  EXPECT_GE(v.delay, 1u);
-  EXPECT_EQ(net.totals().delayed, 1u);
+TEST(NetworkModelDrops, AdmittedExchangeLandsInItsOwnRound) {
+  // Drop-tail admission caps every queue below one round of service, so
+  // even an exchange that queues behind nearly a quarter round of traffic
+  // on every link of its route is delivered in the round it was sent.
+  std::ostringstream out;
+  {
+    trace::TraceLog log(out);
+    NetworkModel net(64, 32, healthy(), 7);
+    net.set_telemetry(nullptr, &log);
+    log.begin_round(0);
+    net.begin_round(0);
+    const double limit =
+        NetworkModel::kQueueLimitRounds * net.access_bytes_per_round();
+    ASSERT_DOUBLE_EQ(
+        NetworkModel::kQueueLimitRounds * net.uplink_bytes_per_round(),
+        8.0 * limit);
+    const auto fill = static_cast<std::size_t>(limit) - 1000;
+    // Eight cross-rack streams bring both uplinks to 8000 B under their
+    // limit; two intra-rack ones bring the endpoints' access links to
+    // 1000 B under theirs.
+    for (sim::NodeId i = 0; i < 8; ++i)
+      ASSERT_TRUE(
+          net.round_trip(2 + i, 42 + i, fill, 0, Channel::kAggregation)
+              .ok());
+    ASSERT_TRUE(net.round_trip(0, 1, fill, 0, Channel::kAggregation).ok());
+    ASSERT_TRUE(net.round_trip(40, 41, fill, 0, Channel::kAggregation).ok());
+    const Verdict v = net.round_trip(0, 40, 500, 500, Channel::kAggregation);
+    EXPECT_TRUE(v.ok());
+    EXPECT_EQ(v.msg_id, 10u);
+    // The route's access links now sit exactly at the limit: one more
+    // byte is congestion-dropped.
+    EXPECT_EQ(net.round_trip(0, 40, 1, 0, Channel::kAggregation).reason,
+              DropReason::kCongestion);
+    EXPECT_EQ(net.totals().delivered, 11u);
+    log.commit_round();
+  }
+  EXPECT_NE(out.str().find("{\"ev\":\"net\",\"round\":0,\"op\":\"deliver\","
+                           "\"src\":0,\"dst\":40,\"msg\":10,\"delay\":0}"),
+            std::string::npos);
 }
 
 TEST(NetworkModelDrops, LossIsDeterministicPerSeedAndMsgId) {
   NetworkConfig c = healthy();
   c.loss_rate = 0.05;
   auto run = [&](std::uint64_t seed) {
-    NetworkModel net(64, 32, c, kRoundSeconds, seed);
+    NetworkModel net(64, 32, c, seed);
     net.begin_round(0);
-    std::vector<int> outcomes;
+    std::vector<int> reasons;
     for (int i = 0; i < 400; ++i)
-      outcomes.push_back(static_cast<int>(
-          net.round_trip(0, 1, 64, 64, Channel::kShuffle).outcome));
-    return outcomes;
+      reasons.push_back(static_cast<int>(
+          net.round_trip(0, 1, 64, 64, Channel::kShuffle).reason));
+    return reasons;
   };
   const auto a = run(42);
   EXPECT_EQ(a, run(42));  // same seed: identical verdict sequence
   EXPECT_NE(a, run(43));  // different seed: different loss pattern
   // ~9.75% round-trip loss over 400 trials: some of each, never all.
   const auto drops = static_cast<std::size_t>(
-      std::count(a.begin(), a.end(),
-                 static_cast<int>(Verdict::Outcome::kDropped)));
+      std::count(a.begin(), a.end(), static_cast<int>(DropReason::kLoss)));
   EXPECT_GT(drops, 0u);
   EXPECT_LT(drops, 200u);
 }
@@ -161,7 +176,7 @@ TEST(NetworkModelDrops, LossIsDeterministicPerSeedAndMsgId) {
 TEST(NetworkModelDrops, RoundTripLossExceedsOneWayLoss) {
   NetworkConfig c = healthy();
   c.loss_rate = 0.2;
-  NetworkModel rt(64, 32, c, kRoundSeconds, 9);
+  NetworkModel rt(64, 32, c, 9);
   rt.begin_round(0);
   constexpr int kTrials = 2000;
   for (int i = 0; i < kTrials; ++i)
@@ -178,7 +193,7 @@ TEST(NetworkModelTelemetry, CountersMirrorTotals) {
   NetworkConfig c = healthy();
   c.loss_rate = 0.5;
   metrics::MetricsRegistry registry;
-  NetworkModel net(64, 32, c, kRoundSeconds, 11);
+  NetworkModel net(64, 32, c, 11);
   net.set_telemetry(&registry, nullptr);
   net.begin_round(0);
   for (int i = 0; i < 50; ++i)
@@ -192,7 +207,7 @@ TEST(NetworkModelTelemetry, CountersMirrorTotals) {
 }
 
 TEST(NetworkModelTelemetry, MigrationContentionChargesAndReportsQueueAhead) {
-  NetworkModel net(64, 32, healthy(), kRoundSeconds, 13);
+  NetworkModel net(64, 32, healthy(), 13);
   net.begin_round(0);
   // Empty fabric: the stream starts instantly.
   EXPECT_DOUBLE_EQ(net.migration_delay_seconds(0, 40, 4096.0), 0.0);
@@ -211,7 +226,7 @@ TEST(NetworkModelTelemetry, MigrationContentionChargesAndReportsQueueAhead) {
 TEST(NetworkModelTelemetry, DisabledContentionChargesNothing) {
   NetworkConfig c = healthy();
   c.migration_contention = false;
-  NetworkModel net(64, 32, c, kRoundSeconds, 13);
+  NetworkModel net(64, 32, c, 13);
   net.begin_round(0);
   EXPECT_DOUBLE_EQ(net.migration_delay_seconds(0, 40, 4096.0), 0.0);
   EXPECT_DOUBLE_EQ(net.uplink_backlog(0), 0.0);
@@ -224,7 +239,7 @@ TEST(NetworkModelTrace, EmitsSendDeliverDropAndQueueEvents) {
   std::ostringstream out;
   {
     trace::TraceLog log(out);
-    NetworkModel net(64, 32, c, kRoundSeconds, 17);
+    NetworkModel net(64, 32, c, 17);
     net.set_telemetry(nullptr, &log);
     log.begin_round(0);
     net.begin_round(0);

@@ -34,7 +34,6 @@ const std::map<std::string, std::string>& as_path_for_rule() {
       {"unordered-iteration", "src/sim/fixture.cpp"},
       {"pointer-order", "src/sim/fixture.cpp"},
       {"static-mutable", "src/overlay/fixture.cpp"},
-      {"checks-guard", "src/common/fixture.cpp"},
       {"hot-alloc", "src/sim/fixture.cpp"},
       {"suppression", "bench/fixture.cpp"},
   };
@@ -83,8 +82,8 @@ TEST_P(LintRuleTest, SuppressedFixtureIsCleanAndUsesItsAllows) {
 INSTANTIATE_TEST_SUITE_P(
     AllRules, LintRuleTest,
     ::testing::Values("wall-clock", "banned-random", "unordered-iteration",
-                      "pointer-order", "static-mutable", "checks-guard",
-                      "hot-alloc", "suppression"),
+                      "pointer-order", "static-mutable", "hot-alloc",
+                      "suppression"),
     [](const auto& info) {
       std::string name = info.param;
       for (char& c : name)
@@ -184,13 +183,12 @@ TEST(LintRules, StaleAllowIsReportedUnderTheSuppressionRule) {
 TEST(LintRules, RuleCatalogueTiersAreStable) {
   std::map<std::string, std::string> tier;
   for (const RuleInfo& r : rules()) tier[r.name] = r.tier;
-  EXPECT_EQ(tier.size(), 10u);
+  EXPECT_EQ(tier.size(), 9u);
   EXPECT_EQ(tier.at("wall-clock"), "determinism");
   EXPECT_EQ(tier.at("banned-random"), "determinism");
   EXPECT_EQ(tier.at("unordered-iteration"), "determinism");
   EXPECT_EQ(tier.at("pointer-order"), "determinism");
   EXPECT_EQ(tier.at("static-mutable"), "determinism");
-  EXPECT_EQ(tier.at("checks-guard"), "safety");
   EXPECT_EQ(tier.at("hot-alloc"), "perf");
   EXPECT_EQ(tier.at("layering"), "project");
   EXPECT_EQ(tier.at("include-hygiene"), "project");

@@ -31,9 +31,6 @@ constexpr RuleInfo kRules[] = {
      "or pointer-to-integer casts used as keys"},
     {"static-mutable", "determinism",
      "no mutable function-local or class statics in protocol code"},
-    {"checks-guard", "safety",
-     "GLAP_NO_HOT_CHECKS conditionals must be closed and carry an #else; "
-     "GLAP_ENABLE_CHECKS never appears in C++ (it is the CMake name)"},
     {"hot-alloc", "perf",
      "no per-round heap allocation in round-loop scopes of src/sim and "
      "src/core: new/make_unique/make_shared, or push_back/emplace_back on "
@@ -78,7 +75,6 @@ bool random_whitelisted(std::string_view rel) {
 struct Analysis {
   std::string_view rel;
   const std::vector<Token>& toks;
-  const std::vector<std::string>& lines;
   std::vector<Finding> raw;  ///< pre-suppression findings
 
   void flag(std::size_t line, const char* rule, std::string message) {
@@ -349,54 +345,6 @@ void rule_static_mutable(Analysis& a) {
              "and every concurrently running sweep cell, so it breaks "
              "determinism — keep per-node state in the protocol object");
   }
-}
-
-// checks-guard: GLAP_NO_HOT_CHECKS conditionals closed + carrying #else;
-// the CMake-side name GLAP_ENABLE_CHECKS must never reach C++ code.
-void rule_checks_guard(Analysis& a) {
-  struct Cond {
-    std::size_t line;
-    bool on_hot_checks;
-    bool has_else = false;
-  };
-  std::vector<Cond> stack;
-  for (std::size_t ln = 0; ln < a.lines.size(); ++ln) {
-    const std::string& raw = a.lines[ln];
-    std::size_t p = raw.find_first_not_of(" \t");
-    if (p == std::string::npos || raw[p] != '#') continue;
-    std::istringstream is(raw.substr(p + 1));
-    std::string directive;
-    is >> directive;
-    const bool mentions_hot =
-        raw.find("GLAP_NO_HOT_CHECKS") != std::string::npos;
-    if (directive == "if" || directive == "ifdef" || directive == "ifndef") {
-      stack.push_back({ln + 1, mentions_hot});
-    } else if (directive == "elif" || directive == "else") {
-      if (!stack.empty()) stack.back().has_else = true;
-    } else if (directive == "endif") {
-      if (stack.empty()) {
-        a.flag(ln + 1, "checks-guard", "#endif without a matching #if");
-      } else {
-        const Cond c = stack.back();
-        stack.pop_back();
-        if (c.on_hot_checks && !c.has_else)
-          a.flag(c.line, "checks-guard",
-                 "conditional on GLAP_NO_HOT_CHECKS has no #else: one of "
-                 "the checks-on/checks-off builds is left without a "
-                 "definition");
-      }
-    }
-  }
-  for (const Cond& c : stack)
-    a.flag(c.line, "checks-guard",
-           std::string("unterminated #if") +
-               (c.on_hot_checks ? " on GLAP_NO_HOT_CHECKS" : ""));
-  for (const Token& tok : a.toks)
-    if (tok.kind == Token::Kind::kIdent && tok.text == "GLAP_ENABLE_CHECKS")
-      a.flag(tok.line, "checks-guard",
-             "GLAP_ENABLE_CHECKS is the CMake option name and is never "
-             "defined for the compiler — guard on GLAP_NO_HOT_CHECKS "
-             "(see src/common/assert.hpp)");
 }
 
 // hot-alloc: heap allocation inside round-loop scopes. The engine's round
@@ -694,14 +642,13 @@ FileReport lint_source(std::string_view rel_path, std::string_view content) {
     }
   }
   const std::vector<Token> toks = tokenize(content);
-  Analysis a{rel_path, toks, lines, {}};
+  Analysis a{rel_path, toks, {}};
 
   rule_wall_clock(a);
   rule_banned_random(a);
   rule_unordered_iteration(a);
   rule_pointer_order(a);
   rule_static_mutable(a);
-  rule_checks_guard(a);
   rule_hot_alloc(a);
 
   FileReport report;

@@ -55,7 +55,7 @@ struct Suppression {
 /// Static rule metadata (also rendered by `glap-lint rules`).
 struct RuleInfo {
   const char* name;
-  const char* tier;     ///< "determinism", "safety", "perf", "project" or "meta"
+  const char* tier;     ///< "determinism", "perf", "project" or "meta"
   const char* summary;  ///< one-line description
 };
 
