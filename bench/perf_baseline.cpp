@@ -1,6 +1,8 @@
 // Perf-trajectory baseline: times the Q-table micro-kernels (Bellman
 // update, Algorithm 2 merge_average, Fig. 5 cosine similarity) plus one
 // end-to-end default 150-PM GLAP experiment, and emits a JSON record.
+// Both modes open the record with the host: hardware threads, compiler,
+// and whether hot-path checks are compiled in.
 //
 // The committed BENCH_qtable.json at the repo root accumulates one entry
 // per milestone (starting with the hash-map seed), so every future PR can
@@ -169,6 +171,31 @@ std::string cpu_model_name() {
   return "unknown";
 }
 
+/// Whether GLAP_HOT_REQUIRE checks are compiled into this binary.
+constexpr bool kHotChecks =
+#ifdef GLAP_NO_HOT_CHECKS
+    false;
+#else
+    true;
+#endif
+
+/// The host fields both modes print after the label, as JSON members.
+void print_host_fields() {
+  std::printf("  \"host_hardware_threads\": %u,\n",
+              std::thread::hardware_concurrency());
+  std::printf("  \"compiler\": \"%s\",\n", GLAP_BENCH_COMPILER);
+  std::printf("  \"hot_checks\": %s,\n", kHotChecks ? "true" : "false");
+}
+
+/// The same fields as report headlines.
+void add_host_headlines(harness::BenchReport& report) {
+  report.add_headline(
+      "host_hardware_threads",
+      std::to_string(std::thread::hardware_concurrency()));
+  report.add_headline("compiler", GLAP_BENCH_COMPILER);
+  report.add_headline("hot_checks", kHotChecks ? "true" : "false");
+}
+
 struct ScaleRun {
   double rounds_per_sec = 0.0;
   double elapsed_s = 0.0;
@@ -236,15 +263,12 @@ int run_scale(const std::string& label) {
       "(host-dependent)");
   report.add_headline("label", label);
   report.add_headline("machine", cpu_model_name());
-  report.add_headline(
-      "host_hardware_threads",
-      std::to_string(std::thread::hardware_concurrency()));
+  add_host_headlines(report);
 
   std::printf("{\n");
   std::printf("  \"label\": \"%s\",\n", label.c_str());
   std::printf("  \"machine\": \"%s\",\n", cpu_model_name().c_str());
-  std::printf("  \"host_hardware_threads\": %u,\n",
-              std::thread::hardware_concurrency());
+  print_host_fields();
   for (const Size& size : sizes) {
     std::fprintf(stderr, "[perf_baseline] %s serial...\n", size.name);
     const ScaleRun serial =
@@ -318,6 +342,7 @@ int main(int argc, char** argv) {
 
   std::printf("{\n");
   std::printf("  \"label\": \"%s\",\n", label.c_str());
+  print_host_fields();
   std::printf("  \"qtable_update_ns\": %.1f,\n", update_ns);
   std::printf("  \"qtable_merge_average_2048_ns\": %.1f,\n", merge_ns);
   std::printf("  \"qtable_cosine_similarity_2048_ns\": %.1f,\n", cosine_ns);
@@ -329,6 +354,7 @@ int main(int argc, char** argv) {
       "perf_baseline", "Perf baseline — Q-table kernels and end-to-end "
                        "GLAP throughput (host-dependent)");
   report.add_headline("label", label);
+  add_host_headlines(report);
   report.add_headline("qtable_update_ns", fmt("%.1f", update_ns));
   report.add_headline("qtable_merge_average_2048_ns", fmt("%.1f", merge_ns));
   report.add_headline("qtable_cosine_similarity_2048_ns",

@@ -58,8 +58,9 @@ int main() {
   }
 
   core::QTablePair tables;
+  core::LocalTrainer::Scratch scratch;
   for (int round = 0; round < 150; ++round)
-    trainer.train_round(pool, tables);
+    trainer.train_round(pool, tables, scratch);
   std::printf("trained: %zu OUT entries, %zu IN entries\n",
               tables.out.size(), tables.in.size());
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 CI entry point.
 #
-# Stage 1 (correctness): RelWithDebInfo build with hot-path checks ON,
-# full ctest suite. This is the gating tier-1 verify from ROADMAP.md.
+# Stage 1 (correctness): RelWithDebInfo build with hot-path checks ON
+# and -DGLAP_WERROR=ON (src/, tools/, bench/, examples/ and tests/ build
+# without a warning under -Wall -Wextra), full ctest suite. This is the
+# gating tier-1 verify from ROADMAP.md.
 #
 # Stage 2 (performance): Release (-O3, NDEBUG) build with
 # GLAP_ENABLE_CHECKS=OFF so benchmarks measure the unchecked per-round
@@ -58,7 +60,7 @@
 # shorter run with --binary and --flight-dump verifies the always-on
 # flight recorder leaves a parseable GTB post-mortem at the same scale.
 # This is the cheap stand-in for the committed 1k/10k/100k sweep in
-# BENCH_scale.json, which is multi-minute and ~6 GiB at the top cell
+# BENCH_scale.json, which is multi-minute and ~3.6 GiB at the top cell
 # and therefore not rerun by CI.
 #
 # Stage 10 (network smoke, RUN_NET_SMOKE=1 default): a 1k-PM GLAP run
@@ -73,7 +75,8 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 
 echo "== tier-1: RelWithDebInfo build + ctest =="
-cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGLAP_ENABLE_CHECKS=ON
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGLAP_ENABLE_CHECKS=ON \
+  -DGLAP_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

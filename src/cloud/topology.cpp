@@ -1,5 +1,7 @@
 #include "cloud/topology.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace glap::cloud {
@@ -21,15 +23,11 @@ RackId RackTopology::rack_of(PmId pm) const {
   return static_cast<RackId>(pm / rack_size_);
 }
 
-std::vector<PmId> RackTopology::members(RackId rack) const {
+std::ranges::iota_view<PmId, PmId> RackTopology::members(RackId rack) const {
   GLAP_REQUIRE(rack < racks_, "rack id out of range");
-  std::vector<PmId> out;
   const std::size_t begin = rack * rack_size_;
   const std::size_t end = std::min(pm_count_, begin + rack_size_);
-  out.reserve(end - begin);
-  for (std::size_t p = begin; p < end; ++p)
-    out.push_back(static_cast<PmId>(p));
-  return out;
+  return std::views::iota(static_cast<PmId>(begin), static_cast<PmId>(end));
 }
 
 std::size_t RackTopology::active_racks(const DataCenter& dc) const {

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <ranges>
 
 #include "cloud/datacenter.hpp"
 
@@ -33,8 +33,9 @@ class RackTopology {
   [[nodiscard]] std::size_t rack_size() const noexcept { return rack_size_; }
   [[nodiscard]] double switch_watts() const noexcept { return switch_watts_; }
 
-  /// PMs in `rack` (ids are consecutive by construction).
-  [[nodiscard]] std::vector<PmId> members(RackId rack) const;
+  /// PMs in `rack`: ids are consecutive by construction, so this is the
+  /// range [first, last) and allocates nothing.
+  [[nodiscard]] std::ranges::iota_view<PmId, PmId> members(RackId rack) const;
 
   /// Racks with at least one powered-on PM — each costs a live switch.
   [[nodiscard]] std::size_t active_racks(const DataCenter& dc) const;
@@ -44,11 +45,11 @@ class RackTopology {
   /// consolidation drain rule keys on this.
   [[nodiscard]] double rack_load(const DataCenter& dc, RackId rack) const;
 
-  /// Switch energy for one interval: active racks × switch power × dt.
-  [[nodiscard]] double switch_energy_joules(const DataCenter& dc,
+  /// Switch energy for one interval: `active` racks (active_racks'
+  /// count) × switch power × dt.
+  [[nodiscard]] double switch_energy_joules(std::size_t active,
                                             double dt_seconds) const {
-    return static_cast<double>(active_racks(dc)) * switch_watts_ *
-           dt_seconds;
+    return static_cast<double>(active) * switch_watts_ * dt_seconds;
   }
 
  private:

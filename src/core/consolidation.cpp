@@ -13,13 +13,15 @@ constexpr std::size_t kStateMsgBytes = 32;  // (cpu, mem) current + average
 
 GlapConsolidationProtocol::GlapConsolidationProtocol(
     const GlapConfig& config, cloud::DataCenter& dc, Slots slots,
-    Telemetry telemetry, const cloud::RackTopology* topology, Rng rng)
+    Telemetry telemetry, const cloud::RackTopology* topology, Rng rng,
+    std::shared_ptr<Scratch> scratch)
     : config_(config),
       dc_(dc),
       slots_(slots),
       telemetry_(telemetry),
       topology_(topology),
-      rng_(rng) {
+      rng_(rng),
+      scratch_(std::move(scratch)) {
   GLAP_REQUIRE(config.rack_affinity >= 0.0 && config.rack_affinity <= 1.0,
                "rack_affinity out of [0,1]");
 }
@@ -36,10 +38,11 @@ sim::Slot<GlapConsolidationProtocol> GlapConsolidationProtocol::install(
                  m->counter("consolidation.capacity_rejects"),
                  m->counter("consolidation.switch_offs")};
   Rng master(hash_combine(seed, hash_tag("glap-consolidation")));
+  const auto scratch = std::make_shared<Scratch>();
   return engine.add_protocol_pool<GlapConsolidationProtocol>(
       [&](sim::NodeId i, sim::Slot<GlapConsolidationProtocol> /*self*/) {
         return GlapConsolidationProtocol(config, dc, slots, telemetry,
-                                         topology, master.split(i));
+                                         topology, master.split(i), scratch);
       });
 }
 
@@ -48,7 +51,9 @@ std::optional<sim::NodeId> GlapConsolidationProtocol::sample_peer(
   if (topology_ && config_.rack_affinity > 0.0 &&
       rng_.bernoulli(config_.rack_affinity)) {
     const auto rack = topology_->rack_of(static_cast<cloud::PmId>(self));
-    auto members = topology_->members(rack);
+    const auto ids = topology_->members(rack);
+    std::vector<cloud::PmId>& members = scratch_->rack;
+    members.assign(ids.begin(), ids.end());
     rng_.shuffle(members);
     for (cloud::PmId peer : members) {
       if (peer == static_cast<cloud::PmId>(self)) continue;
@@ -172,7 +177,7 @@ GlapConsolidationProtocol::find_vm(const qlearn::QTable& out_table,
   if (vms.empty()) return std::nullopt;
 
   // π_out: the available action with the greatest Q_out(s, ·).
-  std::vector<qlearn::Action>& actions = scratch_actions_;
+  std::vector<qlearn::Action>& actions = scratch_->actions;
   actions.clear();
   actions.reserve(vms.size());
   for (cloud::VmId v : vms) {

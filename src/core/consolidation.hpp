@@ -15,6 +15,8 @@
 // A sender that fully drains switches to sleep and leaves the overlay.
 #pragma once
 
+#include <memory>
+
 #include "cloud/datacenter.hpp"
 #include "cloud/topology.hpp"
 #include "core/config.hpp"
@@ -52,12 +54,21 @@ class GlapConsolidationProtocol final : public sim::Protocol {
     sim::Slot<GossipLearningProtocol> learning;
   };
 
+  /// Round-loop buffers, one set per pool (install creates it and hands
+  /// it to every instance): a pool's instances run one at a time and use
+  /// them only within one execute call.
+  struct Scratch {
+    std::vector<qlearn::Action> actions;  ///< find_vm's per-VM action levels
+    std::vector<cloud::PmId> rack;        ///< sample_peer's shuffled rack
+  };
+
   /// `topology` may be null (vanilla GLAP); when set and
   /// config.rack_affinity > 0, peer sampling and the drain rule become
   /// rack-aware (see GlapConfig::rack_affinity).
   GlapConsolidationProtocol(const GlapConfig& config, cloud::DataCenter& dc,
                             Slots slots, Telemetry telemetry,
-                            const cloud::RackTopology* topology, Rng rng);
+                            const cloud::RackTopology* topology, Rng rng,
+                            std::shared_ptr<Scratch> scratch);
 
   static sim::Slot<GlapConsolidationProtocol> install(
       sim::Engine& engine, const GlapConfig& config, cloud::DataCenter& dc,
@@ -100,7 +111,7 @@ class GlapConsolidationProtocol final : public sim::Protocol {
 
   /// π_out + least-migration-cost tie-break. Returns the chosen VM and its
   /// action, or nullopt when the sender hosts no VMs. Non-const: fills the
-  /// scratch_actions_ round-loop buffer.
+  /// pool's scratch actions.
   [[nodiscard]] std::optional<std::pair<cloud::VmId, qlearn::Action>> find_vm(
       const qlearn::QTable& out_table, qlearn::State sender_state,
       cloud::PmId sender);
@@ -125,8 +136,7 @@ class GlapConsolidationProtocol final : public sim::Protocol {
   // threshold (so non-candidates never pay the cosine scan).
   sim::Round calm_rounds_ = 0;
   double last_similarity_ = -2.0;
-  // Round-loop scratch for find_vm's per-VM action levels.
-  std::vector<qlearn::Action> scratch_actions_;
+  std::shared_ptr<Scratch> scratch_;
 };
 
 }  // namespace glap::core

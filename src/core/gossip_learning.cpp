@@ -12,12 +12,13 @@ constexpr std::size_t kProfileBytes = 48;      // one VM profile on the wire
 
 GossipLearningProtocol::GossipLearningProtocol(
     const GlapConfig& config, cloud::DataCenter& dc, Slots slots,
-    Telemetry telemetry, Resources pm_capacity, Rng rng)
-    : config_(config),
-      dc_(dc),
+    Telemetry telemetry, Resources pm_capacity, Rng rng,
+    std::shared_ptr<Scratch> scratch)
+    : dc_(dc),
       slots_(slots),
       telemetry_(telemetry),
       trainer_(config, pm_capacity, rng),
+      scratch_(std::move(scratch)),
       learning_rounds_(config.learning_rounds),
       aggregation_rounds_(config.aggregation_rounds) {}
 
@@ -38,12 +39,13 @@ sim::Slot<GossipLearningProtocol> GossipLearningProtocol::install(
     telemetry = {m->counter("learning.train_cycles"),
                  m->counter("learning.merges")};
   Rng master(hash_combine(seed, hash_tag("gossip-learning")));
+  const auto scratch = std::make_shared<Scratch>();
   return engine.add_protocol_pool<GossipLearningProtocol>(
       [&](sim::NodeId i, sim::Slot<GossipLearningProtocol> self) {
         return GossipLearningProtocol(
             config, dc, {overlay, self}, telemetry,
             dc.pm(static_cast<cloud::PmId>(i)).spec().capacity(),
-            master.split(i));
+            master.split(i), scratch);
       });
 }
 
@@ -78,26 +80,28 @@ void GossipLearningProtocol::learning_cycle(sim::Engine& engine,
   if (util.max_component() > kLearningUtilThreshold) return;
 
   auto& sampler = engine.protocol_at(slots_.overlay, self);
-  profiles_of(dc_, static_cast<cloud::PmId>(self), &scratch_pool_);
+  std::vector<VmProfile>& pool = scratch_->pool;
+  std::vector<VmProfile>& peer_profiles = scratch_->remote;
+  profiles_of(dc_, static_cast<cloud::PmId>(self), &pool);
   if (const auto peer = sampler.sample_active_peer(engine, self)) {
     auto& remote = engine.protocol_at(slots_.self, *peer);
-    remote.shared_profiles(*peer, &scratch_remote_);
+    remote.shared_profiles(*peer, &peer_profiles);
     // A lost fetch is simply skipped: train on the local pool.
     bool fetched = true;
     if (net::NetworkModel* net = engine.net_model())
       fetched = net->round_trip(self, *peer, kQEntryBytes,
-                                scratch_remote_.size() * kProfileBytes,
+                                peer_profiles.size() * kProfileBytes,
                                 net::Channel::kLearning)
                     .ok();
     if (fetched) {
       engine.network().count_message(*peer, self,
-                                     scratch_remote_.size() * kProfileBytes);
-      scratch_pool_.insert(scratch_pool_.end(), scratch_remote_.begin(),
-                           scratch_remote_.end());
+                                     peer_profiles.size() * kProfileBytes);
+      pool.insert(pool.end(), peer_profiles.begin(),
+                  peer_profiles.end());
     }
   }
-  trainer_.grow_pool(scratch_pool_);
-  trainer_.train_round(scratch_pool_, tables_);
+  trainer_.grow_pool(pool);
+  trainer_.train_round(pool, tables_, scratch_->train);
   if (telemetry_.train_cycles != nullptr) telemetry_.train_cycles->inc();
 }
 
@@ -121,8 +125,8 @@ void GossipLearningProtocol::aggregation_cycle(sim::Engine& engine,
                                  remote.tables_.size() * kQEntryBytes);
 
   // Push-pull merge (Algorithm 2): both parties apply UPDATE and end up
-  // with the identical averaged/unioned table. Merging in place and
-  // copying once beats building a third table.
+  // with the identical averaged/unioned table, so the partner shares the
+  // merged blocks instead of computing or copying them.
   tables_.merge_average(remote.tables_);
   remote.tables_ = tables_;
   if (telemetry_.merges != nullptr) telemetry_.merges->inc();

@@ -10,6 +10,8 @@
 // "700 more rounds to calculate Q-values beforehand".
 #pragma once
 
+#include <memory>
+
 #include "cloud/datacenter.hpp"
 #include "core/config.hpp"
 #include "core/learning.hpp"
@@ -43,9 +45,20 @@ class GossipLearningProtocol final : public sim::Protocol {
     sim::Slot<GossipLearningProtocol> self;
   };
 
+  /// Round-loop buffers of learning_cycle. A pool's instances run one at
+  /// a time and use them only within one execute call, so install creates
+  /// one set and hands it to every instance; capacity persists across
+  /// rounds.
+  struct Scratch {
+    std::vector<VmProfile> pool;    ///< own profiles, then the peer's
+    std::vector<VmProfile> remote;  ///< the peer's shared profiles
+    LocalTrainer::Scratch train;
+  };
+
   GossipLearningProtocol(const GlapConfig& config, cloud::DataCenter& dc,
                          Slots slots, Telemetry telemetry,
-                         Resources pm_capacity, Rng rng);
+                         Resources pm_capacity, Rng rng,
+                         std::shared_ptr<Scratch> scratch);
 
   /// Installs one instance per node over the peer-sampling `overlay`.
   static sim::Slot<GossipLearningProtocol> install(
@@ -88,16 +101,12 @@ class GossipLearningProtocol final : public sim::Protocol {
   void learning_cycle(sim::Engine& engine, sim::NodeId self);
   void aggregation_cycle(sim::Engine& engine, sim::NodeId self);
 
-  GlapConfig config_;
   cloud::DataCenter& dc_;
   Slots slots_;
   Telemetry telemetry_;
   LocalTrainer trainer_;
   QTablePair tables_;
-  // Round-loop scratch: learning_cycle used to allocate the profile pool
-  // and the remote snapshot every round; capacity persists across rounds.
-  std::vector<VmProfile> scratch_pool_;
-  std::vector<VmProfile> scratch_remote_;
+  std::shared_ptr<Scratch> scratch_;
   sim::Round cycles_ = 0;
   sim::Round learning_rounds_;
   sim::Round aggregation_rounds_;

@@ -14,7 +14,9 @@ constexpr qlearn::QLearningParams kQParams{.alpha = 0.5, .gamma = 0.8};
 
 LocalTrainer::LocalTrainer(const GlapConfig& config, Resources pm_capacity,
                            Rng rng)
-    : config_(config), pm_capacity_(pm_capacity), rng_(rng) {
+    : pm_capacity_(pm_capacity),
+      rng_(rng),
+      use_average_state_(config.use_average_state) {
   GLAP_REQUIRE(pm_capacity.cpu > 0.0 && pm_capacity.mem > 0.0,
                "pm capacity must be positive");
 }
@@ -37,20 +39,20 @@ void LocalTrainer::grow_pool(std::vector<VmProfile>& pool) const {
 }
 
 void LocalTrainer::draw_subset(const std::vector<VmProfile>& pool,
+                               std::vector<std::size_t>& order,
                                std::vector<std::size_t>& out) {
   // Aim the subset's aggregate *average* CPU utilization at a random
   // target so training visits the whole state spectrum, including
   // overloaded configurations (target may exceed 1).
   const double target_util = rng_.uniform(0.05, 1.1);
-  scratch_order_.resize(pool.size());
-  for (std::size_t i = 0; i < scratch_order_.size(); ++i)
-    scratch_order_[i] = i;
-  rng_.shuffle(scratch_order_);
+  order.resize(pool.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng_.shuffle(order);
 
   out.clear();
   out.reserve(pool.size());
   double cpu_sum = 0.0;
-  for (std::size_t idx : scratch_order_) {
+  for (std::size_t idx : order) {
     out.push_back(idx);
     cpu_sum += pool[idx].average_usage.cpu;
     if (cpu_sum / pm_capacity_.cpu >= target_util) break;
@@ -72,15 +74,15 @@ qlearn::State LocalTrainer::subset_state(
 }
 
 void LocalTrainer::train_round(const std::vector<VmProfile>& pool,
-                               QTablePair& tables) {
+                               QTablePair& tables, Scratch& scratch) {
   if (pool.size() < 2) return;
-  const bool avg = config_.use_average_state;
+  const bool avg = use_average_state_;
 
   for (std::size_t iter = 0; iter < kTrainIterationsPerRound; ++iter) {
-    draw_subset(pool, scratch_sender_);
-    draw_subset(pool, scratch_target_);
-    const auto& sender = scratch_sender_;
-    const auto& target = scratch_target_;
+    draw_subset(pool, scratch.order, scratch.sender);
+    draw_subset(pool, scratch.order, scratch.target);
+    const auto& sender = scratch.sender;
+    const auto& target = scratch.target;
     if (sender.empty()) continue;
 
     // The migrating VM: a random member of the sender subset.

@@ -29,6 +29,16 @@ class LocalTrainer {
   /// fill this many PMs (covers highly loaded states, §IV-B).
   static constexpr double kDuplicatePoolPmMultiple = 2.5;
 
+  /// train_round's round-loop buffers: pool indices in draw order and the
+  /// two drawn subsets. They keep their capacity across calls, and one
+  /// set can serve every trainer that never runs concurrently.
+  struct Scratch {
+    std::vector<std::size_t> order;
+    std::vector<std::size_t> sender;
+    std::vector<std::size_t> target;
+  };
+
+  /// Keeps config.use_average_state, the one setting training reads.
   LocalTrainer(const GlapConfig& config, Resources pm_capacity, Rng rng);
 
   /// Duplicates `pool` entries in place (round-robin) until the pool's
@@ -46,13 +56,15 @@ class LocalTrainer {
   /// One learning round: k simulated consolidation steps over `pool`,
   /// updating `tables` in place. Pools smaller than 2 profiles are a no-op
   /// (nothing to migrate between subsets).
-  void train_round(const std::vector<VmProfile>& pool, QTablePair& tables);
+  void train_round(const std::vector<VmProfile>& pool, QTablePair& tables,
+                   Scratch& scratch);
 
  private:
   /// Draws into `out` a random subset of pool indices whose aggregate
   /// average CPU utilization approaches a uniformly drawn target in
-  /// [0.05, 1.1].
+  /// [0.05, 1.1]; `order` holds the shuffled indices.
   void draw_subset(const std::vector<VmProfile>& pool,
+                   std::vector<std::size_t>& order,
                    std::vector<std::size_t>& out);
 
   [[nodiscard]] qlearn::State subset_state(
@@ -60,14 +72,9 @@ class LocalTrainer {
       const std::vector<std::size_t>& subset, bool use_average,
       std::size_t excluded, const VmProfile* added) const;
 
-  GlapConfig config_;
   Resources pm_capacity_;
   Rng rng_;
-  // Round-loop scratch: train_round used to allocate four vectors per
-  // simulated migration; these keep their capacity across iterations.
-  std::vector<std::size_t> scratch_order_;
-  std::vector<std::size_t> scratch_sender_;
-  std::vector<std::size_t> scratch_target_;
+  bool use_average_state_;
 };
 
 }  // namespace glap::core

@@ -412,10 +412,10 @@ RunResult run_experiment(const ExperimentConfig& config) {
     sample.migration_energy_j = dc.migration_energy_joules();
     sample.quiescent_pms = static_cast<std::uint32_t>(engine.quiescent_count());
     if (topology) {
-      sample.active_racks =
-          static_cast<std::uint32_t>(topology->active_racks(dc));
+      const std::size_t racks = topology->active_racks(dc);
+      sample.active_racks = static_cast<std::uint32_t>(racks);
       result.switch_energy_j +=
-          topology->switch_energy_joules(dc, kRoundSeconds);
+          topology->switch_energy_joules(racks, kRoundSeconds);
     }
     result.rounds.push_back(sample);
 

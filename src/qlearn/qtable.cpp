@@ -7,19 +7,28 @@
 
 namespace glap::qlearn {
 
-void QTable::insert(Key k, std::size_t at, double q) {
-  values_.insert(values_.begin() + static_cast<std::ptrdiff_t>(at), q);
-  present_[k >> 6] |= std::uint64_t{1} << (k & 63);
-  for (std::size_t w = (k >> 6) + 1; w < kWordCount; ++w) ++rank_[w];
+void QTable::Block::insert(Key k, std::size_t at, double q) {
+  values.insert(values.begin() + static_cast<std::ptrdiff_t>(at), q);
+  present[k >> 6] |= std::uint64_t{1} << (k & 63);
+  for (std::size_t w = (k >> 6) + 1; w < kWordCount; ++w) ++rank[w];
+}
+
+QTable::Block& QTable::writable() {
+  if (!block_)
+    block_ = std::make_shared<Block>();
+  else if (block_.use_count() > 1)
+    block_ = std::make_shared<Block>(*block_);
+  return *block_;
 }
 
 void QTable::set(State s, Action a, double q) {
   const Key k = key_of(s, a);
-  const std::size_t at = rank(k);
-  if (present(k))
-    values_[at] = q;
+  Block& b = writable();
+  const std::size_t at = b.rank_of(k);
+  if (b.has(k))
+    b.values[at] = q;
   else
-    insert(k, at, q);
+    b.insert(k, at, q);
 }
 
 void QTable::update(State s, Action a, double reward, State next,
@@ -29,29 +38,32 @@ void QTable::update(State s, Action a, double reward, State next,
   GLAP_DEBUG_ASSERT(params.gamma >= 0.0 && params.gamma <= 1.0,
                     "gamma out of [0,1]");
   const Key k = key_of(s, a);
-  const std::size_t at = rank(k);
-  const bool known = present(k);
-  const double old_q = known ? values_[at] : 0.0;
+  Block& b = writable();
+  const std::size_t at = b.rank_of(k);
+  const bool known = b.has(k);
+  const double old_q = known ? b.values[at] : 0.0;
   // The max reads the table before (s, a) is inserted, so a new pair
   // never counts in its own max.
   const double target = reward + params.gamma * max_value(next);
   const double q = (1.0 - params.alpha) * old_q + params.alpha * target;
   if (known)
-    values_[at] = q;
+    b.values[at] = q;
   else
-    insert(k, at, q);
+    b.insert(k, at, q);
 }
 
 double QTable::max_value(State s) const noexcept {
-  // The state's known actions are one contiguous slice of values_, in
+  if (!block_) return 0.0;
+  // The state's known actions are one contiguous slice of the values, in
   // ascending action order.
+  const Block& b = *block_;
   const Key base = static_cast<Key>(s.index()) * kLevelPairCount;
-  const std::size_t begin = rank(base);
-  const std::size_t end = rank(base + kLevelPairCount);
+  const std::size_t begin = b.rank_of(base);
+  const std::size_t end = b.rank_of(base + kLevelPairCount);
   if (begin == end) return 0.0;
-  double best = values_[begin];
+  double best = b.values[begin];
   for (std::size_t i = begin + 1; i < end; ++i)
-    if (values_[i] > best) best = values_[i];
+    if (b.values[i] > best) best = b.values[i];
   return best;
 }
 
@@ -70,54 +82,52 @@ std::optional<Action> QTable::best_action(
 }
 
 void QTable::merge_average(const QTable& other) {
-  std::size_t merged = 0;
-  for (std::size_t w = 0; w < kWordCount; ++w)
-    merged += static_cast<std::size_t>(
-        std::popcount(present_[w] | other.present_[w]));
-  std::size_t mine = values_.size();
-  std::size_t theirs = other.values_.size();
-  // One exact reservation: resize alone would grow by doubling.
-  values_.reserve(merged);
-  values_.resize(merged);
-  // Fill the union back to front, in place. A key's rank in the union is
-  // never below its rank in this table, so every write lands on a slot
-  // whose old value has already been read. With other == *this the union
-  // is this table's key set and each slot is read before it is written.
-  double* dst = values_.data();
-  const double* src = other.values_.data();
-  std::size_t out = merged;
-  for (std::size_t w = kWordCount; w-- > 0;) {
-    const std::uint64_t a = present_[w];
-    const std::uint64_t b = other.present_[w];
-    if (a == b) {
-      // The same keys on both sides (every word of converged tables).
-      const auto n = static_cast<std::size_t>(std::popcount(a));
-      for (std::size_t i = 1; i <= n; ++i)
-        dst[out - i] = 0.5 * (dst[mine - i] + src[theirs - i]);
-      out -= n;
-      mine -= n;
-      theirs -= n;
-      continue;
-    }
-    for (std::uint64_t pending = a | b; pending != 0;) {
-      const std::uint64_t bit = std::uint64_t{1}
-                                << (63 - std::countl_zero(pending));
-      pending ^= bit;
-      --out;
-      if ((a & bit) && (b & bit))
-        dst[out] = 0.5 * (dst[--mine] + src[--theirs]);
-      else if (a & bit)
-        dst[out] = dst[--mine];
-      else
-        dst[out] = src[--theirs];
-    }
-    present_[w] = a | b;
+  if (other.empty()) return;
+  if (empty()) {
+    block_ = other.block_;
+    return;
   }
+  const Block& a = *block_;
+  const Block& b = *other.block_;
+  auto merged = std::make_shared<Block>();
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < kWordCount; ++w)
+    count += static_cast<std::size_t>(
+        std::popcount(a.present[w] | b.present[w]));
+  merged->values.resize(count);
+  // Fill the union front to back. `a` and `b` may be one block (a self
+  // merge, or two tables sharing one); neither is written.
+  double* dst = merged->values.data();
+  const double* va = a.values.data();
+  const double* vb = b.values.data();
   std::uint16_t below = 0;
   for (std::size_t w = 0; w < kWordCount; ++w) {
-    rank_[w] = below;
-    below = static_cast<std::uint16_t>(below + std::popcount(present_[w]));
+    const std::uint64_t pa = a.present[w];
+    const std::uint64_t pb = b.present[w];
+    merged->present[w] = pa | pb;
+    merged->rank[w] = below;
+    below = static_cast<std::uint16_t>(below + std::popcount(pa | pb));
+    if (pa == pb) {
+      // The same keys on both sides (every word of converged tables).
+      const auto n = static_cast<std::size_t>(std::popcount(pa));
+      for (std::size_t i = 0; i < n; ++i) dst[i] = 0.5 * (va[i] + vb[i]);
+      dst += n;
+      va += n;
+      vb += n;
+      continue;
+    }
+    for (std::uint64_t pending = pa | pb; pending != 0;
+         pending &= pending - 1) {
+      const std::uint64_t bit = pending & -pending;
+      if ((pa & bit) && (pb & bit))
+        *dst++ = 0.5 * (*va++ + *vb++);
+      else if (pa & bit)
+        *dst++ = *va++;
+      else
+        *dst++ = *vb++;
+    }
   }
+  block_ = std::move(merged);
 }
 
 CosineTerms cosine_terms(const QTable& a, const QTable& b) noexcept {
@@ -136,11 +146,14 @@ CosineTerms cosine_terms(const QTable& a, const QTable& b) noexcept {
   double dot[kLanes] = {};
   double norm_a[kLanes] = {};
   double norm_b[kLanes] = {};
-  const double* va = a.values_.data();
-  const double* vb = b.values_.data();
+  // A table without a block has no keys, so its values are never read.
+  const auto& words_a = a.block_ ? a.block_->present : QTable::kNoKeys;
+  const auto& words_b = b.block_ ? b.block_->present : QTable::kNoKeys;
+  const double* va = a.block_ ? a.block_->values.data() : nullptr;
+  const double* vb = b.block_ ? b.block_->values.data() : nullptr;
   for (std::size_t w = 0; w < QTable::kWordCount; ++w) {
-    const std::uint64_t pa = a.present_[w];
-    const std::uint64_t pb = b.present_[w];
+    const std::uint64_t pa = words_a[w];
+    const std::uint64_t pb = words_b[w];
     for (std::uint64_t pending = pa | pb; pending != 0;
          pending &= pending - 1) {
       const auto bit = static_cast<unsigned>(std::countr_zero(pending));

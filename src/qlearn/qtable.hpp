@@ -12,12 +12,19 @@
 // actions are one contiguous slice of the packed values, and Algorithm
 // 2's merge plus the Fig. 5 cosine metric are single passes over the
 // union of two bitmaps with no hashing anywhere.
+//
+// A table is a handle to one reference-counted block holding all three.
+// Copying a table shares its block; set and update clone a shared block
+// before they write, and merge_average writes a fresh one. So the two
+// parties of a push-pull exchange, which end up with the same averaged
+// table, hold it once (DESIGN.md §9).
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -42,6 +49,8 @@ struct CosineTerms {
 };
 
 class QTable {
+  struct Block;
+
  public:
   using Key = std::uint32_t;
 
@@ -61,13 +70,14 @@ class QTable {
 
   /// Q(s, a); 0 when the pair has never been visited.
   [[nodiscard]] double value(State s, Action a) const noexcept {
+    if (!block_) return 0.0;
     const Key k = key_of(s, a);
-    return present(k) ? values_[rank(k)] : 0.0;
+    return block_->has(k) ? block_->values[block_->rank_of(k)] : 0.0;
   }
 
   /// Whether the pair has an entry.
   [[nodiscard]] bool contains(State s, Action a) const noexcept {
-    return present(key_of(s, a));
+    return block_ && block_->has(key_of(s, a));
   }
 
   /// Sets Q(s, a), inserting the pair when it is absent.
@@ -91,15 +101,20 @@ class QTable {
       State s, const std::vector<Action>& available) const;
 
   /// Algorithm 2's UPDATE: average values present in both tables, adopt
-  /// entries present in exactly one. `other` may be this table.
+  /// entries present in exactly one. `other` may be this table. The union
+  /// goes into a fresh block; an empty table adopts `other`'s block.
   void merge_average(const QTable& other);
 
-  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
-  void clear() noexcept {
-    present_.fill(0);
-    rank_.fill(0);
-    values_.clear();
+  [[nodiscard]] std::size_t size() const noexcept {
+    return block_ ? block_->values.size() : 0;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  void clear() noexcept { block_.reset(); }
+
+  /// Whether both tables hold one and the same block: true after a copy
+  /// or a merge into an empty table, until either one writes.
+  [[nodiscard]] bool shares_storage_with(const QTable& other) const noexcept {
+    return block_ != nullptr && block_ == other.block_;
   }
 
   /// Iteration support for serialization/analysis: a forward range of
@@ -113,11 +128,11 @@ class QTable {
 
     EntryIterator(const QTable* table, std::size_t key,
                   std::size_t index) noexcept
-        : table_(table), key_(key), index_(index) {
+        : block_(table->block_.get()), key_(key), index_(index) {
       skip_absent();
     }
     [[nodiscard]] value_type operator*() const noexcept {
-      return {static_cast<Key>(key_), table_->values_[index_]};
+      return {static_cast<Key>(key_), block_->values[index_]};
     }
     EntryIterator& operator++() noexcept {
       ++key_;
@@ -137,10 +152,10 @@ class QTable {
 
    private:
     void skip_absent() noexcept {
-      while (key_ < kEntryCount && !table_->present(static_cast<Key>(key_)))
+      while (key_ < kEntryCount && !block_->has(static_cast<Key>(key_)))
         ++key_;
     }
-    const QTable* table_;
+    const Block* block_;
     std::size_t key_;
     std::size_t index_;  ///< position of key_ in the packed values
   };
@@ -149,7 +164,7 @@ class QTable {
    public:
     explicit EntryRange(const QTable* table) noexcept : table_(table) {}
     [[nodiscard]] EntryIterator begin() const noexcept {
-      return {table_, 0, 0};
+      return {table_, table_->block_ ? 0 : kEntryCount, 0};
     }
     [[nodiscard]] EntryIterator end() const noexcept {
       return {table_, kEntryCount, table_->size()};
@@ -175,28 +190,42 @@ class QTable {
  private:
   static constexpr std::size_t kWordCount = (kEntryCount + 63) / 64;
 
-  [[nodiscard]] bool present(Key k) const noexcept {
-    return (present_[k >> 6] >> (k & 63)) & 1u;
-  }
-  /// Number of present keys below `k` (k may be kEntryCount): the index
-  /// of k's value in values_ when k is present, its insertion point when
-  /// it is not.
-  [[nodiscard]] std::size_t rank(Key k) const noexcept {
-    const std::uint64_t below = (std::uint64_t{1} << (k & 63)) - 1;
-    return rank_[k >> 6] +
-           static_cast<std::size_t>(std::popcount(present_[k >> 6] & below));
-  }
-  /// Inserts absent key `k` with value `q` at position `at` == rank(k).
-  void insert(Key k, std::size_t at, double q);
+  /// One table's storage. Every copy of a table shares it until one of
+  /// them writes.
+  struct Block {
+    std::array<std::uint64_t, kWordCount> present{};
+    /// rank[w]: present keys in words [0, w).
+    std::array<std::uint16_t, kWordCount> rank{};
+    /// Present values in ascending key order.
+    std::vector<double> values;
 
-  std::array<std::uint64_t, kWordCount> present_{};
-  /// rank_[w]: present keys in words [0, w).
-  std::array<std::uint16_t, kWordCount> rank_{};
-  /// Present values in ascending key order.
-  std::vector<double> values_;
-  static_assert(std::is_same_v<decltype(values_)::value_type, double>,
-                "Q-values are double end to end: a float round-trip "
-                "changes merge and update results");
+    [[nodiscard]] bool has(Key k) const noexcept {
+      return (present[k >> 6] >> (k & 63)) & 1u;
+    }
+    /// Number of present keys below `k` (k may be kEntryCount): the index
+    /// of k's value in `values` when k is present, its insertion point
+    /// when it is not.
+    [[nodiscard]] std::size_t rank_of(Key k) const noexcept {
+      const std::uint64_t below = (std::uint64_t{1} << (k & 63)) - 1;
+      return rank[k >> 6] +
+             static_cast<std::size_t>(std::popcount(present[k >> 6] & below));
+    }
+    /// Inserts absent key `k` with value `q` at position `at` == rank_of(k).
+    void insert(Key k, std::size_t at, double q);
+
+    static_assert(std::is_same_v<decltype(values)::value_type, double>,
+                  "Q-values are double end to end: a float round-trip "
+                  "changes merge and update results");
+  };
+
+  /// The presence bitmap of a table that owns no block.
+  static constexpr std::array<std::uint64_t, kWordCount> kNoKeys{};
+
+  /// The block to write into: a new one when the table has none, a
+  /// private clone when another table shares it.
+  Block& writable();
+
+  std::shared_ptr<Block> block_;
 };
 
 /// Dot product and squared norms of two tables, summed in the order of

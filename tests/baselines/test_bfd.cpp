@@ -37,13 +37,14 @@ TEST(Bfd, EmptyInputUsesNoBins) {
 
 TEST(Bfd, OversizedVmRejected) {
   EXPECT_THROW(
-      bfd_bin_count({Resources{11.0, 1.0}}, Resources{10.0, 10.0}),
+      (void)bfd_bin_count({Resources{11.0, 1.0}}, Resources{10.0, 10.0}),
       precondition_error);
 }
 
 TEST(Bfd, ZeroCapacityRejected) {
-  EXPECT_THROW(bfd_bin_count({Resources{1.0, 1.0}}, Resources{0.0, 10.0}),
-               precondition_error);
+  EXPECT_THROW(
+      (void)bfd_bin_count({Resources{1.0, 1.0}}, Resources{0.0, 10.0}),
+      precondition_error);
 }
 
 TEST(Bfd, DataCenterConvenienceMatchesManual) {

@@ -175,7 +175,7 @@ TEST(Pabfd, IntervalThrottlesReconsolidation) {
 }
 
 TEST(Pabfd, ConfigValidation) {
-  EXPECT_THROW(PabfdManager::mad({}), precondition_error);
+  EXPECT_THROW((void)PabfdManager::mad({}), precondition_error);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ TEST(Iqr, HandComputedValues) {
   EXPECT_DOUBLE_EQ(PabfdManager::iqr({1, 2, 3, 4, 5, 6, 7, 8}), 3.5);
   EXPECT_DOUBLE_EQ(PabfdManager::iqr({4, 4, 4}), 0.0);
   EXPECT_DOUBLE_EQ(PabfdManager::iqr({7}), 0.0);
-  EXPECT_THROW(PabfdManager::iqr({}), precondition_error);
+  EXPECT_THROW((void)PabfdManager::iqr({}), precondition_error);
 }
 
 TEST(Iqr, OrderIndependent) {
@@ -32,7 +32,7 @@ TEST(LrForecast, FlatSeriesForecastsItself) {
 
 TEST(LrForecast, DecreasingTrend) {
   EXPECT_LT(PabfdManager::lr_forecast({0.9, 0.7, 0.5, 0.3}), 0.3);
-  EXPECT_THROW(PabfdManager::lr_forecast({1.0}), precondition_error);
+  EXPECT_THROW((void)PabfdManager::lr_forecast({1.0}), precondition_error);
 }
 
 /// Rounds each bed runs: past PabfdManager::kMinHistory, so the

@@ -21,6 +21,18 @@ TEST(RackTopology, MembersMatchRackOf) {
   for (RackId r = 0; r < topo.rack_count(); ++r)
     for (PmId p : topo.members(r)) EXPECT_EQ(topo.rack_of(p), r);
   EXPECT_EQ(topo.members(2).size(), 2u);  // the short last rack
+  // Each rack is one contiguous id range, and the ranges tile [0, 10).
+  PmId next = 0;
+  for (RackId r = 0; r < topo.rack_count(); ++r) {
+    const auto ids = topo.members(r);
+    ASSERT_FALSE(ids.empty());
+    EXPECT_EQ(ids.front(), next);
+    EXPECT_EQ(ids.back() + 1 - ids.front(), ids.size());
+    next = ids.back() + 1;
+  }
+  EXPECT_EQ(next, 10u);
+  EXPECT_EQ(topo.members(2).front(), 8u);
+  EXPECT_EQ(topo.members(2).back(), 9u);
 }
 
 TEST(RackTopology, Validation) {
@@ -28,8 +40,8 @@ TEST(RackTopology, Validation) {
   EXPECT_THROW(RackTopology(10, 0), precondition_error);
   EXPECT_THROW(RackTopology(10, 4, -1.0), precondition_error);
   RackTopology topo(10, 4);
-  EXPECT_THROW(topo.rack_of(10), precondition_error);
-  EXPECT_THROW(topo.members(3), precondition_error);
+  EXPECT_THROW((void)topo.rack_of(10), precondition_error);
+  EXPECT_THROW((void)topo.members(3), precondition_error);
 }
 
 TEST(RackTopology, ActiveRacksTracksPmPower) {
@@ -55,7 +67,8 @@ TEST(RackTopology, SwitchEnergyScalesWithActiveRacks) {
   RackTopology topo(8, 4, /*switch_watts=*/100.0);
   // Rack 1 hosts nothing; sleep its PMs.
   for (PmId p = 4; p < 8; ++p) dc.set_power(p, PmPower::kSleep);
-  EXPECT_DOUBLE_EQ(topo.switch_energy_joules(dc, 120.0), 100.0 * 120.0);
+  EXPECT_DOUBLE_EQ(topo.switch_energy_joules(topo.active_racks(dc), 120.0),
+                   100.0 * 120.0);
 }
 
 TEST(RackTopology, RackLoadAveragesActivePms) {
@@ -76,7 +89,7 @@ TEST(RackTopology, RackLoadAveragesActivePms) {
 TEST(RackTopology, MismatchedDataCenterRejected) {
   DataCenter dc(4, 4, DataCenterConfig{});
   RackTopology topo(8, 4);
-  EXPECT_THROW(topo.active_racks(dc), precondition_error);
+  EXPECT_THROW((void)topo.active_racks(dc), precondition_error);
 }
 
 }  // namespace

@@ -89,8 +89,8 @@ TEST(Percentile, UnsortedInputHandled) {
 }
 
 TEST(Percentile, RejectsOutOfRangeQ) {
-  EXPECT_THROW(percentile({1.0}, -1.0), precondition_error);
-  EXPECT_THROW(percentile({1.0}, 101.0), precondition_error);
+  EXPECT_THROW((void)percentile({1.0}, -1.0), precondition_error);
+  EXPECT_THROW((void)percentile({1.0}, 101.0), precondition_error);
 }
 
 TEST(Summarize, KnownSummary) {
@@ -136,7 +136,7 @@ TEST(CosineSimilarity, ZeroVectorConventions) {
 }
 
 TEST(CosineSimilarity, LengthMismatchThrows) {
-  EXPECT_THROW(cosine_similarity({1.0}, {1.0, 2.0}), precondition_error);
+  EXPECT_THROW((void)cosine_similarity({1.0}, {1.0, 2.0}), precondition_error);
 }
 
 TEST(Histogram, BinsAndCounts) {

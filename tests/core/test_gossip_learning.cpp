@@ -148,6 +148,46 @@ TEST(GossipLearning, MergeIsPairwiseSymmetric) {
   EXPECT_DOUBLE_EQ(v0, v1);
 }
 
+TEST(GossipLearning, PushPullPartnersShareOneTableUntilOneWrites) {
+  GlapConfig config = short_phases();
+  config.learning_rounds = 0;  // the first round aggregates
+  config.aggregation_rounds = 1;
+  TestBed bed(2, 4, config, 5);
+  const qlearn::State s{qlearn::Level::kLow, qlearn::Level::kLow};
+  const qlearn::Action a{qlearn::Level::kLow, qlearn::Level::kLow};
+  bed.node(0).tables_mutable().out.set(s, a, 4.0);
+  bed.node(0).tables_mutable().in.set(s, a, -1.0);
+  bed.node(1).tables_mutable().out.set(s, a, 8.0);
+  bed.node(1).tables_mutable().in.set(s, a, -3.0);
+  bed.advance_demands(5, 0);
+  bed.engine.step();
+
+  const QTablePair& first = bed.node(0).tables();
+  const QTablePair& second = bed.node(1).tables();
+  EXPECT_EQ(first.out.value(s, a), 6.0);
+  EXPECT_TRUE(first.out.shares_storage_with(second.out));
+  EXPECT_TRUE(first.in.shares_storage_with(second.in));
+
+  // A later write on one side leaves the other side's entries as they
+  // were.
+  const std::vector<double> out_before = second.out.dense();
+  const std::vector<double> in_before = second.in.dense();
+  bed.node(0).tables_mutable().out.update(s, a, 100.0, s, {});
+  bed.node(0).tables_mutable().in.set(s, qlearn::Action{qlearn::Level::kHigh,
+                                                        qlearn::Level::kLow},
+                                      7.0);
+  EXPECT_NE(first.out.value(s, a), 6.0);
+  EXPECT_FALSE(first.out.shares_storage_with(second.out));
+  EXPECT_FALSE(first.in.shares_storage_with(second.in));
+  EXPECT_EQ(second.out.dense(), out_before);
+  EXPECT_EQ(second.in.dense(), in_before);
+}
+
+// The per-PM learning object holds handles, not storage: a presence
+// bitmap (~1 KiB per table) or a round-loop buffer moving back into it
+// breaks this bound.
+static_assert(sizeof(GossipLearningProtocol) <= 192);
+
 TEST(GossipLearning, AggregationPreservesValueScale) {
   // Gossip averaging keeps values within the convex hull of initial ones.
   // Every PM is loaded past the training threshold: no fresh training

@@ -65,9 +65,10 @@ TEST(LocalTrainer, DuplicationCapped) {
 
 TEST(LocalTrainer, EmptyAndTinyPoolsAreSafe) {
   LocalTrainer trainer(GlapConfig{}, kPmCapacity, Rng(1));
+  LocalTrainer::Scratch scratch;
   QTablePair tables;
-  trainer.train_round({}, tables);
-  trainer.train_round({profile(0.5, 0.5)}, tables);
+  trainer.train_round({}, tables, scratch);
+  trainer.train_round({profile(0.5, 0.5)}, tables, scratch);
   EXPECT_TRUE(tables.out.empty());
   EXPECT_TRUE(tables.in.empty());
 }
@@ -78,7 +79,9 @@ TEST(LocalTrainer, TrainingPopulatesBothTables) {
   for (int i = 0; i < 24; ++i)
     pool.push_back(profile(0.2 + 0.03 * i, 0.25 + 0.02 * i));
   QTablePair tables;
-  for (int round = 0; round < 20; ++round) trainer.train_round(pool, tables);
+  LocalTrainer::Scratch scratch;
+  for (int round = 0; round < 20; ++round)
+    trainer.train_round(pool, tables, scratch);
   EXPECT_GT(tables.out.size(), 10u);
   EXPECT_GT(tables.in.size(), 10u);
 }
@@ -89,9 +92,10 @@ TEST(LocalTrainer, DeterministicGivenSeed) {
   QTablePair a, b;
   LocalTrainer ta(GlapConfig{}, kPmCapacity, Rng(7));
   LocalTrainer tb(GlapConfig{}, kPmCapacity, Rng(7));
+  LocalTrainer::Scratch scratch;
   for (int round = 0; round < 5; ++round) {
-    ta.train_round(pool, a);
-    tb.train_round(pool, b);
+    ta.train_round(pool, a, scratch);
+    tb.train_round(pool, b, scratch);
   }
   EXPECT_DOUBLE_EQ(cosine_similarity(a, b), 1.0);
   EXPECT_EQ(a.out.size(), b.out.size());
@@ -105,7 +109,9 @@ TEST(LocalTrainer, VolatileWorkloadsLearnNegativeAcceptanceValues) {
   std::vector<VmProfile> pool;
   for (int i = 0; i < 40; ++i) pool.push_back(profile(1.0, 0.35));
   QTablePair tables;
-  for (int round = 0; round < 40; ++round) trainer.train_round(pool, tables);
+  LocalTrainer::Scratch scratch;
+  for (int round = 0; round < 40; ++round)
+    trainer.train_round(pool, tables, scratch);
   std::size_t negative = 0;
   for (const auto& [key, q] : tables.in.entries())
     if (q < 0.0) ++negative;
@@ -121,7 +127,9 @@ TEST(LocalTrainer, AcceptanceRiskGrowsWithStateLoad) {
   std::vector<VmProfile> pool;
   for (int i = 0; i < 40; ++i) pool.push_back(profile(0.2, 0.2));
   QTablePair tables;
-  for (int round = 0; round < 40; ++round) trainer.train_round(pool, tables);
+  LocalTrainer::Scratch scratch;
+  for (int round = 0; round < 40; ++round)
+    trainer.train_round(pool, tables, scratch);
   RunningStats light, heavy;
   for (const auto& [key, q] : tables.in.entries()) {
     const auto state = qlearn::QTable::state_of(key);
@@ -141,7 +149,9 @@ TEST(LocalTrainer, OutValuesRewardDraining) {
   std::vector<VmProfile> pool;
   for (int i = 0; i < 30; ++i) pool.push_back(profile(0.4, 0.4));
   QTablePair tables;
-  for (int round = 0; round < 40; ++round) trainer.train_round(pool, tables);
+  LocalTrainer::Scratch scratch;
+  for (int round = 0; round < 40; ++round)
+    trainer.train_round(pool, tables, scratch);
   // All OUT values come from positive rewards, so they are positive.
   for (const auto& [key, q] : tables.out.entries()) EXPECT_GT(q, 0.0);
 }

@@ -188,7 +188,7 @@ std::string captured_trace(ExperimentConfig config) {
   std::ostringstream sink;
   config.observability.trace_sink = &sink;
   config.observability.trace_format = trace::Format::kGtb;
-  run_experiment(config);
+  (void)run_experiment(config);
   return sink.str();
 }
 

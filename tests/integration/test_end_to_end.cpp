@@ -67,8 +67,9 @@ TEST_P(EndToEndTest, SystemInvariantsHold) {
   EXPECT_GE(result.migration_energy_j, 0.0);
 
   // Consolidators must actually consolidate on these underloaded fleets.
-  if (cell.algorithm != Algorithm::kNone)
+  if (cell.algorithm != Algorithm::kNone) {
     EXPECT_LT(result.final_active_pms, cell.pm_count);
+  }
 
   // The BFD oracle can never need more PMs than exist.
   EXPECT_LE(result.final_bfd_bins, cell.pm_count);

@@ -340,7 +340,7 @@ TEST(Observability, FlightDumpIsAParseableTraceOfTheLastRounds) {
   ExperimentConfig config = tiny_config();
   config.observability.flight_dump_path =
       ::testing::TempDir() + "glap_flight_obs.gtb";
-  run_experiment(config);
+  (void)run_experiment(config);
 
   std::ifstream in(config.observability.flight_dump_path, std::ios::binary);
   ASSERT_TRUE(in.is_open());

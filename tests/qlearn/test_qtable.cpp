@@ -10,9 +10,10 @@ const State kStateB{Level::kHigh, Level::kMedium};
 const Action kActA{Level::kMedium, Level::kLow};
 const Action kActB{Level::k4xHigh, Level::kXHigh};
 
-// A table stores only its present values; a dense 6561-double array
-// (52 KiB) must not come back into the object.
-static_assert(sizeof(QTable) <= 2048);
+// A table is a handle to its shared storage: neither a dense 6561-double
+// array (52 KiB) nor the ~1 KiB presence bitmap may come back into the
+// object.
+static_assert(sizeof(QTable) <= 2 * sizeof(void*));
 
 TEST(QTable, DefaultsToZeroAndEmpty) {
   QTable table;
@@ -166,6 +167,36 @@ TEST(QTable, ClearEmpties) {
   table.set(kStateA, kActA, 1.0);
   table.clear();
   EXPECT_TRUE(table.empty());
+}
+
+TEST(QTable, CopiesShareStorageUntilOneWrites) {
+  QTable a;
+  a.set(kStateA, kActA, 1.0);
+  QTable b = a;
+  EXPECT_TRUE(b.shares_storage_with(a));
+  // A write clones the shared storage first: the copy keeps its value.
+  a.set(kStateA, kActA, 2.0);
+  EXPECT_FALSE(b.shares_storage_with(a));
+  EXPECT_EQ(b.value(kStateA, kActA), 1.0);
+  b.update(kStateB, kActB, 4.0, kStateA, QLearningParams{});
+  EXPECT_FALSE(a.contains(kStateB, kActB));
+  // Tables without storage share nothing.
+  EXPECT_FALSE(QTable{}.shares_storage_with(QTable{}));
+}
+
+TEST(QTable, MergeIntoEmptyAdoptsAndMergeOfEmptyKeeps) {
+  QTable a, empty;
+  a.set(kStateA, kActA, 3.0);
+  QTable adopter;
+  adopter.merge_average(a);
+  EXPECT_TRUE(adopter.shares_storage_with(a));
+  const QTable before = a;
+  a.merge_average(empty);
+  EXPECT_TRUE(a.shares_storage_with(before));
+  // A merge of two non-empty tables writes fresh storage.
+  a.merge_average(adopter);
+  EXPECT_FALSE(a.shares_storage_with(adopter));
+  EXPECT_EQ(a.value(kStateA, kActA), 3.0);
 }
 
 }  // namespace

@@ -157,9 +157,30 @@ TEST(QTableDifferential, TenThousandRandomizedOpsMatchHashMapReference) {
   ReferenceQTable ref_a, ref_b;
   const QLearningParams params;
   Rng rng(20260805);
+  // Copies taken along the way. A copy shares the original's storage, so
+  // every later write to the original must leave the copy as it was.
+  struct Alias {
+    QTable flat;
+    ReferenceQTable ref;
+  };
+  std::vector<Alias> aliases;
+  const auto expect_aliases_unchanged = [&aliases] {
+    for (const Alias& alias : aliases) expect_identical(alias.flat, alias.ref);
+  };
 
   constexpr int kOps = 12000;
   for (int op = 0; op < kOps; ++op) {
+    if (op % 500 == 250) {
+      // Alias op: copy-assign a table and its reference (a and b in
+      // turn); no draw from `rng`, so the other ops' sequence is as it
+      // was without aliases.
+      const bool take_b = (op / 500) % 2 != 0;
+      Alias& alias = aliases.emplace_back();
+      alias.flat = take_b ? flat_b : flat_a;
+      alias.ref = take_b ? ref_b : ref_a;
+      ASSERT_TRUE(alias.flat.empty() ||
+                  alias.flat.shares_storage_with(take_b ? flat_b : flat_a));
+    }
     const auto roll = rng.bounded(100);
     QTable& flat = roll % 2 ? flat_b : flat_a;
     ReferenceQTable& ref = roll % 2 ? ref_b : ref_a;
@@ -200,7 +221,7 @@ TEST(QTableDifferential, TenThousandRandomizedOpsMatchHashMapReference) {
     } else {
       // Algorithm 2's push-pull merge in a random direction, into the
       // other table, itself, a default-constructed table, or a
-      // copy-assigned one (whose packed values have no spare capacity).
+      // copy-assigned one (which shares the destination's storage).
       QTable& flat_dst = roll % 2 ? flat_a : flat_b;
       const QTable& flat_src = roll % 2 ? flat_b : flat_a;
       ReferenceQTable& ref_dst = roll % 2 ? ref_a : ref_b;
@@ -238,10 +259,13 @@ TEST(QTableDifferential, TenThousandRandomizedOpsMatchHashMapReference) {
     if (op % 500 == 0) {
       expect_identical(flat_a, ref_a);
       expect_identical(flat_b, ref_b);
+      expect_aliases_unchanged();
     }
   }
   expect_identical(flat_a, ref_a);
   expect_identical(flat_b, ref_b);
+  ASSERT_EQ(aliases.size(), static_cast<std::size_t>(kOps / 500));
+  expect_aliases_unchanged();
   ASSERT_EQ(cosine_similarity(flat_a, flat_b),
             ReferenceQTable::cosine(ref_a, ref_b));
 }

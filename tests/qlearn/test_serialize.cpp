@@ -57,7 +57,7 @@ TEST(Serialize, LevelNameParsing) {
   EXPECT_EQ(level_from_string("Low"), Level::kLow);
   EXPECT_EQ(level_from_string("5xHigh"), Level::k5xHigh);
   EXPECT_EQ(level_from_string("Overload"), Level::kOverload);
-  EXPECT_THROW(level_from_string("Bogus"), precondition_error);
+  EXPECT_THROW((void)level_from_string("Bogus"), precondition_error);
 }
 
 TEST(Serialize, MalformedInputRejected) {

@@ -201,7 +201,7 @@ TEST(Engine, PoolFactoryReceivesTheSlotItFills) {
 TEST(Engine, ValidatesConstructionAndSlots) {
   EXPECT_THROW(Engine(0, 1), precondition_error);
   Engine engine(3, 1);
-  EXPECT_THROW(engine.status(99), precondition_error);
+  EXPECT_THROW((void)engine.status(99), precondition_error);
 }
 
 TEST(NetworkStats, CountsMessagesAndBytes) {

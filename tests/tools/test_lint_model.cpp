@@ -114,8 +114,9 @@ TEST(ProjectRules, LayeringFailTreeCoversAllFourFindingShapes) {
     if (f.message.find("no entry") != std::string::npos) missing = true;
     if (f.message.find("dependency cycle") != std::string::npos) cycle = true;
     // Findings about layers.txt itself anchor there, not at a source file.
-    if (f.message.find("cycle") != std::string::npos)
+    if (f.message.find("cycle") != std::string::npos) {
       EXPECT_EQ(f.file, "tools/lint/layers.txt");
+    }
   }
   EXPECT_TRUE(undeclared);
   EXPECT_TRUE(stale);

@@ -21,8 +21,8 @@ TEST(TraceStore, SetAndGet) {
 
 TEST(TraceStore, BoundsAndRangeChecks) {
   TraceStore store(2, 2);
-  EXPECT_THROW(store.at(2, 0), precondition_error);
-  EXPECT_THROW(store.at(0, 2), precondition_error);
+  EXPECT_THROW((void)store.at(2, 0), precondition_error);
+  EXPECT_THROW((void)store.at(0, 2), precondition_error);
   EXPECT_THROW(store.set(0, 0, {1.5, 0.0}), precondition_error);
   EXPECT_THROW(store.set(0, 0, {0.0, -0.1}), precondition_error);
   EXPECT_THROW(TraceStore(0, 5), precondition_error);
